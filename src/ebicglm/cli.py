@@ -55,7 +55,54 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _merge_config_file(args) -> None:
+# never taken from a config file: they name this run, not the computation
+_RUN_ONLY_KEYS = ("command", "out", "config", "threads")
+
+
+def _config_scalar(action, key: str, value):
+    """One config value checked and converted the way argparse treats the
+    flag's text: a string for untyped flags, else the declared type applied
+    to a JSON number or string (no bools, no silently truncated floats)."""
+    kind = action.type or str
+    wrong = _UsageError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
+    if kind is str:
+        if not isinstance(value, str):
+            raise wrong
+    else:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)) or (
+            kind is int and isinstance(value, float)
+        ):
+            raise wrong
+        try:
+            value = kind(value)
+        except (ValueError, OverflowError):
+            raise wrong from None
+    if action.choices is not None and value not in action.choices:
+        raise _UsageError(
+            f"config key {key!r} must be one of {list(action.choices)}, got {value!r}"
+        )
+    return value
+
+
+def _config_value(action, key: str, value):
+    """A config value checked against the flag's declared type and action."""
+    if value is None:
+        # null stands for an unset optional flag, as manifests write it
+        if action.required or action.default is not None:
+            raise _UsageError(f"config key {key!r} cannot be null")
+        return None
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise _UsageError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    if isinstance(action, argparse._AppendAction):
+        if not isinstance(value, list):
+            raise _UsageError(f"config key {key!r} must be a list, got {value!r}")
+        return [_config_scalar(action, key, v) for v in value]
+    return _config_scalar(action, key, value)
+
+
+def _merge_config_file(args, command_parser: argparse.ArgumentParser) -> None:
     """Values from --config override flags (flags override defaults)."""
     if not getattr(args, "config", None):
         return
@@ -64,14 +111,17 @@ def _merge_config_file(args) -> None:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read config {args.config}: {exc}") from None
-    params = payload.get("params", payload)
+    params = payload.get("params", payload) if isinstance(payload, dict) else None
+    if not isinstance(params, dict):
+        raise _UsageError(f"config {args.config} must hold a JSON object of parameters")
+    actions = {a.dest: a for a in command_parser._actions if a.default is not argparse.SUPPRESS}
     for key, value in params.items():
         attr = key.replace("-", "_")
-        if attr in ("command", "out", "config", "threads"):
+        if attr in _RUN_ONLY_KEYS:
             continue
-        if not hasattr(args, attr):
+        if attr not in actions:
             raise _UsageError(f"unknown config key {key!r} in {args.config}")
-        setattr(args, attr, value)
+        setattr(args, attr, _config_value(actions[attr], key, value))
 
 
 def _manifest(args, command: str, fields: tuple) -> dict:
@@ -123,7 +173,12 @@ def _cmd_fit(args) -> int:
     lf = parse_link_family(args.link, args.family)
     data.validate_for_family(lf.family)
     if args.features:
-        idx = tuple(int(t) - 1 for t in args.features.split(","))  # 1-based in
+        try:
+            idx = tuple(int(t) - 1 for t in args.features.split(","))  # 1-based in
+        except ValueError:
+            raise _UsageError(
+                f"--features must be comma-separated column numbers, got {args.features!r}"
+            ) from None
     else:
         if data.p > data.n - 2:
             raise _UsageError(
@@ -309,6 +364,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ebicglm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ebicglm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     def common(p, needs_input=True):
         if needs_input:
@@ -331,7 +387,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--link", default="logit")
     p.add_argument("--family", default=None)
     p.add_argument("--gamma", action="append", default=None,
-                   help="gamma value or preset; repeatable (first builds the path)")
+                   help="gamma value or preset; repeatable, all read off one path")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--screen-threshold", type=int, default=None)
     p.add_argument("--screen-keep", type=int, default=None)
@@ -377,7 +433,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _merge_config_file(args)
+        _merge_config_file(args, parser.commands[args.command])
         return args.func(args)
     except _UsageError as exc:
         print(f"ebicglm: usage error: {exc}", file=sys.stderr)

@@ -99,7 +99,8 @@ def _replicate_task(args):
         report = select_pipeline(lf, rep.dataset, config, true_support_size=design.p0n)
         metrics = tuple(pdr_fdr(m, rep.true_model) for m in report.final_models)
         return (rep_id, metrics, None)
-    except EbicGlmError as exc:
+    except (EbicGlmError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        # one replicate's numerical failure is recorded, not fatal to the batch
         return (rep_id, None, f"{type(exc).__name__}: {exc}")
 
 

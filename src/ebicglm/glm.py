@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg.lapack import dposv, dpotrf
 
 from .errors import DataError, InvalidArgs, RankDeficient
-from .links import Family, LinkFamily
+from .links import Family, LinkFamily, column_sums
 
 
 class Dataset:
@@ -343,6 +343,184 @@ def _newton(y, X, lf, beta0, opts):
         eta_clamped=clamped,
         loglik_path=tuple(trace),
     )
+
+
+# Per-column small systems for the column-batched fit: a symmetric matrix is
+# the tuple (a,) for k = 1 or (a00, a10, a11) for k = 2, each entry a vector
+# with one value per column.
+
+def _lane_cholesky(h):
+    """Closed-form Cholesky factor, same layout as h, and the mask of
+    columns where h is finite with positive pivots (LAPACK's potrf test)."""
+    if len(h) == 1:
+        (a,) = h
+        return (np.sqrt(a),), np.isfinite(a) & (a > 0)
+    a00, a10, a11 = h
+    l00 = np.sqrt(a00)
+    l10 = a10 / l00
+    s = a11 - l10 * l10
+    ok = np.isfinite(a00) & np.isfinite(a10) & np.isfinite(a11) & (a00 > 0) & (s > 0)
+    return (l00, l10, np.sqrt(s)), ok
+
+
+def _lane_rank_deficient(h1):
+    """Per-column form of ``_assert_full_rank``: True where it would raise."""
+    c, ok = _lane_cholesky(h1)
+    bad = ~ok
+    for i in ((0,) if len(h1) == 1 else (0, 2)):
+        bad |= c[i] * c[i] <= 1e-10 * h1[i]
+    return bad
+
+
+def _lane_chol_solve(h, g):
+    """Per-column form of ``_chol_solve``: (d as a k x C array, mask of
+    columns where h is numerically SPD and d finite)."""
+    c, ok = _lane_cholesky(h)
+    if len(h) == 1:
+        d = np.array([g[0] / c[0] / c[0]])
+    else:
+        l00, l10, l11 = c
+        z0 = g[0] / l00
+        d1 = (g[1] - l10 * z0) / l11 / l11
+        d = np.array([(z0 - l10 * d1) / l00, d1])
+    return d, ok & np.isfinite(d).all(axis=0)
+
+
+def _lane_gram(x, w, intercept):
+    """X^T diag(w) X per column for X = [1, x_j] or [x_j]."""
+    xw = x * w
+    if intercept:
+        return (column_sums(w), column_sums(xw), column_sums(x * xw))
+    return (column_sums(x * xw),)
+
+
+def _lane_newton_system(lf, yc, x, eta, intercept):
+    """Gradient, H1 and H0 (None when h'' is identically zero) per column at
+    an in-domain eta; the n x C intermediates die on return."""
+    mu, sigma2, hp, hpp = lf.newton_terms(eta)
+    resid = yc - mu
+    r = resid * hp
+    xr = x * r
+    grad = (column_sums(r), column_sums(xr)) if intercept else (column_sums(xr),)
+    h1 = _lane_gram(x, sigma2 * hp * hp, intercept)
+    h0 = None if hpp is None else _lane_gram(x, resid * hpp, intercept)
+    return grad, h1, h0
+
+
+def _lane_linear(x, coef, intercept):
+    """X @ coef per column; coef is k x C."""
+    return coef[0] + x * coef[1] if intercept else x * coef[0]
+
+
+def _newton_columns(y, x, lf, beta0, opts):
+    """``_newton`` on the one-covariate designs [1, x_j] (or [x_j] when
+    ``beta0`` has length 1) for every column j of x at once.
+
+    Every array is n x C for the C columns still iterating. Each column
+    leaves at exactly the point where ``_newton`` stops: the rank test at
+    iteration 1, a non-finite gradient, the gradient tolerance, no solvable
+    step after the H1 and jitter fallbacks, no accepted step after the
+    halvings, the third flat step, the beta cap and ``max_iter``. The 2x2
+    or 1x1 systems are solved by closed-form Cholesky and every reduction
+    runs through ``column_sums``, so a column's arithmetic does not depend
+    on its position or on the other columns.
+
+    Returns, per column, the slope and log-likelihood of the final iterate
+    and whether the rank test failed (where ``_newton`` raises).
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    n, n_cols = x.shape
+    k = len(beta0)
+    intercept = k == 2
+    bounded_eta = lf.eta_domain != (-np.inf, np.inf)
+    yc = y[:, None]
+
+    def loglik(eta_arr):
+        return lf.log_lik(lf.clip_eta(eta_arr) if bounded_eta else eta_arr, y)
+
+    slope = np.empty(n_cols)
+    log_lik = np.empty(n_cols)
+    rank_deficient = np.zeros(n_cols, dtype=bool)
+    cols = np.arange(n_cols)  # original position of each iterating column
+    beta = np.repeat(np.asarray(beta0, dtype=float)[:, None], n_cols, axis=1)
+    flat_steps = np.zeros(n_cols, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        eta = _lane_linear(x, beta, intercept)
+        ll = loglik(eta)
+        it = 0
+        while cols.size and it < opts.max_iter:
+            it += 1
+            grad, h1, h0 = _lane_newton_system(
+                lf, yc, x, lf.clip_eta(eta) if bounded_eta else eta, intercept
+            )
+            gnorm = np.abs(grad[0])
+            if intercept:
+                gnorm = np.maximum(gnorm, np.abs(grad[1]))
+            stop = ~np.isfinite(gnorm) | (gnorm < opts.tol)
+            if it == 1:
+                rd = _lane_rank_deficient(h1)
+                rank_deficient[cols[rd]] = True
+                stop |= rd
+            h = h1 if h0 is None else tuple(a - b for a, b in zip(h1, h0))
+            d, ok = _lane_chol_solve(h, grad)
+            if h is not h1 and not ok.all():
+                d_h1, ok_h1 = _lane_chol_solve(h1, grad)
+                d = np.where(ok, d, d_h1)
+                ok |= ok_h1
+            if not ok.all():
+                trace = h1[0] if k == 1 else h1[0] + h1[2]
+                jitter = 1e-10 * trace / k
+                hj = ((h1[0] + jitter,) if k == 1
+                      else (h1[0] + jitter, h1[1], h1[2] + jitter))
+                d_j, ok_j = _lane_chol_solve(hj, grad)
+                d = np.where(ok, d, d_j)
+                ok |= ok_j
+
+            # step halving. The columns still searching all stand at the same
+            # step 2^-tried, so after two single tries (most columns take the
+            # full or the half step) the rest are tried together, as many as
+            # keep the trial array within n x n_cols; each column takes the
+            # first step accepted, as _newton would
+            dx = _lane_linear(x, d, intercept)
+            step = np.ones(cols.size)
+            accepted = np.zeros(cols.size, dtype=bool)
+            eta_t = np.empty_like(eta)
+            ll_t = np.full(cols.size, -np.inf)
+            pending = np.flatnonzero(ok & ~stop)
+            tried = 0
+            while pending.size and tried <= opts.max_halvings:
+                count = 1 if tried < 2 else min(opts.max_halvings + 1 - tried,
+                                                max(1, n_cols // pending.size))
+                steps = np.ldexp(1.0, -np.arange(tried, tried + count))
+                # n x count x P; take and compress keep arrays C-contiguous,
+                # where fancy indexing on axis 1 would return Fortran order
+                trial = (eta.take(pending, axis=1)[:, None, :]
+                         + steps[:, None] * dx.take(pending, axis=1)[:, None, :])
+                ll_trial = loglik(trial.reshape(n, -1)).reshape(count, pending.size)
+                good = np.isfinite(ll_trial) & (ll_trial >= ll[pending])
+                hit = good.any(axis=0)
+                first = good.argmax(axis=0)[hit]
+                took = pending[hit]
+                eta_t[:, took] = trial[:, first, np.flatnonzero(hit)]
+                ll_t[took] = ll_trial[first, hit]
+                step[took] = steps[first]
+                accepted[took] = True
+                pending = pending[~hit]
+                tried += count
+
+            flat_steps = np.where(ll_t == ll, flat_steps + 1, 0)
+            beta_t = beta + step * d
+            capped = np.abs(beta_t).max(axis=0) > opts.beta_cap
+            move = accepted & (flat_steps <= 2) & ~capped
+            done = ~move
+            slope[cols[done]] = beta[-1, done]
+            log_lik[cols[done]] = ll[done]
+            x, eta = x.compress(move, axis=1), eta_t.compress(move, axis=1)
+            beta, ll = beta_t.compress(move, axis=1), ll_t[move]
+            flat_steps, cols = flat_steps[move], cols[move]
+    slope[cols] = beta[-1]
+    log_lik[cols] = ll
+    return slope, log_lik, rank_deficient
 
 
 def _initial_beta(lf: LinkFamily, y: np.ndarray, k: int, intercept: bool) -> np.ndarray:

@@ -19,6 +19,18 @@ _LOG1E12 = math.log(1e12)
 _LOG_MU_FLOOR = math.log(1e-12)
 
 
+def column_sums(a: np.ndarray) -> np.ndarray:
+    """Per-column sums of an n x C array, without BLAS.
+
+    Each column is copied into a contiguous row and summed pairwise, so its
+    arithmetic depends only on its own n values: duplicated columns get
+    bit-equal sums wherever they sit. (A BLAS product rounds by lane
+    position, and numpy's axis-0 sum adds row by row, whose rounding noise
+    of order n * eps can outgrow a Newton step's gain in log-likelihood.)
+    """
+    return np.ascontiguousarray(a.T).sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Families: unit-dispersion density exp{theta * y - b(theta)}.
 # ---------------------------------------------------------------------------
@@ -352,15 +364,19 @@ class LinkFamily:
         hpp = None if self.h_curvature_zero else self.h_double_prime(eta)
         return mu, sigma2, self.h_prime(eta), hpp
 
-    def log_lik(self, eta, y) -> float:
+    def log_lik(self, eta, y):
         """sum_i [y_i theta_i - b(theta_i)] with the family's theta clamp.
 
-        ``eta`` must already be inside the admissible domain.
+        ``eta`` must already be inside the admissible domain. A 1-D ``eta``
+        gives a float; an n x C array of C linear predictors gives one value
+        per column, summed by ``column_sums``.
         """
         th = self.h(eta)
         lo, hi = self.family.theta_clip
         th = np.minimum(hi, np.maximum(lo, th))
-        return float(y @ th - self.family.b(th).sum())
+        if th.ndim == 1:
+            return float(y @ th - self.family.b(th).sum())
+        return column_sums(y[:, None] * th) - column_sums(self.family.b(th))
 
     def validate_eta(self, eta) -> None:
         lo, hi = self.eta_domain
@@ -427,12 +443,14 @@ class _BinaryCdfLF(LinkFamily):
         hpp = hp * (self.link.dlog_pdf(eta) + hp * (mu - np.exp(lsf)))
         return mu, sigma2, hp, hpp
 
-    def log_lik(self, eta, y) -> float:
+    def log_lik(self, eta, y):
         # y log G + (1 - y) log(1 - G), clamped at log(1e-12) on both sides
         floor = _LOG_MU_FLOOR
         lcdf = np.maximum(self.link.log_cdf(eta), floor)
         lsf = np.maximum(self.link.log_sf(eta), floor)
-        return float(y @ (lcdf - lsf) + lsf.sum())
+        if lsf.ndim == 1:
+            return float(y @ (lcdf - lsf) + lsf.sum())
+        return column_sums(y[:, None] * (lcdf - lsf)) + column_sums(lsf)
 
 
 class _BernoulliCloglogLF(LinkFamily):
@@ -480,12 +498,16 @@ class _BernoulliCloglogLF(LinkFamily):
         hp = np.where(u == 0.0, 1.0, u / safe)
         return a, a * emu, hp, self._hpp(u, a, emu)
 
-    def log_lik(self, eta, y) -> float:
+    def log_lik(self, eta, y):
         # y log mu + (1 - y) log(1 - mu) with log(1 - mu) = -u exactly
         u, a = self._u_a(eta)
         log_mu = np.maximum(np.log(a), _LOG_MU_FLOOR)
         log_1m = np.maximum(-u, _LOG_MU_FLOOR)
-        return float(y @ log_mu - y @ log_1m + log_1m.sum())
+        if u.ndim == 1:
+            return float(y @ log_mu - y @ log_1m + log_1m.sum())
+        yc = y[:, None]
+        return (column_sums(yc * log_mu) - column_sums(yc * log_1m)
+                + column_sums(log_1m))
 
 
 class _BernoulliIdentityLF(LinkFamily):

@@ -1,5 +1,10 @@
 """Marginal-estimator screening and EBIC-guided forward selection.
 
+The screen fits every one-covariate model by the same damped Newton
+iteration and stop rules as any other fit, but for a block of columns at a
+time (``glm._newton_columns``); a column that stalls holds up only its own
+lane of the block. Screening ties go to the lower feature index.
+
 One greedy path is grown using the first requested gamma; because every
 candidate model at a given step has the same size, the per-step argmin of
 EBIC does not depend on gamma, so all gammas are read off the shared path
@@ -16,8 +21,20 @@ import numpy as np
 
 from .ebic import ebic_score, resolve_gamma
 from .errors import EmptyCandidates, InvalidArgs, PathEmpty, RankDeficient
-from .glm import Dataset, FitOptions, FitResult, ModelIndex, _initial_beta, _newton
+from .glm import (
+    Dataset,
+    FitOptions,
+    FitResult,
+    ModelIndex,
+    _initial_beta,
+    _newton,
+    _newton_columns,
+)
 from .links import LinkFamily
+
+
+#: most doubles in one n x C working array of the screen's batched fit
+SCREEN_BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -38,27 +55,29 @@ def screen_mme(
 ) -> ScreenResult:
     """Rank features by the absolute slope of the one-covariate GLM fit.
 
-    Per-feature fit failures get statistic -inf and rank last; the screen
-    itself never aborts.
+    The columns are fitted in blocks of at most ``SCREEN_BLOCK_CELLS / n``
+    under the stop rules of ``fit_mle``, each column's arithmetic independent
+    of its block, so duplicated columns get bit-equal statistics. Features
+    that fail the rank test or end without a finite log-likelihood and slope
+    get statistic -inf and rank last; the screen itself never aborts. Ties
+    go to the lower index.
     """
     if d < 1:
         raise InvalidArgs(f"screen size d must be >= 1, got {d}")
     opts = options or FitOptions()
     n, p = data.n, data.p
-    stats = np.full(p, -np.inf)
-    off = 1 if include_intercept else 0
-    design = np.empty((n, 1 + off))
-    if include_intercept:
-        design[:, 0] = 1.0
-    init = _initial_beta(lf, data.y, 1 + off, include_intercept)
-    for j in range(p):
-        design[:, off] = data.X[:, j]
-        try:
-            fit = _newton(data.y, design, lf, init, opts)
-        except RankDeficient:
-            continue
-        if np.isfinite(fit.log_lik) and np.isfinite(fit.beta[off]):
-            stats[j] = abs(float(fit.beta[off]))
+    init = _initial_beta(lf, data.y, 2 if include_intercept else 1, include_intercept)
+    slope = np.empty(p)
+    log_lik = np.empty(p)
+    rank_deficient = np.empty(p, dtype=bool)
+    width = max(1, SCREEN_BLOCK_CELLS // n)
+    for start in range(0, p, width):
+        block = slice(start, start + width)
+        slope[block], log_lik[block], rank_deficient[block] = _newton_columns(
+            data.y, data.X[:, block], lf, init, opts
+        )
+    usable = ~rank_deficient & np.isfinite(log_lik) & np.isfinite(slope)
+    stats = np.where(usable, np.abs(slope), -np.inf)
     ranked = np.lexsort((np.arange(p), -stats))
     return ScreenResult(
         ranked_features=ranked,

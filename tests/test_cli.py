@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebicglm import Dataset
 from ebicglm.cli import main
@@ -172,3 +174,100 @@ def test_leukemia_shape_csv_loads_quickly(tmp_path):
     elapsed = time.time() - t0
     assert data.n == 72 and data.p == 7129
     assert elapsed < 5.0
+
+
+# ---------------------------------------------------------------------------
+# --config values are checked against the flags they stand for
+# ---------------------------------------------------------------------------
+
+class TestConfigValues:
+    @pytest.mark.parametrize("argv,params", [
+        (["simulate", "--n", "50"], {"params": {"n": "abc"}}),
+        (["select"], {"max_steps": "abc"}),
+        (["select"], {"gamma": 5}),
+        (["select"], {"screen_keep": "x"}),
+        (["select"], {"no_intercept": "yes"}),
+        (["select"], {"input": None}),
+        (["select"], {"func": 1}),
+        (["simulate", "--n", "50"], {"setting": "4"}),
+        (["simulate", "--n", "50"], {"reps": 2.5}),
+        (["select"], [1, 2]),
+    ])
+    def test_bad_value_is_usage_error(self, toy_csv, tmp_path, capsys, argv, params):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(params))
+        if argv[0] == "select":
+            argv = argv + ["--input", toy_csv]
+        rc = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_typed_values_and_flag_strings_accepted(self, toy_csv, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"max_steps": "2", "gamma": ["bic", "0.5"],
+                                   "k_multiplier": 2, "no_intercept": False}))
+        out = tmp_path / "o"
+        assert main(["select", "--input", toy_csv, "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert params["max_steps"] == 2 and params["k_multiplier"] == 2.0
+
+    def test_bad_features_flag_is_usage_error(self, toy_csv):
+        assert main(["fit", "--input", toy_csv, "--features", "a,b"]) == 1
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cfg")
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((24, 4))
+    y = (rng.random(24) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(int)
+    csv = root / "toy.csv"
+    csv.write_text("y,a,b,c,d\n" + "\n".join(
+        ",".join(str(v) for v in (y[i], *X[i])) for i in range(24)) + "\n")
+    beta = root / "beta.txt"
+    beta.write_text("0.5\n0\n0\n0\n")
+    out = str(root / "out")
+    base = {
+        "fit": ["fit", "--input", str(csv), "--features", "1,2"],
+        "select": ["select", "--input", str(csv), "--max-steps", "2", "--out", out],
+        "simulate": ["simulate", "--n", "12", "--reps", "1", "--threads", "1",
+                     "--out", out],
+        "cv-links": ["cv-links", "--input", str(csv), "--links", "logit,cloglog",
+                     "--folds", "2", "--path-length", "1", "--threads", "1",
+                     "--out", out],
+        "diagnose": ["diagnose", "--input", str(csv), "--beta", str(beta)],
+    }
+    return root, base
+
+
+def _config_keys():
+    from ebicglm.cli import _RUN_ONLY_KEYS, _build_parser
+
+    keys = []
+    for command, sub in sorted(_build_parser().commands.items()):
+        for action in sub._actions:
+            if action.dest != "help" and action.dest not in _RUN_ONLY_KEYS:
+                keys.append((command, action.dest))
+    return keys
+
+
+# small numbers keep every run that passes the check cheap (n, reps, folds)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12)
+    | st.floats(-2.0, 2.0, allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(key=st.sampled_from(_config_keys()), value=_JSON_VALUES)
+def test_any_config_value_gives_an_exit_code(cli_inputs, key, value):
+    root, base = cli_inputs
+    command, dest = key
+    cfg = root / "c.json"
+    cfg.write_text(json.dumps({"params": {dest: value}}))
+    rc = main(base[command] + ["--config", str(cfg)])
+    assert rc in (0, 1, 2, 3)

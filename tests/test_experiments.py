@@ -14,10 +14,14 @@ from ebicglm import (
     PathEmpty,
     SimDesign,
     TrueModel,
+    SelectConfig,
     cv_select_link,
+    generate_replicate,
+    parse_link_family,
     pdr_fdr,
     real_data_workflow,
     run_simulation_batch,
+    screen_mme,
 )
 
 
@@ -111,6 +115,25 @@ class TestSimulationBatch:
         assert "PathEmpty" in s.failures[0][1]
         assert all(c.n_reps == 3 for c in s.cells)
 
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
+    def test_numerical_failure_stays_with_its_replicate(self, monkeypatch, error):
+        design = _small_design()
+        real = exp_mod.select_pipeline
+        failing_y = generate_replicate(design, 9, 2).dataset.y
+
+        def fails_on_replicate_2(lf, data, config, true_support_size=None):
+            if np.array_equal(data.y, failing_y):
+                raise error("synthetic failure")
+            return real(lf, data, config, true_support_size=true_support_size)
+
+        monkeypatch.setattr(exp_mod, "select_pipeline", fails_on_replicate_2)
+        s = run_simulation_batch(design, 4, seed=9, threads=1)
+        assert s.n_failed == 1
+        assert s.failures[0][0] == 2
+        assert s.failures[0][1].startswith(error.__name__)
+        assert [rid for rid, _ in s.replicate_metrics] == [0, 1, 3]
+        assert all(c.n_reps == 3 and np.isfinite(c.mean_pdr) for c in s.cells)
+
     def test_invalid_replicates(self):
         with pytest.raises(InvalidArgs):
             run_simulation_batch(_small_design(), 0)
@@ -192,6 +215,31 @@ class TestRealDataWorkflow:
             assert np.isfinite(final.log_lik)
         for link, ranking in report.rankings.items():
             assert ranking[0] == 2
+
+    def test_golub_shaped_data_runs_the_screen(self):
+        # 72 x 1500: p above the screen threshold, as in the Leukemia data
+        rng = np.random.default_rng(13)
+        n, p = 72, 1500
+        y = np.zeros(n)
+        y[rng.permutation(n)[:25]] = 1.0
+        X = rng.standard_normal((n, p))
+        X[:, :30] += 1.2 * (y[:, None] - y.mean()) * rng.uniform(0.5, 1.5, 30)
+        data = Dataset(y, X)
+        config = SelectConfig()
+        assert data.p > config.screen_threshold
+        kwargs = dict(path_steps=3, cv_folds=3, cv_path_length=2, seed=4, config=config)
+        one = real_data_workflow(data, ["logit", "cloglog"], threads=1, **kwargs)
+        two = real_data_workflow(data, ["logit", "cloglog"], threads=2, **kwargs)
+        for link, ranking in one.rankings.items():
+            keep = screen_mme(parse_link_family(link), data, config.screen_keep).keep
+            assert len(ranking) == 3
+            assert set(ranking) <= set(keep.tolist())
+        assert all(np.isfinite(v) for v in one.cv.criteria)
+        assert one.rankings == two.rankings
+        assert one.finals == two.finals
+        assert one.cv.criteria == two.cv.criteria
+        assert one.chosen_link == two.chosen_link
+        assert np.array_equal(one.cv.fold_assignment, two.cv.fold_assignment)
 
     def test_requires_binary_response(self):
         rng = np.random.default_rng(1)

@@ -218,19 +218,40 @@ def test_newton_terms_match_reference_route(link, family):
         assert rel_err(hpp, lf.h_double_prime(grid), floor=1e-10) < 1e-10
 
 
+def _response_at(lf, family, grid, rng):
+    mu = lf.family.b_prime(lf.h(grid))
+    if family == "bernoulli":
+        return (rng.random(grid.size) < mu).astype(float)
+    if family == "poisson":
+        return rng.poisson(mu).astype(float)
+    return np.maximum(rng.exponential(mu), 1e-9)
+
+
 @pytest.mark.parametrize("link,family", ALL_PAIRS)
 def test_log_lik_matches_theta_route(link, family):
     lf = parse_link_family(link, family)
     rng = np.random.default_rng(99)
     grid = eta_grid(lf, 50)
     th = lf.h(grid)
-    if family == "bernoulli":
-        y = (rng.random(grid.size) < lf.family.b_prime(th)).astype(float)
-    elif family == "poisson":
-        y = rng.poisson(lf.family.b_prime(th)).astype(float)
-    else:
-        y = np.maximum(rng.exponential(lf.family.b_prime(th)), 1e-9)
+    y = _response_at(lf, family, grid, rng)
     lo, hi = lf.family.theta_clip
     thc = np.clip(th, lo, hi)
     ref = float(y @ thc - lf.family.b(thc).sum())
     assert lf.log_lik(grid, y) == pytest.approx(ref, rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("link,family", ALL_PAIRS)
+def test_log_lik_of_eta_columns(link, family):
+    # an n x C eta gives one log-likelihood per column, equal to the 1-D
+    # value up to summation order and bit-equal for equal columns
+    lf = parse_link_family(link, family)
+    rng = np.random.default_rng(7)
+    grid = eta_grid(lf, 50)
+    y = _response_at(lf, family, grid, rng)
+    E = np.column_stack([grid, grid[::-1], rng.permutation(grid), grid])
+    values = lf.log_lik(E, y)
+    assert values.shape == (4,)
+    for j in range(4):
+        assert values[j] == pytest.approx(lf.log_lik(E[:, j], y), rel=1e-12, abs=1e-9)
+    assert values[0] == values[3]
+    assert lf.log_lik(E[:, :1], y)[0] == values[0]

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from helpers import ALL_PAIRS, screen_mme_reference
 
 from ebicglm import (
     Dataset,
     EmptyCandidates,
+    FitOptions,
     InvalidArgs,
     ModelIndex,
     PathEmpty,
@@ -17,6 +19,8 @@ from ebicglm import (
     screen_mme,
     select_pipeline,
 )
+from ebicglm.glm import _initial_beta, _newton
+from ebicglm.select import SCREEN_BLOCK_CELLS
 
 
 def _logit_data(n=80, p=8, strong=(0, 3), seed=0, coef=1.5):
@@ -76,6 +80,98 @@ class TestScreenMME:
         data = _logit_data(n=150, p=20, strong=(2, 11), seed=5, coef=2.0)
         res = screen_mme(LF, data, d=4)
         assert {2, 11} <= set(res.keep.tolist())
+
+
+# ---------------------------------------------------------------------------
+# the batched screen against the per-column _newton oracle
+# ---------------------------------------------------------------------------
+
+SCREEN_N = 64
+SCREEN_WIDTH = SCREEN_BLOCK_CELLS // SCREEN_N  # columns per block
+CONSTANT, ZERO, SEPARATING, WIDE = 1, 2, 3, 4
+# one column copied to three places inside the first block and two in the
+# second, one of them right at the boundary
+DUPLICATES = (9, 100, SCREEN_WIDTH - 1, SCREEN_WIDTH, SCREEN_WIDTH + 30)
+
+
+def _screen_data(family, seed=0):
+    """Two blocks of columns with a signal in column 0, a constant and a zero
+    column (rank test), a column split by the response (beta cap for binary
+    links, eta clamp for identity/arcsin), a wide-range column and
+    duplicates."""
+    n, p = SCREEN_N, SCREEN_WIDTH + 44
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    signal = X[:, 0]
+    if family == "bernoulli":
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-1.5 * signal))).astype(float)
+    elif family == "poisson":
+        y = rng.poisson(np.exp(0.5 + 0.6 * signal)).astype(float)
+    else:
+        y = rng.exponential(np.exp(0.3 + 0.5 * signal))
+    X[:, CONSTANT] = 0.5
+    X[:, ZERO] = 0.0
+    X[:, SEPARATING] = np.where(y > y.mean(), 0.3, -0.3)
+    X[:, WIDE] *= 25.0
+    X[:, list(DUPLICATES)] = X[:, [DUPLICATES[0]]]
+    return Dataset(y, X)
+
+
+def _reference_fit(lf, data, j, include_intercept):
+    design = data.X[:, [j]]
+    if include_intercept:
+        design = np.column_stack([np.ones(data.n), design])
+    init = _initial_beta(lf, data.y, design.shape[1], include_intercept)
+    return _newton(data.y, design, lf, init, FitOptions())
+
+
+class TestScreenMatchesPerColumnFits:
+    @pytest.mark.parametrize("include_intercept", [True, False])
+    @pytest.mark.parametrize("link,family", ALL_PAIRS)
+    def test_same_ranking_keep_and_failures(self, link, family, include_intercept):
+        lf = parse_link_family(link, family)
+        data = _screen_data(family)
+        got = screen_mme(lf, data, d=40, include_intercept=include_intercept)
+        ref = screen_mme_reference(lf, data, d=40, include_intercept=include_intercept)
+        assert np.array_equal(got.ranked_features, ref.ranked_features)
+        assert np.array_equal(got.keep, ref.keep)
+        assert np.array_equal(np.isneginf(got.statistics), np.isneginf(ref.statistics))
+        assert got.statistics[ZERO] == -np.inf
+        if include_intercept:
+            assert got.statistics[CONSTANT] == -np.inf
+
+        dup = got.statistics[list(DUPLICATES)]
+        assert np.isfinite(dup[0])
+        assert np.all(dup == dup[0])  # bit-equal, across the block boundary too
+        rank_of = np.argsort(got.ranked_features)
+        assert np.all(np.diff(rank_of[list(DUPLICATES)]) > 0)
+
+    @pytest.mark.parametrize("include_intercept", [True, False])
+    def test_data_reaches_the_cap_and_the_clamp(self, include_intercept):
+        # the comparison above only covers these stop rules if the reference
+        # fits actually hit them
+        for link in ("logit", "cauchit", "cloglog"):
+            lf = parse_link_family(link)
+            fit = _reference_fit(lf, _screen_data("bernoulli"), SEPARATING, include_intercept)
+            assert fit.quasi_separated, link
+        for link in ("identity", "arcsin"):
+            lf = parse_link_family(link)
+            fit = _reference_fit(lf, _screen_data("bernoulli"), SEPARATING, include_intercept)
+            assert fit.eta_clamped, link
+
+    def test_single_column_block(self):
+        # n above the block size leaves one column per block
+        rng = np.random.default_rng(21)
+        n = SCREEN_BLOCK_CELLS + 8
+        x = rng.standard_normal(n)
+        X = np.column_stack([x, rng.standard_normal(n), x])
+        y = (rng.random(n) < 1 / (1 + np.exp(-x))).astype(float)
+        data = Dataset(y, X)
+        got = screen_mme(LF, data, d=2)
+        ref = screen_mme_reference(LF, data, d=2)
+        assert np.array_equal(got.ranked_features, ref.ranked_features)
+        assert got.statistics[0] == got.statistics[2]
+        np.testing.assert_allclose(got.statistics, ref.statistics, rtol=1e-8)
 
 
 # ---------------------------------------------------------------------------
