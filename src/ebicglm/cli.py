@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -17,7 +18,14 @@ import numpy as np
 
 from . import __version__
 from .ebic import ebic_score, resolve_gamma
-from .errors import DataError, EbicGlmError, InvalidArgs, UnsupportedPair
+from .errors import (
+    DataError,
+    EbicGlmError,
+    InvalidArgs,
+    InvalidDesign,
+    InvalidRho,
+    UnsupportedPair,
+)
 from .glm import Dataset, ModelIndex, c6_diagnostics, fit_mle
 from .links import parse_link_family
 from .select import SelectConfig, select_pipeline
@@ -45,13 +53,16 @@ def _fmt(x) -> str:
 
 def _threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        return args.threads
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
-            raise _UsageError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+            threads = 0
+        if threads < 1:
+            raise _UsageError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
+        return threads
     return os.cpu_count() or 1
 
 
@@ -124,6 +135,33 @@ def _merge_config_file(args, command_parser: argparse.ArgumentParser) -> None:
         setattr(args, attr, _config_value(actions[attr], key, value))
 
 
+# lowest value each numeric flag accepts, and whether the bound itself is
+# excluded; a value outside is a usage error, never clamped
+_LOWER_BOUNDS = {
+    "max_steps": (1, False),
+    "path_length": (1, False),
+    "threads": (1, False),
+    "screen_threshold": (1, False),
+    "screen_keep": (1, False),
+    "dump_data": (0, False),
+    "k_multiplier": (0, True),
+}
+
+
+def _check_ranges(args) -> None:
+    """Refuse numeric flag values (from the command line or --config) below
+    their bound; a float flag must also be finite."""
+    for dest, (low, strict) in _LOWER_BOUNDS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        inside = value > low if strict else value >= low
+        is_float = isinstance(value, float)
+        if not inside or (is_float and not math.isfinite(value)):
+            bound = f"{'>' if strict else '>='} {low}" + (" and finite" if is_float else "")
+            raise _UsageError(f"--{dest.replace('_', '-')} must be {bound}, got {value!r}")
+
+
 def _manifest(args, command: str, fields: tuple) -> dict:
     return {
         "tool": "ebicglm",
@@ -157,8 +195,6 @@ def _select_config(args) -> SelectConfig:
     ):
         if getattr(args, attr, None) is not None:
             kwargs[key] = getattr(args, attr)
-    if getattr(args, "path_per_gamma", False):
-        kwargs["path_per_gamma"] = True
     if getattr(args, "no_intercept", False):
         kwargs["include_intercept"] = False
     return SelectConfig(**kwargs)
@@ -245,7 +281,7 @@ def _cmd_select(args) -> int:
 
     fields = (
         "input", "link", "family", "gamma", "max_steps", "screen_threshold",
-        "screen_keep", "k_multiplier", "path_per_gamma", "no_intercept",
+        "screen_keep", "k_multiplier", "no_intercept",
     )
     _write_out(
         args.out,
@@ -392,7 +428,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--screen-threshold", type=int, default=None)
     p.add_argument("--screen-keep", type=int, default=None)
     p.add_argument("--k-multiplier", type=float, default=None)
-    p.add_argument("--path-per-gamma", action="store_true")
     p.add_argument("--no-intercept", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_select)
@@ -434,6 +469,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _merge_config_file(args, parser.commands[args.command])
+        _check_ranges(args)
         return args.func(args)
     except _UsageError as exc:
         print(f"ebicglm: usage error: {exc}", file=sys.stderr)
@@ -441,7 +477,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"ebicglm: data error: {exc}", file=sys.stderr)
         return 2
-    except (UnsupportedPair, InvalidArgs) as exc:
+    except (UnsupportedPair, InvalidArgs, InvalidRho, InvalidDesign) as exc:
         print(f"ebicglm: usage error: {exc}", file=sys.stderr)
         return 1
     except EbicGlmError as exc:

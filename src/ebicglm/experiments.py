@@ -91,8 +91,39 @@ class ExperimentSummary:
         return "\n".join(lines) + "\n"
 
 
-def _replicate_task(args):
-    design, seed, rep_id, config = args
+# the argument every task of a pool shares; set once in each worker process
+# by the pool initializer, never in the main process
+_worker_shared = None
+
+
+def _set_worker_shared(shared) -> None:
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _shared_call(fn, task):
+    return fn(_worker_shared, task)
+
+
+def _map_tasks(fn, shared, tasks, threads):
+    """``[fn(shared, task) for task in tasks]`` on up to ``threads`` worker
+    processes.
+
+    Each worker receives ``shared`` once, through the pool initializer, and
+    each task only its own arguments. Results come back in task order, so
+    the number of workers never changes them.
+    """
+    workers = min(threads or 1, len(tasks))
+    if workers <= 1:
+        return [fn(shared, task) for task in tasks]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_set_worker_shared, initargs=(shared,)
+    ) as pool:
+        return list(pool.map(_shared_call, [fn] * len(tasks), tasks, chunksize=1))
+
+
+def _replicate_task(shared, rep_id):
+    design, seed, config = shared
     try:
         rep = generate_replicate(design, seed, rep_id)
         lf = compose_link_family(Bernoulli(), Cloglog())
@@ -123,14 +154,7 @@ def run_simulation_batch(
     # the data-generating model carries no intercept, so replication fits
     # none either; pass an explicit config to override
     config = config or SelectConfig(include_intercept=False)
-    tasks = [(design, seed, r, config) for r in range(replicates)]
-    workers = threads or 1
-    if workers > 1 and replicates > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, replicates)) as pool:
-            raw = list(pool.map(_replicate_task, tasks, chunksize=1))
-    else:
-        raw = [_replicate_task(t) for t in tasks]
-    raw.sort(key=lambda r: r[0])
+    raw = _map_tasks(_replicate_task, (design, seed, config), range(replicates), threads)
 
     successes = [(rid, m) for rid, m, err in raw if err is None]
     failures = tuple((rid, err) for rid, m, err in raw if err is not None)
@@ -215,8 +239,8 @@ def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return fold_of
 
 
-def _cv_fold_task(args):
-    lf, data, train_rows, test_rows, config, gamma_spec = args
+def _cv_fold_task(data, task):
+    lf, train_rows, test_rows, config, gamma_spec = task
     train = data.subset(train_rows)
     gamma = resolve_gamma(gamma_spec, train.n, train.p)
     report = select_pipeline(lf, train, config)
@@ -271,15 +295,10 @@ def cv_select_link(
                 raise FoldTooSmall(
                     f"training fold {f} has {train_rows.size} rows; too small to fit"
                 )
-            tasks.append((lf, data, train_rows, test_rows, cfg, gamma_spec))
+            tasks.append((lf, train_rows, test_rows, cfg, gamma_spec))
             keys.append((li, f))
 
-    workers = threads or 1
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            values = list(pool.map(_cv_fold_task, tasks, chunksize=1))
-    else:
-        values = [_cv_fold_task(t) for t in tasks]
+    values = _map_tasks(_cv_fold_task, data, tasks, threads)
 
     criteria = np.zeros(len(lfs))
     for (li, _f), v in sorted(zip(keys, values), key=lambda kv: kv[0]):

@@ -345,158 +345,178 @@ def _newton(y, X, lf, beta0, opts):
     )
 
 
-# Per-column small systems for the column-batched fit: a symmetric matrix is
-# the tuple (a,) for k = 1 or (a00, a10, a11) for k = 2, each entry a vector
-# with one value per column.
+#: most doubles in one working array of ``_newton_lanes`` (an n x C block of
+#: linear predictors or a C x k x k stack of Hessians); it sets how many
+#: candidate designs one block fits together. The block size trades the
+#: per-call overhead of numpy against peak memory: at 2^16 a Setting-1
+#: worker's peak RSS grew by 16 MB, at 2^14 by 5 MB, for the same speed
+#: within noise.
+LANE_BLOCK_CELLS = 1 << 14
+
+
+def _with_identity(h, ok):
+    """The P x k x k stack h with every lane outside the mask ok replaced by
+    the identity, so a stacked LAPACK call cannot fail on it."""
+    return h if ok.all() else np.where(ok[:, None, None], h, np.eye(h.shape[1]))
+
 
 def _lane_cholesky(h):
-    """Closed-form Cholesky factor, same layout as h, and the mask of
-    columns where h is finite with positive pivots (LAPACK's potrf test)."""
-    if len(h) == 1:
-        (a,) = h
-        return (np.sqrt(a),), np.isfinite(a) & (a > 0)
-    a00, a10, a11 = h
-    l00 = np.sqrt(a00)
-    l10 = a10 / l00
-    s = a11 - l10 * l10
-    ok = np.isfinite(a00) & np.isfinite(a10) & np.isfinite(a11) & (a00 > 0) & (s > 0)
-    return (l00, l10, np.sqrt(s)), ok
+    """Cholesky factors of a finite P x k x k stack and the mask of lanes
+    where LAPACK's potrf succeeds."""
+    try:
+        return np.linalg.cholesky(h), np.ones(len(h), dtype=bool)
+    except np.linalg.LinAlgError:
+        # the stacked call fails as a whole, so factor lane by lane
+        factors = [dpotrf(a, lower=1) for a in h]
+        return (np.array([c for c, _ in factors]),
+                np.array([info == 0 for _, info in factors], dtype=bool))
 
 
 def _lane_rank_deficient(h1):
-    """Per-column form of ``_assert_full_rank``: True where it would raise."""
-    c, ok = _lane_cholesky(h1)
-    bad = ~ok
-    for i in ((0,) if len(h1) == 1 else (0, 2)):
-        bad |= c[i] * c[i] <= 1e-10 * h1[i]
-    return bad
+    """Per-lane form of ``_assert_full_rank``: True where it would raise."""
+    finite = np.isfinite(h1).all(axis=(1, 2))
+    c, ok = _lane_cholesky(_with_identity(h1, finite))
+    piv2 = np.diagonal(c, axis1=1, axis2=2) ** 2
+    small = (piv2 <= 1e-10 * np.diagonal(h1, axis1=1, axis2=2)).any(axis=1)
+    return ~(finite & ok) | small
 
 
 def _lane_chol_solve(h, g):
-    """Per-column form of ``_chol_solve``: (d as a k x C array, mask of
-    columns where h is numerically SPD and d finite)."""
-    c, ok = _lane_cholesky(h)
-    if len(h) == 1:
-        d = np.array([g[0] / c[0] / c[0]])
-    else:
-        l00, l10, l11 = c
-        z0 = g[0] / l00
-        d1 = (g[1] - l10 * z0) / l11 / l11
-        d = np.array([(z0 - l10 * d1) / l00, d1])
+    """Per-lane form of ``_chol_solve`` for a P x k x k stack and a k x P
+    right-hand side: (d as k x P, mask of lanes where h is finite and
+    numerically SPD and d finite). SPD is LAPACK's potrf test, as there;
+    the system itself is solved by one stacked LU solve."""
+    ok = np.isfinite(h).all(axis=(1, 2))
+    ok &= _lane_cholesky(_with_identity(h, ok))[1]
+    d = np.linalg.solve(_with_identity(h, ok), g.T[:, :, None])[:, :, 0].T
     return d, ok & np.isfinite(d).all(axis=0)
 
 
-def _lane_gram(x, w, intercept):
-    """X^T diag(w) X per column for X = [1, x_j] or [x_j]."""
-    xw = x * w
-    if intercept:
-        return (column_sums(w), column_sums(xw), column_sums(x * xw))
-    return (column_sums(x * xw),)
+def _lane_gram(A, Z, iu, x, w):
+    """X^T diag(w) X for each lane's design X = [A, x_j], as a P x k x k
+    stack. Z holds the column products A_a * A_b for (a, b) in the upper
+    triangle ``iu``; w is n x P, or n x 1 when all lanes share it."""
+    m = A.shape[1]
+    h = np.empty((x.shape[1], m + 1, m + 1))
+    wx = w * x
+    if m:
+        zw = (Z.T @ w).T
+        h[:, iu[0], iu[1]] = zw
+        h[:, iu[1], iu[0]] = zw
+        h[:, m, :m] = h[:, :m, m] = (A.T @ wx).T
+    h[:, m, m] = column_sums(x * wx)
+    return h
 
 
-def _lane_newton_system(lf, yc, x, eta, intercept):
-    """Gradient, H1 and H0 (None when h'' is identically zero) per column at
-    an in-domain eta; the n x C intermediates die on return."""
+def _lanes(a, idx):
+    """Columns idx of an n x P lane array, C-contiguous (fancy indexing on
+    axis 1 would return Fortran order); no copy when idx keeps them all."""
+    return a if idx.size == a.shape[1] else a.take(idx, axis=1)
+
+
+def _lane_direction(lf, yc, A, Z, iu, x, eta, tol, first):
+    """Each lane's Newton direction at an in-domain eta, as ``_newton``
+    computes it: (d as k x P, mask of lanes with a step to try, mask of
+    lanes failing the rank test, which is run when ``first``). Lanes whose
+    gradient is non-finite or below ``tol`` get no step. The n x P
+    intermediates die on return."""
+    m = A.shape[1]
+    k = m + 1
+    lanes = x.shape[1]
     mu, sigma2, hp, hpp = lf.newton_terms(eta)
     resid = yc - mu
     r = resid * hp
-    xr = x * r
-    grad = (column_sums(r), column_sums(xr)) if intercept else (column_sums(xr),)
-    h1 = _lane_gram(x, sigma2 * hp * hp, intercept)
-    h0 = None if hpp is None else _lane_gram(x, resid * hpp, intercept)
-    return grad, h1, h0
+    grad = np.empty((k, lanes))
+    grad[:m] = A.T @ r
+    grad[m] = column_sums(x * r)
+    gnorm = np.abs(grad).max(axis=0)
+    stop = ~np.isfinite(gnorm) | (gnorm < tol)
+    w1 = sigma2 * hp * hp
+    w = w1 if hpp is None else w1 - resid * hpp
+    rank_deficient = np.zeros(lanes, dtype=bool)
+    if first:
+        # eta, and so the weights, are still shared by all lanes
+        h1_all = _lane_gram(A, Z, iu, x, w1)
+        rank_deficient = _lane_rank_deficient(h1_all)
+        stop |= rank_deficient
+        go = np.flatnonzero(~stop)
+        h = (h1_all if hpp is None else _lane_gram(A, Z, iu, x, w))[go]
+    else:
+        go = np.flatnonzero(~stop)
+        h = _lane_gram(A, Z, iu, _lanes(x, go), _lanes(w, go))
+
+    def h1_of(idx):
+        if first:
+            return h1_all[idx]
+        return _lane_gram(A, Z, iu, x.take(idx, axis=1), w1.take(idx, axis=1))
+
+    d = np.zeros((k, lanes))
+    ok = np.zeros(lanes, dtype=bool)
+    if go.size:
+        d[:, go], ok[go] = _lane_chol_solve(h, grad[:, go])
+    bad = go[~ok[go]]
+    if bad.size and hpp is not None:
+        d[:, bad], ok[bad] = _lane_chol_solve(h1_of(bad), grad[:, bad])
+        bad = bad[~ok[bad]]
+    if bad.size:
+        h1 = h1_of(bad)
+        jitter = 1e-10 * np.trace(h1, axis1=1, axis2=2) / k
+        h1 = h1 + jitter[:, None, None] * np.eye(k)
+        d[:, bad], ok[bad] = _lane_chol_solve(h1, grad[:, bad])
+    return d, ok, rank_deficient
 
 
-def _lane_linear(x, coef, intercept):
-    """X @ coef per column; coef is k x C."""
-    return coef[0] + x * coef[1] if intercept else x * coef[0]
-
-
-def _newton_columns(y, x, lf, beta0, opts):
-    """``_newton`` on the one-covariate designs [1, x_j] (or [x_j] when
-    ``beta0`` has length 1) for every column j of x at once.
-
-    Every array is n x C for the C columns still iterating. Each column
-    leaves at exactly the point where ``_newton`` stops: the rank test at
-    iteration 1, a non-finite gradient, the gradient tolerance, no solvable
-    step after the H1 and jitter fallbacks, no accepted step after the
-    halvings, the third flat step, the beta cap and ``max_iter``. The 2x2
-    or 1x1 systems are solved by closed-form Cholesky and every reduction
-    runs through ``column_sums``, so a column's arithmetic does not depend
-    on its position or on the other columns.
-
-    Returns, per column, the slope and log-likelihood of the final iterate
-    and whether the rank test failed (where ``_newton`` raises).
-    """
-    x = np.ascontiguousarray(x, dtype=float)
-    n, n_cols = x.shape
-    k = len(beta0)
-    intercept = k == 2
+def _newton_block(y, A, Z, iu, x, lf, start, opts):
+    """``_newton`` on the designs [A, x_j] for the columns of x; see
+    ``_newton_lanes``."""
+    n, width = x.shape
+    k = A.shape[1] + 1
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
     yc = y[:, None]
 
-    def loglik(eta_arr):
-        return lf.log_lik(lf.clip_eta(eta_arr) if bounded_eta else eta_arr, y)
+    def clip(eta_arr):
+        return lf.clip_eta(eta_arr) if bounded_eta else eta_arr
 
-    slope = np.empty(n_cols)
-    log_lik = np.empty(n_cols)
-    rank_deficient = np.zeros(n_cols, dtype=bool)
-    cols = np.arange(n_cols)  # original position of each iterating column
-    beta = np.repeat(np.asarray(beta0, dtype=float)[:, None], n_cols, axis=1)
-    flat_steps = np.zeros(n_cols, dtype=int)
+    beta_out = np.empty((k, width))
+    ll_out = np.empty(width)
+    rank_deficient = np.zeros(width, dtype=bool)
+    lanes = np.arange(width)  # block position of each iterating lane
+    beta = np.repeat(np.append(start, 0.0)[:, None], width, axis=1)
+    flat_steps = np.zeros(width, dtype=int)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        eta = _lane_linear(x, beta, intercept)
-        ll = loglik(eta)
+        # all lanes start at the same eta, so it stays n x 1 (and the first
+        # iteration's weights are shared) until the first step
+        eta = (A @ start)[:, None]
+        ll = np.repeat(lf.log_lik(clip(eta), y), width)
         it = 0
-        while cols.size and it < opts.max_iter:
+        while lanes.size and it < opts.max_iter:
             it += 1
-            grad, h1, h0 = _lane_newton_system(
-                lf, yc, x, lf.clip_eta(eta) if bounded_eta else eta, intercept
+            d, ok, rd = _lane_direction(
+                lf, yc, A, Z, iu, x, clip(eta), opts.tol, it == 1
             )
-            gnorm = np.abs(grad[0])
-            if intercept:
-                gnorm = np.maximum(gnorm, np.abs(grad[1]))
-            stop = ~np.isfinite(gnorm) | (gnorm < opts.tol)
-            if it == 1:
-                rd = _lane_rank_deficient(h1)
-                rank_deficient[cols[rd]] = True
-                stop |= rd
-            h = h1 if h0 is None else tuple(a - b for a, b in zip(h1, h0))
-            d, ok = _lane_chol_solve(h, grad)
-            if h is not h1 and not ok.all():
-                d_h1, ok_h1 = _lane_chol_solve(h1, grad)
-                d = np.where(ok, d, d_h1)
-                ok |= ok_h1
-            if not ok.all():
-                trace = h1[0] if k == 1 else h1[0] + h1[2]
-                jitter = 1e-10 * trace / k
-                hj = ((h1[0] + jitter,) if k == 1
-                      else (h1[0] + jitter, h1[1], h1[2] + jitter))
-                d_j, ok_j = _lane_chol_solve(hj, grad)
-                d = np.where(ok, d, d_j)
-                ok |= ok_j
+            rank_deficient[lanes[rd]] = True
 
-            # step halving. The columns still searching all stand at the same
-            # step 2^-tried, so after two single tries (most columns take the
+            # step halving. The lanes still searching all stand at the same
+            # step 2^-tried, so after two single tries (most lanes take the
             # full or the half step) the rest are tried together, as many as
-            # keep the trial array within n x n_cols; each column takes the
+            # keep the trial array within n x width; each lane takes the
             # first step accepted, as _newton would
-            dx = _lane_linear(x, d, intercept)
-            step = np.ones(cols.size)
-            accepted = np.zeros(cols.size, dtype=bool)
-            eta_t = np.empty_like(eta)
-            ll_t = np.full(cols.size, -np.inf)
-            pending = np.flatnonzero(ok & ~stop)
+            dx = A @ d[:-1] + x * d[-1]
+            eta_all = np.broadcast_to(eta, dx.shape)
+            step = np.ones(lanes.size)
+            accepted = np.zeros(lanes.size, dtype=bool)
+            eta_t = np.empty_like(dx)
+            ll_t = np.full(lanes.size, -np.inf)
+            pending = np.flatnonzero(ok)
             tried = 0
             while pending.size and tried <= opts.max_halvings:
                 count = 1 if tried < 2 else min(opts.max_halvings + 1 - tried,
-                                                max(1, n_cols // pending.size))
+                                                max(1, width // pending.size))
                 steps = np.ldexp(1.0, -np.arange(tried, tried + count))
-                # n x count x P; take and compress keep arrays C-contiguous,
-                # where fancy indexing on axis 1 would return Fortran order
-                trial = (eta.take(pending, axis=1)[:, None, :]
+                trial = (eta_all.take(pending, axis=1)[:, None, :]
                          + steps[:, None] * dx.take(pending, axis=1)[:, None, :])
-                ll_trial = loglik(trial.reshape(n, -1)).reshape(count, pending.size)
+                ll_trial = lf.log_lik(clip(trial.reshape(n, -1)), y)
+                ll_trial = ll_trial.reshape(count, pending.size)
                 good = np.isfinite(ll_trial) & (ll_trial >= ll[pending])
                 hit = good.any(axis=0)
                 first = good.argmax(axis=0)[hit]
@@ -513,14 +533,59 @@ def _newton_columns(y, x, lf, beta0, opts):
             capped = np.abs(beta_t).max(axis=0) > opts.beta_cap
             move = accepted & (flat_steps <= 2) & ~capped
             done = ~move
-            slope[cols[done]] = beta[-1, done]
-            log_lik[cols[done]] = ll[done]
+            beta_out[:, lanes[done]] = beta[:, done]
+            ll_out[lanes[done]] = ll[done]
             x, eta = x.compress(move, axis=1), eta_t.compress(move, axis=1)
             beta, ll = beta_t.compress(move, axis=1), ll_t[move]
-            flat_steps, cols = flat_steps[move], cols[move]
-    slope[cols] = beta[-1]
-    log_lik[cols] = ll
-    return slope, log_lik, rank_deficient
+            flat_steps, lanes = flat_steps[move], lanes[move]
+    beta_out[:, lanes] = beta
+    ll_out[lanes] = ll
+    return beta_out, ll_out, rank_deficient
+
+
+def _newton_lanes(y, A, X, cols, lf, start, opts):
+    """``_newton`` on the designs [A, X[:, j]] for every j in ``cols`` at once.
+
+    The designs share the n x m block A (m may be 0) and the start: A's
+    coefficients at ``start`` and the candidate's own at 0. Each lane leaves
+    at the point where ``_newton`` stops: the rank test at iteration 1, a
+    non-finite gradient, the gradient tolerance, no solvable step after the
+    H1 and jitter fallbacks, no accepted step after the halvings, the third
+    flat step, the beta cap and ``max_iter``.
+
+    Each distinct column is fitted once, so duplicated columns get bit-equal
+    results (BLAS rounds by lane position), and the distinct columns are
+    fitted in blocks that keep every working array within
+    ``LANE_BLOCK_CELLS`` doubles, except the n x m(m+1)/2 products of A's
+    columns that give every lane's A^T W A in one matrix product. Returns
+    the final coefficients (k x C, laid out as [A, x_j]), the
+    log-likelihoods, and the mask of lanes that failed the rank test
+    (where ``_newton`` raises).
+    """
+    n, m = A.shape
+    k = m + 1
+    cols = np.asarray(cols, dtype=int)
+    seen = {}
+    first = np.array(
+        [seen.setdefault(X[:, j].tobytes(), i) for i, j in enumerate(cols)], dtype=int
+    )
+    distinct = np.flatnonzero(first == np.arange(cols.size))
+    beta = np.empty((k, cols.size))
+    log_lik = np.empty(cols.size)
+    rank_deficient = np.empty(cols.size, dtype=bool)
+    iu = np.triu_indices(m)  # row by row: (0, 0), (0, 1), ..., (1, 1), ...
+    Z = np.empty((n, iu[0].size))
+    pos = 0
+    for a in range(m):  # a block of columns at a time keeps temporaries small
+        Z[:, pos:pos + m - a] = A[:, a:a + 1] * A[:, a:]
+        pos += m - a
+    width = max(1, LANE_BLOCK_CELLS // max(n, k * k))
+    for s in range(0, distinct.size, width):
+        block = distinct[s:s + width]
+        beta[:, block], log_lik[block], rank_deficient[block] = _newton_block(
+            y, A, Z, iu, X.take(cols[block], axis=1), lf, start, opts
+        )
+    return beta[:, first], log_lik[first], rank_deficient[first]
 
 
 def _initial_beta(lf: LinkFamily, y: np.ndarray, k: int, intercept: bool) -> np.ndarray:

@@ -1,15 +1,19 @@
 """Marginal-estimator screening and EBIC-guided forward selection.
 
-The screen fits every one-covariate model by the same damped Newton
-iteration and stop rules as any other fit, but for a block of columns at a
-time (``glm._newton_columns``); a column that stalls holds up only its own
-lane of the block. Screening ties go to the lower feature index.
+Both stages fit their candidate models with one kernel,
+``glm._newton_lanes``: ``fit_mle``'s damped Newton iteration and stop rules,
+run at once for many designs that share every column but the last. The
+screen fits the one-covariate models [1, x_j] (or [x_j]) for all p columns;
+each forward step fits [1, selected columns, x_j] for every remaining
+candidate j. So a step costs a few Newton iterations over an n x C block of
+candidates, each with its own k x k Hessian, rather than C separate fits,
+and a lane that stalls holds up only itself. A step's winner is refitted
+alone by ``glm._newton``, so every reported fit is the one ``fit_mle``'s
+iteration gives for that model. Ties go to the lower feature index.
 
-One greedy path is grown using the first requested gamma; because every
-candidate model at a given step has the same size, the per-step argmin of
-EBIC does not depend on gamma, so all gammas are read off the shared path
-by prefix minimization afterwards. ``SelectConfig.path_per_gamma`` builds a
-separate path per gamma instead for anyone wanting the literal variant.
+Every candidate model at a given step has the same size, so the step's
+argmin of EBIC is its argmax of log-likelihood for every gamma: one path is
+grown, and all gammas are read off it by prefix minimization.
 """
 
 from __future__ import annotations
@@ -28,13 +32,9 @@ from .glm import (
     ModelIndex,
     _initial_beta,
     _newton,
-    _newton_columns,
+    _newton_lanes,
 )
 from .links import LinkFamily
-
-
-#: most doubles in one n x C working array of the screen's batched fit
-SCREEN_BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -55,27 +55,22 @@ def screen_mme(
 ) -> ScreenResult:
     """Rank features by the absolute slope of the one-covariate GLM fit.
 
-    The columns are fitted in blocks of at most ``SCREEN_BLOCK_CELLS / n``
-    under the stop rules of ``fit_mle``, each column's arithmetic independent
-    of its block, so duplicated columns get bit-equal statistics. Features
-    that fail the rank test or end without a finite log-likelihood and slope
-    get statistic -inf and rank last; the screen itself never aborts. Ties
-    go to the lower index.
+    All columns are fitted by one ``_newton_lanes`` call under the stop
+    rules of ``fit_mle``; a duplicated column is fitted once, so its copies
+    get bit-equal statistics. Features that fail the rank test or end
+    without a finite log-likelihood and slope get statistic -inf and rank
+    last; the screen itself never aborts. Ties go to the lower index.
     """
     if d < 1:
         raise InvalidArgs(f"screen size d must be >= 1, got {d}")
     opts = options or FitOptions()
     n, p = data.n, data.p
-    init = _initial_beta(lf, data.y, 2 if include_intercept else 1, include_intercept)
-    slope = np.empty(p)
-    log_lik = np.empty(p)
-    rank_deficient = np.empty(p, dtype=bool)
-    width = max(1, SCREEN_BLOCK_CELLS // n)
-    for start in range(0, p, width):
-        block = slice(start, start + width)
-        slope[block], log_lik[block], rank_deficient[block] = _newton_columns(
-            data.y, data.X[:, block], lf, init, opts
-        )
+    m = 1 if include_intercept else 0  # the shared block A is [1] or empty
+    start = _initial_beta(lf, data.y, m + 1, include_intercept)[:m]
+    beta, log_lik, rank_deficient = _newton_lanes(
+        data.y, np.ones((n, m)), data.X, np.arange(p), lf, start, opts
+    )
+    slope = beta[-1]
     usable = ~rank_deficient & np.isfinite(log_lik) & np.isfinite(slope)
     stats = np.where(usable, np.abs(slope), -np.inf)
     ranked = np.lexsort((np.arange(p), -stats))
@@ -143,6 +138,13 @@ def forward_select(
 ) -> SelectionPath:
     """Grow the greedy path, fitting every remaining candidate at each step.
 
+    Each step fits all remaining candidates with one ``_newton_lanes`` call
+    (blocks of lanes bounded by ``glm.LANE_BLOCK_CELLS``), takes the largest
+    log-likelihood, lowest index among equal ones, and refits that model
+    alone with ``_newton``; the refit's beta starts the next step. Should
+    the refit fail the rank test the kernel passed, the next best candidate
+    is taken.
+
     Stops at ``max_steps``, when the model reaches n - 2 covariates, or when
     no candidate yields a usable fit (finite log-likelihood). Quasi-separated
     fits are usable; they carry the best log-likelihood reached under the
@@ -173,26 +175,26 @@ def forward_select(
     remaining = list(cand)
     off = 1 if include_intercept else 0
     while len(steps) < max_steps and len(current) < n - 2 and remaining:
-        size = len(current) + 1
-        design = np.empty((n, size + off))
+        design = np.empty((n, len(current) + off + 1))
         if include_intercept:
             design[:, 0] = 1.0
-        if current:
-            design[:, off:-1] = data.X[:, current]
-        init = np.append(cur_beta, 0.0)
-        best_ll = -np.inf
-        best_feature = -1
+        design[:, off:-1] = data.X[:, current]
+        _beta, log_lik, rank_deficient = _newton_lanes(
+            y, design[:, :-1].copy(), data.X, remaining, lf, cur_beta, opts
+        )
+        score = np.where(rank_deficient | ~np.isfinite(log_lik), -np.inf, log_lik)
         best_fit = None
-        for c in remaining:
-            design[:, -1] = data.X[:, c]
+        while best_fit is None and score.max() > -np.inf:
+            best = int(np.argmax(score))
+            design[:, -1] = data.X[:, remaining[best]]
             try:
-                fit = _newton(y, design, lf, init, opts)
+                fit = _newton(y, design, lf, np.append(cur_beta, 0.0), opts)
             except RankDeficient:
-                continue
-            if np.isfinite(fit.log_lik) and fit.log_lik > best_ll:
-                best_ll = fit.log_lik
-                best_feature = c
-                best_fit = fit
+                fit = None
+            if fit is not None and np.isfinite(fit.log_lik):
+                best_fit, best_feature = fit, remaining[best]
+            else:
+                score[best] = -np.inf
         if best_fit is None:
             if not steps:
                 raise PathEmpty("no candidate produced a usable fit at step 1")
@@ -243,7 +245,6 @@ class SelectConfig:
     # false-discovery level it reproduces implies an effective cap near
     # 1.6 * p0n, not 3 * p0n
     k_multiplier: float = 1.6
-    path_per_gamma: bool = False
     include_intercept: bool = True
     fit: FitOptions = field(default_factory=FitOptions)
 
@@ -254,7 +255,6 @@ class SelectConfig:
             "screenThreshold": self.screen_threshold,
             "screenKeep": self.screen_keep,
             "kMultiplier": self.k_multiplier,
-            "pathPerGamma": self.path_per_gamma,
             "includeIntercept": self.include_intercept,
         }
 
@@ -266,7 +266,6 @@ class SelectConfig:
             "screenThreshold": "screen_threshold",
             "screenKeep": "screen_keep",
             "kMultiplier": "k_multiplier",
-            "pathPerGamma": "path_per_gamma",
             "includeIntercept": "include_intercept",
         }
         kwargs = {}
@@ -284,7 +283,6 @@ class SelectionReport:
     gammas: tuple  # resolved values
     gamma_specs: tuple  # as requested (presets or numbers)
     final_models: tuple  # ModelIndex per gamma
-    paths_per_gamma: dict | None = None
 
 
 def _effective_max_steps(config: SelectConfig, n: int, true_support_size) -> int:
@@ -315,23 +313,10 @@ def select_pipeline(
         candidates = screen.keep
     max_steps = _effective_max_steps(config, data.n, true_support_size)
 
-    paths_per_gamma = None
-    if config.path_per_gamma and len(gammas) > 1:
-        paths_per_gamma = {}
-        for g in gammas:
-            ordered = (g,) + tuple(x for x in gammas if x != g)
-            paths_per_gamma[g] = forward_select(
-                lf, data, candidates, ordered, max_steps, config.fit,
-                config.include_intercept,
-            )
-        path = paths_per_gamma[gammas[0]]
-        final = tuple(paths_per_gamma[g].model_for(g) for g in gammas)
-    else:
-        path = forward_select(
-            lf, data, candidates, gammas, max_steps, config.fit,
-            config.include_intercept,
-        )
-        final = tuple(path.model_for(g) for g in gammas)
+    path = forward_select(
+        lf, data, candidates, gammas, max_steps, config.fit, config.include_intercept
+    )
+    final = tuple(path.model_for(g) for g in gammas)
 
     return SelectionReport(
         screen=screen,
@@ -339,5 +324,4 @@ def select_pipeline(
         gammas=gammas,
         gamma_specs=tuple(config.gammas),
         final_models=final,
-        paths_per_gamma=paths_per_gamma,
     )

@@ -136,3 +136,33 @@ def screen_mme_reference(lf, data, d, options=None, include_intercept=True):
         statistics=stats,
         keep=ranked[: min(d, p)].copy(),
     )
+
+
+def forward_step_reference(lf, data, current, remaining, init, options=None,
+                           include_intercept=True):
+    """One forward step as one ``_newton`` fit per remaining candidate: the
+    oracle for the candidate-batched step in ``forward_select``. Returns the
+    winner (the lowest index among equal log-likelihoods, rank-deficient and
+    non-finite fits skipped) and its fit, or (-1, None), plus every
+    candidate's log-likelihood (-inf where skipped)."""
+    opts = options or FitOptions()
+    off = 1 if include_intercept else 0
+    design = np.empty((data.n, len(current) + off + 1))
+    if include_intercept:
+        design[:, 0] = 1.0
+    design[:, off:-1] = data.X[:, list(current)]
+    init = np.append(init, 0.0)
+    best_ll, best_feature, best_fit = -np.inf, -1, None
+    lls = np.full(len(remaining), -np.inf)
+    for i, c in enumerate(remaining):
+        design[:, -1] = data.X[:, c]
+        try:
+            fit = _newton(data.y, design, lf, init, opts)
+        except RankDeficient:
+            continue
+        if np.isfinite(fit.log_lik):
+            lls[i] = fit.log_lik
+            if fit.log_lik > best_ll:
+                best_ll, best_feature, best_fit = fit.log_lik, c, fit
+    return best_feature, best_fit, lls
+

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebicglm import Dataset
+from ebicglm import cli as cli_module
 from ebicglm.cli import main
+from ebicglm.errors import InvalidDesign
 
 
 @pytest.fixture()
@@ -214,6 +216,87 @@ class TestConfigValues:
 
     def test_bad_features_flag_is_usage_error(self, toy_csv):
         assert main(["fit", "--input", toy_csv, "--features", "a,b"]) == 1
+
+    def test_old_path_per_gamma_key_is_usage_error(self, toy_csv, tmp_path, capsys):
+        # the option is gone; a manifest written before still carries its key
+        cfg = tmp_path / "manifest.json"
+        cfg.write_text(json.dumps({"command": "select",
+                                   "params": {"path_per_gamma": False}}))
+        rc = main(["select", "--input", toy_csv, "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "unknown config key 'path_per_gamma'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# numeric flags below their bound are usage errors, not clamped
+# ---------------------------------------------------------------------------
+
+_OUT_OF_RANGE = [
+    ("select", "max_steps", -4),
+    ("select", "max_steps", 0),
+    ("select", "screen_threshold", 0),
+    ("select", "screen_keep", 0),
+    ("select", "k_multiplier", -1.0),
+    ("select", "k_multiplier", 0.0),
+    ("select", "k_multiplier", float("inf")),
+    ("select", "threads", 0),
+    ("cv-links", "path_length", 0),
+    ("simulate", "threads", -1),
+    ("simulate", "dump_data", -1),
+]
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("command,dest,value", _OUT_OF_RANGE)
+    def test_flag_below_bound_is_usage_error(self, cli_inputs, capsys, command, dest, value):
+        _root, base = cli_inputs
+        flag = "--" + dest.replace("_", "-")
+        assert main(base[command] + [flag, str(value)]) == 1
+        assert f"{flag} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,dest,value", [
+        c for c in _OUT_OF_RANGE if c[1] != "threads" and c[2] != float("inf")
+    ])
+    def test_config_value_below_bound_is_usage_error(self, cli_inputs, capsys,
+                                                     command, dest, value):
+        root, base = cli_inputs
+        cfg = root / f"range-{command}-{dest}.json"
+        cfg.write_text(json.dumps({"params": {dest: value}}))
+        assert main(base[command] + ["--config", str(cfg)]) == 1
+        assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env", ["0", "-3", "two"])
+    def test_bad_threads_environment_is_usage_error(self, cli_inputs, monkeypatch,
+                                                    capsys, env):
+        root, _base = cli_inputs
+        monkeypatch.setenv("EBICGLM_THREADS", env)
+        argv = ["simulate", "--n", "12", "--reps", "1", "--out", str(root / "out")]
+        assert main(argv) == 1
+        assert "EBICGLM_THREADS must be an integer >= 1" in capsys.readouterr().err
+
+    def test_values_at_the_bound_run(self, cli_inputs):
+        _root, base = cli_inputs
+        assert main(base["select"] + ["--max-steps", "1", "--screen-keep", "1",
+                                      "--k-multiplier", "0.5"]) == 0
+        assert main(base["simulate"] + ["--threads", "1", "--dump-data", "0"]) == 0
+
+    @pytest.mark.parametrize("rho", ["2", "1", "-0.5", "nan"])
+    def test_bad_rho_is_usage_error(self, cli_inputs, capsys, rho):
+        _root, base = cli_inputs
+        assert main(base["simulate"] + ["--rho", rho]) == 1
+        assert "usage error: rho must be in [0, 1)" in capsys.readouterr().err
+
+    def test_inconsistent_design_is_usage_error(self, cli_inputs, monkeypatch, capsys):
+        # no flag value reaches InvalidDesign today, so the design builder
+        # is made to raise it
+        def inconsistent(*args, **kwargs):
+            raise InvalidDesign("block layout needs q < pn/3")
+
+        monkeypatch.setattr(cli_module, "design_for", inconsistent)
+        _root, base = cli_inputs
+        assert main(base["simulate"]) == 1
+        assert "usage error: block layout" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 """PDR/FDR accounting, batch runs, CV link choice, real-data workflow."""
 
 import math
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -200,6 +202,28 @@ class TestCvSelectLink:
         a = cv_select_link(data, ["logit", "cloglog"], path_length=2, folds=4, seed=5, threads=1)
         b = cv_select_link(data, ["logit", "cloglog"], path_length=2, folds=4, seed=5, threads=2)
         assert a.criteria == b.criteria and a.chosen == b.chosen
+
+    def test_dataset_goes_to_each_worker_once(self, monkeypatch):
+        shipped = {"init": [], "tasks": []}
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                shipped["init"].append(len(pickle.dumps(kwargs.get("initargs"))))
+                super().__init__(max_workers, **kwargs)
+
+            def map(self, fn, *iterables, **kwargs):
+                items = list(zip(*iterables))
+                shipped["tasks"] += [len(pickle.dumps(item)) for item in items]
+                return super().map(fn, *zip(*items), **kwargs)
+
+        monkeypatch.setattr(exp_mod, "ProcessPoolExecutor", RecordingPool)
+        data = _binary_data(n=60, p=300, seed=3)
+        serial = cv_select_link(data, ["logit"], path_length=1, folds=4, seed=5, threads=1)
+        pooled = cv_select_link(data, ["logit"], path_length=1, folds=4, seed=5, threads=2)
+        assert pooled.criteria == serial.criteria
+        assert len(shipped["init"]) == 1 and shipped["init"][0] > data.X.nbytes
+        assert len(shipped["tasks"]) == 4
+        assert max(shipped["tasks"]) < data.X.nbytes / 10
 
 
 class TestRealDataWorkflow:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import ALL_PAIRS, screen_mme_reference
+from helpers import ALL_PAIRS, forward_step_reference, screen_mme_reference
 
 from ebicglm import (
     Dataset,
@@ -11,6 +11,7 @@ from ebicglm import (
     InvalidArgs,
     ModelIndex,
     PathEmpty,
+    RankDeficient,
     SelectConfig,
     ebic_score,
     fit_mle,
@@ -19,8 +20,9 @@ from ebicglm import (
     screen_mme,
     select_pipeline,
 )
-from ebicglm.glm import _initial_beta, _newton
-from ebicglm.select import SCREEN_BLOCK_CELLS
+from ebicglm import glm
+from ebicglm import select as select_module
+from ebicglm.glm import LANE_BLOCK_CELLS, _initial_beta, _newton, _newton_lanes
 
 
 def _logit_data(n=80, p=8, strong=(0, 3), seed=0, coef=1.5):
@@ -87,7 +89,7 @@ class TestScreenMME:
 # ---------------------------------------------------------------------------
 
 SCREEN_N = 64
-SCREEN_WIDTH = SCREEN_BLOCK_CELLS // SCREEN_N  # columns per block
+SCREEN_WIDTH = LANE_BLOCK_CELLS // SCREEN_N  # columns per block
 CONSTANT, ZERO, SEPARATING, WIDE = 1, 2, 3, 4
 # one column copied to three places inside the first block and two in the
 # second, one of them right at the boundary
@@ -162,7 +164,7 @@ class TestScreenMatchesPerColumnFits:
     def test_single_column_block(self):
         # n above the block size leaves one column per block
         rng = np.random.default_rng(21)
-        n = SCREEN_BLOCK_CELLS + 8
+        n = LANE_BLOCK_CELLS + 8
         x = rng.standard_normal(n)
         X = np.column_stack([x, rng.standard_normal(n), x])
         y = (rng.random(n) < 1 / (1 + np.exp(-x))).astype(float)
@@ -172,6 +174,135 @@ class TestScreenMatchesPerColumnFits:
         assert np.array_equal(got.ranked_features, ref.ranked_features)
         assert got.statistics[0] == got.statistics[2]
         np.testing.assert_allclose(got.statistics, ref.statistics, rtol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the batched forward step against the per-candidate _newton oracle
+# ---------------------------------------------------------------------------
+
+STEP_N = 48
+STEP_LANES = 8  # lanes per block once LANE_BLOCK_CELLS is patched to n * 8
+SIGNAL, STEP_SEPARATING = 0, 3
+# copies of the signal column, on both sides of two block boundaries: the
+# lowest index wins among them, and once it is selected the others are
+# collinear with a selected column
+COPIES = (SIGNAL, STEP_LANES - 1, STEP_LANES, 2 * STEP_LANES + 1)
+
+
+def _step_data(family, seed=0):
+    """A signal column and its copies, a column split by the response (beta
+    cap for binary links, eta clamp for identity/arcsin) and noise, over
+    three blocks of eight lanes."""
+    n, p = STEP_N, 3 * STEP_LANES + 4
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    signal = X[:, SIGNAL] + 0.5 * X[:, 1]
+    if family == "bernoulli":
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-1.5 * signal))).astype(float)
+    elif family == "poisson":
+        y = rng.poisson(np.exp(0.5 + 0.6 * signal)).astype(float)
+    else:
+        y = rng.exponential(np.exp(0.3 + 0.5 * signal))
+    X[:, STEP_SEPARATING] = np.where(y > y.mean(), 0.3, -0.3)
+    X[:, list(COPIES)] = X[:, [SIGNAL]]
+    return Dataset(y, X)
+
+
+def _shared_block(data, current, include_intercept):
+    """[1, X[:, current]] (or X[:, current]), laid out as forward_select
+    lays out its designs."""
+    off = 1 if include_intercept else 0
+    A = np.ones((data.n, len(current) + off))
+    A[:, off:] = data.X[:, list(current)]
+    return A
+
+
+def _check_path_against_oracle(lf, data, path, include_intercept, max_steps):
+    """Follow the batched path step by step: at each step the per-candidate
+    loop skips the same candidates, its best log-likelihood ties the batched
+    pick up to float noise, and where both pick the same feature the fits
+    are bit-identical; the path ends where the loop finds nothing usable."""
+    opts = FitOptions()
+    off = 1 if include_intercept else 0
+    init = path.null_fit.beta
+    current, remaining = [], list(range(data.p))
+    for step in path.steps:
+        feature, fit, lls = forward_step_reference(
+            lf, data, current, remaining, init, opts, include_intercept
+        )
+        _beta, ll, rank_deficient = _newton_lanes(
+            data.y, _shared_block(data, current, include_intercept), data.X,
+            remaining, lf, init, opts,
+        )
+        skipped = rank_deficient | ~np.isfinite(ll)
+        assert np.array_equal(skipped, np.isneginf(lls))
+        best = lls.max()
+        assert lls[remaining.index(step.feature)] >= best - 1e-9 * (1 + abs(best))
+        if feature == step.feature:
+            order = np.argsort(current + [feature], kind="stable")
+            beta = np.concatenate([fit.beta[:off], fit.beta[off:][order]])
+            assert step.fit.log_lik == fit.log_lik
+            assert np.array_equal(step.fit.beta, beta)
+        current.append(step.feature)
+        remaining.remove(step.feature)
+        init = fit.beta if feature == step.feature else _newton(
+            data.y, _shared_block(data, current, include_intercept), lf,
+            np.append(init, 0.0), opts,
+        ).beta
+    if len(path.steps) < max_steps and remaining and len(current) < data.n - 2:
+        assert forward_step_reference(
+            lf, data, current, remaining, init, opts, include_intercept
+        )[1] is None
+
+
+class TestForwardStepMatchesPerCandidateFits:
+    @pytest.mark.parametrize("include_intercept", [True, False])
+    @pytest.mark.parametrize("link,family", ALL_PAIRS)
+    def test_same_picks_fits_and_skips(self, monkeypatch, link, family, include_intercept):
+        monkeypatch.setattr(glm, "LANE_BLOCK_CELLS", STEP_N * STEP_LANES)
+        lf = parse_link_family(link, family)
+        data = _step_data(family)
+        path = forward_select(lf, data, range(data.p), [0.0], 4,
+                              include_intercept=include_intercept)
+        _check_path_against_oracle(lf, data, path, include_intercept, 4)
+        # the copies of the signal: one fit, bit-equal results, the lowest
+        # index wins, and a selected copy makes the others rank deficient
+        start = path.null_fit.beta
+        beta, ll, _ = _newton_lanes(data.y, _shared_block(data, [], include_intercept),
+                                    data.X, COPIES, lf, start, FitOptions())
+        assert np.all(ll == ll[0]) and np.all(beta == beta[:, :1])
+        assert not set(COPIES[1:]) & set(path.features)
+        _b, _ll, rank_deficient = _newton_lanes(
+            data.y, _shared_block(data, [SIGNAL], include_intercept), data.X,
+            COPIES[1:], lf, np.append(start, 0.0), FitOptions(),
+        )
+        assert rank_deficient.all()
+
+    @pytest.mark.parametrize("include_intercept", [True, False])
+    def test_data_reaches_the_cap_and_the_clamp(self, include_intercept):
+        # the comparison above only covers these stop rules if the oracle's
+        # fits actually hit them
+        for link, flag in (("logit", "quasi_separated"), ("cauchit", "quasi_separated"),
+                           ("cloglog", "quasi_separated"), ("identity", "eta_clamped"),
+                           ("arcsin", "eta_clamped")):
+            lf = parse_link_family(link)
+            data = _step_data("bernoulli")
+            design = _shared_block(data, [SIGNAL, STEP_SEPARATING], include_intercept)
+            signal_fit = fit_mle(lf, data, ModelIndex((SIGNAL,), include_intercept))
+            start = np.append(signal_fit.beta, 0.0)
+            assert getattr(_newton(data.y, design, lf, start, FitOptions()), flag), link
+
+    @pytest.mark.parametrize("link", ["logit", "cloglog", "identity"])
+    def test_one_lane_blocks(self, monkeypatch, link):
+        lf = parse_link_family(link)
+        data = _step_data("bernoulli", seed=1)
+        wide = forward_select(lf, data, range(data.p), [0.0], 4)
+        monkeypatch.setattr(glm, "LANE_BLOCK_CELLS", 1)
+        narrow = forward_select(lf, data, range(data.p), [0.0], 4)
+        _check_path_against_oracle(lf, data, narrow, True, 4)
+        assert narrow.features == wide.features
+        for a, b in zip(narrow.steps, wide.steps):
+            assert a.fit.log_lik == b.fit.log_lik
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +386,25 @@ class TestForwardSelect:
         with pytest.raises(PathEmpty):
             forward_select(LF, Dataset(y, X), [0, 1], gammas=[0.0], max_steps=2)
 
+    def test_refit_rejected_by_newton_takes_next_best(self, monkeypatch):
+        # the kernel's rank test and _newton's can disagree at the margin;
+        # the step then takes the next best candidate
+        data = _logit_data(n=90, p=8, seed=7)
+        null_beta = fit_mle(LF, data, ModelIndex(())).beta
+        _f, _fit, lls = forward_step_reference(LF, data, [], list(range(8)), null_beta)
+        order = np.lexsort((np.arange(8), -lls))
+        real = select_module._newton
+
+        def rejects_the_winner(y, X, lf, beta0, opts):
+            if np.array_equal(X[:, -1], data.X[:, order[0]]):
+                raise RankDeficient("synthetic")
+            return real(y, X, lf, beta0, opts)
+
+        monkeypatch.setattr(select_module, "_newton", rejects_the_winner)
+        path = forward_select(LF, data, range(8), gammas=[0.0], max_steps=1)
+        assert path.features == (order[1],)
+        assert path.steps[0].fit.log_lik == lls[order[1]]
+
     def test_sorted_beta_layout(self):
         data = _logit_data(n=90, p=6, strong=(4, 1), seed=14, coef=2.0)
         path = forward_select(LF, data, range(6), gammas=[0.0], max_steps=2)
@@ -304,17 +454,6 @@ class TestSelectPipeline:
             tuple(lookup[i] for i in m.indices) for m in base.final_models
         ] == [tuple(sorted(m.indices)) for m in moved.final_models]
 
-    def test_path_per_gamma_matches_shared_path(self):
-        data = _logit_data(n=100, p=8, seed=19)
-        shared = select_pipeline(LF, data, SelectConfig(gammas=(0.0, 1.0), max_steps=4))
-        per = select_pipeline(
-            LF, data, SelectConfig(gammas=(0.0, 1.0), max_steps=4, path_per_gamma=True)
-        )
-        assert per.paths_per_gamma is not None
-        assert [m.indices for m in shared.final_models] == [
-            m.indices for m in per.final_models
-        ]
-
     def test_max_steps_rule(self):
         data = _logit_data(n=30, p=8, seed=20)
         # explicit max_steps wins but is capped at n - 2
@@ -333,6 +472,9 @@ class TestSelectPipeline:
         assert back.max_steps == 7 and back.screen_keep == 50
         with pytest.raises(InvalidArgs):
             SelectConfig.from_json_dict({"bogus": 1})
+        # the per-gamma path option is gone; an old config carrying it is refused
+        with pytest.raises(InvalidArgs):
+            SelectConfig.from_json_dict({"pathPerGamma": False})
 
 
 def test_sure_screening_keeps_true_support():
