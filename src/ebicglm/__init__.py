@@ -35,7 +35,6 @@ from .experiments import (
 from .glm import (
     Dataset,
     DiagnosticReport,
-    FitOptions,
     FitResult,
     HessianParts,
     ModelIndex,

@@ -120,7 +120,7 @@ def _merge_config_file(args, command_parser: argparse.ArgumentParser) -> None:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read config {args.config}: {exc}") from None
     params = payload.get("params", payload) if isinstance(payload, dict) else None
     if not isinstance(params, dict):

@@ -67,14 +67,6 @@ class GammaGrid:
     def values(self):
         return (self.gamma1, self.gamma2, self.gamma3, self.gamma4)
 
-    def labelled(self):
-        return (
-            ("gamma1", self.gamma1),
-            ("gamma2", self.gamma2),
-            ("gamma3", self.gamma3),
-            ("gamma4", self.gamma4),
-        )
-
 
 def gamma_grid(n: int, p: int) -> GammaGrid:
     if p <= 1 or n <= 1:

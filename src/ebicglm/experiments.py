@@ -49,9 +49,9 @@ class SummaryCell:
     gamma_label: str
     gamma: float
     mean_pdr: float
-    se_pdr: float  # sample standard deviation of replicate-level PDR
+    sd_pdr: float  # sample standard deviation of replicate-level PDR
     mean_fdr: float
-    se_fdr: float
+    sd_fdr: float
     n_reps: int
     n_failed: int
 
@@ -64,7 +64,7 @@ class ExperimentSummary:
     failures: tuple  # (replicate_id, message)
     replicate_metrics: tuple  # (replicate_id, PdrFdr-per-gamma) for successes
 
-    TSV_HEADER = "setting\trho\tn\tgamma\tmean_pdr\tse_pdr\tmean_fdr\tse_fdr\tn_reps\tn_failed"
+    TSV_HEADER = "setting\trho\tn\tgamma\tmean_pdr\tsd_pdr\tmean_fdr\tsd_fdr\tn_reps\tn_failed"
 
     def to_tsv(self) -> str:
         def fmt(x):
@@ -80,9 +80,9 @@ class ExperimentSummary:
                         str(c.n),
                         f"{c.gamma:.6f}",
                         fmt(c.mean_pdr),
-                        fmt(c.se_pdr),
+                        fmt(c.sd_pdr),
                         fmt(c.mean_fdr),
-                        fmt(c.se_fdr),
+                        fmt(c.sd_fdr),
                         str(c.n_reps),
                         str(c.n_failed),
                     ]
@@ -183,9 +183,9 @@ def run_simulation_batch(
                 gamma_label=label,
                 gamma=gval,
                 mean_pdr=mean_p,
-                se_pdr=sd_p,
+                sd_pdr=sd_p,
                 mean_fdr=mean_f,
-                se_fdr=sd_f,
+                sd_fdr=sd_f,
                 n_reps=len(successes),
                 n_failed=len(failures),
             )
@@ -210,9 +210,6 @@ class CvLinkReport:
     chosen: str
     folds: int
     fold_assignment: np.ndarray
-
-    def criterion_for(self, name: str) -> float:
-        return self.criteria[self.link_names.index(name)]
 
 
 def _as_link_families(links) -> list:
@@ -240,10 +237,9 @@ def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
 
 
 def _cv_fold_task(data, task):
-    lf, train_rows, test_rows, config, gamma_spec = task
-    train = data.subset(train_rows)
-    gamma = resolve_gamma(gamma_spec, train.n, train.p)
-    report = select_pipeline(lf, train, config)
+    lf, train_rows, test_rows, config = task
+    report = select_pipeline(lf, data.subset(train_rows), config)
+    gamma = report.gammas[0]
     model = report.path.model_for(gamma)
     fit = report.path.fit_for(gamma)
     # held-out folds may hold a single row, so score from raw arrays
@@ -261,16 +257,15 @@ def cv_select_link(
     folds: int = 8,
     seed: int = 0,
     config: SelectConfig | None = None,
-    gamma_spec="paper-final",
     threads: int | None = None,
 ) -> CvLinkReport:
     """Pick the link with the largest summed held-out log-likelihood.
 
     Each link runs the selection pipeline on every training fold (path grown
-    to ``path_length``, EBIC-minimizing prefix read out at ``gamma_spec``) and
-    is scored on the held-out fold. Ties within 1e-9 go to the earlier link
-    in the input order. Fold assignment is seeded and stratified by response
-    class.
+    to ``path_length``, EBIC-minimizing prefix read out at the fold's
+    real-data preset gamma = 1 - ln n / (3 ln p)) and is scored on the
+    held-out fold. Ties within 1e-9 go to the earlier link in the input
+    order. Fold assignment is seeded and stratified by response class.
     """
     if folds < 2:
         raise InvalidArgs(f"folds must be >= 2, got {folds}")
@@ -280,7 +275,7 @@ def cv_select_link(
     if not lfs:
         raise InvalidArgs("need at least one link")
     base = config or SelectConfig()
-    cfg = replace(base, gammas=(gamma_spec,), max_steps=path_length)
+    cfg = replace(base, gammas=("paper-final",), max_steps=path_length)
     fold_of = _fold_assignment(data.y, folds, seed)
 
     tasks = []
@@ -295,7 +290,7 @@ def cv_select_link(
                 raise FoldTooSmall(
                     f"training fold {f} has {train_rows.size} rows; too small to fit"
                 )
-            tasks.append((lf, train_rows, test_rows, cfg, gamma_spec))
+            tasks.append((lf, train_rows, test_rows, cfg))
             keys.append((li, f))
 
     values = _map_tasks(_cv_fold_task, data, tasks, threads)

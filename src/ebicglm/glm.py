@@ -8,6 +8,12 @@ The negative Hessian of the log-likelihood splits as H1 - H0 where
 H0 vanishes identically under canonical links; under non-canonical links it
 can make H1 - H0 indefinite, in which case the Newton step falls back to
 Fisher scoring on H1.
+
+Every fit stops by the same fixed rules: converged once the gradient's
+max-norm is below ``TOL`` = 1e-8; at most ``MAX_ITER`` = 100 iterations and
+``MAX_HALVINGS`` = 30 step halvings per iteration; and a step that would
+take any |beta_j| above ``BETA_CAP`` = 30 ends the fit at the last in-cap
+iterate, flagged ``quasi_separated``.
 """
 
 from __future__ import annotations
@@ -19,6 +25,12 @@ from scipy.linalg.lapack import dposv, dpotrf
 
 from .errors import DataError, InvalidArgs, RankDeficient
 from .links import Family, LinkFamily, column_sums
+
+#: the Newton stop rules shared by every fit (see the module docstring)
+TOL = 1e-8
+MAX_ITER = 100
+BETA_CAP = 30.0
+MAX_HALVINGS = 30
 
 
 class Dataset:
@@ -75,7 +87,10 @@ class Dataset:
     @classmethod
     def from_csv(cls, path) -> "Dataset":
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
+            try:
+                header = fh.readline().strip()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 text: {exc}") from None
             if not header:
                 raise DataError(f"{path}: empty file")
             names = [c.strip().strip('"').strip("'") for c in header.split(",")]
@@ -85,7 +100,7 @@ class Dataset:
                 )
             try:
                 body = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float)
-            except ValueError as exc:
+            except ValueError as exc:  # UnicodeDecodeError included
                 raise DataError(f"{path}: missing or unparseable value: {exc}") from None
         if body.size == 0:
             raise DataError(f"{path}: no data rows")
@@ -116,14 +131,6 @@ class ModelIndex:
     def size(self) -> int:
         """Number of covariates |s| (the intercept is not counted)."""
         return len(self.indices)
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    tol: float = 1e-8
-    max_iter: int = 100
-    beta_cap: float = 30.0
-    max_halvings: int = 30
 
 
 @dataclass
@@ -234,7 +241,7 @@ def _assert_full_rank(h1: np.ndarray) -> None:
         raise RankDeficient("design matrix is rank deficient for this model")
 
 
-def _newton(y, X, lf, beta0, opts):
+def _newton(y, X, lf, beta0):
     """Damped Newton ascent with Fisher-scoring fallback and a beta-norm cap."""
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
     k = X.shape[1]
@@ -267,7 +274,7 @@ def _newton(y, X, lf, beta0, opts):
         gnorm = np.inf
         flat_steps = 0
         it = 0
-        while it < opts.max_iter:
+        while it < MAX_ITER:
             it += 1
             eta_c = lf.clip_eta(eta) if bounded_eta else eta
             if bounded_eta and not clamped:
@@ -283,7 +290,7 @@ def _newton(y, X, lf, beta0, opts):
             if not np.isfinite(gnorm):
                 gnorm = np.inf
                 break
-            if gnorm < opts.tol:
+            if gnorm < TOL:
                 converged = True
                 break
             if h1 is None:
@@ -306,7 +313,7 @@ def _newton(y, X, lf, beta0, opts):
             dx = X @ d
             step = 1.0
             accepted = False
-            for _ in range(opts.max_halvings + 1):
+            for _ in range(MAX_HALVINGS + 1):
                 eta_t = eta + step * dx
                 ll_t = loglik(eta_t)
                 # equality is allowed so Newton can polish the gradient once
@@ -324,7 +331,7 @@ def _newton(y, X, lf, beta0, opts):
             else:
                 flat_steps = 0
             beta_t = beta + step * d
-            if float(np.abs(beta_t).max()) > opts.beta_cap:
+            if float(np.abs(beta_t).max()) > BETA_CAP:
                 separated = True
                 break
             beta = beta_t
@@ -414,11 +421,11 @@ def _lanes(a, idx):
     return a if idx.size == a.shape[1] else a.take(idx, axis=1)
 
 
-def _lane_direction(lf, yc, A, Z, iu, x, eta, tol, first):
+def _lane_direction(lf, yc, A, Z, iu, x, eta, first):
     """Each lane's Newton direction at an in-domain eta, as ``_newton``
     computes it: (d as k x P, mask of lanes with a step to try, mask of
     lanes failing the rank test, which is run when ``first``). Lanes whose
-    gradient is non-finite or below ``tol`` get no step. The n x P
+    gradient is non-finite or below ``TOL`` get no step. The n x P
     intermediates die on return."""
     m = A.shape[1]
     k = m + 1
@@ -430,7 +437,7 @@ def _lane_direction(lf, yc, A, Z, iu, x, eta, tol, first):
     grad[:m] = A.T @ r
     grad[m] = column_sums(x * r)
     gnorm = np.abs(grad).max(axis=0)
-    stop = ~np.isfinite(gnorm) | (gnorm < tol)
+    stop = ~np.isfinite(gnorm) | (gnorm < TOL)
     w1 = sigma2 * hp * hp
     w = w1 if hpp is None else w1 - resid * hpp
     rank_deficient = np.zeros(lanes, dtype=bool)
@@ -466,7 +473,7 @@ def _lane_direction(lf, yc, A, Z, iu, x, eta, tol, first):
     return d, ok, rank_deficient
 
 
-def _newton_block(y, A, Z, iu, x, lf, start, opts):
+def _newton_block(y, A, Z, iu, x, lf, start):
     """``_newton`` on the designs [A, x_j] for the columns of x; see
     ``_newton_lanes``."""
     n, width = x.shape
@@ -489,11 +496,9 @@ def _newton_block(y, A, Z, iu, x, lf, start, opts):
         eta = (A @ start)[:, None]
         ll = np.repeat(lf.log_lik(clip(eta), y), width)
         it = 0
-        while lanes.size and it < opts.max_iter:
+        while lanes.size and it < MAX_ITER:
             it += 1
-            d, ok, rd = _lane_direction(
-                lf, yc, A, Z, iu, x, clip(eta), opts.tol, it == 1
-            )
+            d, ok, rd = _lane_direction(lf, yc, A, Z, iu, x, clip(eta), it == 1)
             rank_deficient[lanes[rd]] = True
 
             # step halving. The lanes still searching all stand at the same
@@ -509,8 +514,8 @@ def _newton_block(y, A, Z, iu, x, lf, start, opts):
             ll_t = np.full(lanes.size, -np.inf)
             pending = np.flatnonzero(ok)
             tried = 0
-            while pending.size and tried <= opts.max_halvings:
-                count = 1 if tried < 2 else min(opts.max_halvings + 1 - tried,
+            while pending.size and tried <= MAX_HALVINGS:
+                count = 1 if tried < 2 else min(MAX_HALVINGS + 1 - tried,
                                                 max(1, width // pending.size))
                 steps = np.ldexp(1.0, -np.arange(tried, tried + count))
                 trial = (eta_all.take(pending, axis=1)[:, None, :]
@@ -530,7 +535,7 @@ def _newton_block(y, A, Z, iu, x, lf, start, opts):
 
             flat_steps = np.where(ll_t == ll, flat_steps + 1, 0)
             beta_t = beta + step * d
-            capped = np.abs(beta_t).max(axis=0) > opts.beta_cap
+            capped = np.abs(beta_t).max(axis=0) > BETA_CAP
             move = accepted & (flat_steps <= 2) & ~capped
             done = ~move
             beta_out[:, lanes[done]] = beta[:, done]
@@ -543,7 +548,7 @@ def _newton_block(y, A, Z, iu, x, lf, start, opts):
     return beta_out, ll_out, rank_deficient
 
 
-def _newton_lanes(y, A, X, cols, lf, start, opts):
+def _newton_lanes(y, A, X, cols, lf, start):
     """``_newton`` on the designs [A, X[:, j]] for every j in ``cols`` at once.
 
     The designs share the n x m block A (m may be 0) and the start: A's
@@ -551,7 +556,7 @@ def _newton_lanes(y, A, X, cols, lf, start, opts):
     at the point where ``_newton`` stops: the rank test at iteration 1, a
     non-finite gradient, the gradient tolerance, no solvable step after the
     H1 and jitter fallbacks, no accepted step after the halvings, the third
-    flat step, the beta cap and ``max_iter``.
+    flat step, the beta cap and ``MAX_ITER``.
 
     Each distinct column is fitted once, so duplicated columns get bit-equal
     results (BLAS rounds by lane position), and the distinct columns are
@@ -583,7 +588,7 @@ def _newton_lanes(y, A, X, cols, lf, start, opts):
     for s in range(0, distinct.size, width):
         block = distinct[s:s + width]
         beta[:, block], log_lik[block], rank_deficient[block] = _newton_block(
-            y, A, Z, iu, X.take(cols[block], axis=1), lf, start, opts
+            y, A, Z, iu, X.take(cols[block], axis=1), lf, start
         )
     return beta[:, first], log_lik[first], rank_deficient[first]
 
@@ -601,30 +606,18 @@ def _initial_beta(lf: LinkFamily, y: np.ndarray, k: int, intercept: bool) -> np.
     return beta0
 
 
-def fit_mle(
-    lf: LinkFamily,
-    data: Dataset,
-    model: ModelIndex,
-    options: FitOptions | None = None,
-    init_beta=None,
-) -> FitResult:
+def fit_mle(lf: LinkFamily, data: Dataset, model: ModelIndex) -> FitResult:
     """Maximize the model log-likelihood by damped Newton iteration.
 
     Raises RankDeficient when X(model) is not of full column rank. A fit whose
-    coefficient sup-norm would exceed ``options.beta_cap`` is stopped at the
-    last in-cap iterate and flagged ``quasi_separated``. Non-convergence after
-    ``max_iter`` iterations is reported through ``converged=False``, not as an
-    error.
+    coefficient sup-norm would exceed ``BETA_CAP`` is stopped at the last
+    in-cap iterate and flagged ``quasi_separated``. Non-convergence after
+    ``MAX_ITER`` iterations is reported through ``converged=False``, not as
+    an error.
     """
-    opts = options or FitOptions()
     X = _design(data, model)
-    if init_beta is not None:
-        beta0 = np.asarray(init_beta, dtype=float)
-        if beta0.shape != (X.shape[1],):
-            raise InvalidArgs("init_beta has the wrong length")
-    else:
-        beta0 = _initial_beta(lf, data.y, X.shape[1], model.include_intercept)
-    return _newton(data.y, X, lf, beta0, opts)
+    beta0 = _initial_beta(lf, data.y, X.shape[1], model.include_intercept)
+    return _newton(data.y, X, lf, beta0)
 
 
 @dataclass

@@ -386,13 +386,14 @@ class LinkFamily:
                 f"eta outside admissible range ({lo}, {hi}) for {self.name}"
             )
 
-    def clip_eta(self, eta, margin: float = 1e-10):
-        """Clamp eta into the interior of the admissible range."""
+    def clip_eta(self, eta):
+        """Clamp eta into the interior of the admissible range, 1e-10 inside
+        each finite end."""
         lo, hi = self.eta_domain
         if lo == -np.inf and hi == np.inf:
             return np.asarray(eta, dtype=float)
-        lo = lo + margin if lo > -np.inf else lo
-        hi = hi - margin if hi < np.inf else hi
+        lo = lo + 1e-10 if lo > -np.inf else lo
+        hi = hi - 1e-10 if hi < np.inf else hi
         return np.clip(eta, lo, hi)
 
     def __repr__(self):

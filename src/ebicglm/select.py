@@ -19,7 +19,7 @@ grown, and all gammas are read off it by prefix minimization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,12 +27,12 @@ from .ebic import ebic_score, resolve_gamma
 from .errors import EmptyCandidates, InvalidArgs, PathEmpty, RankDeficient
 from .glm import (
     Dataset,
-    FitOptions,
     FitResult,
     ModelIndex,
     _initial_beta,
     _newton,
     _newton_lanes,
+    fit_mle,
 )
 from .links import LinkFamily
 
@@ -50,7 +50,6 @@ def screen_mme(
     lf: LinkFamily,
     data: Dataset,
     d: int,
-    options: FitOptions | None = None,
     include_intercept: bool = True,
 ) -> ScreenResult:
     """Rank features by the absolute slope of the one-covariate GLM fit.
@@ -63,12 +62,11 @@ def screen_mme(
     """
     if d < 1:
         raise InvalidArgs(f"screen size d must be >= 1, got {d}")
-    opts = options or FitOptions()
     n, p = data.n, data.p
     m = 1 if include_intercept else 0  # the shared block A is [1] or empty
     start = _initial_beta(lf, data.y, m + 1, include_intercept)[:m]
     beta, log_lik, rank_deficient = _newton_lanes(
-        data.y, np.ones((n, m)), data.X, np.arange(p), lf, start, opts
+        data.y, np.ones((n, m)), data.X, np.arange(p), lf, start
     )
     slope = beta[-1]
     usable = ~rank_deficient & np.isfinite(log_lik) & np.isfinite(slope)
@@ -133,7 +131,6 @@ def forward_select(
     candidates,
     gammas,
     max_steps: int,
-    options: FitOptions | None = None,
     include_intercept: bool = True,
 ) -> SelectionPath:
     """Grow the greedy path, fitting every remaining candidate at each step.
@@ -160,13 +157,11 @@ def forward_select(
     gammas = tuple(float(g) for g in gammas)
     if not gammas:
         raise InvalidArgs("need at least one gamma")
-    opts = options or FitOptions()
     n, p = data.n, data.p
     y = data.y
-    from .glm import fit_mle  # local import keeps module load cheap
 
     null_model = ModelIndex((), include_intercept=include_intercept)
-    null_fit = fit_mle(lf, data, null_model, opts)
+    null_fit = fit_mle(lf, data, null_model)
     null_scores = tuple(ebic_score(null_fit, null_model, n, p, g) for g in gammas)
 
     steps: list[SelectionStep] = []
@@ -180,7 +175,7 @@ def forward_select(
             design[:, 0] = 1.0
         design[:, off:-1] = data.X[:, current]
         _beta, log_lik, rank_deficient = _newton_lanes(
-            y, design[:, :-1].copy(), data.X, remaining, lf, cur_beta, opts
+            y, design[:, :-1].copy(), data.X, remaining, lf, cur_beta
         )
         score = np.where(rank_deficient | ~np.isfinite(log_lik), -np.inf, log_lik)
         best_fit = None
@@ -188,7 +183,7 @@ def forward_select(
             best = int(np.argmax(score))
             design[:, -1] = data.X[:, remaining[best]]
             try:
-                fit = _newton(y, design, lf, np.append(cur_beta, 0.0), opts)
+                fit = _newton(y, design, lf, np.append(cur_beta, 0.0))
             except RankDeficient:
                 fit = None
             if fit is not None and np.isfinite(fit.log_lik):
@@ -246,34 +241,6 @@ class SelectConfig:
     # 1.6 * p0n, not 3 * p0n
     k_multiplier: float = 1.6
     include_intercept: bool = True
-    fit: FitOptions = field(default_factory=FitOptions)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gammas": list(self.gammas),
-            "maxSteps": self.max_steps,
-            "screenThreshold": self.screen_threshold,
-            "screenKeep": self.screen_keep,
-            "kMultiplier": self.k_multiplier,
-            "includeIntercept": self.include_intercept,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SelectConfig":
-        known = {
-            "gammas": "gammas",
-            "maxSteps": "max_steps",
-            "screenThreshold": "screen_threshold",
-            "screenKeep": "screen_keep",
-            "kMultiplier": "k_multiplier",
-            "includeIntercept": "include_intercept",
-        }
-        kwargs = {}
-        for key, value in d.items():
-            if key not in known:
-                raise InvalidArgs(f"unknown SelectConfig key {key!r}")
-            kwargs[known[key]] = tuple(value) if key == "gammas" else value
-        return cls(**kwargs)
 
 
 @dataclass
@@ -307,15 +274,11 @@ def select_pipeline(
     screen = None
     candidates = np.arange(data.p)
     if data.p > config.screen_threshold:
-        screen = screen_mme(
-            lf, data, config.screen_keep, config.fit, config.include_intercept
-        )
+        screen = screen_mme(lf, data, config.screen_keep, config.include_intercept)
         candidates = screen.keep
     max_steps = _effective_max_steps(config, data.n, true_support_size)
 
-    path = forward_select(
-        lf, data, candidates, gammas, max_steps, config.fit, config.include_intercept
-    )
+    path = forward_select(lf, data, candidates, gammas, max_steps, config.include_intercept)
     final = tuple(path.model_for(g) for g in gammas)
 
     return SelectionReport(

@@ -30,8 +30,6 @@ class SimDesign:
     rho: float
     L: int
     q: int
-    # second moment of the N(1, .) mixture component, interpreted as variance
-    mixture_var: float = 0.5
 
     def __post_init__(self):
         if self.setting not in SETTINGS:
@@ -87,18 +85,18 @@ def divergent_pattern(n: int) -> tuple:
     return pn, p0n
 
 
-def design_for(setting, n: int, rho: float = 0.0, mixture_var: float = 0.5) -> SimDesign:
+def design_for(setting, n: int, rho: float = 0.0) -> SimDesign:
     """Build the paper pattern design for a setting given n and rho."""
     key = str(setting).upper()
     if key in ("1", "2", "3"):
         key = "S" + key
     pn, p0n = divergent_pattern(n)
     if key == "S1":
-        return SimDesign("S1", n, pn, p0n, rho, L=10, q=15, mixture_var=mixture_var)
+        return SimDesign("S1", n, pn, p0n, rho, L=10, q=15)
     if key == "S2":
-        return SimDesign("S2", n, pn, p0n, rho, L=5, q=15, mixture_var=mixture_var)
+        return SimDesign("S2", n, pn, p0n, rho, L=5, q=15)
     if key == "S3":
-        return SimDesign("S3", n, pn, p0n, rho, L=10, q=50, mixture_var=mixture_var)
+        return SimDesign("S3", n, pn, p0n, rho, L=10, q=50)
     raise InvalidArgs(f"unknown setting {setting!r}")
 
 
@@ -127,8 +125,8 @@ def _blocks_s12(design: SimDesign, rng: np.random.Generator) -> np.ndarray:
     m = pn - b2
     pick = rng.random((n, m)) < 0.5
     z4 = rng.standard_normal((n, m))
-    sd2 = math.sqrt(design.mixture_var)
-    X[:, b2:] = np.where(pick, -1.0 + z4, 1.0 + sd2 * z4)
+    # the N(1, .) mixture component has variance 0.5
+    X[:, b2:] = np.where(pick, -1.0 + z4, 1.0 + math.sqrt(0.5) * z4)
     return X
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ebicglm import Dataset, FitOptions, ModelIndex, RankDeficient, parse_link_family
+from ebicglm import Dataset, ModelIndex, RankDeficient, parse_link_family
 from ebicglm.glm import _initial_beta, _newton
 from ebicglm.select import ScreenResult
 
@@ -111,10 +111,9 @@ def rel_err(a, b, floor=1e-8):
     return np.max(np.abs(a - b) / np.maximum(np.abs(b), floor))
 
 
-def screen_mme_reference(lf, data, d, options=None, include_intercept=True):
+def screen_mme_reference(lf, data, d, include_intercept=True):
     """The marginal screen as one ``_newton`` fit per feature: the oracle
     for the column-batched ``screen_mme``."""
-    opts = options or FitOptions()
     n, p = data.n, data.p
     stats = np.full(p, -np.inf)
     off = 1 if include_intercept else 0
@@ -125,7 +124,7 @@ def screen_mme_reference(lf, data, d, options=None, include_intercept=True):
     for j in range(p):
         design[:, off] = data.X[:, j]
         try:
-            fit = _newton(data.y, design, lf, init, opts)
+            fit = _newton(data.y, design, lf, init)
         except RankDeficient:
             continue
         if np.isfinite(fit.log_lik) and np.isfinite(fit.beta[off]):
@@ -138,14 +137,12 @@ def screen_mme_reference(lf, data, d, options=None, include_intercept=True):
     )
 
 
-def forward_step_reference(lf, data, current, remaining, init, options=None,
-                           include_intercept=True):
+def forward_step_reference(lf, data, current, remaining, init, include_intercept=True):
     """One forward step as one ``_newton`` fit per remaining candidate: the
     oracle for the candidate-batched step in ``forward_select``. Returns the
     winner (the lowest index among equal log-likelihoods, rank-deficient and
     non-finite fits skipped) and its fit, or (-1, None), plus every
     candidate's log-likelihood (-inf where skipped)."""
-    opts = options or FitOptions()
     off = 1 if include_intercept else 0
     design = np.empty((data.n, len(current) + off + 1))
     if include_intercept:
@@ -157,7 +154,7 @@ def forward_step_reference(lf, data, current, remaining, init, options=None,
     for i, c in enumerate(remaining):
         design[:, -1] = data.X[:, c]
         try:
-            fit = _newton(data.y, design, lf, init, opts)
+            fit = _newton(data.y, design, lf, init)
         except RankDeficient:
             continue
         if np.isfinite(fit.log_lik):

@@ -53,6 +53,22 @@ class TestExitCodes:
         p.write_text("y,g1\n1,0.5\n0,\n")
         assert main(["fit", "--input", str(p), "--link", "logit"]) == 2
 
+    @pytest.mark.parametrize("kind", ["input", "config"])
+    def test_non_utf8_file_is_2(self, kind, toy_csv, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        if kind == "input":
+            # past the first 8 KB as well as in the header, so both the
+            # header read and the body parse meet an undecodable byte
+            rows = "".join(f"{i % 2},{i}\n" for i in range(2000)).encode()
+            bad.write_bytes(b"y,g\xff1\n" + rows + b"0,\xff\n")
+            files = ["--input", str(bad)]
+        else:
+            bad.write_bytes(b'{"link": "\xff"}')
+            files = ["--input", toy_csv, "--config", str(bad)]
+        for command in ("fit", "select"):
+            assert main([command, *files, "--out", str(tmp_path / command)]) == 2
+            assert "data error" in capsys.readouterr().err
+
 
 class TestFit:
     def test_prints_coefficients_and_ebic(self, toy_csv, capsys):

@@ -78,7 +78,7 @@ class TestSimulationBatch:
         design = _small_design()
         s = run_simulation_batch(design, 1, seed=3)
         for c in s.cells:
-            assert math.isnan(c.se_pdr) and math.isnan(c.se_fdr)
+            assert math.isnan(c.sd_pdr) and math.isnan(c.sd_fdr)
         assert "NA" in s.to_tsv()
 
     def test_dispersion_column_is_sample_sd(self):
@@ -86,15 +86,15 @@ class TestSimulationBatch:
         s = run_simulation_batch(design, 8, seed=2)
         for gi, cell in enumerate(s.cells):
             pdrs = np.array([m[gi].pdr for _, m in s.replicate_metrics])
-            assert cell.se_pdr == pytest.approx(pdrs.std(ddof=1), rel=1e-12)
+            assert cell.sd_pdr == pytest.approx(pdrs.std(ddof=1), rel=1e-12)
 
     def test_tsv_shape(self):
         design = _small_design()
         s = run_simulation_batch(design, 3, seed=5)
         lines = s.to_tsv().strip().split("\n")
         assert lines[0].split("\t") == [
-            "setting", "rho", "n", "gamma", "mean_pdr", "se_pdr",
-            "mean_fdr", "se_fdr", "n_reps", "n_failed",
+            "setting", "rho", "n", "gamma", "mean_pdr", "sd_pdr",
+            "mean_fdr", "sd_fdr", "n_reps", "n_failed",
         ]
         assert len(lines) == 5  # header + four gammas
 
@@ -171,15 +171,15 @@ class TestCvSelectLink:
         assert all(np.isfinite(v) for v in report.criteria)
 
     def test_tie_goes_to_first_input_link(self):
-        # pure-noise covariates and a BIC-heavy gamma leave the intercept-only
-        # model for every link, so the held-out criteria tie exactly
+        # pure-noise covariates stay out at every fold's gamma (plain BIC at
+        # p = 2), leaving the intercept-only model for every link, so the
+        # held-out criteria tie exactly at 20 ln(1/2)
         rng = np.random.default_rng(6)
         y = np.array([0.0, 1.0] * 10)
         X = rng.standard_normal((20, 2)) * 1e-6
         data = Dataset(y, X)
-        report = cv_select_link(
-            data, ["probit", "logit"], path_length=1, folds=4, seed=0, gamma_spec=5.0
-        )
+        report = cv_select_link(data, ["probit", "logit"], path_length=1, folds=4, seed=0)
+        assert report.criteria[0] == pytest.approx(20 * math.log(0.5), rel=1e-12)
         spread = max(report.criteria) - min(report.criteria)
         assert spread < 1e-9
         assert report.chosen == "probit"

@@ -8,7 +8,6 @@ import pytest
 from ebicglm import (
     DataError,
     Dataset,
-    FitOptions,
     InvalidArgs,
     ModelIndex,
     RankDeficient,

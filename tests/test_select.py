@@ -7,8 +7,6 @@ from helpers import ALL_PAIRS, forward_step_reference, screen_mme_reference
 from ebicglm import (
     Dataset,
     EmptyCandidates,
-    FitOptions,
-    InvalidArgs,
     ModelIndex,
     PathEmpty,
     RankDeficient,
@@ -124,7 +122,7 @@ def _reference_fit(lf, data, j, include_intercept):
     if include_intercept:
         design = np.column_stack([np.ones(data.n), design])
     init = _initial_beta(lf, data.y, design.shape[1], include_intercept)
-    return _newton(data.y, design, lf, init, FitOptions())
+    return _newton(data.y, design, lf, init)
 
 
 class TestScreenMatchesPerColumnFits:
@@ -222,17 +220,16 @@ def _check_path_against_oracle(lf, data, path, include_intercept, max_steps):
     loop skips the same candidates, its best log-likelihood ties the batched
     pick up to float noise, and where both pick the same feature the fits
     are bit-identical; the path ends where the loop finds nothing usable."""
-    opts = FitOptions()
     off = 1 if include_intercept else 0
     init = path.null_fit.beta
     current, remaining = [], list(range(data.p))
     for step in path.steps:
         feature, fit, lls = forward_step_reference(
-            lf, data, current, remaining, init, opts, include_intercept
+            lf, data, current, remaining, init, include_intercept
         )
         _beta, ll, rank_deficient = _newton_lanes(
             data.y, _shared_block(data, current, include_intercept), data.X,
-            remaining, lf, init, opts,
+            remaining, lf, init,
         )
         skipped = rank_deficient | ~np.isfinite(ll)
         assert np.array_equal(skipped, np.isneginf(lls))
@@ -247,11 +244,11 @@ def _check_path_against_oracle(lf, data, path, include_intercept, max_steps):
         remaining.remove(step.feature)
         init = fit.beta if feature == step.feature else _newton(
             data.y, _shared_block(data, current, include_intercept), lf,
-            np.append(init, 0.0), opts,
+            np.append(init, 0.0),
         ).beta
     if len(path.steps) < max_steps and remaining and len(current) < data.n - 2:
         assert forward_step_reference(
-            lf, data, current, remaining, init, opts, include_intercept
+            lf, data, current, remaining, init, include_intercept
         )[1] is None
 
 
@@ -269,12 +266,12 @@ class TestForwardStepMatchesPerCandidateFits:
         # index wins, and a selected copy makes the others rank deficient
         start = path.null_fit.beta
         beta, ll, _ = _newton_lanes(data.y, _shared_block(data, [], include_intercept),
-                                    data.X, COPIES, lf, start, FitOptions())
+                                    data.X, COPIES, lf, start)
         assert np.all(ll == ll[0]) and np.all(beta == beta[:, :1])
         assert not set(COPIES[1:]) & set(path.features)
         _b, _ll, rank_deficient = _newton_lanes(
             data.y, _shared_block(data, [SIGNAL], include_intercept), data.X,
-            COPIES[1:], lf, np.append(start, 0.0), FitOptions(),
+            COPIES[1:], lf, np.append(start, 0.0),
         )
         assert rank_deficient.all()
 
@@ -290,7 +287,7 @@ class TestForwardStepMatchesPerCandidateFits:
             design = _shared_block(data, [SIGNAL, STEP_SEPARATING], include_intercept)
             signal_fit = fit_mle(lf, data, ModelIndex((SIGNAL,), include_intercept))
             start = np.append(signal_fit.beta, 0.0)
-            assert getattr(_newton(data.y, design, lf, start, FitOptions()), flag), link
+            assert getattr(_newton(data.y, design, lf, start), flag), link
 
     @pytest.mark.parametrize("link", ["logit", "cloglog", "identity"])
     def test_one_lane_blocks(self, monkeypatch, link):
@@ -395,10 +392,10 @@ class TestForwardSelect:
         order = np.lexsort((np.arange(8), -lls))
         real = select_module._newton
 
-        def rejects_the_winner(y, X, lf, beta0, opts):
+        def rejects_the_winner(y, X, lf, beta0):
             if np.array_equal(X[:, -1], data.X[:, order[0]]):
                 raise RankDeficient("synthetic")
-            return real(y, X, lf, beta0, opts)
+            return real(y, X, lf, beta0)
 
         monkeypatch.setattr(select_module, "_newton", rejects_the_winner)
         path = forward_select(LF, data, range(8), gammas=[0.0], max_steps=1)
@@ -463,18 +460,6 @@ class TestSelectPipeline:
         cfg = SelectConfig(gammas=(0.0,), k_multiplier=1.0)
         report2 = select_pipeline(LF, data, cfg, true_support_size=2)
         assert len(report2.path.features) <= 2
-
-    def test_config_json_roundtrip(self):
-        cfg = SelectConfig(gammas=("gamma3", 0.2), max_steps=7, screen_keep=50)
-        d = cfg.to_json_dict()
-        back = SelectConfig.from_json_dict(d)
-        assert back.gammas == ("gamma3", 0.2)
-        assert back.max_steps == 7 and back.screen_keep == 50
-        with pytest.raises(InvalidArgs):
-            SelectConfig.from_json_dict({"bogus": 1})
-        # the per-gamma path option is gone; an old config carrying it is refused
-        with pytest.raises(InvalidArgs):
-            SelectConfig.from_json_dict({"pathPerGamma": False})
 
 
 def test_sure_screening_keeps_true_support():
