@@ -9,6 +9,11 @@ H0 vanishes identically under canonical links; under non-canonical links it
 can make H1 - H0 indefinite, in which case the Newton step falls back to
 Fisher scoring on H1.
 
+One kernel, ``_newton_lanes``, runs this iteration for a stack of designs
+[A, x_j] that share every column but the last, and gives every reported
+fit: ``fit_mle`` is its one-lane case, and the screen and each forward step
+in ``select`` fit all their candidates with one call.
+
 Every fit stops by the same fixed rules: converged once the gradient's
 max-norm is below ``TOL`` = 1e-8; at most ``MAX_ITER`` = 100 iterations and
 ``MAX_HALVINGS`` = 30 step halvings per iteration; and a step that would
@@ -18,10 +23,10 @@ iterate, flagged ``quasi_separated``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dpotrf
+from scipy.linalg.lapack import dpotrf
 
 from .errors import DataError, InvalidArgs, RankDeficient
 from .links import Family, LinkFamily, column_sums
@@ -86,7 +91,8 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports write
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 header = fh.readline().strip()
             except UnicodeDecodeError as exc:
@@ -146,6 +152,45 @@ class FitResult:
     quasi_separated: bool = False
     eta_clamped: bool = False
     loglik_path: tuple = ()
+
+
+@dataclass
+class LaneFits:
+    """``_newton_lanes``' results, one column (last axis) per lane.
+
+    Every field named as in ``FitResult`` means what it means there, for
+    each lane; ``rank_deficient`` marks the lanes that failed the rank test,
+    and lane j's log-likelihood path is ``loglik_path[:path_len[j], j]``.
+    """
+
+    beta: np.ndarray  # k x C, laid out as [A, x_j]
+    log_lik: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    grad_norm: np.ndarray
+    used_fisher_fallback: np.ndarray
+    quasi_separated: np.ndarray
+    eta_clamped: np.ndarray
+    rank_deficient: np.ndarray
+    loglik_path: np.ndarray  # rows x C, NaN beyond each lane's path
+    path_len: np.ndarray
+
+    def fit(self, j: int) -> FitResult:
+        """Lane j as a ``FitResult``; raises RankDeficient where it failed
+        the rank test."""
+        if self.rank_deficient[j]:
+            raise RankDeficient("design matrix is rank deficient for this model")
+        return FitResult(
+            beta=self.beta[:, j].copy(),
+            log_lik=float(self.log_lik[j]),
+            converged=bool(self.converged[j]),
+            iterations=int(self.iterations[j]),
+            grad_norm=float(self.grad_norm[j]),
+            used_fisher_fallback=bool(self.used_fisher_fallback[j]),
+            quasi_separated=bool(self.quasi_separated[j]),
+            eta_clamped=bool(self.eta_clamped[j]),
+            loglik_path=tuple(self.loglik_path[: self.path_len[j], j].tolist()),
+        )
 
 
 @dataclass
@@ -213,145 +258,6 @@ def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> Hes
     return HessianParts(h1=h1, h0=h0)
 
 
-def _chol_solve(A: np.ndarray, g: np.ndarray):
-    """Solve A d = g by Cholesky (LAPACK posv); None unless A is
-    numerically SPD with a finite solution."""
-    if not np.isfinite(A).all():
-        return None
-    _c, d, info = dposv(A, g, lower=1)
-    if info != 0 or not np.isfinite(d).all():
-        return None
-    return d
-
-
-def _assert_full_rank(h1: np.ndarray) -> None:
-    """Raise RankDeficient unless the weighted Gram h1 is numerically
-    full rank. A Cholesky pivot can round to +eps on an exactly singular
-    matrix, so the factorization alone is not a reliable test; each squared
-    pivot is compared against its own diagonal entry instead."""
-    if not np.isfinite(h1).all():
-        raise RankDeficient("non-finite weighted Gram matrix")
-    c, info = dpotrf(h1, lower=1)
-    if info != 0:
-        raise RankDeficient("design matrix is rank deficient for this model")
-    # pivot_i^2 / h1_ii is the weighted 1 - R^2 of column i against its
-    # predecessors, so the test is invariant to column scaling
-    piv2 = np.diag(c) ** 2
-    if np.any(piv2 <= 1e-10 * np.diag(h1)):
-        raise RankDeficient("design matrix is rank deficient for this model")
-
-
-def _newton(y, X, lf, beta0):
-    """Damped Newton ascent with Fisher-scoring fallback and a beta-norm cap."""
-    bounded_eta = lf.eta_domain != (-np.inf, np.inf)
-    k = X.shape[1]
-
-    def loglik(eta_arr):
-        return lf.log_lik(lf.clip_eta(eta_arr) if bounded_eta else eta_arr, y)
-
-    beta = np.array(beta0, dtype=float)
-    eta = X @ beta
-    if k == 0:
-        # empty design (no intercept, no covariates): eta is identically zero
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ll = loglik(eta)
-        return FitResult(
-            beta=beta,
-            log_lik=ll,
-            converged=True,
-            iterations=0,
-            grad_norm=0.0,
-            used_fisher_fallback=False,
-            loglik_path=(ll,),
-        )
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ll = loglik(eta)
-        trace = [ll]
-        converged = False
-        fallback = False
-        separated = False
-        clamped = False
-        gnorm = np.inf
-        flat_steps = 0
-        it = 0
-        while it < MAX_ITER:
-            it += 1
-            eta_c = lf.clip_eta(eta) if bounded_eta else eta
-            if bounded_eta and not clamped:
-                clamped = bool(np.any(eta_c != eta))
-            mu, sigma2, hp, hpp = lf.newton_terms(eta_c)
-            resid = y - mu
-            grad = X.T @ (resid * hp)
-            gnorm = float(np.abs(grad).max()) if k else 0.0
-            h1 = None
-            if it == 1:
-                h1 = X.T @ (X * (sigma2 * hp * hp)[:, None])
-                _assert_full_rank(h1)
-            if not np.isfinite(gnorm):
-                gnorm = np.inf
-                break
-            if gnorm < TOL:
-                converged = True
-                break
-            if h1 is None:
-                h1 = X.T @ (X * (sigma2 * hp * hp)[:, None])
-            if hpp is None:
-                h = h1
-            else:
-                h = h1 - X.T @ (X * (resid * hpp)[:, None])
-            d = _chol_solve(h, grad)
-            if d is None and h is not h1:
-                d = _chol_solve(h1, grad)
-                if d is not None:
-                    fallback = True
-            if d is None:
-                jitter = 1e-10 * float(np.trace(h1)) / k
-                d = _chol_solve(h1 + jitter * np.eye(k), grad)
-                if d is None:
-                    break
-                fallback = True
-            dx = X @ d
-            step = 1.0
-            accepted = False
-            for _ in range(MAX_HALVINGS + 1):
-                eta_t = eta + step * dx
-                ll_t = loglik(eta_t)
-                # equality is allowed so Newton can polish the gradient once
-                # improvements drop below float resolution of the loglik
-                if np.isfinite(ll_t) and ll_t >= ll:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            if ll_t == ll:
-                flat_steps += 1
-                if flat_steps > 2:
-                    break
-            else:
-                flat_steps = 0
-            beta_t = beta + step * d
-            if float(np.abs(beta_t).max()) > BETA_CAP:
-                separated = True
-                break
-            beta = beta_t
-            eta = eta_t
-            ll = ll_t
-            trace.append(ll)
-
-    return FitResult(
-        beta=beta,
-        log_lik=ll,
-        converged=converged,
-        iterations=it,
-        grad_norm=gnorm,
-        used_fisher_fallback=fallback,
-        quasi_separated=separated,
-        eta_clamped=clamped,
-        loglik_path=tuple(trace),
-    )
-
-
 #: most doubles in one working array of ``_newton_lanes`` (an n x C block of
 #: linear predictors or a C x k x k stack of Hessians); it sets how many
 #: candidate designs one block fits together. The block size trades the
@@ -380,7 +286,12 @@ def _lane_cholesky(h):
 
 
 def _lane_rank_deficient(h1):
-    """Per-lane form of ``_assert_full_rank``: True where it would raise."""
+    """True for each lane of a P x k x k stack of weighted Grams that is not
+    numerically full rank. A Cholesky pivot can round to +eps on an exactly
+    singular matrix, so beyond a finite matrix and a successful
+    factorization each squared pivot must exceed 1e-10 of its diagonal
+    entry: pivot_i^2 / h1_ii is the weighted 1 - R^2 of column i against
+    its predecessors, so the test is invariant to column scaling."""
     finite = np.isfinite(h1).all(axis=(1, 2))
     c, ok = _lane_cholesky(_with_identity(h1, finite))
     piv2 = np.diagonal(c, axis1=1, axis2=2) ** 2
@@ -389,10 +300,10 @@ def _lane_rank_deficient(h1):
 
 
 def _lane_chol_solve(h, g):
-    """Per-lane form of ``_chol_solve`` for a P x k x k stack and a k x P
+    """Solve h d = g lane by lane for a P x k x k stack and a k x P
     right-hand side: (d as k x P, mask of lanes where h is finite and
-    numerically SPD and d finite). SPD is LAPACK's potrf test, as there;
-    the system itself is solved by one stacked LU solve."""
+    numerically SPD, by LAPACK's potrf test, and d finite). The systems
+    themselves are solved by one stacked LU solve."""
     ok = np.isfinite(h).all(axis=(1, 2))
     ok &= _lane_cholesky(_with_identity(h, ok))[1]
     d = np.linalg.solve(_with_identity(h, ok), g.T[:, :, None])[:, :, 0].T
@@ -422,11 +333,14 @@ def _lanes(a, idx):
 
 
 def _lane_direction(lf, yc, A, Z, iu, x, eta, first):
-    """Each lane's Newton direction at an in-domain eta, as ``_newton``
-    computes it: (d as k x P, mask of lanes with a step to try, mask of
-    lanes failing the rank test, which is run when ``first``). Lanes whose
-    gradient is non-finite or below ``TOL`` get no step. The n x P
-    intermediates die on return."""
+    """Each lane's ascent direction at an in-domain eta: the Newton step on
+    H1 - H0, else Fisher scoring on H1, else on H1 plus a jitter of 1e-10
+    times its mean diagonal. Returns (d as k x P, mask of lanes with a step
+    to try, mask of those whose step came from a Fisher fallback, the
+    gradient max-norm, inf where non-finite, and the mask of lanes failing
+    the rank test, which is run when ``first``). Lanes whose gradient is
+    non-finite or below ``TOL`` get no step. The n x P intermediates die on
+    return."""
     m = A.shape[1]
     k = m + 1
     lanes = x.shape[1]
@@ -437,12 +351,14 @@ def _lane_direction(lf, yc, A, Z, iu, x, eta, first):
     grad[:m] = A.T @ r
     grad[m] = column_sums(x * r)
     gnorm = np.abs(grad).max(axis=0)
-    stop = ~np.isfinite(gnorm) | (gnorm < TOL)
+    gnorm[~np.isfinite(gnorm)] = np.inf
+    stop = np.isinf(gnorm) | (gnorm < TOL)
     w1 = sigma2 * hp * hp
     w = w1 if hpp is None else w1 - resid * hpp
     rank_deficient = np.zeros(lanes, dtype=bool)
     if first:
-        # eta, and so the weights, are still shared by all lanes
+        # the rank test needs every lane's H1; while eta is still shared,
+        # so are the weights
         h1_all = _lane_gram(A, Z, iu, x, w1)
         rank_deficient = _lane_rank_deficient(h1_all)
         stop |= rank_deficient
@@ -461,6 +377,7 @@ def _lane_direction(lf, yc, A, Z, iu, x, eta, first):
     ok = np.zeros(lanes, dtype=bool)
     if go.size:
         d[:, go], ok[go] = _lane_chol_solve(h, grad[:, go])
+    direct = ok.copy()
     bad = go[~ok[go]]
     if bad.size and hpp is not None:
         d[:, bad], ok[bad] = _lane_chol_solve(h1_of(bad), grad[:, bad])
@@ -470,12 +387,12 @@ def _lane_direction(lf, yc, A, Z, iu, x, eta, first):
         jitter = 1e-10 * np.trace(h1, axis1=1, axis2=2) / k
         h1 = h1 + jitter[:, None, None] * np.eye(k)
         d[:, bad], ok[bad] = _lane_chol_solve(h1, grad[:, bad])
-    return d, ok, rank_deficient
+    return d, ok, ok & ~direct, gnorm, rank_deficient
 
 
 def _newton_block(y, A, Z, iu, x, lf, start):
-    """``_newton`` on the designs [A, x_j] for the columns of x; see
-    ``_newton_lanes``."""
+    """``_newton_lanes`` for one block: the designs [A, x_j] for the
+    columns of x."""
     n, width = x.shape
     k = A.shape[1] + 1
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
@@ -484,28 +401,47 @@ def _newton_block(y, A, Z, iu, x, lf, start):
     def clip(eta_arr):
         return lf.clip_eta(eta_arr) if bounded_eta else eta_arr
 
-    beta_out = np.empty((k, width))
-    ll_out = np.empty(width)
-    rank_deficient = np.zeros(width, dtype=bool)
+    def flags():
+        return np.zeros(width, dtype=bool)
+
+    out = LaneFits(
+        beta=np.empty((k, width)), log_lik=np.empty(width), converged=flags(),
+        iterations=np.zeros(width, dtype=int), grad_norm=np.full(width, np.inf),
+        used_fisher_fallback=flags(), quasi_separated=flags(), eta_clamped=flags(),
+        rank_deficient=flags(), loglik_path=None, path_len=np.ones(width, dtype=int),
+    )
     lanes = np.arange(width)  # block position of each iterating lane
-    beta = np.repeat(np.append(start, 0.0)[:, None], width, axis=1)
+    beta = np.repeat(start[:, None], width, axis=1)
     flat_steps = np.zeros(width, dtype=int)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # all lanes start at the same eta, so it stays n x 1 (and the first
-        # iteration's weights are shared) until the first step
-        eta = (A @ start)[:, None]
-        ll = np.repeat(lf.log_lik(clip(eta), y), width)
+        # when the lanes start with their own coefficient at 0 they all share
+        # one eta, so it stays n x 1 (and the first iteration's weights are
+        # shared) until the first step
+        eta = (A @ start[:-1])[:, None]
+        if start[-1]:
+            eta = eta + start[-1] * x
+        ll = np.broadcast_to(lf.log_lik(clip(eta), y), width).copy()
+        path = [ll.copy()]
         it = 0
         while lanes.size and it < MAX_ITER:
             it += 1
-            d, ok, rd = _lane_direction(lf, yc, A, Z, iu, x, clip(eta), it == 1)
-            rank_deficient[lanes[rd]] = True
+            eta_c = clip(eta)
+            if bounded_eta:
+                out.eta_clamped[lanes] |= (eta_c != eta).any(axis=0)
+            d, ok, fell_back, gnorm, rd = _lane_direction(
+                lf, yc, A, Z, iu, x, eta_c, it == 1
+            )
+            out.rank_deficient[lanes[rd]] = True
+            out.used_fisher_fallback[lanes] |= fell_back
+            out.grad_norm[lanes] = gnorm
+            out.converged[lanes] = gnorm < TOL
+            out.iterations[lanes] = it
 
             # step halving. The lanes still searching all stand at the same
             # step 2^-tried, so after two single tries (most lanes take the
             # full or the half step) the rest are tried together, as many as
             # keep the trial array within n x width; each lane takes the
-            # first step accepted, as _newton would
+            # first (longest) step accepted
             dx = A @ d[:-1] + x * d[-1]
             eta_all = np.broadcast_to(eta, dx.shape)
             step = np.ones(lanes.size)
@@ -522,6 +458,8 @@ def _newton_block(y, A, Z, iu, x, lf, start):
                          + steps[:, None] * dx.take(pending, axis=1)[:, None, :])
                 ll_trial = lf.log_lik(clip(trial.reshape(n, -1)), y)
                 ll_trial = ll_trial.reshape(count, pending.size)
+                # equality is accepted so Newton can polish the gradient
+                # once gains drop below the log-likelihood's resolution
                 good = np.isfinite(ll_trial) & (ll_trial >= ll[pending])
                 hit = good.any(axis=0)
                 first = good.argmax(axis=0)[hit]
@@ -536,36 +474,47 @@ def _newton_block(y, A, Z, iu, x, lf, start):
             flat_steps = np.where(ll_t == ll, flat_steps + 1, 0)
             beta_t = beta + step * d
             capped = np.abs(beta_t).max(axis=0) > BETA_CAP
-            move = accepted & (flat_steps <= 2) & ~capped
+            stepped = accepted & (flat_steps <= 2)
+            out.quasi_separated[lanes] = stepped & capped
+            move = stepped & ~capped
             done = ~move
-            beta_out[:, lanes[done]] = beta[:, done]
-            ll_out[lanes[done]] = ll[done]
+            out.beta[:, lanes[done]] = beta[:, done]
+            out.log_lik[lanes[done]] = ll[done]
+            row = np.full(width, np.nan)
+            row[lanes[move]] = ll_t[move]
+            path.append(row)
+            out.path_len[lanes[move]] += 1
             x, eta = x.compress(move, axis=1), eta_t.compress(move, axis=1)
             beta, ll = beta_t.compress(move, axis=1), ll_t[move]
             flat_steps, lanes = flat_steps[move], lanes[move]
-    beta_out[:, lanes] = beta
-    ll_out[lanes] = ll
-    return beta_out, ll_out, rank_deficient
+    out.beta[:, lanes] = beta
+    out.log_lik[lanes] = ll
+    out.loglik_path = np.array(path[: out.path_len.max()])
+    return out
 
 
 def _newton_lanes(y, A, X, cols, lf, start):
-    """``_newton`` on the designs [A, X[:, j]] for every j in ``cols`` at once.
+    """Damped Newton ascent on the designs [A, X[:, j]] for every j in
+    ``cols`` at once, as a ``LaneFits`` with one lane per entry of ``cols``.
 
-    The designs share the n x m block A (m may be 0) and the start: A's
-    coefficients at ``start`` and the candidate's own at 0. Each lane leaves
-    at the point where ``_newton`` stops: the rank test at iteration 1, a
-    non-finite gradient, the gradient tolerance, no solvable step after the
-    H1 and jitter fallbacks, no accepted step after the halvings, the third
-    flat step, the beta cap and ``MAX_ITER``.
+    This is the package's one fitter: ``fit_mle`` is its one-lane case, and
+    the screen and every forward step make one call each. The designs share
+    the n x m block A (m may be 0) and ``start``, which holds A's
+    coefficients and then the lane's own. Each lane iterates on its own and
+    leaves at the first of: the rank test at iteration 1 (flagged
+    ``rank_deficient``; a single fit raises there), a non-finite gradient,
+    a gradient max-norm below ``TOL`` (converged), no solvable direction
+    (see ``_lane_direction``), no step accepted after ``MAX_HALVINGS``
+    halvings, the third flat step in a row, a step that would take some
+    |beta_j| above ``BETA_CAP`` (quasi-separated, left at the last in-cap
+    iterate) and ``MAX_ITER`` iterations. eta is clamped into the link's
+    domain wherever it is evaluated.
 
     Each distinct column is fitted once, so duplicated columns get bit-equal
     results (BLAS rounds by lane position), and the distinct columns are
     fitted in blocks that keep every working array within
     ``LANE_BLOCK_CELLS`` doubles, except the n x m(m+1)/2 products of A's
-    columns that give every lane's A^T W A in one matrix product. Returns
-    the final coefficients (k x C, laid out as [A, x_j]), the
-    log-likelihoods, and the mask of lanes that failed the rank test
-    (where ``_newton`` raises).
+    columns that give every lane's A^T W A in one matrix product.
     """
     n, m = A.shape
     k = m + 1
@@ -575,22 +524,28 @@ def _newton_lanes(y, A, X, cols, lf, start):
         [seen.setdefault(X[:, j].tobytes(), i) for i, j in enumerate(cols)], dtype=int
     )
     distinct = np.flatnonzero(first == np.arange(cols.size))
-    beta = np.empty((k, cols.size))
-    log_lik = np.empty(cols.size)
-    rank_deficient = np.empty(cols.size, dtype=bool)
     iu = np.triu_indices(m)  # row by row: (0, 0), (0, 1), ..., (1, 1), ...
     Z = np.empty((n, iu[0].size))
     pos = 0
     for a in range(m):  # a block of columns at a time keeps temporaries small
         Z[:, pos:pos + m - a] = A[:, a:a + 1] * A[:, a:]
         pos += m - a
+    start = np.asarray(start, dtype=float)
     width = max(1, LANE_BLOCK_CELLS // max(n, k * k))
-    for s in range(0, distinct.size, width):
-        block = distinct[s:s + width]
-        beta[:, block], log_lik[block], rank_deficient[block] = _newton_block(
-            y, A, Z, iu, X.take(cols[block], axis=1), lf, start
-        )
-    return beta[:, first], log_lik[first], rank_deficient[first]
+    parts = [
+        _newton_block(y, A, Z, iu, X.take(cols[distinct[s:s + width]], axis=1), lf, start)
+        for s in range(0, distinct.size, width)
+    ]
+    rows = max(len(part.loglik_path) for part in parts)
+    for part in parts:
+        pad = rows - len(part.loglik_path)
+        part.loglik_path = np.pad(part.loglik_path, ((0, pad), (0, 0)),
+                                  constant_values=np.nan)
+    lane_of = np.searchsorted(distinct, first)  # each col's place among the distinct
+    return LaneFits(**{
+        f.name: np.concatenate([getattr(part, f.name) for part in parts], axis=-1)[..., lane_of]
+        for f in fields(LaneFits)
+    })
 
 
 def _initial_beta(lf: LinkFamily, y: np.ndarray, k: int, intercept: bool) -> np.ndarray:
@@ -609,15 +564,23 @@ def _initial_beta(lf: LinkFamily, y: np.ndarray, k: int, intercept: bool) -> np.
 def fit_mle(lf: LinkFamily, data: Dataset, model: ModelIndex) -> FitResult:
     """Maximize the model log-likelihood by damped Newton iteration.
 
-    Raises RankDeficient when X(model) is not of full column rank. A fit whose
-    coefficient sup-norm would exceed ``BETA_CAP`` is stopped at the last
-    in-cap iterate and flagged ``quasi_separated``. Non-convergence after
-    ``MAX_ITER`` iterations is reported through ``converged=False``, not as
-    an error.
+    The fit is ``_newton_lanes``' one-lane case: A is the design without its
+    last column, and the lane is that column. Raises RankDeficient when
+    X(model) is not of full column rank. A fit whose coefficient sup-norm
+    would exceed ``BETA_CAP`` is stopped at the last in-cap iterate and
+    flagged ``quasi_separated``. Non-convergence after ``MAX_ITER``
+    iterations is reported through ``converged=False``, not as an error.
     """
     X = _design(data, model)
-    beta0 = _initial_beta(lf, data.y, X.shape[1], model.include_intercept)
-    return _newton(data.y, X, lf, beta0)
+    k = X.shape[1]
+    beta0 = _initial_beta(lf, data.y, k, model.include_intercept)
+    if k == 0:
+        # empty design (no intercept, no covariates): eta is identically zero
+        ll = _loglik_from_eta(data.y, np.zeros(data.n), lf)
+        return FitResult(beta=beta0, log_lik=ll, converged=True, iterations=0,
+                         grad_norm=0.0, used_fisher_fallback=False, loglik_path=(ll,))
+    A = np.ascontiguousarray(X[:, :-1])
+    return _newton_lanes(data.y, A, X, [k - 1], lf, beta0).fit(0)
 
 
 @dataclass

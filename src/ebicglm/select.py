@@ -1,15 +1,16 @@
 """Marginal-estimator screening and EBIC-guided forward selection.
 
-Both stages fit their candidate models with one kernel,
-``glm._newton_lanes``: ``fit_mle``'s damped Newton iteration and stop rules,
-run at once for many designs that share every column but the last. The
-screen fits the one-covariate models [1, x_j] (or [x_j]) for all p columns;
-each forward step fits [1, selected columns, x_j] for every remaining
-candidate j. So a step costs a few Newton iterations over an n x C block of
-candidates, each with its own k x k Hessian, rather than C separate fits,
-and a lane that stalls holds up only itself. A step's winner is refitted
-alone by ``glm._newton``, so every reported fit is the one ``fit_mle``'s
-iteration gives for that model. Ties go to the lower feature index.
+Both stages fit their candidate models with the package's one fitting
+kernel, ``glm._newton_lanes``: the damped Newton iteration and stop rules of
+``fit_mle`` (its one-lane case), run at once for many designs that share
+every column but the last. The screen fits the one-covariate models
+[1, x_j] (or [x_j]) for all p columns; each forward step fits
+[1, selected columns, x_j] for every remaining candidate j. So a step costs
+a few Newton iterations over an n x C block of candidates, each with its own
+k x k Hessian, rather than C separate fits, and a lane that stalls holds up
+only itself. The step's reported fit is its winner's lane of that same call,
+so every fit the path reports comes from the one kernel. Ties go to the
+lower feature index.
 
 Every candidate model at a given step has the same size, so the step's
 argmin of EBIC is its argmax of log-likelihood for every gamma: one path is
@@ -24,16 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ebic import ebic_score, resolve_gamma
-from .errors import EmptyCandidates, InvalidArgs, PathEmpty, RankDeficient
-from .glm import (
-    Dataset,
-    FitResult,
-    ModelIndex,
-    _initial_beta,
-    _newton,
-    _newton_lanes,
-    fit_mle,
-)
+from .errors import EmptyCandidates, InvalidArgs, PathEmpty
+from .glm import Dataset, FitResult, ModelIndex, _initial_beta, _newton_lanes, fit_mle
 from .links import LinkFamily
 
 
@@ -64,12 +57,10 @@ def screen_mme(
         raise InvalidArgs(f"screen size d must be >= 1, got {d}")
     n, p = data.n, data.p
     m = 1 if include_intercept else 0  # the shared block A is [1] or empty
-    start = _initial_beta(lf, data.y, m + 1, include_intercept)[:m]
-    beta, log_lik, rank_deficient = _newton_lanes(
-        data.y, np.ones((n, m)), data.X, np.arange(p), lf, start
-    )
-    slope = beta[-1]
-    usable = ~rank_deficient & np.isfinite(log_lik) & np.isfinite(slope)
+    start = _initial_beta(lf, data.y, m + 1, include_intercept)
+    fits = _newton_lanes(data.y, np.ones((n, m)), data.X, np.arange(p), lf, start)
+    slope = fits.beta[-1]
+    usable = ~fits.rank_deficient & np.isfinite(fits.log_lik) & np.isfinite(slope)
     stats = np.where(usable, np.abs(slope), -np.inf)
     ranked = np.lexsort((np.arange(p), -stats))
     return ScreenResult(
@@ -136,11 +127,10 @@ def forward_select(
     """Grow the greedy path, fitting every remaining candidate at each step.
 
     Each step fits all remaining candidates with one ``_newton_lanes`` call
-    (blocks of lanes bounded by ``glm.LANE_BLOCK_CELLS``), takes the largest
-    log-likelihood, lowest index among equal ones, and refits that model
-    alone with ``_newton``; the refit's beta starts the next step. Should
-    the refit fail the rank test the kernel passed, the next best candidate
-    is taken.
+    (blocks of lanes bounded by ``glm.LANE_BLOCK_CELLS``) and takes the
+    largest log-likelihood, lowest index among equal ones. That lane of the
+    call is the step's reported fit, flags and log-likelihood path included,
+    and its beta starts the next step.
 
     Stops at ``max_steps``, when the model reaches n - 2 covariates, or when
     no candidate yields a usable fit (finite log-likelihood). Quasi-separated
@@ -170,30 +160,19 @@ def forward_select(
     remaining = list(cand)
     off = 1 if include_intercept else 0
     while len(steps) < max_steps and len(current) < n - 2 and remaining:
-        design = np.empty((n, len(current) + off + 1))
+        shared = np.empty((n, len(current) + off))
         if include_intercept:
-            design[:, 0] = 1.0
-        design[:, off:-1] = data.X[:, current]
-        _beta, log_lik, rank_deficient = _newton_lanes(
-            y, design[:, :-1].copy(), data.X, remaining, lf, cur_beta
-        )
-        score = np.where(rank_deficient | ~np.isfinite(log_lik), -np.inf, log_lik)
-        best_fit = None
-        while best_fit is None and score.max() > -np.inf:
-            best = int(np.argmax(score))
-            design[:, -1] = data.X[:, remaining[best]]
-            try:
-                fit = _newton(y, design, lf, np.append(cur_beta, 0.0))
-            except RankDeficient:
-                fit = None
-            if fit is not None and np.isfinite(fit.log_lik):
-                best_fit, best_feature = fit, remaining[best]
-            else:
-                score[best] = -np.inf
-        if best_fit is None:
+            shared[:, 0] = 1.0
+        shared[:, off:] = data.X[:, current]
+        fits = _newton_lanes(y, shared, data.X, remaining, lf, np.append(cur_beta, 0.0))
+        score = np.where(fits.rank_deficient | ~np.isfinite(fits.log_lik), -np.inf,
+                         fits.log_lik)
+        if score.max() == -np.inf:
             if not steps:
                 raise PathEmpty("no candidate produced a usable fit at step 1")
             break
+        best = int(np.argmax(score))
+        best_feature, best_fit = remaining[best], fits.fit(best)
         cols = current + [best_feature]
         order = np.argsort(cols, kind="stable")
         beta_sorted = np.empty_like(best_fit.beta)

@@ -1,9 +1,10 @@
 """Shared test utilities: instance generators and independent oracles."""
 
 import numpy as np
+from scipy.linalg.lapack import dposv, dpotrf
 
-from ebicglm import Dataset, ModelIndex, RankDeficient, parse_link_family
-from ebicglm.glm import _initial_beta, _newton
+from ebicglm import Dataset, FitResult, ModelIndex, RankDeficient, parse_link_family
+from ebicglm.glm import BETA_CAP, MAX_HALVINGS, MAX_ITER, TOL, _design, _initial_beta
 from ebicglm.select import ScreenResult
 
 # (link, family, eta-safe box for random instances)
@@ -111,6 +112,150 @@ def rel_err(a, b, floor=1e-8):
     return np.max(np.abs(a - b) / np.maximum(np.abs(b), floor))
 
 
+# ---------------------------------------------------------------------------
+# the oracle fitter: one design at a time, the reference for
+# glm._newton_lanes and every fit it gives
+# ---------------------------------------------------------------------------
+
+def _chol_solve(A: np.ndarray, g: np.ndarray):
+    """Solve A d = g by Cholesky (LAPACK posv); None unless A is
+    numerically SPD with a finite solution."""
+    if not np.isfinite(A).all():
+        return None
+    _c, d, info = dposv(A, g, lower=1)
+    if info != 0 or not np.isfinite(d).all():
+        return None
+    return d
+
+
+def _assert_full_rank(h1: np.ndarray) -> None:
+    """Raise RankDeficient unless the weighted Gram h1 is numerically
+    full rank. A Cholesky pivot can round to +eps on an exactly singular
+    matrix, so the factorization alone is not a reliable test; each squared
+    pivot is compared against its own diagonal entry instead."""
+    if not np.isfinite(h1).all():
+        raise RankDeficient("non-finite weighted Gram matrix")
+    c, info = dpotrf(h1, lower=1)
+    if info != 0:
+        raise RankDeficient("design matrix is rank deficient for this model")
+    # pivot_i^2 / h1_ii is the weighted 1 - R^2 of column i against its
+    # predecessors, so the test is invariant to column scaling
+    piv2 = np.diag(c) ** 2
+    if np.any(piv2 <= 1e-10 * np.diag(h1)):
+        raise RankDeficient("design matrix is rank deficient for this model")
+
+
+def _newton(y, X, lf, beta0):
+    """Damped Newton ascent with Fisher-scoring fallback and a beta-norm cap."""
+    bounded_eta = lf.eta_domain != (-np.inf, np.inf)
+    k = X.shape[1]
+
+    def loglik(eta_arr):
+        return lf.log_lik(lf.clip_eta(eta_arr) if bounded_eta else eta_arr, y)
+
+    beta = np.array(beta0, dtype=float)
+    eta = X @ beta
+    if k == 0:
+        # empty design (no intercept, no covariates): eta is identically zero
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ll = loglik(eta)
+        return FitResult(
+            beta=beta,
+            log_lik=ll,
+            converged=True,
+            iterations=0,
+            grad_norm=0.0,
+            used_fisher_fallback=False,
+            loglik_path=(ll,),
+        )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ll = loglik(eta)
+        trace = [ll]
+        converged = False
+        fallback = False
+        separated = False
+        clamped = False
+        gnorm = np.inf
+        flat_steps = 0
+        it = 0
+        while it < MAX_ITER:
+            it += 1
+            eta_c = lf.clip_eta(eta) if bounded_eta else eta
+            if bounded_eta and not clamped:
+                clamped = bool(np.any(eta_c != eta))
+            mu, sigma2, hp, hpp = lf.newton_terms(eta_c)
+            resid = y - mu
+            grad = X.T @ (resid * hp)
+            gnorm = float(np.abs(grad).max()) if k else 0.0
+            h1 = None
+            if it == 1:
+                h1 = X.T @ (X * (sigma2 * hp * hp)[:, None])
+                _assert_full_rank(h1)
+            if not np.isfinite(gnorm):
+                gnorm = np.inf
+                break
+            if gnorm < TOL:
+                converged = True
+                break
+            if h1 is None:
+                h1 = X.T @ (X * (sigma2 * hp * hp)[:, None])
+            if hpp is None:
+                h = h1
+            else:
+                h = h1 - X.T @ (X * (resid * hpp)[:, None])
+            d = _chol_solve(h, grad)
+            if d is None and h is not h1:
+                d = _chol_solve(h1, grad)
+                if d is not None:
+                    fallback = True
+            if d is None:
+                jitter = 1e-10 * float(np.trace(h1)) / k
+                d = _chol_solve(h1 + jitter * np.eye(k), grad)
+                if d is None:
+                    break
+                fallback = True
+            dx = X @ d
+            step = 1.0
+            accepted = False
+            for _ in range(MAX_HALVINGS + 1):
+                eta_t = eta + step * dx
+                ll_t = loglik(eta_t)
+                # equality is allowed so Newton can polish the gradient once
+                # improvements drop below float resolution of the loglik
+                if np.isfinite(ll_t) and ll_t >= ll:
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                break
+            if ll_t == ll:
+                flat_steps += 1
+                if flat_steps > 2:
+                    break
+            else:
+                flat_steps = 0
+            beta_t = beta + step * d
+            if float(np.abs(beta_t).max()) > BETA_CAP:
+                separated = True
+                break
+            beta = beta_t
+            eta = eta_t
+            ll = ll_t
+            trace.append(ll)
+
+    return FitResult(
+        beta=beta,
+        log_lik=ll,
+        converged=converged,
+        iterations=it,
+        grad_norm=gnorm,
+        used_fisher_fallback=fallback,
+        quasi_separated=separated,
+        eta_clamped=clamped,
+        loglik_path=tuple(trace),
+    )
+
+
 def screen_mme_reference(lf, data, d, include_intercept=True):
     """The marginal screen as one ``_newton`` fit per feature: the oracle
     for the column-batched ``screen_mme``."""
@@ -163,3 +308,45 @@ def forward_step_reference(lf, data, current, remaining, init, include_intercept
                 best_ll, best_feature, best_fit = fit.log_lik, c, fit
     return best_feature, best_fit, lls
 
+
+
+def fit_mle_reference(lf, data, model):
+    """``fit_mle`` as one ``_newton`` fit of the whole design from
+    ``_initial_beta``'s start: the oracle for its one-lane kernel call."""
+    X = _design(data, model)
+    start = _initial_beta(lf, data.y, X.shape[1], model.include_intercept)
+    return _newton(data.y, X, lf, start)
+
+
+def assert_same_fit(got, ref):
+    """A kernel fit against the oracle's fit of the same design from the
+    same start.
+
+    The flags ``quasi_separated``, ``eta_clamped`` and
+    ``used_fisher_fallback`` are equal, and the log-likelihood path is
+    nondecreasing and ends at the fit, and a converged fit's gradient
+    max-norm is below ``TOL``. The log-likelihoods agree within
+    tol = 1e-9 (1 + |ll|), and so does ``converged``, except where the
+    gradient test straddles ``TOL``: then the fit that did not converge
+    stalled in flat steps (its last three log-likelihoods equal) at the
+    other's optimum. Beta agrees within tol (1 + max |beta|) unless the fit
+    is quasi-separated: the likelihood is then flat along the separating
+    direction and the near-singular Hessian amplifies rounding in beta. A
+    fit that stalls on the eta clamp unconverged stops where rounding
+    decides, so there only the flags and the path are compared.
+    """
+    for flag in ("quasi_separated", "eta_clamped", "used_fisher_fallback"):
+        assert getattr(got, flag) == getattr(ref, flag), flag
+    assert not got.converged or got.grad_norm < TOL
+    assert got.loglik_path[-1] == got.log_lik
+    assert np.all(np.diff(got.loglik_path) >= 0.0)
+    if got.eta_clamped and not (got.converged or ref.converged):
+        return
+    tol = 1e-9 * (1 + abs(ref.log_lik))
+    assert abs(got.log_lik - ref.log_lik) <= tol
+    if not got.quasi_separated:
+        assert np.max(np.abs(got.beta - ref.beta), initial=0.0) <= tol * (
+            1 + np.max(np.abs(ref.beta), initial=0.0))
+    if got.converged != ref.converged:
+        stalled = ref if got.converged else got
+        assert stalled.loglik_path[-3:] == (stalled.log_lik,) * 3

@@ -69,6 +69,18 @@ class TestExitCodes:
             assert main([command, *files, "--out", str(tmp_path / command)]) == 2
             assert "data error" in capsys.readouterr().err
 
+    def test_byte_order_mark_csv_fits(self, toy_csv, tmp_path, capsys):
+        # a UTF-8 byte-order mark, as spreadsheet exports write it, is not
+        # part of the first column's name
+        bom = tmp_path / "bom.csv"
+        with open(toy_csv, "rb") as fh:
+            bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        argv = ["--link", "logit", "--features", "2,5"]
+        assert main(["fit", "--input", str(bom), *argv]) == 0
+        with_bom = capsys.readouterr().out
+        assert main(["fit", "--input", toy_csv, *argv]) == 0
+        assert with_bom == capsys.readouterr().out
+
 
 class TestFit:
     def test_prints_coefficients_and_ebic(self, toy_csv, capsys):

@@ -20,7 +20,16 @@ from ebicglm import (
     parse_link_family,
     score,
 )
-from helpers import ALL_PAIRS, fd_gradient, fd_jacobian, irls_logit, random_instance, rel_err
+from helpers import (
+    ALL_PAIRS,
+    assert_same_fit,
+    fd_gradient,
+    fd_jacobian,
+    fit_mle_reference,
+    irls_logit,
+    random_instance,
+    rel_err,
+)
 
 E = math.e
 
@@ -255,6 +264,103 @@ def test_quasi_separation_is_capped_and_flagged():
     assert np.isfinite(fit.log_lik)
     # near-saturated likelihood; the few near-boundary points keep it below 0
     assert fit.log_lik > -1.0
+
+
+# ---------------------------------------------------------------------------
+# fit_mle, a one-lane kernel call, against the _newton oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_outcome(lf, data, model):
+    """(fit_mle's fit, the oracle's fit), or (None, None) where both raise
+    RankDeficient; a one-sided raise fails."""
+    try:
+        ref = fit_mle_reference(lf, data, model)
+    except RankDeficient:
+        with pytest.raises(RankDeficient):
+            fit_mle(lf, data, model)
+        return None, None
+    return fit_mle(lf, data, model), ref
+
+
+@pytest.mark.parametrize("include_intercept", [True, False])
+@pytest.mark.parametrize("link,family", ALL_PAIRS)
+def test_fit_mle_matches_oracle(link, family, include_intercept):
+    # the null model (intercept-only, or empty without an intercept), one
+    # covariate and three, on five draws
+    for seed in range(5):
+        lf, data, _, _ = random_instance(link, family, n=50, size=3, seed=seed)
+        for indices in ((), (0,), (0, 1, 2)):
+            got, ref = _oracle_outcome(lf, data, ModelIndex(indices, include_intercept))
+            assert_same_fit(got, ref)
+
+
+def test_intercept_only_and_empty_models():
+    lf, data, _, _ = random_instance("cloglog", "bernoulli", n=50, seed=3)
+    null = fit_mle(lf, data, ModelIndex(()))
+    ybar = float(np.mean(data.y))
+    # the path starts at the intercept g(ybar)
+    assert null.loglik_path[0] == pytest.approx(
+        log_likelihood(lf, data, ModelIndex(()), [float(lf.link.g(ybar))]), rel=1e-12)
+    assert null.converged and null.beta.shape == (1,)
+    empty = fit_mle(lf, data, ModelIndex((), include_intercept=False))
+    assert empty.beta.shape == (0,) and empty.iterations == 0 and empty.converged
+    assert empty.loglik_path == (empty.log_lik,)
+    assert empty.log_lik == pytest.approx(
+        log_likelihood(lf, data, ModelIndex((), False), []), rel=1e-12)
+
+
+@pytest.mark.parametrize("include_intercept", [True, False])
+@pytest.mark.parametrize("link", ["logit", "probit", "cauchit", "cloglog"])
+def test_separated_fit_matches_oracle_at_the_cap(link, include_intercept):
+    lf = parse_link_family(link)
+    x = np.linspace(-2, 2, 40)
+    data = Dataset((x > 0).astype(float), x[:, None])
+    got, ref = _oracle_outcome(lf, data, ModelIndex((0,), include_intercept))
+    assert ref.quasi_separated
+    assert_same_fit(got, ref)
+
+
+@pytest.mark.parametrize("include_intercept", [True, False])
+@pytest.mark.parametrize("link", ["identity", "arcsin"])
+def test_clamped_fit_matches_oracle(link, include_intercept):
+    # a column split by the response drives the fitted means onto 0 and 1
+    lf = parse_link_family(link)
+    rng = np.random.default_rng(0)
+    y = (rng.random(40) < 0.5).astype(float)
+    X = np.column_stack([np.where(y > 0, 0.3, -0.3), rng.uniform(0.02, 0.08, 40)])
+    got, ref = _oracle_outcome(lf, Dataset(y, X), ModelIndex((0,), include_intercept))
+    assert ref.eta_clamped
+    assert_same_fit(got, ref)
+
+
+def test_fisher_fallback_matches_oracle():
+    # three flipped labels far out on the cauchit tails make H1 - H0
+    # indefinite on the way
+    lf = parse_link_family("cauchit")
+    rng = np.random.default_rng(5)
+    X = 3.0 * rng.standard_normal((30, 2))
+    y = (X[:, 0] > 0).astype(float)
+    flip = rng.choice(30, 3, replace=False)
+    y[flip] = 1.0 - y[flip]
+    got, ref = _oracle_outcome(lf, Dataset(y, X), ModelIndex((0, 1)))
+    assert ref.used_fisher_fallback and ref.converged
+    assert_same_fit(got, ref)
+
+
+@pytest.mark.parametrize("include_intercept", [True, False])
+def test_rank_deficient_matches_oracle(include_intercept):
+    lf = parse_link_family("cloglog")
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(30)
+    X = np.column_stack([x, x, np.zeros(30), np.full(30, 0.5), rng.standard_normal(30)])
+    data = Dataset((rng.random(30) < 0.5).astype(float), X)
+    # a duplicate, a zero column and (with the intercept) a constant
+    for indices in ((0, 1), (2, 4), (3, 4)):
+        got, ref = _oracle_outcome(lf, data, ModelIndex(indices, include_intercept))
+        if indices == (3, 4) and not include_intercept:
+            assert_same_fit(got, ref)
+        else:
+            assert got is None
 
 
 def test_model_too_large_rejected():

@@ -1,15 +1,22 @@
 """Screening and forward selection against brute-force oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from helpers import ALL_PAIRS, forward_step_reference, screen_mme_reference
+from helpers import (
+    ALL_PAIRS,
+    _newton,
+    assert_same_fit,
+    forward_step_reference,
+    screen_mme_reference,
+)
 
 from ebicglm import (
     Dataset,
     EmptyCandidates,
     ModelIndex,
     PathEmpty,
-    RankDeficient,
     SelectConfig,
     ebic_score,
     fit_mle,
@@ -19,8 +26,7 @@ from ebicglm import (
     select_pipeline,
 )
 from ebicglm import glm
-from ebicglm import select as select_module
-from ebicglm.glm import LANE_BLOCK_CELLS, _initial_beta, _newton, _newton_lanes
+from ebicglm.glm import LANE_BLOCK_CELLS, _initial_beta, _newton_lanes
 
 
 def _logit_data(n=80, p=8, strong=(0, 3), seed=0, coef=1.5):
@@ -216,36 +222,33 @@ def _shared_block(data, current, include_intercept):
 
 
 def _check_path_against_oracle(lf, data, path, include_intercept, max_steps):
-    """Follow the batched path step by step: at each step the per-candidate
-    loop skips the same candidates, its best log-likelihood ties the batched
-    pick up to float noise, and where both pick the same feature the fits
-    are bit-identical; the path ends where the loop finds nothing usable."""
+    """Follow the batched path step by step, each from the path's own start:
+    the per-candidate loop skips the same candidates, its best
+    log-likelihood ties the batched pick up to float noise, and the step's
+    reported fit agrees with the oracle's fit of the picked model; the path
+    ends where the loop finds nothing usable."""
     off = 1 if include_intercept else 0
     init = path.null_fit.beta
     current, remaining = [], list(range(data.p))
     for step in path.steps:
-        feature, fit, lls = forward_step_reference(
+        start = np.append(init, 0.0)
+        _feature, _fit, lls = forward_step_reference(
             lf, data, current, remaining, init, include_intercept
         )
-        _beta, ll, rank_deficient = _newton_lanes(
-            data.y, _shared_block(data, current, include_intercept), data.X,
-            remaining, lf, init,
-        )
-        skipped = rank_deficient | ~np.isfinite(ll)
+        fits = _newton_lanes(data.y, _shared_block(data, current, include_intercept),
+                             data.X, remaining, lf, start)
+        skipped = fits.rank_deficient | ~np.isfinite(fits.log_lik)
         assert np.array_equal(skipped, np.isneginf(lls))
         best = lls.max()
         assert lls[remaining.index(step.feature)] >= best - 1e-9 * (1 + abs(best))
-        if feature == step.feature:
-            order = np.argsort(current + [feature], kind="stable")
-            beta = np.concatenate([fit.beta[:off], fit.beta[off:][order]])
-            assert step.fit.log_lik == fit.log_lik
-            assert np.array_equal(step.fit.beta, beta)
         current.append(step.feature)
         remaining.remove(step.feature)
-        init = fit.beta if feature == step.feature else _newton(
-            data.y, _shared_block(data, current, include_intercept), lf,
-            np.append(init, 0.0),
-        ).beta
+        # the step's beta back in selection order: the oracle's layout and
+        # the next step's start
+        init = step.fit.beta.copy()
+        init[off:][np.argsort(current, kind="stable")] = step.fit.beta[off:]
+        ref = _newton(data.y, _shared_block(data, current, include_intercept), lf, start)
+        assert_same_fit(replace(step.fit, beta=init), ref)
     if len(path.steps) < max_steps and remaining and len(current) < data.n - 2:
         assert forward_step_reference(
             lf, data, current, remaining, init, include_intercept
@@ -264,16 +267,17 @@ class TestForwardStepMatchesPerCandidateFits:
         _check_path_against_oracle(lf, data, path, include_intercept, 4)
         # the copies of the signal: one fit, bit-equal results, the lowest
         # index wins, and a selected copy makes the others rank deficient
-        start = path.null_fit.beta
-        beta, ll, _ = _newton_lanes(data.y, _shared_block(data, [], include_intercept),
-                                    data.X, COPIES, lf, start)
-        assert np.all(ll == ll[0]) and np.all(beta == beta[:, :1])
+        start = np.append(path.null_fit.beta, 0.0)
+        copies = _newton_lanes(data.y, _shared_block(data, [], include_intercept),
+                               data.X, COPIES, lf, start)
+        assert np.all(copies.log_lik == copies.log_lik[0])
+        assert np.all(copies.beta == copies.beta[:, :1])
         assert not set(COPIES[1:]) & set(path.features)
-        _b, _ll, rank_deficient = _newton_lanes(
+        collinear = _newton_lanes(
             data.y, _shared_block(data, [SIGNAL], include_intercept), data.X,
             COPIES[1:], lf, np.append(start, 0.0),
         )
-        assert rank_deficient.all()
+        assert collinear.rank_deficient.all()
 
     @pytest.mark.parametrize("include_intercept", [True, False])
     def test_data_reaches_the_cap_and_the_clamp(self, include_intercept):
@@ -298,8 +302,9 @@ class TestForwardStepMatchesPerCandidateFits:
         narrow = forward_select(lf, data, range(data.p), [0.0], 4)
         _check_path_against_oracle(lf, data, narrow, True, 4)
         assert narrow.features == wide.features
+        # BLAS rounds by lane position, so the block width moves last bits
         for a, b in zip(narrow.steps, wide.steps):
-            assert a.fit.log_lik == b.fit.log_lik
+            assert abs(a.fit.log_lik - b.fit.log_lik) <= 1e-9 * (1 + abs(b.fit.log_lik))
 
 
 # ---------------------------------------------------------------------------
@@ -382,25 +387,6 @@ class TestForwardSelect:
         X = np.ones((40, 2))
         with pytest.raises(PathEmpty):
             forward_select(LF, Dataset(y, X), [0, 1], gammas=[0.0], max_steps=2)
-
-    def test_refit_rejected_by_newton_takes_next_best(self, monkeypatch):
-        # the kernel's rank test and _newton's can disagree at the margin;
-        # the step then takes the next best candidate
-        data = _logit_data(n=90, p=8, seed=7)
-        null_beta = fit_mle(LF, data, ModelIndex(())).beta
-        _f, _fit, lls = forward_step_reference(LF, data, [], list(range(8)), null_beta)
-        order = np.lexsort((np.arange(8), -lls))
-        real = select_module._newton
-
-        def rejects_the_winner(y, X, lf, beta0):
-            if np.array_equal(X[:, -1], data.X[:, order[0]]):
-                raise RankDeficient("synthetic")
-            return real(y, X, lf, beta0)
-
-        monkeypatch.setattr(select_module, "_newton", rejects_the_winner)
-        path = forward_select(LF, data, range(8), gammas=[0.0], max_steps=1)
-        assert path.features == (order[1],)
-        assert path.steps[0].fit.log_lik == lls[order[1]]
 
     def test_sorted_beta_layout(self):
         data = _logit_data(n=90, p=6, strong=(4, 1), seed=14, coef=2.0)
