@@ -8,8 +8,8 @@ bit for bit via ``--config manifest.json`` (single- or multi-threaded).
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -70,6 +70,16 @@ def _threads(args) -> int:
 _RUN_ONLY_KEYS = ("command", "out", "config", "threads")
 
 
+def _param_actions(command_parser: argparse.ArgumentParser) -> dict:
+    """The command's parameters, dest -> action: every flag of its parser
+    except help and the run-only keys. They are its config keys and its
+    manifest params."""
+    return {
+        a.dest: a for a in command_parser._actions
+        if a.default is not argparse.SUPPRESS and a.dest not in _RUN_ONLY_KEYS
+    }
+
+
 def _config_scalar(action, key: str, value):
     """One config value checked and converted the way argparse treats the
     flag's text: a string for untyped flags, else the declared type applied
@@ -125,7 +135,7 @@ def _merge_config_file(args, command_parser: argparse.ArgumentParser) -> None:
     params = payload.get("params", payload) if isinstance(payload, dict) else None
     if not isinstance(params, dict):
         raise _UsageError(f"config {args.config} must hold a JSON object of parameters")
-    actions = {a.dest: a for a in command_parser._actions if a.default is not argparse.SUPPRESS}
+    actions = _param_actions(command_parser)
     for key, value in params.items():
         attr = key.replace("-", "_")
         if attr in _RUN_ONLY_KEYS:
@@ -135,69 +145,57 @@ def _merge_config_file(args, command_parser: argparse.ArgumentParser) -> None:
         setattr(args, attr, _config_value(actions[attr], key, value))
 
 
-# lowest value each numeric flag accepts, and whether the bound itself is
-# excluded; a value outside is a usage error, never clamped
+# lowest value each integer flag accepts; a value below is a usage error,
+# never clamped
 _LOWER_BOUNDS = {
-    "max_steps": (1, False),
-    "path_length": (1, False),
-    "threads": (1, False),
-    "screen_threshold": (1, False),
-    "screen_keep": (1, False),
-    "dump_data": (0, False),
-    "k_multiplier": (0, True),
+    "max_steps": 1,
+    "path_length": 1,
+    "threads": 1,
+    "screen_threshold": 1,
+    "screen_keep": 1,
+    "dump_data": 0,
 }
 
 
 def _check_ranges(args) -> None:
-    """Refuse numeric flag values (from the command line or --config) below
-    their bound; a float flag must also be finite."""
-    for dest, (low, strict) in _LOWER_BOUNDS.items():
+    """Refuse flag values (from the command line or --config) below their bound."""
+    for dest, low in _LOWER_BOUNDS.items():
         value = getattr(args, dest, None)
-        if value is None:
-            continue
-        inside = value > low if strict else value >= low
-        is_float = isinstance(value, float)
-        if not inside or (is_float and not math.isfinite(value)):
-            bound = f"{'>' if strict else '>='} {low}" + (" and finite" if is_float else "")
-            raise _UsageError(f"--{dest.replace('_', '-')} must be {bound}, got {value!r}")
+        if value is not None and value < low:
+            raise _UsageError(f"--{dest.replace('_', '-')} must be >= {low}, got {value!r}")
 
 
-def _manifest(args, command: str, fields: tuple) -> dict:
+def _manifest(args) -> dict:
+    params = _param_actions(_build_parser().commands[args.command])
     return {
         "tool": "ebicglm",
         "version": __version__,
-        "command": command,
-        "params": {f: getattr(args, f) for f in fields},
+        "command": args.command,
+        "params": {dest: getattr(args, dest) for dest in params},
     }
 
 
-def _write_out(out_dir: str, files: dict, manifest: dict | None) -> None:
-    path = Path(out_dir)
+def _write_out(args, files: dict) -> None:
+    """Write the result files and the run's manifest into ``args.out``."""
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         (path / name).write_text(content, encoding="utf-8")
-    if manifest is not None:
-        (path / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    (path / "manifest.json").write_text(
+        json.dumps(_manifest(args), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def _select_config(args) -> SelectConfig:
-    kwargs = {}
-    if getattr(args, "gamma", None):
-        kwargs["gammas"] = tuple(args.gamma)
-    if getattr(args, "max_steps", None) is not None:
-        kwargs["max_steps"] = args.max_steps
-    for attr, key in (
-        ("screen_threshold", "screen_threshold"),
-        ("screen_keep", "screen_keep"),
-        ("k_multiplier", "k_multiplier"),
-    ):
-        if getattr(args, attr, None) is not None:
-            kwargs[key] = getattr(args, attr)
-    if getattr(args, "no_intercept", False):
-        kwargs["include_intercept"] = False
-    return SelectConfig(**kwargs)
+    """select's flags as a SelectConfig; an unset flag keeps the field's default."""
+    fields = {
+        "gammas": tuple(args.gamma) if args.gamma else None,
+        "max_steps": args.max_steps,
+        "screen_threshold": args.screen_threshold,
+        "screen_keep": args.screen_keep,
+        "include_intercept": not args.no_intercept,
+    }
+    return SelectConfig(**{k: v for k, v in fields.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +242,7 @@ def _cmd_fit(args) -> int:
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
     if args.out:
-        fields = ("input", "link", "family", "features", "gamma", "no_intercept")
-        _write_out(args.out, {"fit.tsv": table}, _manifest(args, "fit", fields))
+        _write_out(args, {"fit.tsv": table})
     return 0
 
 
@@ -279,15 +276,7 @@ def _cmd_select(args) -> int:
         )
     chosen_tsv = "\n".join(chosen) + "\n"
 
-    fields = (
-        "input", "link", "family", "gamma", "max_steps", "screen_threshold",
-        "screen_keep", "k_multiplier", "no_intercept",
-    )
-    _write_out(
-        args.out,
-        {"path.tsv": path_tsv, "chosen.tsv": chosen_tsv},
-        _manifest(args, "select", fields),
-    )
+    _write_out(args, {"path.tsv": path_tsv, "chosen.tsv": chosen_tsv})
     sys.stdout.write(chosen_tsv)
     return 0
 
@@ -316,13 +305,13 @@ def _cmd_simulate(args) -> int:
         )
     if args.dump_data:
         for rid in range(min(args.reps, args.dump_data)):
-            rep = generate_replicate(design, args.seed, rid)
+            data = generate_replicate(design, args.seed, rid).dataset
             hdr = ",".join(["y"] + [f"x{j + 1}" for j in range(design.pn)])
-            body = "\n".join(
-                ",".join(_fmt(v) for v in np.concatenate(([rep.dataset.y[i]], rep.dataset.X[i])))
-                for i in range(design.n)
-            )
-            files[f"replicate_{rid}.csv"] = hdr + "\n" + body + "\n"
+            csv = io.StringIO()
+            # %.17g round-trips every double, so a dump reloads the exact data
+            np.savetxt(csv, np.column_stack([data.y, data.X]), fmt="%.17g", delimiter=",",
+                       header=hdr, comments="")
+            files[f"replicate_{rid}.csv"] = csv.getvalue()
         files["design.json"] = json.dumps(
             {
                 "setting": design.setting, "n": design.n, "pn": design.pn,
@@ -331,8 +320,7 @@ def _cmd_simulate(args) -> int:
             },
             indent=2,
         ) + "\n"
-    fields = ("setting", "n", "rho", "reps", "seed", "gamma", "dump_data")
-    _write_out(args.out, files, _manifest(args, "simulate", fields))
+    _write_out(args, files)
     sys.stdout.write(summary.to_tsv())
     return 0
 
@@ -355,8 +343,7 @@ def _cmd_cv_links(args) -> int:
     for name, value in zip(report.link_names, report.criteria):
         lines.append(f"{name}\t{_fmt(value)}\t{'*' if name == report.chosen else ''}")
     table = "\n".join(lines) + "\n"
-    fields = ("input", "links", "folds", "path_length", "seed")
-    _write_out(args.out, {"cv_links.tsv": table}, _manifest(args, "cv-links", fields))
+    _write_out(args, {"cv_links.tsv": table})
     sys.stdout.write(table)
     return 0
 
@@ -387,8 +374,7 @@ def _cmd_diagnose(args) -> int:
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
     if args.out:
-        fields = ("input", "link", "family", "beta")
-        _write_out(args.out, {"diagnostics.tsv": table}, _manifest(args, "diagnose", fields))
+        _write_out(args, {"diagnostics.tsv": table})
     return 0
 
 
@@ -427,7 +413,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--screen-threshold", type=int, default=None)
     p.add_argument("--screen-keep", type=int, default=None)
-    p.add_argument("--k-multiplier", type=float, default=None)
     p.add_argument("--no-intercept", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_select)

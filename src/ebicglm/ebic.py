@@ -88,7 +88,18 @@ def paper_final_gamma(n: int, p: int) -> float:
     return max(0.0, 1.0 - math.log(n) / (3.0 * math.log(p)))
 
 
-GAMMA_PRESETS = ("bic", "gamma1", "gamma2", "gamma3", "gamma4", "mbic", "paper-final", "boundary")
+# each preset's value for (n, p)
+_PRESET_VALUES = {
+    "bic": lambda n, p: 0.0,
+    "gamma1": lambda n, p: 0.0,
+    "gamma2": lambda n, p: gamma_grid(n, p).gamma2,
+    "gamma3": lambda n, p: gamma_grid(n, p).gamma3,
+    "gamma4": lambda n, p: 1.0,
+    "mbic": lambda n, p: 1.0,
+    "paper-final": paper_final_gamma,
+    "boundary": lambda n, p: gamma_grid(n, p).boundary,
+}
+GAMMA_PRESETS = tuple(_PRESET_VALUES)
 
 
 def resolve_gamma(spec, n: int, p: int) -> float:
@@ -99,18 +110,8 @@ def resolve_gamma(spec, n: int, p: int) -> float:
             raise InvalidArgs(f"gamma must be >= 0, got {value}")
         return value
     name = str(spec).strip().lower()
-    if name in ("bic", "gamma1"):
-        return 0.0
-    if name in ("mbic", "gamma4"):
-        return 1.0
-    if name == "gamma2":
-        return gamma_grid(n, p).gamma2
-    if name == "gamma3":
-        return gamma_grid(n, p).gamma3
-    if name == "boundary":
-        return gamma_grid(n, p).boundary
-    if name == "paper-final":
-        return paper_final_gamma(n, p)
+    if name in _PRESET_VALUES:
+        return _PRESET_VALUES[name](n, p)
     try:
         value = float(name)
     except ValueError:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,7 +256,6 @@ def cv_select_link(
     path_length: int = 10,
     folds: int = 8,
     seed: int = 0,
-    config: SelectConfig | None = None,
     threads: int | None = None,
 ) -> CvLinkReport:
     """Pick the link with the largest summed held-out log-likelihood.
@@ -274,8 +273,7 @@ def cv_select_link(
     lfs = _as_link_families(links)
     if not lfs:
         raise InvalidArgs("need at least one link")
-    base = config or SelectConfig()
-    cfg = replace(base, gammas=("paper-final",), max_steps=path_length)
+    cfg = SelectConfig(gammas=("paper-final",), max_steps=path_length)
     fold_of = _fold_assignment(data.y, folds, seed)
 
     tasks = []
@@ -333,7 +331,6 @@ def real_data_workflow(
     cv_folds: int = 8,
     cv_path_length: int = 10,
     seed: int = 0,
-    config: SelectConfig | None = None,
     threads: int | None = None,
 ) -> FinalReport:
     """Per-link forward paths, CV link choice, then the final EBIC selection.
@@ -342,8 +339,7 @@ def real_data_workflow(
     """
     data.validate_for_family(Bernoulli())
     lfs = _as_link_families(links)
-    base = config or SelectConfig()
-    cfg = replace(base, gammas=("paper-final",), max_steps=path_steps)
+    cfg = SelectConfig(gammas=("paper-final",), max_steps=path_steps)
 
     rankings = {}
     finals = []
@@ -368,7 +364,6 @@ def real_data_workflow(
         path_length=cv_path_length,
         folds=cv_folds,
         seed=seed,
-        config=base,
         threads=threads,
     )
     return FinalReport(

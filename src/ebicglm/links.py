@@ -54,10 +54,6 @@ class Family:
         """Variance function sigma^2(theta)."""
         raise NotImplementedError
 
-    def theta_from_mu(self, mu):
-        """Inverse of b_prime."""
-        raise NotImplementedError
-
     def validate_y(self, y):
         """Raise DataError (with row index) if a response value is not coded
         correctly for this family. Implemented per family."""
@@ -83,9 +79,6 @@ class Bernoulli(Family):
         t = np.asarray(theta)
         return special.expit(t) * special.expit(-t)
 
-    def theta_from_mu(self, mu):
-        return special.logit(mu)
-
     def validate_y(self, y):
         bad = np.nonzero((y != 0.0) & (y != 1.0))[0]
         if bad.size:
@@ -108,9 +101,6 @@ class Poisson(Family):
 
     def b_double_prime(self, theta):
         return np.exp(theta)
-
-    def theta_from_mu(self, mu):
-        return np.log(mu)
 
     def validate_y(self, y):
         bad = np.nonzero(y < 0)[0]
@@ -145,9 +135,6 @@ class Gamma(Family):
     def b_double_prime(self, theta):
         t = np.asarray(theta, dtype=float)
         return self.shape / (t * t)
-
-    def theta_from_mu(self, mu):
-        return -self.shape / np.asarray(mu, dtype=float)
 
     def validate_y(self, y):
         bad = np.nonzero(y <= 0)[0]

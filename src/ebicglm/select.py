@@ -200,25 +200,27 @@ def forward_select(
     )
 
 
+# growth cap ceil(k * p0n) when the true support size p0n is known: the
+# selected-model size of the no-prior-penalty read-out is pinned by this cap,
+# and the reference false-discovery level it reproduces implies an effective
+# cap near 1.6 * p0n, not 3 * p0n
+GROWTH_FACTOR = 1.6
+
+
 @dataclass(frozen=True)
 class SelectConfig:
     """Configuration for the screen-then-forward-select pipeline.
 
     ``gammas`` entries may be numbers or preset names (resolved against the
-    data dimensions). ``max_steps=None`` uses min(ceil(k_multiplier * p0n),
-    50) when the true support size is known and 50 otherwise, always capped
-    at n - 2.
+    data dimensions). ``max_steps=None`` uses the fixed cap
+    min(ceil(1.6 * p0n), 50) when the true support size p0n is known (the
+    simulation batch) and 50 otherwise, always capped at n - 2.
     """
 
     gammas: tuple = ("gamma1", "gamma2", "gamma3", "gamma4")
     max_steps: int | None = None
     screen_threshold: int = 1000
     screen_keep: int = 400
-    # growth cap ceil(k * p0n): the selected-model size of the
-    # no-prior-penalty read-out is pinned by this cap, and the reference
-    # false-discovery level it reproduces implies an effective cap near
-    # 1.6 * p0n, not 3 * p0n
-    k_multiplier: float = 1.6
     include_intercept: bool = True
 
 
@@ -235,7 +237,7 @@ def _effective_max_steps(config: SelectConfig, n: int, true_support_size) -> int
     if config.max_steps is not None:
         m = int(config.max_steps)
     elif true_support_size:
-        m = min(int(math.ceil(config.k_multiplier * true_support_size)), 50)
+        m = min(int(math.ceil(GROWTH_FACTOR * true_support_size)), 50)
     else:
         m = 50
     return max(1, min(m, n - 2))

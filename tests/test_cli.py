@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebicglm import Dataset
+from ebicglm import Dataset, design_for, generate_replicate
 from ebicglm import cli as cli_module
 from ebicglm.cli import main
 from ebicglm.errors import InvalidDesign
@@ -154,6 +154,17 @@ class TestSimulate:
         assert data.p == design["pn"]
         assert data.n == 30
 
+    def test_dumped_replicates_reload_bit_for_bit(self, tmp_path):
+        out = tmp_path / "dump"
+        assert main(["simulate", "--setting", "1", "--n", "30", "--reps", "2",
+                     "--seed", "3", "--dump-data", "2", "--threads", "1",
+                     "--out", str(out)]) == 0
+        for rid in range(2):
+            dumped = Dataset.from_csv(out / f"replicate_{rid}.csv")
+            batch = generate_replicate(design_for("1", 30), 3, rid).dataset
+            assert dumped.y.tobytes() == batch.y.tobytes()
+            assert dumped.X.tobytes() == batch.X.tobytes()
+
 
 class TestCvLinks:
     def test_report_and_manifest(self, toy_csv, tmp_path, capsys):
@@ -235,12 +246,21 @@ class TestConfigValues:
     def test_typed_values_and_flag_strings_accepted(self, toy_csv, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"max_steps": "2", "gamma": ["bic", "0.5"],
-                                   "k_multiplier": 2, "no_intercept": False}))
+                                   "no_intercept": False}))
         out = tmp_path / "o"
         assert main(["select", "--input", toy_csv, "--config", str(cfg),
                      "--out", str(out)]) == 0
         params = json.loads((out / "manifest.json").read_text())["params"]
-        assert params["max_steps"] == 2 and params["k_multiplier"] == 2.0
+        assert params["max_steps"] == 2 and params["gamma"] == ["bic", "0.5"]
+
+    def test_json_integer_for_float_flag_is_recorded_as_float(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"rho": 0}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--n", "12", "--reps", "1", "--threads", "1",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert params["rho"] == 0.0 and isinstance(params["rho"], float)
 
     def test_bad_features_flag_is_usage_error(self, toy_csv):
         assert main(["fit", "--input", toy_csv, "--features", "a,b"]) == 1
@@ -255,6 +275,18 @@ class TestConfigValues:
         assert rc == 1
         assert "unknown config key 'path_per_gamma'" in capsys.readouterr().err
 
+    def test_removed_k_multiplier_is_usage_error(self, toy_csv, tmp_path, capsys):
+        # the growth cap is a constant now; neither the flag nor an old
+        # manifest's key is accepted
+        out = str(tmp_path / "o")
+        argv = ["select", "--input", toy_csv, "--out", out]
+        assert main(argv + ["--k-multiplier", "1"]) == 1
+        assert "usage error" in capsys.readouterr().err
+        cfg = tmp_path / "manifest.json"
+        cfg.write_text(json.dumps({"command": "select", "params": {"k_multiplier": 1.6}}))
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert "unknown config key 'k_multiplier'" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # numeric flags below their bound are usage errors, not clamped
@@ -265,9 +297,6 @@ _OUT_OF_RANGE = [
     ("select", "max_steps", 0),
     ("select", "screen_threshold", 0),
     ("select", "screen_keep", 0),
-    ("select", "k_multiplier", -1.0),
-    ("select", "k_multiplier", 0.0),
-    ("select", "k_multiplier", float("inf")),
     ("select", "threads", 0),
     ("cv-links", "path_length", 0),
     ("simulate", "threads", -1),
@@ -284,7 +313,7 @@ class TestFlagRanges:
         assert f"{flag} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,dest,value", [
-        c for c in _OUT_OF_RANGE if c[1] != "threads" and c[2] != float("inf")
+        c for c in _OUT_OF_RANGE if c[1] != "threads"
     ])
     def test_config_value_below_bound_is_usage_error(self, cli_inputs, capsys,
                                                      command, dest, value):
@@ -305,8 +334,7 @@ class TestFlagRanges:
 
     def test_values_at_the_bound_run(self, cli_inputs):
         _root, base = cli_inputs
-        assert main(base["select"] + ["--max-steps", "1", "--screen-keep", "1",
-                                      "--k-multiplier", "0.5"]) == 0
+        assert main(base["select"] + ["--max-steps", "1", "--screen-keep", "1"]) == 0
         assert main(base["simulate"] + ["--threads", "1", "--dump-data", "0"]) == 0
 
     @pytest.mark.parametrize("rho", ["2", "1", "-0.5", "nan"])
@@ -325,6 +353,41 @@ class TestFlagRanges:
         _root, base = cli_inputs
         assert main(base["simulate"]) == 1
         assert "usage error: block layout" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# manifests: their params are the command's config keys, and replay the run
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["fit", "select", "simulate", "cv-links", "diagnose"])
+def test_manifest_params_are_the_config_keys(cli_inputs, command):
+    root, base = cli_inputs
+    out = root / f"keys-{command}"
+    assert main(base[command] + ["--out", str(out)]) == 0
+    params = json.loads((out / "manifest.json").read_text())["params"]
+    assert sorted(params) == sorted(d for c, d in _config_keys() if c == command)
+
+
+# each replay's own flags differ from the recorded run's, so only the
+# manifest can make the outputs equal
+_REPLAY_FLAGS = {
+    "fit": ["--input", "missing.csv", "--link", "probit"],
+    "cv-links": ["--input", "missing.csv", "--threads", "1"],
+    "diagnose": ["--input", "missing.csv", "--beta", "missing.txt", "--link", "logit"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPLAY_FLAGS))
+def test_rerun_from_manifest_is_byte_identical(cli_inputs, command):
+    root, base = cli_inputs
+    first, again = root / f"replay-{command}-1", root / f"replay-{command}-2"
+    assert main(base[command] + ["--out", str(first)]) == 0
+    argv = [command, *_REPLAY_FLAGS[command], "--config", str(first / "manifest.json")]
+    assert main(argv + ["--out", str(again)]) == 0
+    names = sorted(f.name for f in first.iterdir())
+    assert names == sorted(f.name for f in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 @pytest.fixture(scope="module")

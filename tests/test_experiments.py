@@ -251,7 +251,7 @@ class TestRealDataWorkflow:
         data = Dataset(y, X)
         config = SelectConfig()
         assert data.p > config.screen_threshold
-        kwargs = dict(path_steps=3, cv_folds=3, cv_path_length=2, seed=4, config=config)
+        kwargs = dict(path_steps=3, cv_folds=3, cv_path_length=2, seed=4)
         one = real_data_workflow(data, ["logit", "cloglog"], threads=1, **kwargs)
         two = real_data_workflow(data, ["logit", "cloglog"], threads=2, **kwargs)
         for link, ranking in one.rankings.items():

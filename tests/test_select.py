@@ -442,10 +442,11 @@ class TestSelectPipeline:
         # explicit max_steps wins but is capped at n - 2
         report = select_pipeline(LF, data, SelectConfig(gammas=(0.0,), max_steps=100))
         assert len(report.path.features) <= data.n - 2
-        # k * p0n rule
-        cfg = SelectConfig(gammas=(0.0,), k_multiplier=1.0)
-        report2 = select_pipeline(LF, data, cfg, true_support_size=2)
-        assert len(report2.path.features) <= 2
+        # ceil(1.6 * p0n) rule when the true support size is known
+        cfg = SelectConfig(gammas=(0.0,))
+        for p0n, steps in ((1, 2), (2, 4)):
+            report2 = select_pipeline(LF, data, cfg, true_support_size=p0n)
+            assert len(report2.path.features) == steps
 
 
 def test_sure_screening_keeps_true_support():
