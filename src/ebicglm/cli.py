@@ -12,20 +12,14 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .ebic import ebic_score, resolve_gamma
-from .errors import (
-    DataError,
-    EbicGlmError,
-    InvalidArgs,
-    InvalidDesign,
-    InvalidRho,
-    UnsupportedPair,
-)
+from .errors import DataError, EbicGlmError, InvalidArgs
 from .glm import Dataset, ModelIndex, c6_diagnostics, fit_mle
 from .links import parse_link_family
 from .select import SelectConfig, select_pipeline
@@ -35,14 +29,10 @@ from .experiments import cv_select_link, run_simulation_batch
 THREADS_ENV = "EBICGLM_THREADS"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the contract wants 1
     def error(self, message):
-        raise _UsageError(message)
+        raise InvalidArgs(message)
 
 
 def _fmt(x) -> str:
@@ -61,7 +51,7 @@ def _threads(args) -> int:
         except ValueError:
             threads = 0
         if threads < 1:
-            raise _UsageError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
+            raise InvalidArgs(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
         return threads
     return os.cpu_count() or 1
 
@@ -85,7 +75,7 @@ def _config_scalar(action, key: str, value):
     flag's text: a string for untyped flags, else the declared type applied
     to a JSON number or string (no bools, no silently truncated floats)."""
     kind = action.type or str
-    wrong = _UsageError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
+    wrong = InvalidArgs(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
     if kind is str:
         if not isinstance(value, str):
             raise wrong
@@ -99,7 +89,7 @@ def _config_scalar(action, key: str, value):
         except (ValueError, OverflowError):
             raise wrong from None
     if action.choices is not None and value not in action.choices:
-        raise _UsageError(
+        raise InvalidArgs(
             f"config key {key!r} must be one of {list(action.choices)}, got {value!r}"
         )
     return value
@@ -110,15 +100,15 @@ def _config_value(action, key: str, value):
     if value is None:
         # null stands for an unset optional flag, as manifests write it
         if action.required or action.default is not None:
-            raise _UsageError(f"config key {key!r} cannot be null")
+            raise InvalidArgs(f"config key {key!r} cannot be null")
         return None
     if isinstance(action, argparse._StoreTrueAction):
         if not isinstance(value, bool):
-            raise _UsageError(f"config key {key!r} must be true or false, got {value!r}")
+            raise InvalidArgs(f"config key {key!r} must be true or false, got {value!r}")
         return value
     if isinstance(action, argparse._AppendAction):
         if not isinstance(value, list):
-            raise _UsageError(f"config key {key!r} must be a list, got {value!r}")
+            raise InvalidArgs(f"config key {key!r} must be a list, got {value!r}")
         return [_config_scalar(action, key, v) for v in value]
     return _config_scalar(action, key, value)
 
@@ -134,14 +124,14 @@ def _merge_config_file(args, command_parser: argparse.ArgumentParser) -> None:
         raise DataError(f"cannot read config {args.config}: {exc}") from None
     params = payload.get("params", payload) if isinstance(payload, dict) else None
     if not isinstance(params, dict):
-        raise _UsageError(f"config {args.config} must hold a JSON object of parameters")
+        raise InvalidArgs(f"config {args.config} must hold a JSON object of parameters")
     actions = _param_actions(command_parser)
     for key, value in params.items():
         attr = key.replace("-", "_")
         if attr in _RUN_ONLY_KEYS:
             continue
         if attr not in actions:
-            raise _UsageError(f"unknown config key {key!r} in {args.config}")
+            raise InvalidArgs(f"unknown config key {key!r} in {args.config}")
         setattr(args, attr, _config_value(actions[attr], key, value))
 
 
@@ -162,16 +152,25 @@ def _check_ranges(args) -> None:
     for dest, low in _LOWER_BOUNDS.items():
         value = getattr(args, dest, None)
         if value is not None and value < low:
-            raise _UsageError(f"--{dest.replace('_', '-')} must be >= {low}, got {value!r}")
+            raise InvalidArgs(f"--{dest.replace('_', '-')} must be >= {low}, got {value!r}")
+
+
+# parameters that name a file; a manifest records them as absolute paths, so
+# it replays from any working directory
+_PATH_KEYS = ("input", "beta")
 
 
 def _manifest(args) -> dict:
-    params = _param_actions(_build_parser().commands[args.command])
+    params = {dest: getattr(args, dest)
+              for dest in _param_actions(_build_parser().commands[args.command])}
+    for dest in _PATH_KEYS:
+        if params.get(dest) is not None:
+            params[dest] = os.path.abspath(params[dest])
     return {
         "tool": "ebicglm",
         "version": __version__,
         "command": args.command,
-        "params": {dest: getattr(args, dest) for dest in params},
+        "params": params,
     }
 
 
@@ -206,22 +205,28 @@ def _cmd_fit(args) -> int:
     data = Dataset.from_csv(args.input)
     lf = parse_link_family(args.link, args.family)
     data.validate_for_family(lf.family)
+    gamma = resolve_gamma(args.gamma, data.n, data.p)
     if args.features:
         try:
-            idx = tuple(int(t) - 1 for t in args.features.split(","))  # 1-based in
+            cols = [int(t) for t in args.features.split(",")]  # 1-based
         except ValueError:
-            raise _UsageError(
+            raise InvalidArgs(
                 f"--features must be comma-separated column numbers, got {args.features!r}"
             ) from None
+        for c in cols:
+            if not 1 <= c <= data.p:
+                raise InvalidArgs(f"--features column {c} is not in 1..{data.p}")
+        if len(set(cols)) < len(cols):
+            raise InvalidArgs(f"--features names a column twice: {args.features!r}")
+        idx = tuple(c - 1 for c in cols)
     else:
         if data.p > data.n - 2:
-            raise _UsageError(
+            raise InvalidArgs(
                 f"--features is required when p={data.p} exceeds n-2={data.n - 2}"
             )
         idx = tuple(range(data.p))
     model = ModelIndex(idx, include_intercept=not args.no_intercept)
     fit = fit_mle(lf, data, model)
-    gamma = resolve_gamma(args.gamma, data.n, data.p)
     sc = ebic_score(fit, model, data.n, data.p, gamma)
 
     lines = ["term\tcoefficient"]
@@ -312,12 +317,9 @@ def _cmd_simulate(args) -> int:
             np.savetxt(csv, np.column_stack([data.y, data.X]), fmt="%.17g", delimiter=",",
                        header=hdr, comments="")
             files[f"replicate_{rid}.csv"] = csv.getvalue()
+        # the design's fields in declaration order, then its support
         files["design.json"] = json.dumps(
-            {
-                "setting": design.setting, "n": design.n, "pn": design.pn,
-                "p0n": design.p0n, "rho": design.rho, "L": design.L, "q": design.q,
-                "true_support_1based": [design.L * t for t in range(1, design.p0n + 1)],
-            },
+            {**asdict(design), "true_support_1based": [j + 1 for j in design.support]},
             indent=2,
         ) + "\n"
     _write_out(args, files)
@@ -456,18 +458,13 @@ def main(argv=None) -> int:
         _merge_config_file(args, parser.commands[args.command])
         _check_ranges(args)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"ebicglm: usage error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, OSError) as exc:
+    except OSError as exc:
         print(f"ebicglm: data error: {exc}", file=sys.stderr)
         return 2
-    except (UnsupportedPair, InvalidArgs, InvalidRho, InvalidDesign) as exc:
-        print(f"ebicglm: usage error: {exc}", file=sys.stderr)
-        return 1
     except EbicGlmError as exc:
-        print(f"ebicglm: numerical failure: {exc}", file=sys.stderr)
-        return 3
+        # each error class names its own exit code and label (errors.py)
+        print(f"ebicglm: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -35,9 +35,15 @@ class ModelScore:
     gamma: float
 
 
+def _check_gamma(gamma: float) -> float:
+    """``gamma`` itself, if EBIC is defined for it: finite and >= 0."""
+    if not math.isfinite(gamma) or gamma < 0:
+        raise InvalidArgs(f"gamma must be finite and >= 0, got {gamma}")
+    return gamma
+
+
 def ebic_score(fit: FitResult, model: ModelIndex, n: int, p: int, gamma: float) -> ModelScore:
-    if gamma < 0:
-        raise InvalidArgs(f"gamma must be >= 0, got {gamma}")
+    _check_gamma(gamma)
     size_pen = model.size * math.log(n)
     prior_pen = 2.0 * gamma * log_choose(p, model.size)
     return ModelScore(
@@ -105,10 +111,7 @@ GAMMA_PRESETS = tuple(_PRESET_VALUES)
 def resolve_gamma(spec, n: int, p: int) -> float:
     """Map a CLI gamma spec (number or preset name) to a value for (n, p)."""
     if isinstance(spec, (int, float)):
-        value = float(spec)
-        if value < 0:
-            raise InvalidArgs(f"gamma must be >= 0, got {value}")
-        return value
+        return _check_gamma(float(spec))
     name = str(spec).strip().lower()
     if name in _PRESET_VALUES:
         return _PRESET_VALUES[name](n, p)
@@ -118,6 +121,4 @@ def resolve_gamma(spec, n: int, p: int) -> float:
         raise InvalidArgs(
             f"unknown gamma spec {spec!r}; use a number or one of {GAMMA_PRESETS}"
         ) from None
-    if value < 0:
-        raise InvalidArgs(f"gamma must be >= 0, got {value}")
-    return value
+    return _check_gamma(value)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,12 +122,23 @@ def _map_tasks(fn, shared, tasks, threads):
         return list(pool.map(_shared_call, [fn] * len(tasks), tasks, chunksize=1))
 
 
+# most replicates one batch runs: the pool queues every replicate up front and
+# the batch keeps each one's metrics, so memory grows with the count; this is
+# 200 times the paper's 50 replicates per cell
+MAX_REPLICATES = 10_000
+
+# the simulation's growth cap ceil(GROWTH_FACTOR * p0n): it pins the selected
+# size of the no-prior-penalty read-out, and the reference false-discovery
+# level it reproduces implies an effective cap near 1.6 * p0n, not 3 * p0n
+GROWTH_FACTOR = 1.6
+
+
 def _replicate_task(shared, rep_id):
     design, seed, config = shared
     try:
         rep = generate_replicate(design, seed, rep_id)
         lf = compose_link_family(Bernoulli(), Cloglog())
-        report = select_pipeline(lf, rep.dataset, config, true_support_size=design.p0n)
+        report = select_pipeline(lf, rep.dataset, config)
         metrics = tuple(pdr_fdr(m, rep.true_model) for m in report.final_models)
         return (rep_id, metrics, None)
     except (EbicGlmError, ArithmeticError, np.linalg.LinAlgError) as exc:
@@ -147,13 +158,18 @@ def run_simulation_batch(
     Replicate-level failures (quasi-separation errors and the like) are
     recorded and excluded from the means, never silently dropped. With a
     single successful replicate the dispersion columns are not applicable
-    and reported as NaN.
+    and reported as NaN. A config that leaves ``max_steps`` unset gets the
+    simulation's growth cap min(ceil(GROWTH_FACTOR * p0n), 50).
     """
     if replicates < 1:
         raise InvalidArgs(f"replicates must be >= 1, got {replicates}")
+    if replicates > MAX_REPLICATES:
+        raise InvalidArgs(f"replicates must be <= {MAX_REPLICATES}, got {replicates}")
     # the data-generating model carries no intercept, so replication fits
     # none either; pass an explicit config to override
     config = config or SelectConfig(include_intercept=False)
+    if config.max_steps is None:
+        config = replace(config, max_steps=min(math.ceil(GROWTH_FACTOR * design.p0n), 50))
     raw = _map_tasks(_replicate_task, (design, seed, config), range(replicates), threads)
 
     successes = [(rid, m) for rid, m, err in raw if err is None]
@@ -236,12 +252,17 @@ def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return fold_of
 
 
+def _paper_final(lf, data: Dataset, max_steps: int):
+    """The selection path at the real-data preset gamma = 1 - ln n / (3 ln p),
+    with that gamma and the model and fit it reads off the path."""
+    report = select_pipeline(lf, data, SelectConfig(gammas=("paper-final",), max_steps=max_steps))
+    path, gamma = report.path, report.gammas[0]
+    return path, gamma, path.model_for(gamma), path.fit_for(gamma)
+
+
 def _cv_fold_task(data, task):
-    lf, train_rows, test_rows, config = task
-    report = select_pipeline(lf, data.subset(train_rows), config)
-    gamma = report.gammas[0]
-    model = report.path.model_for(gamma)
-    fit = report.path.fit_for(gamma)
+    lf, train_rows, test_rows, path_length = task
+    _path, _gamma, model, fit = _paper_final(lf, data.subset(train_rows), path_length)
     # held-out folds may hold a single row, so score from raw arrays
     off = 1 if model.include_intercept else 0
     eta = np.full(test_rows.size, float(fit.beta[0]) if off else 0.0)
@@ -273,7 +294,6 @@ def cv_select_link(
     lfs = _as_link_families(links)
     if not lfs:
         raise InvalidArgs("need at least one link")
-    cfg = SelectConfig(gammas=("paper-final",), max_steps=path_length)
     fold_of = _fold_assignment(data.y, folds, seed)
 
     tasks = []
@@ -288,7 +308,7 @@ def cv_select_link(
                 raise FoldTooSmall(
                     f"training fold {f} has {train_rows.size} rows; too small to fit"
                 )
-            tasks.append((lf, train_rows, test_rows, cfg))
+            tasks.append((lf, train_rows, test_rows, path_length))
             keys.append((li, f))
 
     values = _map_tasks(_cv_fold_task, data, tasks, threads)
@@ -339,16 +359,12 @@ def real_data_workflow(
     """
     data.validate_for_family(Bernoulli())
     lfs = _as_link_families(links)
-    cfg = SelectConfig(gammas=("paper-final",), max_steps=path_steps)
 
     rankings = {}
     finals = []
     for lf in lfs:
-        report = select_pipeline(lf, data, cfg)
-        gamma = report.gammas[0]
-        rankings[lf.link.name] = report.path.features
-        model = report.path.model_for(gamma)
-        fit = report.path.fit_for(gamma)
+        path, gamma, model, fit = _paper_final(lf, data, path_steps)
+        rankings[lf.link.name] = path.features
         finals.append(
             FinalSelection(
                 link=lf.link.name,

@@ -112,29 +112,24 @@ class Poisson(Family):
 
 
 class Gamma(Family):
-    """Gamma family with fixed shape (default 1, i.e. exponential).
+    """Gamma family with shape 1 (the exponential distribution).
 
-    The natural parameter is negative: theta = -shape / mu.
+    The natural parameter is negative: theta = -1 / mu.
     """
 
     name = "gamma"
     theta_clip = (-1e12, -1e-12)
     mean_domain = (0.0, np.inf)
 
-    def __init__(self, shape: float = 1.0):
-        if shape <= 0:
-            raise DomainError(f"Gamma shape must be positive, got {shape}")
-        self.shape = float(shape)
-
     def b(self, theta):
-        return -self.shape * np.log(-np.asarray(theta, dtype=float))
+        return -np.log(-np.asarray(theta, dtype=float))
 
     def b_prime(self, theta):
-        return -self.shape / np.asarray(theta, dtype=float)
+        return -1.0 / np.asarray(theta, dtype=float)
 
     def b_double_prime(self, theta):
         t = np.asarray(theta, dtype=float)
-        return self.shape / (t * t)
+        return 1.0 / (t * t)
 
     def validate_y(self, y):
         bad = np.nonzero(y <= 0)[0]
@@ -143,9 +138,6 @@ class Gamma(Family):
             raise DataError(
                 f"Gamma response must be positive; row {i + 1} has y={y[i]!r}"
             )
-
-    def __repr__(self):
-        return f"Gamma(shape={self.shape})"
 
 
 # ---------------------------------------------------------------------------
@@ -565,18 +557,17 @@ class _GammaPowerLF(LinkFamily):
         self.h_curvature_zero = self._r == 1.0
 
     def h(self, eta):
-        return -self.family.shape * np.asarray(eta, dtype=float) ** self._r
+        return -(np.asarray(eta, dtype=float) ** self._r)
 
     def h_prime(self, eta):
         r = self._r
-        return -self.family.shape * r * np.asarray(eta, dtype=float) ** (r - 1.0)
+        return -r * np.asarray(eta, dtype=float) ** (r - 1.0)
 
     def h_double_prime(self, eta):
         r = self._r
         if self.h_curvature_zero:
             return np.zeros_like(np.asarray(eta, dtype=float))
-        sh = self.family.shape
-        return -sh * r * (r - 1.0) * np.asarray(eta, dtype=float) ** (r - 2.0)
+        return -r * (r - 1.0) * np.asarray(eta, dtype=float) ** (r - 2.0)
 
 
 _COMPOSITES = {

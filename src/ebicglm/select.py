@@ -19,7 +19,6 @@ grown, and all gammas are read off it by prefix minimization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -200,21 +199,14 @@ def forward_select(
     )
 
 
-# growth cap ceil(k * p0n) when the true support size p0n is known: the
-# selected-model size of the no-prior-penalty read-out is pinned by this cap,
-# and the reference false-discovery level it reproduces implies an effective
-# cap near 1.6 * p0n, not 3 * p0n
-GROWTH_FACTOR = 1.6
-
-
 @dataclass(frozen=True)
 class SelectConfig:
     """Configuration for the screen-then-forward-select pipeline.
 
     ``gammas`` entries may be numbers or preset names (resolved against the
-    data dimensions). ``max_steps=None`` uses the fixed cap
-    min(ceil(1.6 * p0n), 50) when the true support size p0n is known (the
-    simulation batch) and 50 otherwise, always capped at n - 2.
+    data dimensions). ``max_steps=None`` means 50; either way the path is
+    capped at n - 2. The simulation batch fills ``max_steps`` with its own
+    cap min(ceil(1.6 * p0n), 50) (``experiments.GROWTH_FACTOR``).
     """
 
     gammas: tuple = ("gamma1", "gamma2", "gamma3", "gamma4")
@@ -233,21 +225,14 @@ class SelectionReport:
     final_models: tuple  # ModelIndex per gamma
 
 
-def _effective_max_steps(config: SelectConfig, n: int, true_support_size) -> int:
-    if config.max_steps is not None:
-        m = int(config.max_steps)
-    elif true_support_size:
-        m = min(int(math.ceil(GROWTH_FACTOR * true_support_size)), 50)
-    else:
-        m = 50
-    return max(1, min(m, n - 2))
+def _effective_max_steps(config: SelectConfig, n: int) -> int:
+    return max(1, min(50 if config.max_steps is None else config.max_steps, n - 2))
 
 
 def select_pipeline(
     lf: LinkFamily,
     data: Dataset,
     config: SelectConfig | None = None,
-    true_support_size: int | None = None,
 ) -> SelectionReport:
     """Screen when p exceeds the threshold, then run forward selection."""
     config = config or SelectConfig()
@@ -257,7 +242,7 @@ def select_pipeline(
     if data.p > config.screen_threshold:
         screen = screen_mme(lf, data, config.screen_keep, config.include_intercept)
         candidates = screen.keep
-    max_steps = _effective_max_steps(config, data.n, true_support_size)
+    max_steps = _effective_max_steps(config, data.n)
 
     path = forward_select(lf, data, candidates, gammas, max_steps, config.include_intercept)
     final = tuple(path.model_for(g) for g in gammas)

@@ -20,6 +20,12 @@ from .glm import Dataset
 
 SETTINGS = ("S1", "S2", "S3")
 
+# largest design matrix n * pn a design may ask for: a replicate holds its
+# n x pn float64 matrix in memory, and each worker process holds one, so this
+# keeps that matrix within 512 MiB; the paper's largest design (n = 500,
+# pn = 1279) has 639,500 cells
+MAX_DESIGN_CELLS = 2**26
+
 
 @dataclass(frozen=True)
 class SimDesign:
@@ -49,6 +55,15 @@ class SimDesign:
                 )
         if self.L * self.p0n > self.pn:
             raise InvalidDesign("true support does not fit inside pn columns")
+        if self.n * self.pn > MAX_DESIGN_CELLS:
+            raise InvalidDesign(
+                f"n * pn = {self.n * self.pn} cells exceeds the limit of {MAX_DESIGN_CELLS}"
+            )
+
+    @property
+    def support(self) -> tuple:
+        """The true support {L*t : t = 1..p0n}, as 0-based column indices."""
+        return tuple(self.L * t - 1 for t in range(1, self.p0n + 1))
 
 
 @dataclass(frozen=True)
@@ -60,12 +75,11 @@ class TrueModel:
 
     @classmethod
     def from_design(cls, design: SimDesign) -> "TrueModel":
-        support = tuple(design.L * t - 1 for t in range(1, design.p0n + 1))
         beta = np.zeros(design.pn)
-        for t in range(1, design.p0n + 1):
-            beta[design.L * t - 1] = 1.0 if t % 2 == 1 else 1.3
+        for t, j in enumerate(design.support, start=1):
+            beta[j] = 1.0 if t % 2 == 1 else 1.3
         beta.setflags(write=False)
-        return cls(support=support, beta=beta)
+        return cls(support=design.support, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -80,6 +94,10 @@ def divergent_pattern(n: int) -> tuple:
     """(pn, p0n) = (floor(40 e^(n^0.2)), floor(5 n^0.1))."""
     if n < 2:
         raise InvalidArgs(f"n must be >= 2, got {n}")
+    if n > MAX_DESIGN_CELLS:
+        # pn >= 40, so n * pn is over the limit anyway; refused here before
+        # exp(n^0.2) can overflow
+        raise InvalidDesign(f"n = {n} exceeds the design limit of {MAX_DESIGN_CELLS} cells")
     pn = int(math.floor(40.0 * math.exp(n ** 0.2)))
     p0n = int(math.floor(5.0 * n ** 0.1))
     return pn, p0n
@@ -131,14 +149,13 @@ def _blocks_s12(design: SimDesign, rng: np.random.Generator) -> np.ndarray:
 
 
 def _blocks_s3(design: SimDesign, rng: np.random.Generator) -> np.ndarray:
-    n, pn, q, p0n, L = design.n, design.pn, design.q, design.p0n, design.L
+    n, pn, q, p0n = design.n, design.pn, design.q, design.p0n
     if 25 - p0n < 0:
         raise InvalidDesign(f"setting 3 construction needs p0n <= 25, got {p0n}")
     X = np.empty((n, pn))
     X[:, : pn - q] = rng.standard_normal((n, pn - q))
     signs = np.array([1.0 if t % 2 == 1 else -1.0 for t in range(1, p0n + 1)])
-    support_cols = [L * t - 1 for t in range(1, p0n + 1)]
-    common = X[:, support_cols] @ signs
+    common = X[:, list(design.support)] @ signs
     xi = rng.standard_normal((n, q))
     X[:, pn - q :] = (common[:, None] + math.sqrt(25.0 - p0n) * xi) / 5.0
     return X

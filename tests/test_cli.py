@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: exit codes, files, reproducibility."""
 
 import json
+import math
+import os
 import time
 
 import numpy as np
@@ -8,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebicglm import Dataset, design_for, generate_replicate
+from ebicglm import Dataset, design_for, generate_replicate, parse_link_family, resolve_gamma
 from ebicglm import cli as cli_module
+from ebicglm import experiments
 from ebicglm.cli import main
-from ebicglm.errors import InvalidDesign
+from ebicglm.errors import EbicGlmError, InvalidDesign
 
 
 @pytest.fixture()
@@ -81,6 +84,44 @@ class TestExitCodes:
         assert main(["fit", "--input", toy_csv, *argv]) == 0
         assert with_bom == capsys.readouterr().out
 
+    @pytest.mark.parametrize("link", ["invpower:0", "invpower:-0"])
+    def test_zero_inverse_power_is_usage_error(self, cli_inputs, capsys, link):
+        _root, base = cli_inputs
+        assert main(base["fit"] + ["--link", link]) == 1
+        assert capsys.readouterr().err == (
+            "ebicglm: usage error: InversePower exponent must be nonzero\n"
+        )
+
+    def test_more_folds_than_rows_is_usage_error(self, cli_inputs, capsys):
+        _root, base = cli_inputs
+        assert main(base["cv-links"] + ["--folds", "25"]) == 1
+        assert capsys.readouterr().err == (
+            "ebicglm: usage error: cannot split n=24 rows into 25 folds\n"
+        )
+
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-1"])
+    def test_gamma_outside_ebic_domain_is_usage_error(self, cli_inputs, capsys,
+                                                      command, gamma):
+        # EBIC is defined for a finite gamma >= 0 only
+        _root, base = cli_inputs
+        assert main(base[command] + [f"--gamma={gamma}"]) == 1
+        assert capsys.readouterr().err == (
+            f"ebicglm: usage error: gamma must be finite and >= 0, got {float(gamma)}\n"
+        )
+
+    def test_simulation_size_limits_are_usage_errors(self, cli_inputs, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no replicate may start")
+
+        monkeypatch.setattr(experiments, "_map_tasks", no_pool)
+        _root, base = cli_inputs
+        limit = experiments.MAX_REPLICATES
+        assert main(base["simulate"] + ["--reps", str(limit + 1)]) == 1
+        assert f"replicates must be <= {limit}" in capsys.readouterr().err
+        assert main(base["simulate"] + ["--n", "5825"]) == 1
+        assert "cells exceeds the limit" in capsys.readouterr().err
+
 
 class TestFit:
     def test_prints_coefficients_and_ebic(self, toy_csv, capsys):
@@ -100,6 +141,15 @@ class TestFit:
         p.write_text(hdr + "\n" + "\n".join(
             ",".join(str(v) for v in (y[i], *X[i])) for i in range(10)) + "\n")
         assert main(["fit", "--input", str(p), "--link", "logit"]) == 1
+
+    @pytest.mark.parametrize("features,message", [
+        ("2,2", "--features names a column twice: '2,2'"),
+        ("0", "--features column 0 is not in 1..6"),
+        ("99", "--features column 99 is not in 1..6"),
+    ])
+    def test_features_checked_in_one_based_terms(self, toy_csv, capsys, features, message):
+        assert main(["fit", "--input", toy_csv, "--features", features]) == 1
+        assert capsys.readouterr().err == f"ebicglm: usage error: {message}\n"
 
 
 class TestSelect:
@@ -344,8 +394,8 @@ class TestFlagRanges:
         assert "usage error: rho must be in [0, 1)" in capsys.readouterr().err
 
     def test_inconsistent_design_is_usage_error(self, cli_inputs, monkeypatch, capsys):
-        # no flag value reaches InvalidDesign today, so the design builder
-        # is made to raise it
+        # no flag value breaks the block layout, so the design builder is
+        # made to raise it
         def inconsistent(*args, **kwargs):
             raise InvalidDesign("block layout needs q < pn/3")
 
@@ -390,6 +440,31 @@ def test_rerun_from_manifest_is_byte_identical(cli_inputs, command):
         assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
+def test_manifest_replays_from_another_directory(cli_inputs, tmp_path, monkeypatch):
+    # --input and --beta given relative to one directory, replayed from another
+    root, _base = cli_inputs
+    work = tmp_path / "work"
+    work.mkdir()
+    for name in ("toy.csv", "beta.txt"):
+        (work / name).write_bytes((root / name).read_bytes())
+    runs = {
+        "fit": ["fit", "--input", "toy.csv", "--features", "1,2"],
+        "diagnose": ["diagnose", "--input", "toy.csv", "--beta", "beta.txt"],
+    }
+    monkeypatch.chdir(work)
+    for command, argv in runs.items():
+        assert main(argv + ["--out", f"{command}-1"]) == 0
+    monkeypatch.chdir(tmp_path)
+    for command in runs:
+        first, again = work / f"{command}-1", tmp_path / f"{command}-2"
+        params = json.loads((first / "manifest.json").read_text())["params"]
+        assert all(os.path.isabs(params[k]) for k in ("input", "beta") if k in params)
+        argv = [command, *_REPLAY_FLAGS[command], "--config", str(first / "manifest.json")]
+        assert main(argv + ["--out", str(again)]) == 0
+        for f in first.iterdir():
+            assert f.read_bytes() == (again / f.name).read_bytes(), f.name
+
+
 @pytest.fixture(scope="module")
 def cli_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("cfg")
@@ -426,10 +501,12 @@ def _config_keys():
     return keys
 
 
-# small numbers keep every run that passes the check cheap (n, reps, folds)
+# small numbers keep every run that passes the check cheap (n, reps, folds);
+# json writes and reads NaN and Infinity, so a config file can hold them
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 12)
-    | st.floats(-2.0, 2.0, allow_nan=False) | st.text(max_size=6),
+    | st.floats(-2.0, 2.0) | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=2),
     max_leaves=4,
@@ -445,3 +522,34 @@ def test_any_config_value_gives_an_exit_code(cli_inputs, key, value):
     cfg.write_text(json.dumps({"params": {dest: value}}))
     rc = main(base[command] + ["--config", str(cfg)])
     assert rc in (0, 1, 2, 3)
+
+
+# link names, and inverse powers with any float text (0, -0, nan, inf among them)
+_LINK_TEXT = (
+    st.sampled_from(["logit", "probit", "cauchit", "cloglog", "log", "identity",
+                     "arcsin", "invpower"])
+    | st.builds("invpower:{}".format, st.sampled_from(["0", "-0", "nan", "inf", "-inf", "x"])
+                | st.floats().map(repr))
+)
+_GAMMA_TEXT = (
+    st.sampled_from(["nan", "inf", "-inf", "-1", "1e400", "0.5", "bic"]) | st.text(max_size=6)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(link=_LINK_TEXT, family=st.sampled_from([None, "poisson", "bernoulli"]),
+       gamma=_GAMMA_TEXT)
+def test_any_link_and_gamma_text_gives_an_exit_code(cli_inputs, link, family, gamma):
+    _root, base = cli_inputs
+    argv = base["fit"] + [f"--link={link}", f"--gamma={gamma}"]
+    if family:
+        argv.append(f"--family={family}")
+    rc = main(argv)
+    assert rc in (0, 1, 2, 3)
+    try:
+        parse_link_family(link, family)
+        resolve_gamma(gamma, 24, 4)
+    except EbicGlmError:
+        # refused while the flags are read (or the data before them): a
+        # usage or data error, never a numerical failure
+        assert rc in (1, 2)

@@ -102,12 +102,12 @@ class TestSimulationBatch:
         design = _small_design()
         real = exp_mod.select_pipeline
 
-        def flaky(lf, data, config, true_support_size=None):
+        def flaky(lf, data, config):
             if flaky.calls == 1:
                 flaky.calls += 1
                 raise PathEmpty("synthetic failure")
             flaky.calls += 1
-            return real(lf, data, config, true_support_size=true_support_size)
+            return real(lf, data, config)
 
         flaky.calls = 0
         monkeypatch.setattr(exp_mod, "select_pipeline", flaky)
@@ -123,10 +123,10 @@ class TestSimulationBatch:
         real = exp_mod.select_pipeline
         failing_y = generate_replicate(design, 9, 2).dataset.y
 
-        def fails_on_replicate_2(lf, data, config, true_support_size=None):
+        def fails_on_replicate_2(lf, data, config):
             if np.array_equal(data.y, failing_y):
                 raise error("synthetic failure")
-            return real(lf, data, config, true_support_size=true_support_size)
+            return real(lf, data, config)
 
         monkeypatch.setattr(exp_mod, "select_pipeline", fails_on_replicate_2)
         s = run_simulation_batch(design, 4, seed=9, threads=1)
@@ -136,9 +136,40 @@ class TestSimulationBatch:
         assert [rid for rid, _ in s.replicate_metrics] == [0, 1, 3]
         assert all(c.n_reps == 3 and np.isfinite(c.mean_pdr) for c in s.cells)
 
+    def test_replicates_get_the_growth_cap(self, monkeypatch):
+        design = _small_design()
+        real = exp_mod.select_pipeline
+        seen = []
+
+        def capture(lf, data, config):
+            seen.append(config.max_steps)
+            return real(lf, data, config)
+
+        monkeypatch.setattr(exp_mod, "select_pipeline", capture)
+        run_simulation_batch(design, 2, seed=3, threads=1)
+        assert seen == [min(math.ceil(1.6 * design.p0n), 50)] * 2 == [7, 7]
+        # a config that sets max_steps keeps it
+        seen.clear()
+        config = SelectConfig(include_intercept=False, max_steps=3)
+        run_simulation_batch(design, 1, config=config, seed=3, threads=1)
+        assert seen == [3]
+
     def test_invalid_replicates(self):
         with pytest.raises(InvalidArgs):
             run_simulation_batch(_small_design(), 0)
+
+    def test_replicate_limit_is_checked_before_the_pool(self, monkeypatch):
+        queued = []
+
+        def no_pool(fn, shared, tasks, threads):
+            queued.append(len(tasks))
+            return []
+
+        monkeypatch.setattr(exp_mod, "_map_tasks", no_pool)
+        run_simulation_batch(_small_design(), exp_mod.MAX_REPLICATES)
+        with pytest.raises(InvalidArgs, match="replicates must be <="):
+            run_simulation_batch(_small_design(), exp_mod.MAX_REPLICATES + 1)
+        assert queued == [exp_mod.MAX_REPLICATES]
 
 
 def _binary_data(n=48, p=4, coef=2.5, seed=0, dominant=1):

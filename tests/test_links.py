@@ -191,12 +191,13 @@ def test_parse_default_families():
     assert parse_link_family("log", "gamma").family.name == "gamma"
 
 
-def test_gamma_shape_override():
-    fam = Gamma(shape=2.0)
-    # b'(theta) = -2/theta
-    assert float(fam.b_prime(-1.0)) == 2.0
-    with pytest.raises(DomainError):
-        Gamma(shape=0.0)
+def test_gamma_shape_is_one():
+    # the log link's g^-1(0) = 1 is the mean b'(h(0)) only at shape 1
+    lf = parse_link_family("log", "gamma")
+    assert float(lf.family.b_prime(lf.h(0.0))) == float(lf.link.g_inverse(0.0)) == 1.0
+    assert repr(Gamma()) == "Gamma()"
+    with pytest.raises(TypeError):
+        Gamma(shape=2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from ebicglm import (
     divergent_pattern,
     generate_replicate,
 )
-from ebicglm.simgen import _rng_for
+from ebicglm.simgen import MAX_DESIGN_CELLS, _rng_for
 
 
 class TestDesignFor:
@@ -44,6 +44,21 @@ class TestDesignFor:
         with pytest.raises(InvalidDesign):
             SimDesign("S3", n=100, pn=80, p0n=9, rho=0.0, L=10, q=50)
 
+    def test_design_size_limit(self):
+        # checked when the design is built, before any matrix is allocated
+        at_limit = SimDesign("S1", n=1, pn=MAX_DESIGN_CELLS, p0n=9, rho=0.0, L=10, q=15)
+        assert at_limit.n * at_limit.pn == MAX_DESIGN_CELLS
+        with pytest.raises(InvalidDesign, match="exceeds the limit"):
+            SimDesign("S1", n=1, pn=MAX_DESIGN_CELLS + 1, p0n=9, rho=0.0, L=10, q=15)
+        # the largest n whose design fits, and the next one
+        assert design_for("S1", 5824).pn == 11520
+        with pytest.raises(InvalidDesign, match="exceeds the limit"):
+            design_for("S1", 5825)
+        # far beyond, exp(n^0.2) would overflow; the size is refused first
+        for n in (MAX_DESIGN_CELLS + 1, 10**400):
+            with pytest.raises(InvalidDesign, match="exceeds the design limit"):
+                design_for("S1", n)
+
     def test_s3_construction_needs_p0n_at_most_25(self):
         design = SimDesign("S3", n=10, pn=400, p0n=26, rho=0.0, L=10, q=50)
         with pytest.raises(InvalidDesign):
@@ -54,7 +69,7 @@ class TestTrueModel:
     def test_support_and_beta_pattern(self):
         sim = generate_replicate(design_for("S1", 100), seed=1)
         tm = sim.true_model
-        assert tm.support == (9, 19, 29, 39, 49, 59, 69)
+        assert tm.support == design_for("S1", 100).support == (9, 19, 29, 39, 49, 59, 69)
         expected = [1.0, 1.3, 1.0, 1.3, 1.0, 1.3, 1.0]
         assert [tm.beta[j] for j in tm.support] == expected
         off = np.delete(tm.beta, list(tm.support))
