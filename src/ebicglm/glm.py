@@ -231,30 +231,29 @@ def log_likelihood(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> fl
     return _loglik_from_eta(data.y, X @ beta, lf)
 
 
+def _newton_terms_at(lf: LinkFamily, X: np.ndarray, beta):
+    """``lf.newton_terms`` at eta = X beta, clipped into the link's domain."""
+    eta = lf.clip_eta(X @ np.asarray(beta, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return lf.newton_terms(eta)
+
+
 def score(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> np.ndarray:
     """Gradient of the log-likelihood at beta."""
     X = _design(data, model)
-    beta = np.asarray(beta, dtype=float)
-    eta = lf.clip_eta(X @ beta)
-    th = lf.h(eta)
-    resid = data.y - lf.family.b_prime(th)
-    return X.T @ (resid * lf.h_prime(eta))
+    mu, _, hp, _ = _newton_terms_at(lf, X, beta)
+    return X.T @ ((data.y - mu) * hp)
 
 
 def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> HessianParts:
     """The PSD part H1 and the correction H0 (H = H1 - H0 = -d2 loglik)."""
     X = _design(data, model)
-    beta = np.asarray(beta, dtype=float)
-    eta = lf.clip_eta(X @ beta)
-    th = lf.h(eta)
-    hp = lf.h_prime(eta)
-    w1 = lf.family.b_double_prime(th) * hp * hp
-    h1 = X.T @ (X * w1[:, None])
-    if lf.h_curvature_zero:
+    mu, sigma2, hp, hpp = _newton_terms_at(lf, X, beta)
+    h1 = X.T @ (X * (sigma2 * hp * hp)[:, None])
+    if hpp is None:
         h0 = np.zeros_like(h1)
     else:
-        w0 = (data.y - lf.family.b_prime(th)) * lf.h_double_prime(eta)
-        h0 = X.T @ (X * w0[:, None])
+        h0 = X.T @ (X * ((data.y - mu) * hpp)[:, None])
     return HessianParts(h1=h1, h0=h0)
 
 
@@ -617,11 +616,9 @@ def c6_diagnostics(lf: LinkFamily, data: Dataset, beta0) -> DiagnosticReport:
     beta0 = np.asarray(beta0, dtype=float)
     if beta0.shape != (data.p,):
         raise InvalidArgs(f"beta0 must have length p={data.p}")
-    eta = lf.clip_eta(data.X @ beta0)
-    th = lf.h(eta)
-    hp = lf.h_prime(eta)
-    hpp = lf.h_double_prime(eta)
-    sigma2 = lf.family.b_double_prime(th)
+    _, sigma2, hp, hpp = _newton_terms_at(lf, data.X, beta0)
+    if hpp is None:
+        hpp = np.zeros_like(hp)
 
     hp2 = hp * hp
     W = data.X * data.X

@@ -1,9 +1,11 @@
 """Exponential-family and link-function pairs.
 
-Each supported pair is composed into a ``LinkFamily`` that exposes the map
-theta = h(eta) from linear predictor to natural parameter together with its
-first two derivatives, all coded analytically. Canonical pairs degenerate to
-h(eta) = eta with h' = 1 and h'' = 0 exactly.
+Each supported pair is composed into a ``LinkFamily`` that states the map
+theta = h(eta) from linear predictor to natural parameter and one
+``newton_terms``, which gives the mean, the variance and the first two
+derivatives h' and h'', all coded analytically. The fitter, ``score``,
+``hessian_parts`` and the diagnostics all read h' and h'' from it. Canonical
+pairs degenerate to h(eta) = eta with h' = 1 and h'' = 0 exactly.
 """
 
 from __future__ import annotations
@@ -54,10 +56,23 @@ class Family:
         """Variance function sigma^2(theta)."""
         raise NotImplementedError
 
-    def validate_y(self, y):
-        """Raise DataError (with row index) if a response value is not coded
-        correctly for this family. Implemented per family."""
+    #: what every response value must be, for the message of ``validate_y``
+    y_rule = ""
+
+    def y_invalid(self, y):
+        """Mask of the response values this family cannot model."""
         raise NotImplementedError
+
+    def validate_y(self, y):
+        """Raise DataError naming the first row whose response is not coded
+        correctly for this family."""
+        bad = np.nonzero(self.y_invalid(y))[0]
+        if bad.size:
+            i = int(bad[0])
+            raise DataError(
+                f"{self.__class__.__name__} response {self.y_rule}; "
+                f"row {i + 1} has y={float(y[i])}"
+            )
 
     def __repr__(self):
         return f"{self.__class__.__name__}()"
@@ -79,13 +94,10 @@ class Bernoulli(Family):
         t = np.asarray(theta)
         return special.expit(t) * special.expit(-t)
 
-    def validate_y(self, y):
-        bad = np.nonzero((y != 0.0) & (y != 1.0))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise DataError(
-                f"Bernoulli response must be 0/1; row {i + 1} has y={y[i]!r}"
-            )
+    y_rule = "must be 0/1"
+
+    def y_invalid(self, y):
+        return (y != 0.0) & (y != 1.0)
 
 
 class Poisson(Family):
@@ -102,13 +114,10 @@ class Poisson(Family):
     def b_double_prime(self, theta):
         return np.exp(theta)
 
-    def validate_y(self, y):
-        bad = np.nonzero(y < 0)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise DataError(
-                f"Poisson response must be nonnegative; row {i + 1} has y={y[i]!r}"
-            )
+    y_rule = "must be nonnegative"
+
+    def y_invalid(self, y):
+        return y < 0
 
 
 class Gamma(Family):
@@ -131,13 +140,10 @@ class Gamma(Family):
         t = np.asarray(theta, dtype=float)
         return 1.0 / (t * t)
 
-    def validate_y(self, y):
-        bad = np.nonzero(y <= 0)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise DataError(
-                f"Gamma response must be positive; row {i + 1} has y={y[i]!r}"
-            )
+    y_rule = "must be positive"
+
+    def y_invalid(self, y):
+        return y <= 0
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +152,8 @@ class Gamma(Family):
 
 class Link:
     name = ""
+    #: the family a bare link name implies on the CLI
+    default_family = "bernoulli"
 
     def g(self, mu):
         raise NotImplementedError
@@ -190,10 +198,6 @@ class Probit(Link):
     def dlog_pdf(self, eta):
         return -np.asarray(eta, dtype=float)
 
-    def cdf_minus_sf(self, eta):
-        e = np.asarray(eta, dtype=float)
-        return special.ndtr(e) - special.ndtr(-e)
-
 
 class Cauchit(Link):
     name = "cauchit"
@@ -226,10 +230,6 @@ class Cauchit(Link):
         e = np.asarray(eta, dtype=float)
         return -2.0 * e / (1.0 + e * e)
 
-    def cdf_minus_sf(self, eta):
-        e = np.asarray(eta, dtype=float)
-        return self._cdf(e) - self._cdf(-e)
-
 
 class Cloglog(Link):
     name = "cloglog"
@@ -245,6 +245,7 @@ class Cloglog(Link):
 
 class Log(Link):
     name = "log"
+    default_family = "poisson"
 
     def g(self, mu):
         return np.log(mu)
@@ -284,10 +285,13 @@ class InversePower(Link):
     """
 
     name = "invpower"
+    default_family = "gamma"
 
     def __init__(self, exponent: float):
         if exponent == 0:
             raise DomainError("InversePower exponent must be nonzero")
+        if not math.isfinite(exponent):
+            raise DomainError(f"InversePower exponent must be finite, got {exponent}")
         self.exponent = float(exponent)
 
     def g(self, mu):
@@ -305,7 +309,12 @@ class InversePower(Link):
 # ---------------------------------------------------------------------------
 
 class LinkFamily:
-    """Immutable family/link pair with analytic h, h', h''."""
+    """Immutable family/link pair with analytic h, h', h''.
+
+    Each pair states h and one ``newton_terms``; that is the only place its
+    h' and h'' are written, and ``h_prime``/``h_double_prime`` read them
+    from it.
+    """
 
     #: open interval of admissible linear predictors
     eta_domain = (-np.inf, np.inf)
@@ -325,23 +334,25 @@ class LinkFamily:
     def h(self, eta):
         raise NotImplementedError
 
-    def h_prime(self, eta):
+    def newton_terms(self, eta):
+        """(mu, sigma2, h', h'') at eta; h'' is None when identically zero."""
         raise NotImplementedError
+
+    def _terms_from_h(self, eta, hp, hpp):
+        """(b'(h(eta)), b''(h(eta)), hp, hpp): ``newton_terms`` for the pairs
+        whose mean and variance come straight from the family."""
+        th = self.h(eta)
+        return self.family.b_prime(th), self.family.b_double_prime(th), hp, hpp
+
+    def h_prime(self, eta):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return self.newton_terms(eta)[2]
 
     def h_double_prime(self, eta):
-        raise NotImplementedError
-
-    def newton_terms(self, eta):
-        """(mu, sigma2, h', h'') at eta; h'' is None when identically zero.
-
-        Subclasses override this to share subexpressions on the fitting hot
-        path; results must match the h / h_prime / h_double_prime route.
-        """
-        th = self.h(eta)
-        mu = self.family.b_prime(th)
-        sigma2 = self.family.b_double_prime(th)
-        hpp = None if self.h_curvature_zero else self.h_double_prime(eta)
-        return mu, sigma2, self.h_prime(eta), hpp
+        """h'' at eta, zeros where it is identically zero."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _, _, hp, hpp = self.newton_terms(eta)
+        return np.zeros_like(hp) if hpp is None else hpp
 
     def log_lik(self, eta, y):
         """sum_i [y_i theta_i - b(theta_i)] with the family's theta clamp.
@@ -386,11 +397,8 @@ class _CanonicalLF(LinkFamily):
     def h(self, eta):
         return np.asarray(eta, dtype=float)
 
-    def h_prime(self, eta):
-        return np.ones_like(np.asarray(eta, dtype=float))
-
-    def h_double_prime(self, eta):
-        return np.zeros_like(np.asarray(eta, dtype=float))
+    def newton_terms(self, eta):
+        return self._terms_from_h(eta, np.ones_like(np.asarray(eta, dtype=float)), None)
 
 
 class _BinaryCdfLF(LinkFamily):
@@ -404,15 +412,6 @@ class _BinaryCdfLF(LinkFamily):
 
     def h(self, eta):
         return self.link.log_cdf(eta) - self.link.log_sf(eta)
-
-    def h_prime(self, eta):
-        return np.exp(
-            self.link.log_pdf(eta) - self.link.log_cdf(eta) - self.link.log_sf(eta)
-        )
-
-    def h_double_prime(self, eta):
-        hp = self.h_prime(eta)
-        return hp * (self.link.dlog_pdf(eta) + hp * self.link.cdf_minus_sf(eta))
 
     def newton_terms(self, eta):
         lcdf = self.link.log_cdf(eta)
@@ -440,7 +439,9 @@ class _BernoulliCloglogLF(LinkFamily):
         h = u + log(a),  h' = u / a,  h'' = u (a - u (1 - a)) / a^2,
         mu = a,          sigma^2 = a (1 - a).
     These forms stay accurate from the u -> 0 tail up to u ~ 1e300; the
-    h'' difference needs its series u/2 only below u = 1e-8.
+    h'' difference needs its series u/2 only below u = 1e-8. Overflow of u
+    is expected: callers run ``newton_terms`` under an errstate that
+    ignores it.
     """
 
     @staticmethod
@@ -453,30 +454,15 @@ class _BernoulliCloglogLF(LinkFamily):
             u, a = self._u_a(eta)
             return u + np.log(a)
 
-    def h_prime(self, eta):
-        with np.errstate(over="ignore", invalid="ignore"):
-            u, a = self._u_a(eta)
-            return np.where(u == 0.0, 1.0, u / np.where(u == 0.0, 1.0, a))
-
-    def h_double_prime(self, eta):
-        with np.errstate(over="ignore", invalid="ignore"):
-            u, a = self._u_a(eta)
-            return self._hpp(u, a, np.exp(-u))
-
-    @staticmethod
-    def _hpp(u, a, emu):
-        tiny = u < 1e-8
-        safe_a = np.where(tiny, 1.0, a)
-        direct = u * (a - u * emu) / (safe_a * safe_a)
-        return np.where(tiny, 0.5 * u, direct)
-
     def newton_terms(self, eta):
-        # runs under the fitter's errstate blanket
         u, a = self._u_a(eta)
         emu = np.exp(-u)  # exact 1 - mu, keeps the upper tail of sigma^2
         safe = np.where(a == 0.0, 1.0, a)
         hp = np.where(u == 0.0, 1.0, u / safe)
-        return a, a * emu, hp, self._hpp(u, a, emu)
+        tiny = u < 1e-8
+        safe_a = np.where(tiny, 1.0, a)
+        hpp = np.where(tiny, 0.5 * u, u * (a - u * emu) / (safe_a * safe_a))
+        return a, a * emu, hp, hpp
 
     def log_lik(self, eta, y):
         # y log mu + (1 - y) log(1 - mu) with log(1 - mu) = -u exactly
@@ -496,14 +482,10 @@ class _BernoulliIdentityLF(LinkFamily):
     def h(self, eta):
         return special.logit(eta)
 
-    def h_prime(self, eta):
-        e = np.asarray(eta, dtype=float)
-        return 1.0 / (e * (1.0 - e))
-
-    def h_double_prime(self, eta):
+    def newton_terms(self, eta):
         e = np.asarray(eta, dtype=float)
         d = e * (1.0 - e)
-        return (2.0 * e - 1.0) / (d * d)
+        return self._terms_from_h(e, 1.0 / d, (2.0 * e - 1.0) / (d * d))
 
 
 class _BernoulliArcsinLF(LinkFamily):
@@ -512,23 +494,19 @@ class _BernoulliArcsinLF(LinkFamily):
     def h(self, eta):
         return 2.0 * np.log(np.tan(np.asarray(eta, dtype=float)))
 
-    def h_prime(self, eta):
-        return 4.0 / np.sin(2.0 * np.asarray(eta, dtype=float))
-
-    def h_double_prime(self, eta):
-        s = np.sin(2.0 * np.asarray(eta, dtype=float))
-        return -8.0 * np.cos(2.0 * np.asarray(eta, dtype=float)) / (s * s)
+    def newton_terms(self, eta):
+        e2 = 2.0 * np.asarray(eta, dtype=float)
+        s = np.sin(e2)
+        return self._terms_from_h(eta, 4.0 / s, -8.0 * np.cos(e2) / (s * s))
 
 
 class _GammaLogLF(LinkFamily):
     def h(self, eta):
         return -np.exp(-np.asarray(eta, dtype=float))
 
-    def h_prime(self, eta):
-        return np.exp(-np.asarray(eta, dtype=float))
-
-    def h_double_prime(self, eta):
-        return -np.exp(-np.asarray(eta, dtype=float))
+    def newton_terms(self, eta):
+        w = np.exp(-np.asarray(eta, dtype=float))
+        return self._terms_from_h(eta, w, -w)
 
 
 class _PoissonPowerLF(LinkFamily):
@@ -538,14 +516,10 @@ class _PoissonPowerLF(LinkFamily):
         k = self.link.exponent
         return -np.log(np.asarray(eta, dtype=float)) / k
 
-    def h_prime(self, eta):
-        k = self.link.exponent
-        return -1.0 / (k * np.asarray(eta, dtype=float))
-
-    def h_double_prime(self, eta):
+    def newton_terms(self, eta):
         k = self.link.exponent
         e = np.asarray(eta, dtype=float)
-        return 1.0 / (k * e * e)
+        return self._terms_from_h(e, -1.0 / (k * e), 1.0 / (k * e * e))
 
 
 class _GammaPowerLF(LinkFamily):
@@ -559,15 +533,11 @@ class _GammaPowerLF(LinkFamily):
     def h(self, eta):
         return -(np.asarray(eta, dtype=float) ** self._r)
 
-    def h_prime(self, eta):
+    def newton_terms(self, eta):
         r = self._r
-        return -r * np.asarray(eta, dtype=float) ** (r - 1.0)
-
-    def h_double_prime(self, eta):
-        r = self._r
-        if self.h_curvature_zero:
-            return np.zeros_like(np.asarray(eta, dtype=float))
-        return -r * (r - 1.0) * np.asarray(eta, dtype=float) ** (r - 2.0)
+        e = np.asarray(eta, dtype=float)
+        hpp = None if self.h_curvature_zero else -r * (r - 1.0) * e ** (r - 2.0)
+        return self._terms_from_h(e, -r * e ** (r - 1.0), hpp)
 
 
 _COMPOSITES = {
@@ -607,25 +577,7 @@ def eval_mean(lf: LinkFamily, eta) -> np.ndarray:
 _FAMILY_NAMES = {"bernoulli": Bernoulli, "poisson": Poisson, "gamma": Gamma}
 
 _SIMPLE_LINKS = {
-    "logit": Logit,
-    "probit": Probit,
-    "cauchit": Cauchit,
-    "cloglog": Cloglog,
-    "log": Log,
-    "identity": Identity,
-    "arcsin": Arcsin,
-}
-
-#: single-link shorthand: the family each bare link name implies on the CLI
-DEFAULT_FAMILY_FOR_LINK = {
-    "logit": "bernoulli",
-    "probit": "bernoulli",
-    "cauchit": "bernoulli",
-    "cloglog": "bernoulli",
-    "identity": "bernoulli",
-    "arcsin": "bernoulli",
-    "log": "poisson",
-    "invpower": "gamma",
+    cls.name: cls for cls in (Logit, Probit, Cauchit, Cloglog, Log, Identity, Arcsin)
 }
 
 
@@ -653,5 +605,5 @@ def parse_link_family(link_name: str, family_name: str | None = None) -> LinkFam
     """Build a LinkFamily from lowercase names, defaulting the family."""
     link = parse_link(link_name)
     if family_name is None:
-        family_name = DEFAULT_FAMILY_FOR_LINK[link.name]
+        family_name = link.default_family
     return compose_link_family(parse_family(family_name), link)

@@ -92,6 +92,25 @@ class TestExitCodes:
             "ebicglm: usage error: InversePower exponent must be nonzero\n"
         )
 
+    @pytest.mark.parametrize("exponent", ["nan", "inf", "-inf"])
+    def test_non_finite_inverse_power_is_usage_error(self, cli_inputs, capsys, exponent):
+        _root, base = cli_inputs
+        argv = base["fit"] + ["--link", f"invpower:{exponent}", "--family", "poisson"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "ebicglm: usage error: InversePower exponent must be finite, "
+            f"got {float(exponent)}\n"
+        )
+
+    def test_response_coding_error_prints_plain_numbers(self, cli_inputs, capsys):
+        root, base = cli_inputs
+        y = Dataset.from_csv(root / "toy.csv").y
+        row = int(np.nonzero(y == 0.0)[0][0]) + 1
+        assert main(base["fit"] + ["--family", "gamma", "--link", "log"]) == 2
+        assert capsys.readouterr().err == (
+            f"ebicglm: data error: Gamma response must be positive; row {row} has y=0.0\n"
+        )
+
     def test_more_folds_than_rows_is_usage_error(self, cli_inputs, capsys):
         _root, base = cli_inputs
         assert main(base["cv-links"] + ["--folds", "25"]) == 1

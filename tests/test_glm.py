@@ -17,6 +17,7 @@ from ebicglm import (
     generate_replicate,
     hessian_parts,
     log_likelihood,
+    parse_family,
     parse_link_family,
     score,
 )
@@ -56,6 +57,19 @@ class TestDataset:
         lf = parse_link_family("logit")
         with pytest.raises(DataError, match="row 3"):
             data.validate_for_family(lf.family)
+
+    @pytest.mark.parametrize("family,y,message", [
+        ("bernoulli", [0.0, 1.0, 2.0], "Bernoulli response must be 0/1; row 3 has y=2.0"),
+        ("poisson", [3.0, -1.5, 2.0],
+         "Poisson response must be nonnegative; row 2 has y=-1.5"),
+        ("gamma", [0.5, 2.0, 0.0], "Gamma response must be positive; row 3 has y=0.0"),
+    ])
+    def test_response_coding_message(self, family, y, message):
+        # the offending value prints as a plain number, not a NumPy repr
+        data = Dataset(np.array(y), np.ones((3, 1)))
+        with pytest.raises(DataError) as info:
+            data.validate_for_family(parse_family(family))
+        assert str(info.value) == message
 
     def test_from_csv_roundtrip(self, tmp_path):
         path = tmp_path / "d.csv"
