@@ -174,14 +174,19 @@ def _manifest(args) -> dict:
     }
 
 
-def _write_out(args, files: dict) -> None:
-    """Write the result files and the run's manifest into ``args.out``."""
+def _write_out(args, files: dict, stop_reason: str | None = None) -> None:
+    """Write the result files and the run's manifest into ``args.out``; a
+    path's ``stop_reason`` goes into the manifest beside ``params``, so
+    ``--config`` replay ignores it."""
     path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         (path / name).write_text(content, encoding="utf-8")
+    manifest = _manifest(args)
+    if stop_reason is not None:
+        manifest["stop_reason"] = stop_reason
     (path / "manifest.json").write_text(
-        json.dumps(_manifest(args), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
@@ -281,7 +286,8 @@ def _cmd_select(args) -> int:
         )
     chosen_tsv = "\n".join(chosen) + "\n"
 
-    _write_out(args, {"path.tsv": path_tsv, "chosen.tsv": chosen_tsv})
+    _write_out(args, {"path.tsv": path_tsv, "chosen.tsv": chosen_tsv},
+               stop_reason=report.path.stop_reason)
     sys.stdout.write(chosen_tsv)
     return 0
 

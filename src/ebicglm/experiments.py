@@ -282,7 +282,7 @@ def cv_select_link(
     """Pick the link with the largest summed held-out log-likelihood.
 
     Each link runs the selection pipeline on every training fold (path grown
-    to ``path_length``, EBIC-minimizing prefix read out at the fold's
+    to at most ``path_length``, EBIC-minimizing prefix read out at the fold's
     real-data preset gamma = 1 - ln n / (3 ln p)) and is scored on the
     held-out fold. Ties within 1e-9 go to the earlier link in the input
     order. Fold assignment is seeded and stratified by response class.
@@ -338,7 +338,7 @@ class FinalSelection:
 
 @dataclass
 class FinalReport:
-    rankings: dict  # link name -> ordered selected features (0-based)
+    rankings: dict  # link name -> the path's features in order (0-based)
     cv: CvLinkReport
     finals: tuple  # FinalSelection per link, input order
     chosen_link: str
@@ -356,6 +356,8 @@ def real_data_workflow(
     """Per-link forward paths, CV link choice, then the final EBIC selection.
 
     The final read-out uses gamma = 1 - ln n / (3 ln p) on each link's path.
+    Each path, and so each ranking, ends after ``path_steps`` steps or where
+    EBIC has decided the final model, whichever comes first.
     """
     data.validate_for_family(Bernoulli())
     lfs = _as_link_families(links)

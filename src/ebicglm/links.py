@@ -56,6 +56,11 @@ class Family:
         """Variance function sigma^2(theta)."""
         raise NotImplementedError
 
+    def saturated_log_lik(self, y):
+        """sup over theta of sum_i [y_i theta_i - b(theta_i)]: no fit's
+        ``log_lik`` on y exceeds it."""
+        raise NotImplementedError
+
     #: what every response value must be, for the message of ``validate_y``
     y_rule = ""
 
@@ -94,6 +99,9 @@ class Bernoulli(Family):
         t = np.asarray(theta)
         return special.expit(t) * special.expit(-t)
 
+    def saturated_log_lik(self, y):
+        return 0.0
+
     y_rule = "must be 0/1"
 
     def y_invalid(self, y):
@@ -113,6 +121,9 @@ class Poisson(Family):
 
     def b_double_prime(self, theta):
         return np.exp(theta)
+
+    def saturated_log_lik(self, y):
+        return float(np.sum(special.xlogy(y, y) - y))
 
     y_rule = "must be nonnegative"
 
@@ -139,6 +150,9 @@ class Gamma(Family):
     def b_double_prime(self, theta):
         t = np.asarray(theta, dtype=float)
         return 1.0 / (t * t)
+
+    def saturated_log_lik(self, y):
+        return float(np.sum(-1.0 - np.log(y)))
 
     y_rule = "must be positive"
 
@@ -292,6 +306,13 @@ class InversePower(Link):
             raise DomainError("InversePower exponent must be nonzero")
         if not math.isfinite(exponent):
             raise DomainError(f"InversePower exponent must be finite, got {exponent}")
+        # 2^-|k| == 1.0 exactly when mu^(-k) rounds to 1.0 at both mu = 1/2
+        # and mu = 2, so the link cannot tell any two means apart
+        if 2.0 ** -abs(exponent) == 1.0:
+            raise DomainError(
+                f"InversePower exponent {exponent} is too close to 0: mu^(-k) "
+                "cannot tell mu = 1/2 from mu = 2 in double precision"
+            )
         self.exponent = float(exponent)
 
     def g(self, mu):

@@ -14,16 +14,21 @@ lower feature index.
 
 Every candidate model at a given step has the same size, so the step's
 argmin of EBIC is its argmax of log-likelihood for every gamma: one path is
-grown, and all gammas are read off it by prefix minimization.
+grown, and all gammas are read off it by prefix minimization. No fit's
+log-likelihood exceeds the family's saturated one, so a prefix of size K
+scores at least -2 sat + K ln n + 2 gamma ln C(p, K); once that floor, over
+every size still reachable, lies above each gamma's running minimum, the
+path stops, since no later step could change any gamma's model.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ebic import ebic_score, resolve_gamma
+from .ebic import ebic_score, log_choose, resolve_gamma
 from .errors import EmptyCandidates, InvalidArgs, PathEmpty
 from .glm import Dataset, FitResult, ModelIndex, _initial_beta, _newton_lanes, fit_mle
 from .links import LinkFamily
@@ -78,11 +83,21 @@ class SelectionStep:
 
 @dataclass
 class SelectionPath:
+    """A greedy path and the EBIC-minimizing prefix read off it per gamma.
+
+    ``stop_reason`` says why the path ended: ``max-steps`` (the step cap),
+    ``size-limit`` (n - 2 covariates), ``no-candidates`` (every candidate
+    selected), ``no-usable-fit`` (no candidate gave a finite
+    log-likelihood) or ``ebic-decided`` (no longer prefix could change any
+    gamma's EBIC minimum, see ``forward_select``).
+    """
+
     steps: list
     null_fit: FitResult
     null_scores: tuple
     final_prefixes: tuple  # prefix length minimizing EBIC, per gamma
     gammas: tuple
+    stop_reason: str
     include_intercept: bool = True
 
     @property
@@ -115,6 +130,43 @@ class SelectionPath:
         )
 
 
+def _ebic_floors(sat: float, n: int, p: int, gammas: tuple, last: int) -> np.ndarray:
+    """floors[i, s]: the least EBIC at gammas[i] that any prefix of size
+    s + 1 .. last can score. A fit's log-likelihood is at most ``sat``, the
+    saturated one, so EBIC_gamma(K) >= -2 sat + K ln n + 2 gamma ln C(p, K)."""
+    pen = np.array([[k * math.log(n) + 2.0 * g * log_choose(p, k)
+                     for k in range(1, last + 1)] for g in gammas])
+    return -2.0 * sat + np.minimum.accumulate(pen[:, ::-1], axis=1)[:, ::-1]
+
+
+def _forward_step(lf, data, current, cur_beta, remaining, gammas, include_intercept):
+    """One greedy step from the model ``current`` (selection order) fitted at
+    ``cur_beta``: the step, and its beta in selection order to start the
+    next one; None when no candidate gives a usable fit."""
+    n, p = data.n, data.p
+    off = 1 if include_intercept else 0
+    shared = np.empty((n, len(current) + off))
+    if include_intercept:
+        shared[:, 0] = 1.0
+    shared[:, off:] = data.X[:, current]
+    fits = _newton_lanes(data.y, shared, data.X, remaining, lf, np.append(cur_beta, 0.0))
+    score = np.where(fits.rank_deficient | ~np.isfinite(fits.log_lik), -np.inf,
+                     fits.log_lik)
+    if score.max() == -np.inf:
+        return None
+    best = int(np.argmax(score))
+    best_feature, best_fit = remaining[best], fits.fit(best)
+    cols = current + [best_feature]
+    order = np.argsort(cols, kind="stable")
+    beta_sorted = np.empty_like(best_fit.beta)
+    beta_sorted[:off] = best_fit.beta[:off]
+    beta_sorted[off:] = best_fit.beta[off:][order]
+    model = ModelIndex(tuple(cols), include_intercept=include_intercept)
+    step_fit = replace(best_fit, beta=beta_sorted)
+    scores = tuple(ebic_score(step_fit, model, n, p, g) for g in gammas)
+    return SelectionStep(feature=best_feature, fit=step_fit, scores=scores), best_fit.beta
+
+
 def forward_select(
     lf: LinkFamily,
     data: Dataset,
@@ -131,10 +183,16 @@ def forward_select(
     call is the step's reported fit, flags and log-likelihood path included,
     and its beta starts the next step.
 
-    Stops at ``max_steps``, when the model reaches n - 2 covariates, or when
-    no candidate yields a usable fit (finite log-likelihood). Quasi-separated
-    fits are usable; they carry the best log-likelihood reached under the
-    coefficient cap. EBIC ties go to the lower feature index.
+    Stops at ``max_steps``, when the model reaches n - 2 covariates, when no
+    candidate is left, when no candidate yields a usable fit (finite
+    log-likelihood), or once EBIC has decided every gamma's model: before a
+    step, if the least EBIC any longer prefix can score (its log-likelihood
+    taken as the family's saturated one) exceeds the running minimum by more
+    than 1e-9 (1 + |EBIC|) for every gamma, no later step can change a final
+    prefix, so none is fitted. The reason is ``SelectionPath.stop_reason``.
+    Quasi-separated fits are usable; they carry the best log-likelihood
+    reached under the coefficient cap. EBIC ties go to the lower feature
+    index.
     """
     cand = sorted(set(int(c) for c in candidates))
     if not cand:
@@ -147,43 +205,43 @@ def forward_select(
     if not gammas:
         raise InvalidArgs("need at least one gamma")
     n, p = data.n, data.p
-    y = data.y
 
     null_model = ModelIndex((), include_intercept=include_intercept)
     null_fit = fit_mle(lf, data, null_model)
     null_scores = tuple(ebic_score(null_fit, null_model, n, p, g) for g in gammas)
 
+    # the largest prefix the path can reach, and the EBIC floor of each step
+    last = min(max_steps, n - 2, len(cand))
+    floors = _ebic_floors(lf.family.saturated_log_lik(data.y), n, p, gammas, last)
+    best = np.array([s.ebic for s in null_scores])  # running minimum per gamma
+
     steps: list[SelectionStep] = []
     current: list[int] = []  # selection order
     cur_beta = null_fit.beta
     remaining = list(cand)
-    off = 1 if include_intercept else 0
-    while len(steps) < max_steps and len(current) < n - 2 and remaining:
-        shared = np.empty((n, len(current) + off))
-        if include_intercept:
-            shared[:, 0] = 1.0
-        shared[:, off:] = data.X[:, current]
-        fits = _newton_lanes(y, shared, data.X, remaining, lf, np.append(cur_beta, 0.0))
-        score = np.where(fits.rank_deficient | ~np.isfinite(fits.log_lik), -np.inf,
-                         fits.log_lik)
-        if score.max() == -np.inf:
+    stop_reason = "max-steps"
+    while len(steps) < max_steps:
+        if len(steps) >= n - 2:
+            stop_reason = "size-limit"
+            break
+        if not remaining:
+            stop_reason = "no-candidates"
+            break
+        if np.all(floors[:, len(steps)] - best > 1e-9 * (1.0 + np.abs(best))):
+            stop_reason = "ebic-decided"
+            break
+        grown = _forward_step(lf, data, current, cur_beta, remaining, gammas,
+                              include_intercept)
+        if grown is None:
             if not steps:
                 raise PathEmpty("no candidate produced a usable fit at step 1")
+            stop_reason = "no-usable-fit"
             break
-        best = int(np.argmax(score))
-        best_feature, best_fit = remaining[best], fits.fit(best)
-        cols = current + [best_feature]
-        order = np.argsort(cols, kind="stable")
-        beta_sorted = np.empty_like(best_fit.beta)
-        beta_sorted[:off] = best_fit.beta[:off]
-        beta_sorted[off:] = best_fit.beta[off:][order]
-        model = ModelIndex(tuple(cols), include_intercept=include_intercept)
-        step_fit = replace(best_fit, beta=beta_sorted)
-        scores = tuple(ebic_score(step_fit, model, n, p, g) for g in gammas)
-        steps.append(SelectionStep(feature=best_feature, fit=step_fit, scores=scores))
-        current.append(best_feature)
-        remaining.remove(best_feature)
-        cur_beta = best_fit.beta
+        step, cur_beta = grown
+        steps.append(step)
+        current.append(step.feature)
+        remaining.remove(step.feature)
+        best = np.minimum(best, [sc.ebic for sc in step.scores])
 
     prefixes = []
     for i in range(len(gammas)):
@@ -195,6 +253,7 @@ def forward_select(
         null_scores=null_scores,
         final_prefixes=tuple(prefixes),
         gammas=gammas,
+        stop_reason=stop_reason,
         include_intercept=include_intercept,
     )
 

@@ -3,9 +3,17 @@
 import numpy as np
 from scipy.linalg.lapack import dposv, dpotrf
 
-from ebicglm import Dataset, FitResult, ModelIndex, RankDeficient, parse_link_family
+from ebicglm import (
+    Dataset,
+    FitResult,
+    ModelIndex,
+    RankDeficient,
+    ebic_score,
+    fit_mle,
+    parse_link_family,
+)
 from ebicglm.glm import BETA_CAP, MAX_HALVINGS, MAX_ITER, TOL, _design, _initial_beta
-from ebicglm.select import ScreenResult
+from ebicglm.select import ScreenResult, SelectionPath, _forward_step
 
 # (link, family, eta-safe box for random instances)
 ALL_PAIRS = (
@@ -308,6 +316,41 @@ def forward_step_reference(lf, data, current, remaining, init, include_intercept
                 best_ll, best_feature, best_fit = fit.log_lik, c, fit
     return best_feature, best_fit, lls
 
+
+def unstopped_forward_path(lf, data, candidates, gammas, max_steps, include_intercept=True):
+    """``forward_select`` without its EBIC stop: the oracle for that stop.
+
+    The path is grown one ``_forward_step`` at a time until the step cap,
+    n - 2 covariates, the last candidate or a step with no usable fit, and
+    ``stop_reason`` names which of these ended it."""
+    gammas = tuple(float(g) for g in gammas)
+    null_model = ModelIndex((), include_intercept=include_intercept)
+    null_fit = fit_mle(lf, data, null_model)
+    null_scores = tuple(ebic_score(null_fit, null_model, data.n, data.p, g) for g in gammas)
+    steps, current, beta = [], [], null_fit.beta
+    remaining = sorted(int(c) for c in candidates)
+    stop_reason = "max-steps"
+    while len(steps) < max_steps:
+        if len(steps) >= data.n - 2:
+            stop_reason = "size-limit"
+            break
+        if not remaining:
+            stop_reason = "no-candidates"
+            break
+        grown = _forward_step(lf, data, current, beta, remaining, gammas, include_intercept)
+        if grown is None:
+            stop_reason = "no-usable-fit"
+            break
+        step, beta = grown
+        steps.append(step)
+        current.append(step.feature)
+        remaining.remove(step.feature)
+    prefixes = tuple(
+        int(np.argmin([null.ebic] + [s.scores[i].ebic for s in steps]))
+        for i, null in enumerate(null_scores)
+    )
+    return SelectionPath(steps, null_fit, null_scores, prefixes, gammas, stop_reason,
+                         include_intercept)
 
 
 def fit_mle_reference(lf, data, model):

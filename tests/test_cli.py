@@ -102,6 +102,24 @@ class TestExitCodes:
             f"got {float(exponent)}\n"
         )
 
+    @pytest.mark.parametrize("exponent", ["1e-300", "1e-17", "-1e-17"])
+    def test_tiny_inverse_power_is_usage_error(self, cli_inputs, capsys, exponent):
+        # mu^(-k) rounds to 1.0 at every mean, so no fit could tell two apart
+        _root, base = cli_inputs
+        argv = base["fit"] + ["--link", f"invpower:{exponent}", "--family", "poisson"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"ebicglm: usage error: InversePower exponent {float(exponent)} is too "
+            "close to 0: mu^(-k) cannot tell mu = 1/2 from mu = 2 in double precision\n"
+        )
+
+    def test_small_inverse_power_still_fits(self, cli_inputs, capsys):
+        _root, base = cli_inputs
+        argv = base["fit"] + ["--link", "invpower:1e-6", "--family", "poisson"]
+        assert main(argv) == 0
+        row = next(r for r in capsys.readouterr().out.splitlines() if r.startswith("log_lik"))
+        assert math.isfinite(float(row.split("\t")[1]))
+
     def test_response_coding_error_prints_plain_numbers(self, cli_inputs, capsys):
         root, base = cli_inputs
         y = Dataset.from_csv(root / "toy.csv").y
@@ -184,6 +202,10 @@ class TestSelect:
         assert chosen_tsv.splitlines()[0].startswith("gamma_spec")
         assert manifest["command"] == "select"
         assert manifest["params"]["link"] == "cloglog"
+        # why the path ended is an outcome, beside the params --config reads
+        assert manifest["stop_reason"] in ("max-steps", "size-limit", "no-candidates",
+                                           "no-usable-fit", "ebic-decided")
+        assert "stop_reason" not in manifest["params"]
         # strongest signals are columns 2 and 5 (1-based)
         chosen_row = chosen_tsv.splitlines()[1].split("\t")
         assert chosen_row[3] == "2,5"
@@ -441,6 +463,7 @@ def test_manifest_params_are_the_config_keys(cli_inputs, command):
 # manifest can make the outputs equal
 _REPLAY_FLAGS = {
     "fit": ["--input", "missing.csv", "--link", "probit"],
+    "select": ["--input", "missing.csv", "--link", "probit", "--max-steps", "1"],
     "cv-links": ["--input", "missing.csv", "--threads", "1"],
     "diagnose": ["--input", "missing.csv", "--beta", "missing.txt", "--link", "logit"],
 }

@@ -6,6 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from helpers import unstopped_forward_path
 
 import ebicglm.experiments as exp_mod
 from ebicglm import (
@@ -22,6 +23,7 @@ from ebicglm import (
     parse_link_family,
     pdr_fdr,
     real_data_workflow,
+    resolve_gamma,
     run_simulation_batch,
     screen_mme,
 )
@@ -285,10 +287,17 @@ class TestRealDataWorkflow:
         kwargs = dict(path_steps=3, cv_folds=3, cv_path_length=2, seed=4)
         one = real_data_workflow(data, ["logit", "cloglog"], threads=1, **kwargs)
         two = real_data_workflow(data, ["logit", "cloglog"], threads=2, **kwargs)
+        gamma = resolve_gamma("paper-final", data.n, data.p)
+        finals = {final.link: final for final in one.finals}
         for link, ranking in one.rankings.items():
-            keep = screen_mme(parse_link_family(link), data, config.screen_keep).keep
-            assert len(ranking) == 3
-            assert set(ranking) <= set(keep.tolist())
+            lf = parse_link_family(link)
+            keep = screen_mme(lf, data, config.screen_keep).keep
+            full = unstopped_forward_path(lf, data, keep, [gamma], 3)
+            # EBIC is lowest at step 2 and no third covariate can undercut
+            # it, so the ranking stops there
+            assert full.final_prefixes == (2,)
+            assert ranking == full.features[:2]
+            assert finals[link].model_indices == full.model_for(gamma).indices
         assert all(np.isfinite(v) for v in one.cv.criteria)
         assert one.rankings == two.rankings
         assert one.finals == two.finals

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebicglm import (
     Bernoulli,
@@ -179,6 +181,11 @@ def test_parse_link_invpower():
     for exponent in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="finite"):
             InversePower(exponent)
+    # mu^(-k) must tell mu = 1/2 from mu = 2 in double precision
+    for exponent in (1e-300, 1e-17, -1e-17, 7e-17):
+        with pytest.raises(DomainError, match="too close to 0"):
+            InversePower(exponent)
+    assert InversePower(1e-15).exponent == 1e-15
 
 
 def test_parse_unknown_names():
@@ -258,3 +265,39 @@ def test_log_lik_of_eta_columns(link, family):
         assert values[j] == pytest.approx(lf.log_lik(E[:, j], y), rel=1e-12, abs=1e-9)
     assert values[0] == values[3]
     assert lf.log_lik(E[:, :1], y)[0] == values[0]
+
+
+# ---------------------------------------------------------------------------
+# the saturated log-likelihood bounds every fit's (forward_select's stop)
+# ---------------------------------------------------------------------------
+
+_RESPONSES = {
+    "bernoulli": st.sampled_from([0.0, 1.0]),
+    "poisson": st.integers(0, 10**6).map(float),
+    "gamma": st.floats(1e-9, 1e9),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.sampled_from(ALL_PAIRS), data=st.data())
+def test_log_lik_never_exceeds_saturated(pair, data):
+    link, family = pair
+    lf = parse_link_family(link, family)
+    n = data.draw(st.integers(1, 12))
+    y = np.array(data.draw(st.lists(_RESPONSES[family], min_size=n, max_size=n)))
+    eta = np.array(data.draw(st.lists(st.floats(-40.0, 40.0), min_size=n, max_size=n)))
+    # rows at the link image of y itself, where the bound is tight
+    at_y = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mu = np.clip(y, 1e-6, 1.0 - 1e-6) if family == "bernoulli" else np.maximum(y, 1e-6)
+    with np.errstate(all="ignore"):
+        eta = np.where(at_y, lf.link.g(mu), eta)
+        ll = lf.log_lik(lf.clip_eta(eta), y)
+    sat = lf.family.saturated_log_lik(y)
+    assert ll <= sat + 1e-9 * (1 + abs(sat))
+
+
+def test_saturated_log_lik_values():
+    y = np.array([0.0, 1.0, 3.0])
+    assert Bernoulli().saturated_log_lik(np.array([0.0, 1.0])) == 0.0
+    assert parse_family("poisson").saturated_log_lik(y) == pytest.approx(3 * math.log(3) - 4)
+    assert Gamma().saturated_log_lik(np.array([1.0, math.e])) == pytest.approx(-3.0)

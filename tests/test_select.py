@@ -10,6 +10,7 @@ from helpers import (
     assert_same_fit,
     forward_step_reference,
     screen_mme_reference,
+    unstopped_forward_path,
 )
 
 from ebicglm import (
@@ -18,10 +19,13 @@ from ebicglm import (
     ModelIndex,
     PathEmpty,
     SelectConfig,
+    design_for,
     ebic_score,
     fit_mle,
     forward_select,
+    generate_replicate,
     parse_link_family,
+    resolve_gamma,
     screen_mme,
     select_pipeline,
 )
@@ -225,8 +229,10 @@ def _check_path_against_oracle(lf, data, path, include_intercept, max_steps):
     """Follow the batched path step by step, each from the path's own start:
     the per-candidate loop skips the same candidates, its best
     log-likelihood ties the batched pick up to float noise, and the step's
-    reported fit agrees with the oracle's fit of the picked model; the path
-    ends where the loop finds nothing usable."""
+    reported fit agrees with the oracle's fit of the picked model. The path
+    ends for the reason it gives: where the loop finds nothing usable, where
+    the loop's next step cannot lower any gamma's EBIC minimum, or at a
+    size cap."""
     off = 1 if include_intercept else 0
     init = path.null_fit.beta
     current, remaining = [], list(range(data.p))
@@ -249,10 +255,22 @@ def _check_path_against_oracle(lf, data, path, include_intercept, max_steps):
         init[off:][np.argsort(current, kind="stable")] = step.fit.beta[off:]
         ref = _newton(data.y, _shared_block(data, current, include_intercept), lf, start)
         assert_same_fit(replace(step.fit, beta=init), ref)
-    if len(path.steps) < max_steps and remaining and len(current) < data.n - 2:
-        assert forward_step_reference(
+    reason = path.stop_reason
+    if reason in ("no-usable-fit", "ebic-decided"):
+        feature, fit, _lls = forward_step_reference(
             lf, data, current, remaining, init, include_intercept
-        )[1] is None
+        )
+        if reason == "no-usable-fit":
+            assert fit is None
+        elif fit is not None:
+            model = ModelIndex(tuple(current) + (feature,), include_intercept)
+            for g in path.gammas:
+                ebic = ebic_score(fit, model, data.n, data.p, g).ebic
+                assert ebic > path.ebic_sequence(g).min()
+    elif len(path.steps) == max_steps:
+        assert reason == "max-steps"
+    else:
+        assert reason == ("size-limit" if len(current) >= data.n - 2 else "no-candidates")
 
 
 class TestForwardStepMatchesPerCandidateFits:
@@ -262,9 +280,17 @@ class TestForwardStepMatchesPerCandidateFits:
         monkeypatch.setattr(glm, "LANE_BLOCK_CELLS", STEP_N * STEP_LANES)
         lf = parse_link_family(link, family)
         data = _step_data(family)
-        path = forward_select(lf, data, range(data.p), [0.0], 4,
-                              include_intercept=include_intercept)
+        # the separating column decides EBIC after one step for the binary
+        # pairs, so the kernel is checked on the path grown without the stop;
+        # the stopped path is a prefix of it
+        path = unstopped_forward_path(lf, data, range(data.p), [0.0], 4, include_intercept)
+        # every pair reaches the step cap but invpower:-2 with an intercept,
+        # where no candidate gives a usable fit at step 3
+        assert len(path.steps) == (2 if (link, include_intercept) == ("invpower:-2", True) else 4)
         _check_path_against_oracle(lf, data, path, include_intercept, 4)
+        stopped = forward_select(lf, data, range(data.p), [0.0], 4,
+                                 include_intercept=include_intercept)
+        assert stopped.features == path.features[: len(stopped.steps)]
         # the copies of the signal: one fit, bit-equal results, the lowest
         # index wins, and a selected copy makes the others rank deficient
         start = np.append(path.null_fit.beta, 0.0)
@@ -297,9 +323,10 @@ class TestForwardStepMatchesPerCandidateFits:
     def test_one_lane_blocks(self, monkeypatch, link):
         lf = parse_link_family(link)
         data = _step_data("bernoulli", seed=1)
-        wide = forward_select(lf, data, range(data.p), [0.0], 4)
+        wide = unstopped_forward_path(lf, data, range(data.p), [0.0], 4)
         monkeypatch.setattr(glm, "LANE_BLOCK_CELLS", 1)
-        narrow = forward_select(lf, data, range(data.p), [0.0], 4)
+        narrow = unstopped_forward_path(lf, data, range(data.p), [0.0], 4)
+        assert len(narrow.steps) == 4
         _check_path_against_oracle(lf, data, narrow, True, 4)
         assert narrow.features == wide.features
         # BLAS rounds by lane position, so the block width moves last bits
@@ -381,9 +408,10 @@ class TestForwardSelect:
             forward_select(LF, data, [], gammas=[0.0], max_steps=1)
 
     def test_path_empty_when_no_usable_fit(self):
-        # all-ones response keeps the gradient alive, so the singular designs
-        # of both intercept-collinear candidates are detected and skipped
-        y = np.ones(40)
+        # both candidates are collinear with the intercept, so their singular
+        # designs are detected and skipped; the response varies, so EBIC
+        # leaves step 1 open (an all-ones response would decide the null model)
+        y = np.tile([0.0, 1.0], 20)
         X = np.ones((40, 2))
         with pytest.raises(PathEmpty):
             forward_select(LF, Dataset(y, X), [0, 1], gammas=[0.0], max_steps=2)
@@ -395,6 +423,88 @@ class TestForwardSelect:
         model = ModelIndex(path.features[:2])
         refit = fit_mle(LF, data, model)
         np.testing.assert_allclose(step.fit.beta, refit.beta, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the EBIC stop against the path grown to its cap
+# ---------------------------------------------------------------------------
+
+def _s1_instance():
+    """A small Setting-1 replicate (p = 493), fitted with an intercept on
+    its 60 strongest marginal features, at gamma3 and mbic."""
+    data = generate_replicate(design_for("S1", 100), seed=3).dataset
+    lf = parse_link_family("cloglog")
+    cand = screen_mme(lf, data, 60).keep
+    gammas = (resolve_gamma("gamma3", data.n, data.p), resolve_gamma("mbic", data.n, data.p))
+    return lf, data, cand, gammas, 20
+
+
+def _separated_instance():
+    """A logit response that a few of 60 columns separate at n = 40."""
+    data = _logit_data(n=40, p=60, strong=(0, 7, 21), seed=31, coef=3.0)
+    return LF, data, range(data.p), (0.5, 1.0), 20
+
+
+def _count_instance(family):
+    """A Poisson or Gamma response driven by two of 150 columns, log link."""
+    rng = np.random.default_rng(32)
+    n, p = 60, 150
+    X = rng.standard_normal((n, p))
+    mean = np.exp(0.4 + 0.6 * X[:, 2] - 0.5 * X[:, 9])
+    y = rng.poisson(mean).astype(float) if family == "poisson" else rng.exponential(mean)
+    return parse_link_family("log", family), Dataset(y, X), range(p), (0.5, 1.0), 25
+
+
+STOP_INSTANCES = {
+    "s1": _s1_instance,
+    "separated": _separated_instance,
+    "poisson": lambda: _count_instance("poisson"),
+    "gamma": lambda: _count_instance("gamma"),
+}
+
+
+class TestEbicStop:
+    @pytest.mark.parametrize("name", sorted(STOP_INSTANCES))
+    def test_stopped_path_is_a_prefix_with_the_same_models(self, name):
+        lf, data, cand, gammas, max_steps = STOP_INSTANCES[name]()
+        path = forward_select(lf, data, cand, gammas, max_steps)
+        full = unstopped_forward_path(lf, data, cand, gammas, max_steps)
+        # each instance stops early, so the comparison covers the stop
+        assert path.stop_reason == "ebic-decided"
+        assert len(path.steps) < len(full.steps)
+        assert path.final_prefixes == full.final_prefixes
+        for got, ref in zip(path.steps, full.steps):
+            assert got.feature == ref.feature
+            assert got.fit.log_lik == ref.fit.log_lik
+            assert np.array_equal(got.fit.beta, ref.fit.beta)
+            assert [sc.ebic for sc in got.scores] == [sc.ebic for sc in ref.scores]
+        for g in gammas:
+            assert path.model_for(g) == full.model_for(g)
+
+    def test_null_model_decided_before_step_one(self):
+        # one event in six rows: the null EBIC is below ln n + 2 ln p, the
+        # least any one-covariate model can score at gamma = 1
+        rng = np.random.default_rng(33)
+        data = Dataset(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]), rng.standard_normal((6, 10)))
+        path = forward_select(LF, data, range(10), [1.0], 4)
+        assert path.stop_reason == "ebic-decided"
+        assert path.steps == []
+        assert path.final_prefixes == (0,)
+        full = unstopped_forward_path(LF, data, range(10), [1.0], 4)
+        assert full.steps and full.final_prefixes == (0,)
+
+    def test_stop_reasons_of_the_size_caps(self):
+        data = _logit_data(n=60, p=3, strong=(0,), seed=34)
+        assert forward_select(LF, data, range(3), [0.0], 2).stop_reason == "max-steps"
+        assert forward_select(LF, data, range(3), [0.0], 10).stop_reason == "no-candidates"
+        # large counts driven by every column: each step gains far more than
+        # ln n, so EBIC leaves the path open up to n - 2 covariates
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((8, 8))
+        y = rng.poisson(np.exp(5.0 + X @ np.full(8, 0.5))).astype(float)
+        lf = parse_link_family("log", "poisson")
+        path = forward_select(lf, Dataset(y, X), range(8), [0.0], 20)
+        assert path.stop_reason == "size-limit" and len(path.steps) == 6
 
 
 # ---------------------------------------------------------------------------
