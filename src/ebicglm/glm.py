@@ -14,11 +14,16 @@ One kernel, ``_newton_lanes``, runs this iteration for a stack of designs
 fit: ``fit_mle`` is its one-lane case, and the screen and each forward step
 in ``select`` fit all their candidates with one call.
 
-Every fit stops by the same fixed rules: converged once the gradient's
-max-norm is below ``TOL`` = 1e-8; at most ``MAX_ITER`` = 100 iterations and
-``MAX_HALVINGS`` = 30 step halvings per iteration; and a step that would
-take any |beta_j| above ``BETA_CAP`` = 30 ends the fit at the last in-cap
-iterate, flagged ``quasi_separated``.
+Every fit stops by the same fixed rules. It has converged once its step d
+has a predicted gain g'd / 2 (half the squared Newton decrement; Boyd &
+Vandenberghe, Convex Optimization, section 9.5) of at most ``DEC_TOL``
+(1 + |loglik|): it then takes that full step unless the step lowers the
+log-likelihood, and stops. Otherwise the step is halved, at most
+``MAX_HALVINGS`` = 30 times, until the log-likelihood does not fall; a
+step that gains nothing is a stall and ends the fit where it stands,
+unconverged. A step that would take any |beta_j| above ``BETA_CAP`` = 30
+ends the fit at the last in-cap iterate, flagged ``quasi_separated``, and
+no fit runs more than ``MAX_ITER`` = 100 iterations.
 """
 
 from __future__ import annotations
@@ -31,8 +36,11 @@ from scipy.linalg.lapack import dpotrf
 from .errors import DataError, InvalidArgs, RankDeficient
 from .links import Family, LinkFamily, column_sums
 
-#: the Newton stop rules shared by every fit (see the module docstring)
-TOL = 1e-8
+#: the Newton stop rules shared by every fit (see the module docstring).
+#: DEC_TOL = 2^12 eps stays above what rounding lets a log-likelihood sum
+#: resolve: at 2^8 eps, 5 of 85,711 lanes of benchmark-shaped selection
+#: paths stalled before they could meet it
+DEC_TOL = 4096 * np.finfo(float).eps
 MAX_ITER = 100
 BETA_CAP = 30.0
 MAX_HALVINGS = 30
@@ -147,7 +155,6 @@ class FitResult:
     log_lik: float
     converged: bool
     iterations: int
-    grad_norm: float
     used_fisher_fallback: bool
     quasi_separated: bool = False
     eta_clamped: bool = False
@@ -167,7 +174,6 @@ class LaneFits:
     log_lik: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
-    grad_norm: np.ndarray
     used_fisher_fallback: np.ndarray
     quasi_separated: np.ndarray
     eta_clamped: np.ndarray
@@ -185,7 +191,6 @@ class LaneFits:
             log_lik=float(self.log_lik[j]),
             converged=bool(self.converged[j]),
             iterations=int(self.iterations[j]),
-            grad_norm=float(self.grad_norm[j]),
             used_fisher_fallback=bool(self.used_fisher_fallback[j]),
             quasi_separated=bool(self.quasi_separated[j]),
             eta_clamped=bool(self.eta_clamped[j]),
@@ -334,12 +339,11 @@ def _lanes(a, idx):
 def _lane_direction(lf, yc, A, Z, iu, x, eta, first):
     """Each lane's ascent direction at an in-domain eta: the Newton step on
     H1 - H0, else Fisher scoring on H1, else on H1 plus a jitter of 1e-10
-    times its mean diagonal. Returns (d as k x P, mask of lanes with a step
-    to try, mask of those whose step came from a Fisher fallback, the
-    gradient max-norm, inf where non-finite, and the mask of lanes failing
+    times its mean diagonal. Returns (d as k x P, the predicted gain g'd / 2
+    of each lane's step, mask of lanes with a step to try, mask of those
+    whose step came from a Fisher fallback, and the mask of lanes failing
     the rank test, which is run when ``first``). Lanes whose gradient is
-    non-finite or below ``TOL`` get no step. The n x P intermediates die on
-    return."""
+    non-finite get no step. The n x P intermediates die on return."""
     m = A.shape[1]
     k = m + 1
     lanes = x.shape[1]
@@ -349,9 +353,7 @@ def _lane_direction(lf, yc, A, Z, iu, x, eta, first):
     grad = np.empty((k, lanes))
     grad[:m] = A.T @ r
     grad[m] = column_sums(x * r)
-    gnorm = np.abs(grad).max(axis=0)
-    gnorm[~np.isfinite(gnorm)] = np.inf
-    stop = np.isinf(gnorm) | (gnorm < TOL)
+    stop = ~np.isfinite(grad).all(axis=0)
     w1 = sigma2 * hp * hp
     w = w1 if hpp is None else w1 - resid * hpp
     rank_deficient = np.zeros(lanes, dtype=bool)
@@ -386,13 +388,13 @@ def _lane_direction(lf, yc, A, Z, iu, x, eta, first):
         jitter = 1e-10 * np.trace(h1, axis1=1, axis2=2) / k
         h1 = h1 + jitter[:, None, None] * np.eye(k)
         d[:, bad], ok[bad] = _lane_chol_solve(h1, grad[:, bad])
-    return d, ok, ok & ~direct, gnorm, rank_deficient
+    return d, (grad * d).sum(axis=0) / 2, ok, ok & ~direct, rank_deficient
 
 
 def _newton_block(y, A, Z, iu, x, lf, start):
     """``_newton_lanes`` for one block: the designs [A, x_j] for the
     columns of x."""
-    n, width = x.shape
+    width = x.shape[1]
     k = A.shape[1] + 1
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
     yc = y[:, None]
@@ -405,13 +407,12 @@ def _newton_block(y, A, Z, iu, x, lf, start):
 
     out = LaneFits(
         beta=np.empty((k, width)), log_lik=np.empty(width), converged=flags(),
-        iterations=np.zeros(width, dtype=int), grad_norm=np.full(width, np.inf),
-        used_fisher_fallback=flags(), quasi_separated=flags(), eta_clamped=flags(),
-        rank_deficient=flags(), loglik_path=None, path_len=np.ones(width, dtype=int),
+        iterations=np.zeros(width, dtype=int), used_fisher_fallback=flags(),
+        quasi_separated=flags(), eta_clamped=flags(), rank_deficient=flags(),
+        loglik_path=None, path_len=np.ones(width, dtype=int),
     )
     lanes = np.arange(width)  # block position of each iterating lane
     beta = np.repeat(start[:, None], width, axis=1)
-    flat_steps = np.zeros(width, dtype=int)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # when the lanes start with their own coefficient at 0 they all share
         # one eta, so it stays n x 1 (and the first iteration's weights are
@@ -427,69 +428,80 @@ def _newton_block(y, A, Z, iu, x, lf, start):
             eta_c = clip(eta)
             if bounded_eta:
                 out.eta_clamped[lanes] |= (eta_c != eta).any(axis=0)
-            d, ok, fell_back, gnorm, rd = _lane_direction(
+            d, gain, ok, fell_back, rd = _lane_direction(
                 lf, yc, A, Z, iu, x, eta_c, it == 1
             )
             out.rank_deficient[lanes[rd]] = True
             out.used_fisher_fallback[lanes] |= fell_back
-            out.grad_norm[lanes] = gnorm
-            out.converged[lanes] = gnorm < TOL
+            conv = ok & (gain <= DEC_TOL * (1 + np.abs(ll)))
+            out.converged[lanes] = conv
             out.iterations[lanes] = it
 
-            # step halving. The lanes still searching all stand at the same
-            # step 2^-tried, so after two single tries (most lanes take the
-            # full or the half step) the rest are tried together, as many as
-            # keep the trial array within n x width; each lane takes the
-            # first (longest) step accepted
+            # step halving: the lanes still searching all stand at the same
+            # step 2^-tried, and a converged lane tries only the full step.
+            # A lane takes the first (longest) step that does not lower its
+            # log-likelihood
             dx = A @ d[:-1] + x * d[-1]
             eta_all = np.broadcast_to(eta, dx.shape)
             step = np.ones(lanes.size)
-            accepted = np.zeros(lanes.size, dtype=bool)
             eta_t = np.empty_like(dx)
-            ll_t = np.full(lanes.size, -np.inf)
+            ll_t = np.full(lanes.size, -np.inf)  # stays -inf unless accepted
             pending = np.flatnonzero(ok)
-            tried = 0
-            while pending.size and tried <= MAX_HALVINGS:
-                count = 1 if tried < 2 else min(MAX_HALVINGS + 1 - tried,
-                                                max(1, width // pending.size))
-                steps = np.ldexp(1.0, -np.arange(tried, tried + count))
-                trial = (eta_all.take(pending, axis=1)[:, None, :]
-                         + steps[:, None] * dx.take(pending, axis=1)[:, None, :])
-                ll_trial = lf.log_lik(clip(trial.reshape(n, -1)), y)
-                ll_trial = ll_trial.reshape(count, pending.size)
-                # equality is accepted so Newton can polish the gradient
-                # once gains drop below the log-likelihood's resolution
+            for tried in range(MAX_HALVINGS + 1):
+                if not pending.size:
+                    break
+                s = np.ldexp(1.0, -tried)
+                trial = eta_all.take(pending, axis=1) + s * dx.take(pending, axis=1)
+                ll_trial = lf.log_lik(clip(trial), y)
                 good = np.isfinite(ll_trial) & (ll_trial >= ll[pending])
-                hit = good.any(axis=0)
-                first = good.argmax(axis=0)[hit]
-                took = pending[hit]
-                eta_t[:, took] = trial[:, first, np.flatnonzero(hit)]
-                ll_t[took] = ll_trial[first, hit]
-                step[took] = steps[first]
-                accepted[took] = True
-                pending = pending[~hit]
-                tried += count
+                took = pending[good]
+                eta_t[:, took] = trial[:, good]
+                ll_t[took] = ll_trial[good]
+                step[took] = s
+                pending = pending[~good & ~conv[pending]]
 
-            flat_steps = np.where(ll_t == ll, flat_steps + 1, 0)
+            accepted = np.isfinite(ll_t)
             beta_t = beta + step * d
             capped = np.abs(beta_t).max(axis=0) > BETA_CAP
-            stepped = accepted & (flat_steps <= 2)
-            out.quasi_separated[lanes] = stepped & capped
-            move = stepped & ~capped
+            out.quasi_separated[lanes] = accepted & capped
+            # a converged lane's last step is taken; an unconverged lane
+            # whose step gains nothing has stalled, and stays where it is
+            take = accepted & ~capped & (conv | (ll_t > ll))
+            move = take & ~conv
+            beta = np.where(take, beta_t, beta)
+            ll = np.where(take, ll_t, ll)
             done = ~move
             out.beta[:, lanes[done]] = beta[:, done]
             out.log_lik[lanes[done]] = ll[done]
             row = np.full(width, np.nan)
-            row[lanes[move]] = ll_t[move]
+            row[lanes[take]] = ll[take]
             path.append(row)
-            out.path_len[lanes[move]] += 1
+            out.path_len[lanes[take]] += 1
             x, eta = x.compress(move, axis=1), eta_t.compress(move, axis=1)
-            beta, ll = beta_t.compress(move, axis=1), ll_t[move]
-            flat_steps, lanes = flat_steps[move], lanes[move]
+            beta, ll, lanes = beta.compress(move, axis=1), ll[move], lanes[move]
     out.beta[:, lanes] = beta
     out.log_lik[lanes] = ll
     out.loglik_path = np.array(path[: out.path_len.max()])
     return out
+
+
+def _first_copies(X, cols):
+    """For each entry of ``cols``, the position in ``cols`` of the first
+    column of X with the same bytes. Byte-equal columns share the wrapping
+    sum of their 64-bit words, so only the columns whose sum recurs are
+    compared in full: one sort of their bytes, each column one opaque
+    record. Nothing n x C is copied unless that many columns share sums."""
+    sums = X.view(np.uint64).sum(axis=0)[cols]
+    _, group, count = np.unique(sums, return_inverse=True, return_counts=True)
+    first = np.arange(cols.size)
+    shared = np.flatnonzero(count[group] > 1)
+    cand = np.ascontiguousarray(X.T[cols[shared]])
+    _, first_of, copy_of = np.unique(
+        cand.view(np.dtype((np.void, cand.itemsize * cand.shape[1]))),
+        return_index=True, return_inverse=True,
+    )
+    first[shared] = shared[first_of[copy_of.ravel()]]
+    return first
 
 
 def _newton_lanes(y, A, X, cols, lf, start):
@@ -502,26 +514,25 @@ def _newton_lanes(y, A, X, cols, lf, start):
     coefficients and then the lane's own. Each lane iterates on its own and
     leaves at the first of: the rank test at iteration 1 (flagged
     ``rank_deficient``; a single fit raises there), a non-finite gradient,
-    a gradient max-norm below ``TOL`` (converged), no solvable direction
-    (see ``_lane_direction``), no step accepted after ``MAX_HALVINGS``
-    halvings, the third flat step in a row, a step that would take some
-    |beta_j| above ``BETA_CAP`` (quasi-separated, left at the last in-cap
-    iterate) and ``MAX_ITER`` iterations. eta is clamped into the link's
-    domain wherever it is evaluated.
+    no solvable direction (see ``_lane_direction``), a predicted gain g'd / 2
+    of at most ``DEC_TOL`` (1 + |loglik|) (converged, after taking that full
+    step unless it lowers the log-likelihood), no step accepted after
+    ``MAX_HALVINGS`` halvings, an accepted step that gains nothing (a stall,
+    left where it stands), a step that would take some |beta_j| above
+    ``BETA_CAP`` (quasi-separated, left at the last in-cap iterate) and
+    ``MAX_ITER`` iterations. eta is clamped into the link's domain wherever
+    it is evaluated.
 
-    Each distinct column is fitted once, so duplicated columns get bit-equal
-    results (BLAS rounds by lane position), and the distinct columns are
-    fitted in blocks that keep every working array within
-    ``LANE_BLOCK_CELLS`` doubles, except the n x m(m+1)/2 products of A's
-    columns that give every lane's A^T W A in one matrix product.
+    Each distinct column (by byte equality) is fitted once, so duplicated
+    columns get bit-equal results (BLAS rounds by lane position), and the
+    distinct columns are fitted in blocks that keep every working array
+    within ``LANE_BLOCK_CELLS`` doubles, except the n x m(m+1)/2 products of
+    A's columns that give every lane's A^T W A in one matrix product.
     """
     n, m = A.shape
     k = m + 1
     cols = np.asarray(cols, dtype=int)
-    seen = {}
-    first = np.array(
-        [seen.setdefault(X[:, j].tobytes(), i) for i, j in enumerate(cols)], dtype=int
-    )
+    first = _first_copies(X, cols)
     distinct = np.flatnonzero(first == np.arange(cols.size))
     iu = np.triu_indices(m)  # row by row: (0, 0), (0, 1), ..., (1, 1), ...
     Z = np.empty((n, iu[0].size))
@@ -565,10 +576,12 @@ def fit_mle(lf: LinkFamily, data: Dataset, model: ModelIndex) -> FitResult:
 
     The fit is ``_newton_lanes``' one-lane case: A is the design without its
     last column, and the lane is that column. Raises RankDeficient when
-    X(model) is not of full column rank. A fit whose coefficient sup-norm
-    would exceed ``BETA_CAP`` is stopped at the last in-cap iterate and
-    flagged ``quasi_separated``. Non-convergence after ``MAX_ITER``
-    iterations is reported through ``converged=False``, not as an error.
+    X(model) is not of full column rank. The fit has converged once its
+    step's predicted gain g'd / 2 is at most ``DEC_TOL`` (1 + |loglik|). A
+    fit whose coefficient sup-norm would exceed ``BETA_CAP`` is stopped at
+    the last in-cap iterate and flagged ``quasi_separated``. A stall (a
+    step that gains nothing) or ``MAX_ITER`` iterations without convergence
+    are reported through ``converged=False``, not as an error.
     """
     X = _design(data, model)
     k = X.shape[1]
@@ -577,7 +590,7 @@ def fit_mle(lf: LinkFamily, data: Dataset, model: ModelIndex) -> FitResult:
         # empty design (no intercept, no covariates): eta is identically zero
         ll = _loglik_from_eta(data.y, np.zeros(data.n), lf)
         return FitResult(beta=beta0, log_lik=ll, converged=True, iterations=0,
-                         grad_norm=0.0, used_fisher_fallback=False, loglik_path=(ll,))
+                         used_fisher_fallback=False, loglik_path=(ll,))
     A = np.ascontiguousarray(X[:, :-1])
     return _newton_lanes(data.y, A, X, [k - 1], lf, beta0).fit(0)
 

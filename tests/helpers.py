@@ -12,7 +12,7 @@ from ebicglm import (
     fit_mle,
     parse_link_family,
 )
-from ebicglm.glm import BETA_CAP, MAX_HALVINGS, MAX_ITER, TOL, _design, _initial_beta
+from ebicglm.glm import BETA_CAP, DEC_TOL, MAX_HALVINGS, MAX_ITER, _design, _initial_beta
 from ebicglm.select import ScreenResult, SelectionPath, _forward_step
 
 # (link, family, eta-safe box for random instances)
@@ -154,7 +154,8 @@ def _assert_full_rank(h1: np.ndarray) -> None:
 
 
 def _newton(y, X, lf, beta0):
-    """Damped Newton ascent with Fisher-scoring fallback and a beta-norm cap."""
+    """Damped Newton ascent with Fisher-scoring fallback and a beta-norm cap,
+    under the stop rules of ``glm._newton_lanes``."""
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
     k = X.shape[1]
 
@@ -172,7 +173,6 @@ def _newton(y, X, lf, beta0):
             log_lik=ll,
             converged=True,
             iterations=0,
-            grad_norm=0.0,
             used_fisher_fallback=False,
             loglik_path=(ll,),
         )
@@ -183,8 +183,6 @@ def _newton(y, X, lf, beta0):
         fallback = False
         separated = False
         clamped = False
-        gnorm = np.inf
-        flat_steps = 0
         it = 0
         while it < MAX_ITER:
             it += 1
@@ -194,19 +192,11 @@ def _newton(y, X, lf, beta0):
             mu, sigma2, hp, hpp = lf.newton_terms(eta_c)
             resid = y - mu
             grad = X.T @ (resid * hp)
-            gnorm = float(np.abs(grad).max()) if k else 0.0
-            h1 = None
+            h1 = X.T @ (X * (sigma2 * hp * hp)[:, None])
             if it == 1:
-                h1 = X.T @ (X * (sigma2 * hp * hp)[:, None])
                 _assert_full_rank(h1)
-            if not np.isfinite(gnorm):
-                gnorm = np.inf
+            if not np.isfinite(grad).all():
                 break
-            if gnorm < TOL:
-                converged = True
-                break
-            if h1 is None:
-                h1 = X.T @ (X * (sigma2 * hp * hp)[:, None])
             if hpp is None:
                 h = h1
             else:
@@ -222,41 +212,36 @@ def _newton(y, X, lf, beta0):
                 if d is None:
                     break
                 fallback = True
+            converged = bool(grad @ d / 2 <= DEC_TOL * (1 + abs(ll)))
+            # the first step that does not lower the log-likelihood; a
+            # converged fit tries only the full step
             dx = X @ d
-            step = 1.0
-            accepted = False
-            for _ in range(MAX_HALVINGS + 1):
+            for halvings in range(1 if converged else MAX_HALVINGS + 1):
+                step = 0.5 ** halvings
                 eta_t = eta + step * dx
                 ll_t = loglik(eta_t)
-                # equality is allowed so Newton can polish the gradient once
-                # improvements drop below float resolution of the loglik
                 if np.isfinite(ll_t) and ll_t >= ll:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            if ll_t == ll:
-                flat_steps += 1
-                if flat_steps > 2:
                     break
             else:
-                flat_steps = 0
+                break  # no step accepted
             beta_t = beta + step * d
             if float(np.abs(beta_t).max()) > BETA_CAP:
                 separated = True
                 break
+            if not (converged or ll_t > ll):
+                break  # stalled
             beta = beta_t
             eta = eta_t
             ll = ll_t
             trace.append(ll)
+            if converged:
+                break
 
     return FitResult(
         beta=beta,
         log_lik=ll,
         converged=converged,
         iterations=it,
-        grad_norm=gnorm,
         used_fisher_fallback=fallback,
         quasi_separated=separated,
         eta_clamped=clamped,
@@ -361,35 +346,31 @@ def fit_mle_reference(lf, data, model):
     return _newton(data.y, X, lf, start)
 
 
-def assert_same_fit(got, ref):
-    """A kernel fit against the oracle's fit of the same design from the
-    same start.
+def assert_same_fit(got, ref, lf, y, X):
+    """A kernel fit against the oracle's fit of the design X (response y,
+    link-family lf) from the same start.
 
-    The flags ``quasi_separated``, ``eta_clamped`` and
+    The flags ``converged``, ``quasi_separated``, ``eta_clamped`` and
     ``used_fisher_fallback`` are equal, and the log-likelihood path is
-    nondecreasing and ends at the fit, and a converged fit's gradient
-    max-norm is below ``TOL``. The log-likelihoods agree within
-    tol = 1e-9 (1 + |ll|), and so does ``converged``, except where the
-    gradient test straddles ``TOL``: then the fit that did not converge
-    stalled in flat steps (its last three log-likelihoods equal) at the
-    other's optimum. Beta agrees within tol (1 + max |beta|) unless the fit
-    is quasi-separated: the likelihood is then flat along the separating
-    direction and the near-singular Hessian amplifies rounding in beta. A
-    fit that stalls on the eta clamp unconverged stops where rounding
-    decides, so there only the flags and the path are compared.
+    nondecreasing and ends at the fit. An unconverged fit on the eta clamp
+    can creep on by tiny gains (the gradient at the clipped eta is that of
+    the unclamped likelihood), so rounding decides where it stops; there
+    only the flags and the path are compared. Elsewhere the
+    log-likelihoods agree within tol = 1e-9 (1 + |ll|), and beta agrees
+    where the likelihood determines it: the difference delta has
+    delta' H1 delta / 2 <= tol, with H1 at the oracle's beta. Along flat
+    directions (a separating direction, a near-singular Hessian) rounding
+    moves beta freely, and this norm lets it.
     """
-    for flag in ("quasi_separated", "eta_clamped", "used_fisher_fallback"):
+    for flag in ("converged", "quasi_separated", "eta_clamped", "used_fisher_fallback"):
         assert getattr(got, flag) == getattr(ref, flag), flag
-    assert not got.converged or got.grad_norm < TOL
     assert got.loglik_path[-1] == got.log_lik
     assert np.all(np.diff(got.loglik_path) >= 0.0)
-    if got.eta_clamped and not (got.converged or ref.converged):
+    if got.eta_clamped and not got.converged:
         return
     tol = 1e-9 * (1 + abs(ref.log_lik))
     assert abs(got.log_lik - ref.log_lik) <= tol
-    if not got.quasi_separated:
-        assert np.max(np.abs(got.beta - ref.beta), initial=0.0) <= tol * (
-            1 + np.max(np.abs(ref.beta), initial=0.0))
-    if got.converged != ref.converged:
-        stalled = ref if got.converged else got
-        assert stalled.loglik_path[-3:] == (stalled.log_lik,) * 3
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _mu, sigma2, hp, _hpp = lf.newton_terms(lf.clip_eta(X @ ref.beta))
+    delta = X @ (got.beta - ref.beta)
+    assert delta @ (sigma2 * hp * hp * delta) / 2 <= tol

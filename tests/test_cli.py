@@ -120,6 +120,18 @@ class TestExitCodes:
         row = next(r for r in capsys.readouterr().out.splitlines() if r.startswith("log_lik"))
         assert math.isfinite(float(row.split("\t")[1]))
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_small_inverse_power_converges(self, tmp_path, capsys, seed):
+        # h' = -1/(k eta) is about 1e6 here, so only a scale-free stop rule
+        # can call the fit converged
+        rows = np.random.default_rng(seed).integers(0, 2, size=(30, 3))
+        csv = tmp_path / "binary.csv"
+        csv.write_text("y,a,b\n" + "\n".join(",".join(map(str, r)) for r in rows) + "\n")
+        argv = ["fit", "--input", str(csv), "--link", "invpower:1e-6", "--family", "poisson",
+                "--features", "1,2"]
+        assert main(argv) == 0
+        assert "converged\tTrue" in capsys.readouterr().out.splitlines()
+
     def test_response_coding_error_prints_plain_numbers(self, cli_inputs, capsys):
         root, base = cli_inputs
         y = Dataset.from_csv(root / "toy.csv").y

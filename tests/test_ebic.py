@@ -23,7 +23,6 @@ def _fake_fit(log_lik):
         log_lik=log_lik,
         converged=True,
         iterations=1,
-        grad_norm=0.0,
         used_fisher_fallback=False,
     )
 

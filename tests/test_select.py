@@ -253,8 +253,9 @@ def _check_path_against_oracle(lf, data, path, include_intercept, max_steps):
         # the next step's start
         init = step.fit.beta.copy()
         init[off:][np.argsort(current, kind="stable")] = step.fit.beta[off:]
-        ref = _newton(data.y, _shared_block(data, current, include_intercept), lf, start)
-        assert_same_fit(replace(step.fit, beta=init), ref)
+        design = _shared_block(data, current, include_intercept)
+        ref = _newton(data.y, design, lf, start)
+        assert_same_fit(replace(step.fit, beta=init), ref, lf, data.y, design)
     reason = path.stop_reason
     if reason in ("no-usable-fit", "ebic-decided"):
         feature, fit, _lls = forward_step_reference(
