@@ -105,21 +105,21 @@ def _shared_call(fn, task):
     return fn(_worker_shared, task)
 
 
-def _map_tasks(fn, shared, tasks, threads):
-    """``[fn(shared, task) for task in tasks]`` on up to ``threads`` worker
-    processes.
+def _map_tasks(shared, calls, threads):
+    """``[fn(shared, task) for fn, task in calls]`` on up to ``threads``
+    worker processes.
 
     Each worker receives ``shared`` once, through the pool initializer, and
-    each task only its own arguments. Results come back in task order, so
-    the number of workers never changes them.
+    each call only its own function and arguments. Results come back in call
+    order, so the number of workers never changes them.
     """
-    workers = min(threads or 1, len(tasks))
+    workers = min(threads or 1, len(calls))
     if workers <= 1:
-        return [fn(shared, task) for task in tasks]
+        return [fn(shared, task) for fn, task in calls]
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_set_worker_shared, initargs=(shared,)
     ) as pool:
-        return list(pool.map(_shared_call, [fn] * len(tasks), tasks, chunksize=1))
+        return list(pool.map(_shared_call, *zip(*calls), chunksize=1))
 
 
 # most replicates one batch runs: the pool queues every replicate up front and
@@ -170,7 +170,8 @@ def run_simulation_batch(
     config = config or SelectConfig(include_intercept=False)
     if config.max_steps is None:
         config = replace(config, max_steps=min(math.ceil(GROWTH_FACTOR * design.p0n), 50))
-    raw = _map_tasks(_replicate_task, (design, seed, config), range(replicates), threads)
+    raw = _map_tasks((design, seed, config),
+                     [(_replicate_task, r) for r in range(replicates)], threads)
 
     successes = [(rid, m) for rid, m, err in raw if err is None]
     failures = tuple((rid, err) for rid, m, err in raw if err is not None)
@@ -271,22 +272,9 @@ def _cv_fold_task(data, task):
     return _loglik_from_eta(data.y[test_rows], eta, lf)
 
 
-def cv_select_link(
-    data: Dataset,
-    links,
-    path_length: int = 10,
-    folds: int = 8,
-    seed: int = 0,
-    threads: int | None = None,
-) -> CvLinkReport:
-    """Pick the link with the largest summed held-out log-likelihood.
-
-    Each link runs the selection pipeline on every training fold (path grown
-    to at most ``path_length``, EBIC-minimizing prefix read out at the fold's
-    real-data preset gamma = 1 - ln n / (3 ln p)) and is scored on the
-    held-out fold. Ties within 1e-9 go to the earlier link in the input
-    order. Fold assignment is seeded and stratified by response class.
-    """
+def _cv_plan(data: Dataset, links, path_length: int, folds: int, seed: int):
+    """The link families, the fold labels and the CV tasks of
+    ``cv_select_link``, with each task's (link, fold) key."""
     if folds < 2:
         raise InvalidArgs(f"folds must be >= 2, got {folds}")
     if folds > data.n:
@@ -310,9 +298,10 @@ def cv_select_link(
                 )
             tasks.append((lf, train_rows, test_rows, path_length))
             keys.append((li, f))
+    return lfs, fold_of, tasks, keys
 
-    values = _map_tasks(_cv_fold_task, data, tasks, threads)
 
+def _cv_report(lfs, folds, fold_of, keys, values) -> CvLinkReport:
     criteria = np.zeros(len(lfs))
     for (li, _f), v in sorted(zip(keys, values), key=lambda kv: kv[0]):
         criteria[li] += v
@@ -326,6 +315,27 @@ def cv_select_link(
         folds=folds,
         fold_assignment=fold_of,
     )
+
+
+def cv_select_link(
+    data: Dataset,
+    links,
+    path_length: int = 10,
+    folds: int = 8,
+    seed: int = 0,
+    threads: int | None = None,
+) -> CvLinkReport:
+    """Pick the link with the largest summed held-out log-likelihood.
+
+    Each link runs the selection pipeline on every training fold (path grown
+    to at most ``path_length``, EBIC-minimizing prefix read out at the fold's
+    real-data preset gamma = 1 - ln n / (3 ln p)) and is scored on the
+    held-out fold. Ties within 1e-9 go to the earlier link in the input
+    order. Fold assignment is seeded and stratified by response class.
+    """
+    lfs, fold_of, tasks, keys = _cv_plan(data, links, path_length, folds, seed)
+    values = _map_tasks(data, [(_cv_fold_task, task) for task in tasks], threads)
+    return _cv_report(lfs, folds, fold_of, keys, values)
 
 
 @dataclass
@@ -344,6 +354,19 @@ class FinalReport:
     chosen_link: str
 
 
+def _full_path_task(data, task):
+    """One link's path on all rows: its ranking and its final selection."""
+    lf, path_steps = task
+    path, gamma, model, fit = _paper_final(lf, data, path_steps)
+    final = FinalSelection(
+        link=lf.link.name,
+        model_indices=model.indices,
+        log_lik=fit.log_lik,
+        gamma=gamma,
+    )
+    return path.features, final
+
+
 def real_data_workflow(
     data: Dataset,
     links,
@@ -357,36 +380,20 @@ def real_data_workflow(
 
     The final read-out uses gamma = 1 - ln n / (3 ln p) on each link's path.
     Each path, and so each ranking, ends after ``path_steps`` steps or where
-    EBIC has decided the final model, whichever comes first.
+    EBIC has decided the final model, whichever comes first. The full-data
+    paths and the CV folds run as one batch of tasks on the same pool, the
+    paths first.
     """
     data.validate_for_family(Bernoulli())
-    lfs = _as_link_families(links)
-
-    rankings = {}
-    finals = []
-    for lf in lfs:
-        path, gamma, model, fit = _paper_final(lf, data, path_steps)
-        rankings[lf.link.name] = path.features
-        finals.append(
-            FinalSelection(
-                link=lf.link.name,
-                model_indices=model.indices,
-                log_lik=fit.log_lik,
-                gamma=gamma,
-            )
-        )
-
-    cv = cv_select_link(
-        data,
-        lfs,
-        path_length=cv_path_length,
-        folds=cv_folds,
-        seed=seed,
-        threads=threads,
-    )
+    lfs, fold_of, cv_tasks, keys = _cv_plan(data, links, cv_path_length, cv_folds, seed)
+    calls = ([(_full_path_task, (lf, path_steps)) for lf in lfs]
+             + [(_cv_fold_task, task) for task in cv_tasks])
+    values = _map_tasks(data, calls, threads)
+    paths, cv_values = values[: len(lfs)], values[len(lfs):]
+    cv = _cv_report(lfs, cv_folds, fold_of, keys, cv_values)
     return FinalReport(
-        rankings=rankings,
+        rankings={final.link: features for features, final in paths},
         cv=cv,
-        finals=tuple(finals),
+        finals=tuple(final for _features, final in paths),
         chosen_link=cv.chosen,
     )

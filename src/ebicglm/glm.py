@@ -12,7 +12,11 @@ Fisher scoring on H1.
 One kernel, ``_newton_lanes``, runs this iteration for a stack of designs
 [A, x_j] that share every column but the last, and gives every reported
 fit: ``fit_mle`` is its one-lane case, and the screen and each forward step
-in ``select`` fit all their candidates with one call.
+in ``select`` fit all their candidates with one call. Its C lanes are held
+lane-major: every per-lane array over the n observations (x_j, eta, the
+link terms, the weights) is C x n, one lane per row, so each lane's sum is a
+pairwise sum over its own contiguous row and equal lanes get bit-equal
+values. The coefficient-side arrays (gradients, steps, beta) are k x C.
 
 Every fit stops by the same fixed rules. It has converged once its step d
 has a predicted gain g'd / 2 (half the squared Newton decrement; Boyd &
@@ -34,7 +38,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .errors import DataError, InvalidArgs, RankDeficient
-from .links import Family, LinkFamily, column_sums
+from .links import Family, LinkFamily
 
 #: the Newton stop rules shared by every fit (see the module docstring).
 #: DEC_TOL = 2^12 eps stays above what rounding lets a log-likelihood sum
@@ -163,7 +167,8 @@ class FitResult:
 
 @dataclass
 class LaneFits:
-    """``_newton_lanes``' results, one column (last axis) per lane.
+    """``_newton_lanes``' results, with the C lanes along the last axis of
+    every field (beta is k x C).
 
     Every field named as in ``FitResult`` means what it means there, for
     each lane; ``rank_deficient`` marks the lanes that failed the rank test,
@@ -262,7 +267,7 @@ def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> Hes
     return HessianParts(h1=h1, h0=h0)
 
 
-#: most doubles in one working array of ``_newton_lanes`` (an n x C block of
+#: most doubles in one working array of ``_newton_lanes`` (a C x n block of
 #: linear predictors or a C x k x k stack of Hessians); it sets how many
 #: candidate designs one block fits together. The block size trades the
 #: per-call overhead of numpy against peak memory: at 2^16 a Setting-1
@@ -314,45 +319,61 @@ def _lane_chol_solve(h, g):
     return d, ok & np.isfinite(d).all(axis=0)
 
 
+def _shared_dot(M, v):
+    """M^T v^T, q x C, for an n x q block M of shared columns and a C x n
+    lane array v (or 1 x n). For q >= 2 BLAS packs both operands, so the
+    transposed view of v goes in as it is. For q = 1 numpy calls BLAS's
+    matrix-vector product, whose summation order follows the layout of v;
+    v then goes in as an n x C copy, so every fit keeps the bits of the
+    package's earlier kernel, which held its lane arrays n x C."""
+    if M.shape[1] == 1:
+        return M.T @ np.ascontiguousarray(v.T)
+    return M.T @ v.T
+
+
 def _lane_gram(A, Z, iu, x, w):
     """X^T diag(w) X for each lane's design X = [A, x_j], as a P x k x k
-    stack. Z holds the column products A_a * A_b for (a, b) in the upper
-    triangle ``iu``; w is n x P, or n x 1 when all lanes share it."""
+    stack, for the P x n rows x_j of x. Z holds the column products
+    A_a * A_b for (a, b) in the upper triangle ``iu``; w is P x n, or 1 x n
+    when all lanes share it."""
     m = A.shape[1]
-    h = np.empty((x.shape[1], m + 1, m + 1))
+    h = np.empty((x.shape[0], m + 1, m + 1))
     wx = w * x
     if m:
-        zw = (Z.T @ w).T
+        zw = _shared_dot(Z, w).T
         h[:, iu[0], iu[1]] = zw
         h[:, iu[1], iu[0]] = zw
-        h[:, m, :m] = h[:, :m, m] = (A.T @ wx).T
-    h[:, m, m] = column_sums(x * wx)
+        h[:, m, :m] = h[:, :m, m] = _shared_dot(A, wx).T
+    h[:, m, m] = (x * wx).sum(axis=1)
     return h
 
 
-def _lanes(a, idx):
-    """Columns idx of an n x P lane array, C-contiguous (fancy indexing on
-    axis 1 would return Fortran order); no copy when idx keeps them all."""
-    return a if idx.size == a.shape[1] else a.take(idx, axis=1)
+def _rows(a, idx):
+    """Rows idx (indices or a mask) of a lane array; no copy when idx keeps
+    them all."""
+    keep_all = idx.all() if idx.dtype == bool else idx.size == a.shape[0]
+    return a if keep_all else a[idx]
 
 
-def _lane_direction(lf, yc, A, Z, iu, x, eta, first):
-    """Each lane's ascent direction at an in-domain eta: the Newton step on
-    H1 - H0, else Fisher scoring on H1, else on H1 plus a jitter of 1e-10
-    times its mean diagonal. Returns (d as k x P, the predicted gain g'd / 2
-    of each lane's step, mask of lanes with a step to try, mask of those
-    whose step came from a Fisher fallback, and the mask of lanes failing
-    the rank test, which is run when ``first``). Lanes whose gradient is
-    non-finite get no step. The n x P intermediates die on return."""
+def _lane_direction(lf, y, A, Z, iu, x, eta, state, first):
+    """Each lane's ascent direction at an in-domain eta (C x n, one row per
+    lane, or 1 x n while every lane shares it), whose link ``state`` came
+    from ``log_lik``: the Newton step on H1 - H0, else Fisher scoring on
+    H1, else on H1 plus a jitter of 1e-10 times its mean diagonal. Returns
+    (d as k x C, the predicted gain g'd / 2 of each lane's step, mask of
+    lanes with a step to try, mask of those whose step came from a Fisher
+    fallback, and the mask of lanes failing the rank test, which is run
+    when ``first``). Lanes whose gradient is non-finite get no step. The
+    C x n intermediates die on return."""
     m = A.shape[1]
     k = m + 1
-    lanes = x.shape[1]
-    mu, sigma2, hp, hpp = lf.newton_terms(eta)
-    resid = yc - mu
+    lanes = x.shape[0]
+    mu, sigma2, hp, hpp = lf.newton_terms(eta, state)
+    resid = y - mu
     r = resid * hp
     grad = np.empty((k, lanes))
-    grad[:m] = A.T @ r
-    grad[m] = column_sums(x * r)
+    grad[:m] = _shared_dot(A, r)
+    grad[m] = (x * r).sum(axis=1)
     stop = ~np.isfinite(grad).all(axis=0)
     w1 = sigma2 * hp * hp
     w = w1 if hpp is None else w1 - resid * hpp
@@ -367,12 +388,12 @@ def _lane_direction(lf, yc, A, Z, iu, x, eta, first):
         h = (h1_all if hpp is None else _lane_gram(A, Z, iu, x, w))[go]
     else:
         go = np.flatnonzero(~stop)
-        h = _lane_gram(A, Z, iu, _lanes(x, go), _lanes(w, go))
+        h = _lane_gram(A, Z, iu, _rows(x, go), _rows(w, go))
 
     def h1_of(idx):
         if first:
             return h1_all[idx]
-        return _lane_gram(A, Z, iu, x.take(idx, axis=1), w1.take(idx, axis=1))
+        return _lane_gram(A, Z, iu, x[idx], w1[idx])
 
     d = np.zeros((k, lanes))
     ok = np.zeros(lanes, dtype=bool)
@@ -392,12 +413,13 @@ def _lane_direction(lf, yc, A, Z, iu, x, eta, first):
 
 
 def _newton_block(y, A, Z, iu, x, lf, start):
-    """``_newton_lanes`` for one block: the designs [A, x_j] for the
-    columns of x."""
-    width = x.shape[1]
+    """``_newton_lanes`` for one block: the designs [A, x_j] for the rows
+    x_j of x (C x n). Every per-lane array over the n observations is
+    C x n with one row per lane, so each lane's sums run over its own
+    contiguous row."""
+    width = x.shape[0]
     k = A.shape[1] + 1
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
-    yc = y[:, None]
 
     def clip(eta_arr):
         return lf.clip_eta(eta_arr) if bounded_eta else eta_arr
@@ -415,21 +437,22 @@ def _newton_block(y, A, Z, iu, x, lf, start):
     beta = np.repeat(start[:, None], width, axis=1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # when the lanes start with their own coefficient at 0 they all share
-        # one eta, so it stays n x 1 (and the first iteration's weights are
+        # one eta, so it stays 1 x n (and the first iteration's weights are
         # shared) until the first step
-        eta = (A @ start[:-1])[:, None]
+        eta = (A @ start[:-1])[None, :]
         if start[-1]:
             eta = eta + start[-1] * x
-        ll = np.broadcast_to(lf.log_lik(clip(eta), y), width).copy()
+        ll, state = lf.log_lik(clip(eta), y, keep_state=True)
+        ll = np.broadcast_to(ll, width).copy()
         path = [ll.copy()]
         it = 0
         while lanes.size and it < MAX_ITER:
             it += 1
             eta_c = clip(eta)
             if bounded_eta:
-                out.eta_clamped[lanes] |= (eta_c != eta).any(axis=0)
+                out.eta_clamped[lanes] |= (eta_c != eta).any(axis=1)
             d, gain, ok, fell_back, rd = _lane_direction(
-                lf, yc, A, Z, iu, x, eta_c, it == 1
+                lf, y, A, Z, iu, x, eta_c, state, it == 1
             )
             out.rank_deficient[lanes[rd]] = True
             out.used_fisher_fallback[lanes] |= fell_back
@@ -440,22 +463,34 @@ def _newton_block(y, A, Z, iu, x, lf, start):
             # step halving: the lanes still searching all stand at the same
             # step 2^-tried, and a converged lane tries only the full step.
             # A lane takes the first (longest) step that does not lower its
-            # log-likelihood
-            dx = A @ d[:-1] + x * d[-1]
+            # log-likelihood; the eta and link state of that trial carry
+            # over to the next iteration. A @ d[:-1] is computed n x C, as in
+            # the package's earlier n x C kernel, because BLAS can round a
+            # product by its output's orientation and the step's last bits
+            # decide which trial a lane takes
+            dx = (A @ d[:-1]).T + d[-1][:, None] * x
             eta_all = np.broadcast_to(eta, dx.shape)
             step = np.ones(lanes.size)
-            eta_t = np.empty_like(dx)
             ll_t = np.full(lanes.size, -np.inf)  # stays -inf unless accepted
+            eta_t = state_t = None
             pending = np.flatnonzero(ok)
             for tried in range(MAX_HALVINGS + 1):
                 if not pending.size:
                     break
                 s = np.ldexp(1.0, -tried)
-                trial = eta_all.take(pending, axis=1) + s * dx.take(pending, axis=1)
-                ll_trial = lf.log_lik(clip(trial), y)
+                trial = _rows(eta_all, pending) + s * _rows(dx, pending)
+                ll_trial, st = lf.log_lik(clip(trial), y, keep_state=True)
                 good = np.isfinite(ll_trial) & (ll_trial >= ll[pending])
                 took = pending[good]
-                eta_t[:, took] = trial[:, good]
+                if took.size == lanes.size:  # every lane took this trial
+                    eta_t, state_t = trial, st
+                else:
+                    if eta_t is None:
+                        eta_t = np.empty_like(dx)
+                        state_t = tuple(np.empty_like(dx) for _ in st)
+                    eta_t[took] = trial[good]
+                    for kept, new in zip(state_t, st):
+                        kept[took] = new[good]
                 ll_t[took] = ll_trial[good]
                 step[took] = s
                 pending = pending[~good & ~conv[pending]]
@@ -477,8 +512,11 @@ def _newton_block(y, A, Z, iu, x, lf, start):
             row[lanes[take]] = ll[take]
             path.append(row)
             out.path_len[lanes[take]] += 1
-            x, eta = x.compress(move, axis=1), eta_t.compress(move, axis=1)
-            beta, ll, lanes = beta.compress(move, axis=1), ll[move], lanes[move]
+            if not move.any():  # every lane has left
+                break
+            x, eta = _rows(x, move), _rows(eta_t, move)
+            state = tuple(_rows(a, move) for a in state_t)
+            beta, ll, lanes = beta[:, move], ll[move], lanes[move]
     out.beta[:, lanes] = beta
     out.log_lik[lanes] = ll
     out.loglik_path = np.array(path[: out.path_len.max()])
@@ -527,7 +565,9 @@ def _newton_lanes(y, A, X, cols, lf, start):
     columns get bit-equal results (BLAS rounds by lane position), and the
     distinct columns are fitted in blocks that keep every working array
     within ``LANE_BLOCK_CELLS`` doubles, except the n x m(m+1)/2 products of
-    A's columns that give every lane's A^T W A in one matrix product.
+    A's columns that give every lane's A^T W A in one matrix product. A
+    block gathers its columns as the rows of a C x n array and holds every
+    per-lane array over the observations the same way, one lane per row.
     """
     n, m = A.shape
     k = m + 1
@@ -543,7 +583,7 @@ def _newton_lanes(y, A, X, cols, lf, start):
     start = np.asarray(start, dtype=float)
     width = max(1, LANE_BLOCK_CELLS // max(n, k * k))
     parts = [
-        _newton_block(y, A, Z, iu, X.take(cols[distinct[s:s + width]], axis=1), lf, start)
+        _newton_block(y, A, Z, iu, X.T[cols[distinct[s:s + width]]], lf, start)
         for s in range(0, distinct.size, width)
     ]
     rows = max(len(part.loglik_path) for part in parts)

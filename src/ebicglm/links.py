@@ -6,6 +6,11 @@ theta = h(eta) from linear predictor to natural parameter and one
 derivatives h' and h'', all coded analytically. The fitter, ``score``,
 ``hessian_parts`` and the diagnostics all read h' and h'' from it. Canonical
 pairs degenerate to h(eta) = eta with h' = 1 and h'' = 0 exactly.
+
+``log_lik`` and ``newton_terms`` start from the same link quantities at eta
+(theta itself, or cloglog's exp(eta), or a CDF link's log-CDF and
+log-survival). ``log_lik(..., keep_state=True)`` hands them over, so the
+fitter evaluates the link once at each accepted eta.
 """
 
 from __future__ import annotations
@@ -19,18 +24,6 @@ from .errors import DataError, DomainError, UnsupportedPair
 
 _LOG1E12 = math.log(1e12)
 _LOG_MU_FLOOR = math.log(1e-12)
-
-
-def column_sums(a: np.ndarray) -> np.ndarray:
-    """Per-column sums of an n x C array, without BLAS.
-
-    Each column is copied into a contiguous row and summed pairwise, so its
-    arithmetic depends only on its own n values: duplicated columns get
-    bit-equal sums wherever they sit. (A BLAS product rounds by lane
-    position, and numpy's axis-0 sum adds row by row, whose rounding noise
-    of order n * eps can outgrow a Newton step's gain in log-likelihood.)
-    """
-    return np.ascontiguousarray(a.T).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -48,13 +41,18 @@ class Family:
     def b(self, theta):
         raise NotImplementedError
 
+    def mean_and_variance(self, theta):
+        """(b'(theta), b''(theta)), the mean and variance functions: each
+        family's one statement of both, so that they can share work."""
+        raise NotImplementedError
+
     def b_prime(self, theta):
         """Mean function mu(theta)."""
-        raise NotImplementedError
+        return self.mean_and_variance(theta)[0]
 
     def b_double_prime(self, theta):
         """Variance function sigma^2(theta)."""
-        raise NotImplementedError
+        return self.mean_and_variance(theta)[1]
 
     def saturated_log_lik(self, y):
         """sup over theta of sum_i [y_i theta_i - b(theta_i)]: no fit's
@@ -92,12 +90,10 @@ class Bernoulli(Family):
     def b(self, theta):
         return np.logaddexp(0.0, theta)
 
-    def b_prime(self, theta):
-        return special.expit(theta)
-
-    def b_double_prime(self, theta):
+    def mean_and_variance(self, theta):
         t = np.asarray(theta)
-        return special.expit(t) * special.expit(-t)
+        mu = special.expit(t)
+        return mu, mu * special.expit(-t)
 
     def saturated_log_lik(self, y):
         return 0.0
@@ -116,11 +112,9 @@ class Poisson(Family):
     def b(self, theta):
         return np.exp(theta)
 
-    def b_prime(self, theta):
-        return np.exp(theta)
-
-    def b_double_prime(self, theta):
-        return np.exp(theta)
+    def mean_and_variance(self, theta):
+        mu = np.exp(theta)
+        return mu, mu
 
     def saturated_log_lik(self, y):
         return float(np.sum(special.xlogy(y, y) - y))
@@ -144,12 +138,9 @@ class Gamma(Family):
     def b(self, theta):
         return -np.log(-np.asarray(theta, dtype=float))
 
-    def b_prime(self, theta):
-        return -1.0 / np.asarray(theta, dtype=float)
-
-    def b_double_prime(self, theta):
+    def mean_and_variance(self, theta):
         t = np.asarray(theta, dtype=float)
-        return 1.0 / (t * t)
+        return -1.0 / t, 1.0 / (t * t)
 
     def saturated_log_lik(self, y):
         return float(np.sum(-1.0 - np.log(y)))
@@ -332,9 +323,11 @@ class InversePower(Link):
 class LinkFamily:
     """Immutable family/link pair with analytic h, h', h''.
 
-    Each pair states h and one ``newton_terms``; that is the only place its
-    h' and h'' are written, and ``h_prime``/``h_double_prime`` read them
-    from it.
+    Each pair states h and ``_terms``, its Newton terms computed from its
+    link quantities at eta (``_state``: theta = h(eta) unless the pair has
+    better ones). ``_terms`` is the only place its h' and h'' are written;
+    every pair shares ``newton_terms`` and ``log_lik``, and ``h_prime`` and
+    ``h_double_prime`` read ``newton_terms``.
     """
 
     #: open interval of admissible linear predictors
@@ -355,15 +348,29 @@ class LinkFamily:
     def h(self, eta):
         raise NotImplementedError
 
-    def newton_terms(self, eta):
-        """(mu, sigma2, h', h'') at eta; h'' is None when identically zero."""
+    def _state(self, eta):
+        """The link quantities at eta that ``log_lik`` and ``newton_terms``
+        both start from, as a tuple of arrays shaped like eta: (h(eta),)
+        unless the pair has better ones."""
+        return (self.h(eta),)
+
+    def _terms(self, eta, state):
+        """``newton_terms`` at eta from the pair's ``_state`` there."""
         raise NotImplementedError
 
-    def _terms_from_h(self, eta, hp, hpp):
-        """(b'(h(eta)), b''(h(eta)), hp, hpp): ``newton_terms`` for the pairs
-        whose mean and variance come straight from the family."""
-        th = self.h(eta)
-        return self.family.b_prime(th), self.family.b_double_prime(th), hp, hpp
+    def newton_terms(self, eta, state=None):
+        """(mu, sigma2, h', h'') at eta; h'' is None when identically zero.
+
+        ``state`` is what ``log_lik(eta, y, keep_state=True)`` returned at
+        this same eta; the terms are then bit-equal to those computed
+        without it, and the link is not evaluated again.
+        """
+        return self._terms(eta, self._state(eta) if state is None else state)
+
+    def _terms_from_h(self, th, hp, hpp):
+        """(b'(th), b''(th), hp, hpp) at th = h(eta): ``_terms`` for the
+        pairs whose mean and variance come straight from the family."""
+        return (*self.family.mean_and_variance(th), hp, hpp)
 
     def h_prime(self, eta):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -375,19 +382,26 @@ class LinkFamily:
             _, _, hp, hpp = self.newton_terms(eta)
         return np.zeros_like(hp) if hpp is None else hpp
 
-    def log_lik(self, eta, y):
+    def log_lik(self, eta, y, keep_state=False):
         """sum_i [y_i theta_i - b(theta_i)] with the family's theta clamp.
 
         ``eta`` must already be inside the admissible domain. A 1-D ``eta``
-        gives a float; an n x C array of C linear predictors gives one value
-        per column, summed by ``column_sums``.
+        gives a float; a C x n array of C linear predictors gives one value
+        per row, each summed over its own n values alone (pairwise, for
+        contiguous rows), so equal rows get bit-equal values wherever they
+        sit. With ``keep_state`` the result is (value, state), and state
+        lets ``newton_terms`` at the same eta skip the link.
         """
-        th = self.h(eta)
+        state = self._state(eta)
+        value = self._log_lik(y, state)
+        return (value, state) if keep_state else value
+
+    def _log_lik(self, y, state):
         lo, hi = self.family.theta_clip
-        th = np.minimum(hi, np.maximum(lo, th))
+        th = np.minimum(hi, np.maximum(lo, state[0]))
         if th.ndim == 1:
             return float(y @ th - self.family.b(th).sum())
-        return column_sums(y[:, None] * th) - column_sums(self.family.b(th))
+        return (y * th).sum(axis=1) - self.family.b(th).sum(axis=1)
 
     def validate_eta(self, eta) -> None:
         lo, hi = self.eta_domain
@@ -418,8 +432,9 @@ class _CanonicalLF(LinkFamily):
     def h(self, eta):
         return np.asarray(eta, dtype=float)
 
-    def newton_terms(self, eta):
-        return self._terms_from_h(eta, np.ones_like(np.asarray(eta, dtype=float)), None)
+    def _terms(self, eta, state):
+        th = state[0]
+        return self._terms_from_h(th, np.ones_like(th), None)
 
 
 class _BinaryCdfLF(LinkFamily):
@@ -434,23 +449,25 @@ class _BinaryCdfLF(LinkFamily):
     def h(self, eta):
         return self.link.log_cdf(eta) - self.link.log_sf(eta)
 
-    def newton_terms(self, eta):
-        lcdf = self.link.log_cdf(eta)
-        lsf = self.link.log_sf(eta)
+    def _state(self, eta):
+        return self.link.log_cdf(eta), self.link.log_sf(eta)
+
+    def _terms(self, eta, state):
+        lcdf, lsf = state
         mu = np.exp(lcdf)
         sigma2 = np.exp(lcdf + lsf)  # mu * (1 - mu)
         hp = np.exp(self.link.log_pdf(eta) - lcdf - lsf)
         hpp = hp * (self.link.dlog_pdf(eta) + hp * (mu - np.exp(lsf)))
         return mu, sigma2, hp, hpp
 
-    def log_lik(self, eta, y):
+    def _log_lik(self, y, state):
         # y log G + (1 - y) log(1 - G), clamped at log(1e-12) on both sides
         floor = _LOG_MU_FLOOR
-        lcdf = np.maximum(self.link.log_cdf(eta), floor)
-        lsf = np.maximum(self.link.log_sf(eta), floor)
+        lcdf = np.maximum(state[0], floor)
+        lsf = np.maximum(state[1], floor)
         if lsf.ndim == 1:
             return float(y @ (lcdf - lsf) + lsf.sum())
-        return column_sums(y[:, None] * (lcdf - lsf)) + column_sums(lsf)
+        return (y * (lcdf - lsf)).sum(axis=1) + lsf.sum(axis=1)
 
 
 class _BernoulliCloglogLF(LinkFamily):
@@ -465,36 +482,38 @@ class _BernoulliCloglogLF(LinkFamily):
     ignores it.
     """
 
-    @staticmethod
-    def _u_a(eta):
+    def _state(self, eta):
         u = np.exp(np.asarray(eta, dtype=float))
         return u, -np.expm1(-u)
 
     def h(self, eta):
         with np.errstate(over="ignore", divide="ignore"):
-            u, a = self._u_a(eta)
+            u, a = self._state(eta)
             return u + np.log(a)
 
-    def newton_terms(self, eta):
-        u, a = self._u_a(eta)
+    def _terms(self, eta, state):
+        u, a = state
         emu = np.exp(-u)  # exact 1 - mu, keeps the upper tail of sigma^2
-        safe = np.where(a == 0.0, 1.0, a)
-        hp = np.where(u == 0.0, 1.0, u / safe)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hp = np.asarray(u / a)
+            hpp = np.asarray(u * (a - u * emu) / (a * a))
+        # below u = 1e-8 the h'' formula cancels, so take its series u / 2
+        # there, and h' = 1 where u (and so a) underflowed to 0
         tiny = u < 1e-8
-        safe_a = np.where(tiny, 1.0, a)
-        hpp = np.where(tiny, 0.5 * u, u * (a - u * emu) / (safe_a * safe_a))
+        if tiny.any():
+            hp[u == 0.0] = 1.0
+            hpp[tiny] = 0.5 * u[tiny]
         return a, a * emu, hp, hpp
 
-    def log_lik(self, eta, y):
+    def _log_lik(self, y, state):
         # y log mu + (1 - y) log(1 - mu) with log(1 - mu) = -u exactly
-        u, a = self._u_a(eta)
+        u, a = state
         log_mu = np.maximum(np.log(a), _LOG_MU_FLOOR)
         log_1m = np.maximum(-u, _LOG_MU_FLOOR)
         if u.ndim == 1:
             return float(y @ log_mu - y @ log_1m + log_1m.sum())
-        yc = y[:, None]
-        return (column_sums(yc * log_mu) - column_sums(yc * log_1m)
-                + column_sums(log_1m))
+        return ((y * log_mu).sum(axis=1) - (y * log_1m).sum(axis=1)
+                + log_1m.sum(axis=1))
 
 
 class _BernoulliIdentityLF(LinkFamily):
@@ -503,10 +522,10 @@ class _BernoulliIdentityLF(LinkFamily):
     def h(self, eta):
         return special.logit(eta)
 
-    def newton_terms(self, eta):
+    def _terms(self, eta, state):
         e = np.asarray(eta, dtype=float)
         d = e * (1.0 - e)
-        return self._terms_from_h(e, 1.0 / d, (2.0 * e - 1.0) / (d * d))
+        return self._terms_from_h(state[0], 1.0 / d, (2.0 * e - 1.0) / (d * d))
 
 
 class _BernoulliArcsinLF(LinkFamily):
@@ -515,19 +534,19 @@ class _BernoulliArcsinLF(LinkFamily):
     def h(self, eta):
         return 2.0 * np.log(np.tan(np.asarray(eta, dtype=float)))
 
-    def newton_terms(self, eta):
+    def _terms(self, eta, state):
         e2 = 2.0 * np.asarray(eta, dtype=float)
         s = np.sin(e2)
-        return self._terms_from_h(eta, 4.0 / s, -8.0 * np.cos(e2) / (s * s))
+        return self._terms_from_h(state[0], 4.0 / s, -8.0 * np.cos(e2) / (s * s))
 
 
 class _GammaLogLF(LinkFamily):
     def h(self, eta):
         return -np.exp(-np.asarray(eta, dtype=float))
 
-    def newton_terms(self, eta):
-        w = np.exp(-np.asarray(eta, dtype=float))
-        return self._terms_from_h(eta, w, -w)
+    def _terms(self, eta, state):
+        th = state[0]  # -exp(-eta), so h' = exp(-eta) = -th and h'' = th
+        return self._terms_from_h(th, -th, th)
 
 
 class _PoissonPowerLF(LinkFamily):
@@ -537,10 +556,10 @@ class _PoissonPowerLF(LinkFamily):
         k = self.link.exponent
         return -np.log(np.asarray(eta, dtype=float)) / k
 
-    def newton_terms(self, eta):
+    def _terms(self, eta, state):
         k = self.link.exponent
         e = np.asarray(eta, dtype=float)
-        return self._terms_from_h(e, -1.0 / (k * e), 1.0 / (k * e * e))
+        return self._terms_from_h(state[0], -1.0 / (k * e), 1.0 / (k * e * e))
 
 
 class _GammaPowerLF(LinkFamily):
@@ -554,11 +573,11 @@ class _GammaPowerLF(LinkFamily):
     def h(self, eta):
         return -(np.asarray(eta, dtype=float) ** self._r)
 
-    def newton_terms(self, eta):
+    def _terms(self, eta, state):
         r = self._r
         e = np.asarray(eta, dtype=float)
         hpp = None if self.h_curvature_zero else -r * (r - 1.0) * e ** (r - 2.0)
-        return self._terms_from_h(e, -r * e ** (r - 1.0), hpp)
+        return self._terms_from_h(state[0], -r * e ** (r - 1.0), hpp)
 
 
 _COMPOSITES = {

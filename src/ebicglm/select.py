@@ -6,7 +6,7 @@ kernel, ``glm._newton_lanes``: the damped Newton iteration and stop rules of
 every column but the last. The screen fits the one-covariate models
 [1, x_j] (or [x_j]) for all p columns; each forward step fits
 [1, selected columns, x_j] for every remaining candidate j. So a step costs
-a few Newton iterations over an n x C block of candidates, each with its own
+a few Newton iterations over a C x n block of candidates, each with its own
 k x k Hessian, rather than C separate fits, and a lane that stalls holds up
 only itself. The step's reported fit is its winner's lane of that same call,
 so every fit the path reports comes from the one kernel. Ties go to the

@@ -163,8 +163,8 @@ class TestSimulationBatch:
     def test_replicate_limit_is_checked_before_the_pool(self, monkeypatch):
         queued = []
 
-        def no_pool(fn, shared, tasks, threads):
-            queued.append(len(tasks))
+        def no_pool(shared, calls, threads):
+            queued.append(len(calls))
             return []
 
         monkeypatch.setattr(exp_mod, "_map_tasks", no_pool)

@@ -251,20 +251,101 @@ def test_log_lik_matches_theta_route(link, family):
 
 
 @pytest.mark.parametrize("link,family", ALL_PAIRS)
-def test_log_lik_of_eta_columns(link, family):
-    # an n x C eta gives one log-likelihood per column, equal to the 1-D
-    # value up to summation order and bit-equal for equal columns
+def test_log_lik_of_eta_rows(link, family):
+    # a C x n eta gives one log-likelihood per row, equal to the 1-D value
+    # up to summation order and bit-equal for equal rows
     lf = parse_link_family(link, family)
     rng = np.random.default_rng(7)
     grid = eta_grid(lf, 50)
     y = _response_at(lf, family, grid, rng)
-    E = np.column_stack([grid, grid[::-1], rng.permutation(grid), grid])
+    E = np.vstack([grid, grid[::-1], rng.permutation(grid), grid])
     values = lf.log_lik(E, y)
     assert values.shape == (4,)
     for j in range(4):
-        assert values[j] == pytest.approx(lf.log_lik(E[:, j], y), rel=1e-12, abs=1e-9)
+        assert values[j] == pytest.approx(lf.log_lik(E[j], y), rel=1e-12, abs=1e-9)
     assert values[0] == values[3]
-    assert lf.log_lik(E[:, :1], y)[0] == values[0]
+    assert lf.log_lik(E[:1], y)[0] == values[0]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("family", ["bernoulli", "poisson", "gamma"])
+def test_mean_and_variance_match_independent_formulas(family):
+    # b' and b'' written out here, on a theta grid with the theta_clip ends
+    fam = parse_family(family)
+    lo, hi = fam.theta_clip
+    if family == "gamma":
+        grid = -np.logspace(-12.0, 12.0, 241)
+    else:
+        grid = np.linspace(lo, hi, 241)
+    t = np.concatenate([grid, [lo, hi]])
+    mu, sigma2 = fam.mean_and_variance(t)
+    if family == "bernoulli":
+        want = (1.0 / (1.0 + np.exp(-t)), np.exp(-np.abs(t)) / (1.0 + np.exp(-np.abs(t))) ** 2)
+    elif family == "poisson":
+        want = (np.exp(t), np.exp(t))
+    else:
+        want = (-1.0 / t, t ** -2.0)
+    assert rel_err(mu, want[0], floor=1e-300) < 1e-14
+    assert rel_err(sigma2, want[1], floor=1e-300) < 1e-14
+    assert np.array_equal(_bits(fam.b_prime(t)), _bits(mu))
+    assert np.array_equal(_bits(fam.b_double_prime(t)), _bits(sigma2))
+
+
+def test_cloglog_tail_cells_leave_the_other_terms_bit_equal():
+    # cells below u = 1e-8 take h'' = u / 2 (and h' = 1 once u underflows);
+    # that must change no bit of the other cells of the same array
+    lf = parse_link_family("cloglog")
+    eta = np.linspace(-18.4, 712.0, 2001)  # u from 1.02e-8 to overflow
+    tail = np.array([-30.0, -800.0])
+    with np.errstate(all="ignore"):
+        plain = lf.newton_terms(eta)
+        mixed = lf.newton_terms(np.concatenate([eta, tail]))
+    for a, b in zip(plain, mixed):
+        assert np.array_equal(_bits(a), _bits(b[:-2]))
+    u = np.exp(tail)
+    assert np.array_equal(mixed[2][-2:], [u[0] / -np.expm1(-u[0]), 1.0])
+    assert np.array_equal(mixed[3][-2:], 0.5 * u)
+
+
+def _eta_cell(lf):
+    """Linear predictors that reach every branch of the link arithmetic:
+    cloglog's u < 1e-8 tail (eta < -18.43) and u overflow (eta > 709.8),
+    the CDF links' far tails, and the clamp ends of a bounded domain."""
+    lo, hi = lf.eta_domain
+    ends = [v for v in (lo, hi) if math.isfinite(v)]
+    near = [e + s for e in ends for s in (-1.0, -1e-10, 0.0, 1e-10, 1.0)]
+    return st.one_of(
+        st.floats(-40.0, 40.0),
+        st.floats(-800.0, -18.5),
+        st.floats(709.0, 800.0),
+        st.sampled_from(near or [0.0]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.sampled_from(ALL_PAIRS), data=st.data())
+def test_newton_terms_from_log_lik_state_are_bit_equal(pair, data):
+    # the fitter hands log_lik's link state at an accepted eta to the next
+    # newton_terms; that must change no bit of what newton_terms gives
+    link, family = pair
+    lf = parse_link_family(link, family)
+    rows = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 8))
+    cells = data.draw(st.lists(_eta_cell(lf), min_size=rows * n, max_size=rows * n))
+    eta = lf.clip_eta(np.array(cells).reshape(rows, n))
+    y = np.array(data.draw(st.lists(_RESPONSES[family], min_size=n, max_size=n)))
+    with np.errstate(all="ignore"):
+        _, state = lf.log_lik(eta, y, keep_state=True)
+        carried = lf.newton_terms(eta, state)
+        fresh = lf.newton_terms(eta)
+    for a, b in zip(carried, fresh):
+        if a is None:
+            assert b is None
+        else:
+            assert np.array_equal(_bits(a), _bits(b))
 
 
 # ---------------------------------------------------------------------------
