@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Every output-producing run writes a ``manifest.json`` that reproduces it
-bit for bit via ``--config manifest.json`` (single- or multi-threaded).
+bit for bit via ``--config manifest.json`` at the same BLAS thread count
+(``OPENBLAS_NUM_THREADS``), whatever ``--threads`` (worker processes) is.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from .select import SelectConfig, select_pipeline
 from .simgen import design_for, generate_replicate
 from .experiments import cv_select_link, run_simulation_batch
 
-THREADS_ENV = "EBICGLM_THREADS"
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the contract wants 1
     def error(self, message):
@@ -42,18 +40,7 @@ def _fmt(x) -> str:
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            raise InvalidArgs(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
-        return threads
-    return os.cpu_count() or 1
+    return args.threads if args.threads is not None else os.cpu_count() or 1
 
 
 # never taken from a config file: they name this run, not the computation

@@ -162,7 +162,6 @@ class FitResult:
     used_fisher_fallback: bool
     quasi_separated: bool = False
     eta_clamped: bool = False
-    loglik_path: tuple = ()
 
 
 @dataclass
@@ -171,8 +170,7 @@ class LaneFits:
     every field (beta is k x C).
 
     Every field named as in ``FitResult`` means what it means there, for
-    each lane; ``rank_deficient`` marks the lanes that failed the rank test,
-    and lane j's log-likelihood path is ``loglik_path[:path_len[j], j]``.
+    each lane; ``rank_deficient`` marks the lanes that failed the rank test.
     """
 
     beta: np.ndarray  # k x C, laid out as [A, x_j]
@@ -183,8 +181,6 @@ class LaneFits:
     quasi_separated: np.ndarray
     eta_clamped: np.ndarray
     rank_deficient: np.ndarray
-    loglik_path: np.ndarray  # rows x C, NaN beyond each lane's path
-    path_len: np.ndarray
 
     def fit(self, j: int) -> FitResult:
         """Lane j as a ``FitResult``; raises RankDeficient where it failed
@@ -199,7 +195,6 @@ class LaneFits:
             used_fisher_fallback=bool(self.used_fisher_fallback[j]),
             quasi_separated=bool(self.quasi_separated[j]),
             eta_clamped=bool(self.eta_clamped[j]),
-            loglik_path=tuple(self.loglik_path[: self.path_len[j], j].tolist()),
         )
 
 
@@ -431,7 +426,6 @@ def _newton_block(y, A, Z, iu, x, lf, start):
         beta=np.empty((k, width)), log_lik=np.empty(width), converged=flags(),
         iterations=np.zeros(width, dtype=int), used_fisher_fallback=flags(),
         quasi_separated=flags(), eta_clamped=flags(), rank_deficient=flags(),
-        loglik_path=None, path_len=np.ones(width, dtype=int),
     )
     lanes = np.arange(width)  # block position of each iterating lane
     beta = np.repeat(start[:, None], width, axis=1)
@@ -444,7 +438,6 @@ def _newton_block(y, A, Z, iu, x, lf, start):
             eta = eta + start[-1] * x
         ll, state = lf.log_lik(clip(eta), y, keep_state=True)
         ll = np.broadcast_to(ll, width).copy()
-        path = [ll.copy()]
         it = 0
         while lanes.size and it < MAX_ITER:
             it += 1
@@ -508,10 +501,6 @@ def _newton_block(y, A, Z, iu, x, lf, start):
             done = ~move
             out.beta[:, lanes[done]] = beta[:, done]
             out.log_lik[lanes[done]] = ll[done]
-            row = np.full(width, np.nan)
-            row[lanes[take]] = ll[take]
-            path.append(row)
-            out.path_len[lanes[take]] += 1
             if not move.any():  # every lane has left
                 break
             x, eta = _rows(x, move), _rows(eta_t, move)
@@ -519,7 +508,6 @@ def _newton_block(y, A, Z, iu, x, lf, start):
             beta, ll, lanes = beta[:, move], ll[move], lanes[move]
     out.beta[:, lanes] = beta
     out.log_lik[lanes] = ll
-    out.loglik_path = np.array(path[: out.path_len.max()])
     return out
 
 
@@ -586,11 +574,6 @@ def _newton_lanes(y, A, X, cols, lf, start):
         _newton_block(y, A, Z, iu, X.T[cols[distinct[s:s + width]]], lf, start)
         for s in range(0, distinct.size, width)
     ]
-    rows = max(len(part.loglik_path) for part in parts)
-    for part in parts:
-        pad = rows - len(part.loglik_path)
-        part.loglik_path = np.pad(part.loglik_path, ((0, pad), (0, 0)),
-                                  constant_values=np.nan)
     lane_of = np.searchsorted(distinct, first)  # each col's place among the distinct
     return LaneFits(**{
         f.name: np.concatenate([getattr(part, f.name) for part in parts], axis=-1)[..., lane_of]
@@ -630,7 +613,7 @@ def fit_mle(lf: LinkFamily, data: Dataset, model: ModelIndex) -> FitResult:
         # empty design (no intercept, no covariates): eta is identically zero
         ll = _loglik_from_eta(data.y, np.zeros(data.n), lf)
         return FitResult(beta=beta0, log_lik=ll, converged=True, iterations=0,
-                         used_fisher_fallback=False, loglik_path=(ll,))
+                         used_fisher_fallback=False)
     A = np.ascontiguousarray(X[:, :-1])
     return _newton_lanes(data.y, A, X, [k - 1], lf, beta0).fit(0)
 

@@ -180,8 +180,8 @@ def forward_select(
     Each step fits all remaining candidates with one ``_newton_lanes`` call
     (blocks of lanes bounded by ``glm.LANE_BLOCK_CELLS``) and takes the
     largest log-likelihood, lowest index among equal ones. That lane of the
-    call is the step's reported fit, flags and log-likelihood path included,
-    and its beta starts the next step.
+    call is the step's reported fit, flags included, and its beta starts the
+    next step.
 
     Stops at ``max_steps``, when the model reaches n - 2 covariates, when no
     candidate is left, when no candidate yields a usable fit (finite
@@ -263,8 +263,9 @@ class SelectConfig:
     """Configuration for the screen-then-forward-select pipeline.
 
     ``gammas`` entries may be numbers or preset names (resolved against the
-    data dimensions). ``max_steps=None`` means 50; either way the path is
-    capped at n - 2. The simulation batch fills ``max_steps`` with its own
+    data dimensions). ``max_steps=None`` means 50; a value below 1 is
+    refused by ``forward_select``, which also ends the path at n - 2
+    covariates. The simulation batch fills ``max_steps`` with its own
     cap min(ceil(1.6 * p0n), 50) (``experiments.GROWTH_FACTOR``).
     """
 
@@ -284,10 +285,6 @@ class SelectionReport:
     final_models: tuple  # ModelIndex per gamma
 
 
-def _effective_max_steps(config: SelectConfig, n: int) -> int:
-    return max(1, min(50 if config.max_steps is None else config.max_steps, n - 2))
-
-
 def select_pipeline(
     lf: LinkFamily,
     data: Dataset,
@@ -301,8 +298,7 @@ def select_pipeline(
     if data.p > config.screen_threshold:
         screen = screen_mme(lf, data, config.screen_keep, config.include_intercept)
         candidates = screen.keep
-    max_steps = _effective_max_steps(config, data.n)
-
+    max_steps = 50 if config.max_steps is None else config.max_steps
     path = forward_select(lf, data, candidates, gammas, max_steps, config.include_intercept)
     final = tuple(path.model_for(g) for g in gammas)
 

@@ -222,6 +222,19 @@ class TestSelect:
         chosen_row = chosen_tsv.splitlines()[1].split("\t")
         assert chosen_row[3] == "2,5"
 
+    def test_path_ending_at_n_minus_2_reports_size_limit(self, tmp_path):
+        # three rows allow one covariate, and the path takes it
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((3, 4))
+        csv = tmp_path / "three.csv"
+        csv.write_text("y,a,b,c,d\n" + "\n".join(
+            ",".join(str(v) for v in (y, *x)) for y, x in zip((1, 0, 1), X)) + "\n")
+        out = tmp_path / "run"
+        assert main(["select", "--input", str(csv), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stop_reason"] == "size-limit"
+        assert len((out / "path.tsv").read_text().splitlines()) == 3  # header, null, step 1
+
     def test_select_rerun_is_identical(self, toy_csv, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         argv = ["select", "--input", toy_csv, "--link", "logit", "--out"]
@@ -425,15 +438,6 @@ class TestFlagRanges:
         cfg.write_text(json.dumps({"params": {dest: value}}))
         assert main(base[command] + ["--config", str(cfg)]) == 1
         assert "must be" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("env", ["0", "-3", "two"])
-    def test_bad_threads_environment_is_usage_error(self, cli_inputs, monkeypatch,
-                                                    capsys, env):
-        root, _base = cli_inputs
-        monkeypatch.setenv("EBICGLM_THREADS", env)
-        argv = ["simulate", "--n", "12", "--reps", "1", "--out", str(root / "out")]
-        assert main(argv) == 1
-        assert "EBICGLM_THREADS must be an integer >= 1" in capsys.readouterr().err
 
     def test_values_at_the_bound_run(self, cli_inputs):
         _root, base = cli_inputs

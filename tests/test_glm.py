@@ -23,7 +23,7 @@ from ebicglm import (
     parse_link_family,
     score,
 )
-from ebicglm.glm import DEC_TOL, _design, _first_copies, _shared_dot
+from ebicglm.glm import DEC_TOL, _design, _first_copies, _initial_beta, _shared_dot
 from helpers import (
     ALL_PAIRS,
     assert_same_fit,
@@ -31,6 +31,7 @@ from helpers import (
     fd_jacobian,
     fit_mle_reference,
     irls_logit,
+    lane_loglik,
     random_instance,
     rel_err,
 )
@@ -223,15 +224,19 @@ def test_fit_is_deterministic():
     assert np.array_equal(a.beta, b.beta)
     assert a.log_lik == b.log_lik
     assert a.iterations == b.iterations
-    assert a.loglik_path == b.loglik_path
 
 
+@pytest.mark.parametrize("include_intercept", [True, False])
 @pytest.mark.parametrize("link,family", ALL_PAIRS)
-def test_monotone_ascent(link, family):
+def test_monotone_ascent(link, family, include_intercept):
+    # every accepted step raises the log-likelihood, so the fit ends at or
+    # above its start
     lf, data, model, _ = random_instance(link, family, n=50, size=3, seed=17)
+    model = ModelIndex(model.indices, include_intercept)
     fit = fit_mle(lf, data, model)
-    path = np.array(fit.loglik_path)
-    assert np.all(np.diff(path) >= 0.0)
+    X = _design(data, model)
+    start = _initial_beta(lf, data.y, X.shape[1], include_intercept)
+    assert fit.log_lik >= lane_loglik(lf, data.y, X @ start)
 
 
 @settings(max_examples=150)
@@ -329,13 +334,13 @@ def test_intercept_only_and_empty_models():
     lf, data, _, _ = random_instance("cloglog", "bernoulli", n=50, seed=3)
     null = fit_mle(lf, data, ModelIndex(()))
     ybar = float(np.mean(data.y))
-    # the path starts at the intercept g(ybar)
-    assert null.loglik_path[0] == pytest.approx(
-        log_likelihood(lf, data, ModelIndex(()), [float(lf.link.g(ybar))]), rel=1e-12)
+    # the fit starts at the intercept g(ybar), which is the MLE
+    start = float(lf.link.g(ybar))
+    assert null.beta[0] == pytest.approx(start, rel=1e-9)
+    assert null.log_lik >= lane_loglik(lf, data.y, np.full(data.n, start))
     assert null.converged and null.beta.shape == (1,)
     empty = fit_mle(lf, data, ModelIndex((), include_intercept=False))
     assert empty.beta.shape == (0,) and empty.iterations == 0 and empty.converged
-    assert empty.loglik_path == (empty.log_lik,)
     assert empty.log_lik == pytest.approx(
         log_likelihood(lf, data, ModelIndex((), False), []), rel=1e-12)
 

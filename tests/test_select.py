@@ -9,6 +9,7 @@ from helpers import (
     _newton,
     assert_same_fit,
     forward_step_reference,
+    lane_loglik,
     screen_mme_reference,
     unstopped_forward_path,
 )
@@ -16,6 +17,7 @@ from helpers import (
 from ebicglm import (
     Dataset,
     EmptyCandidates,
+    InvalidArgs,
     ModelIndex,
     PathEmpty,
     SelectConfig,
@@ -155,6 +157,21 @@ class TestScreenMatchesPerColumnFits:
         assert np.all(dup == dup[0])  # bit-equal, across the block boundary too
         rank_of = np.argsort(got.ranked_features)
         assert np.all(np.diff(rank_of[list(DUPLICATES)]) > 0)
+
+    @pytest.mark.parametrize("include_intercept", [True, False])
+    @pytest.mark.parametrize("link,family", ALL_PAIRS)
+    def test_no_lane_ends_below_the_shared_start(self, link, family, include_intercept):
+        # the screen's kernel call: every usable lane ascends from the
+        # shared start, where its own coefficient is 0
+        lf = parse_link_family(link, family)
+        data = _screen_data(family)
+        m = 1 if include_intercept else 0
+        A = np.ones((data.n, m))
+        start = _initial_beta(lf, data.y, m + 1, include_intercept)
+        fits = _newton_lanes(data.y, A, data.X, np.arange(data.p), lf, start)
+        usable = ~fits.rank_deficient & np.isfinite(fits.log_lik)
+        assert usable.any()
+        assert np.all(fits.log_lik[usable] >= lane_loglik(lf, data.y, A @ start[:-1]))
 
     @pytest.mark.parametrize("include_intercept", [True, False])
     def test_data_reaches_the_cap_and_the_clamp(self, include_intercept):
@@ -524,6 +541,20 @@ class TestSelectPipeline:
         report = select_pipeline(LF, data, cfg)
         assert report.screen is not None
         assert set(report.path.features) <= set(report.screen.keep.tolist())
+
+    def test_path_ending_at_n_minus_2_reports_size_limit(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((4, 10))
+        y = rng.poisson(3, 4).astype(float)
+        report = select_pipeline(parse_link_family("log", "poisson"), Dataset(y, X))
+        assert report.path.features == (7, 9)
+        assert report.path.stop_reason == "size-limit"
+
+    @pytest.mark.parametrize("max_steps", [0, -5])
+    def test_max_steps_below_1_is_refused(self, max_steps):
+        data = _logit_data(n=40, p=6, seed=19)
+        with pytest.raises(InvalidArgs, match="max_steps must be >= 1"):
+            select_pipeline(LF, data, SelectConfig(max_steps=max_steps))
 
     def test_deterministic(self):
         data = _logit_data(n=100, p=12, seed=17)
