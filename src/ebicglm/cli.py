@@ -34,6 +34,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
+    if x is None:  # a statistic that does not apply
+        return "NA"
     if isinstance(x, float):
         return "NA" if not np.isfinite(x) else f"{x:.6f}"
     return str(x)
@@ -351,15 +353,13 @@ def _cmd_diagnose(args) -> int:
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read coefficient file {args.beta}: {exc}") from None
     rep = c6_diagnostics(lf, data, beta0)
-    second = "NA" if rep.second_ratio is None else _fmt(rep.second_ratio)
-    second_ok = "NA" if rep.second_below_threshold is None else str(rep.second_below_threshold)
     lines = [
         "quantity\tvalue",
         f"first_ratio\t{_fmt(rep.first_ratio)}",
-        f"second_ratio\t{second}",
+        f"second_ratio\t{_fmt(rep.second_ratio)}",
         f"n_threshold\t{_fmt(rep.n_threshold)}",
-        f"first_below_threshold\t{rep.first_below_threshold}",
-        f"second_below_threshold\t{second_ok}",
+        f"first_below_threshold\t{_fmt(rep.first_below_threshold)}",
+        f"second_below_threshold\t{_fmt(rep.second_below_threshold)}",
         f"max_abs_x\t{_fmt(rep.max_abs_x)}",
         f"max_abs_h_prime\t{_fmt(rep.max_abs_h_prime)}",
         f"max_abs_h_double_prime\t{_fmt(rep.max_abs_h_double_prime)}",

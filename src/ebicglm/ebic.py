@@ -42,10 +42,14 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
+def ebic_penalties(n: int, p: int, size: int, gamma: float) -> tuple:
+    """EBIC_gamma's penalties (|s| ln n, 2 gamma ln C(p, |s|)) at |s| = size."""
+    return size * math.log(n), 2.0 * gamma * log_choose(p, size)
+
+
 def ebic_score(fit: FitResult, model: ModelIndex, n: int, p: int, gamma: float) -> ModelScore:
     _check_gamma(gamma)
-    size_pen = model.size * math.log(n)
-    prior_pen = 2.0 * gamma * log_choose(p, model.size)
+    size_pen, prior_pen = ebic_penalties(n, p, model.size, gamma)
     return ModelScore(
         model=model,
         log_lik=fit.log_lik,

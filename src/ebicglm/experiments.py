@@ -16,7 +16,7 @@ from .ebic import resolve_gamma
 from .errors import EbicGlmError, FoldTooSmall, InvalidArgs
 from .glm import Dataset, _loglik_from_eta
 from .links import Bernoulli, Cloglog, compose_link_family, parse_link_family
-from .select import SelectConfig, select_pipeline
+from .select import SelectConfig, _check_max_steps, select_pipeline
 from .simgen import SimDesign, TrueModel, _rng_for, generate_replicate
 
 
@@ -146,6 +146,13 @@ def _replicate_task(shared, rep_id):
         return (rep_id, None, f"{type(exc).__name__}: {exc}")
 
 
+def _mean_sd(values):
+    """Mean and sample standard deviation, NaN where not defined."""
+    v = np.array(values)
+    return (float(v.mean()) if v.size else math.nan,
+            float(v.std(ddof=1)) if v.size > 1 else math.nan)
+
+
 def run_simulation_batch(
     design: SimDesign,
     replicates: int,
@@ -170,6 +177,7 @@ def run_simulation_batch(
     config = config or SelectConfig(include_intercept=False)
     if config.max_steps is None:
         config = replace(config, max_steps=min(math.ceil(GROWTH_FACTOR * design.p0n), 50))
+    _check_max_steps(config.max_steps)
     raw = _map_tasks((design, seed, config),
                      [(_replicate_task, r) for r in range(replicates)], threads)
 
@@ -180,18 +188,8 @@ def run_simulation_batch(
     gamma_values = tuple(resolve_gamma(g, design.n, design.pn) for g in config.gammas)
     cells = []
     for i, (label, gval) in enumerate(zip(labels, gamma_values)):
-        pdrs = np.array([m[i].pdr for _, m in successes])
-        fdrs = np.array([m[i].fdr for _, m in successes])
-        if pdrs.size == 0:
-            mean_p = mean_f = sd_p = sd_f = float("nan")
-        else:
-            mean_p = float(pdrs.mean())
-            mean_f = float(fdrs.mean())
-            if pdrs.size > 1:
-                sd_p = float(pdrs.std(ddof=1))
-                sd_f = float(fdrs.std(ddof=1))
-            else:
-                sd_p = sd_f = float("nan")
+        mean_p, sd_p = _mean_sd([m[i].pdr for _, m in successes])
+        mean_f, sd_f = _mean_sd([m[i].fdr for _, m in successes])
         cells.append(
             SummaryCell(
                 setting=design.setting,
@@ -227,13 +225,6 @@ class CvLinkReport:
     chosen: str
     folds: int
     fold_assignment: np.ndarray
-
-
-def _as_link_families(links) -> list:
-    out = []
-    for item in links:
-        out.append(parse_link_family(item) if isinstance(item, str) else item)
-    return out
 
 
 def _fold_assignment(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -279,7 +270,7 @@ def _cv_plan(data: Dataset, links, path_length: int, folds: int, seed: int):
         raise InvalidArgs(f"folds must be >= 2, got {folds}")
     if folds > data.n:
         raise FoldTooSmall(f"cannot split n={data.n} rows into {folds} folds")
-    lfs = _as_link_families(links)
+    lfs = [parse_link_family(lf) if isinstance(lf, str) else lf for lf in links]
     if not lfs:
         raise InvalidArgs("need at least one link")
     fold_of = _fold_assignment(data.y, folds, seed)
@@ -333,6 +324,7 @@ def cv_select_link(
     held-out fold. Ties within 1e-9 go to the earlier link in the input
     order. Fold assignment is seeded and stratified by response class.
     """
+    _check_max_steps(path_length, "path_length")
     lfs, fold_of, tasks, keys = _cv_plan(data, links, path_length, folds, seed)
     values = _map_tasks(data, [(_cv_fold_task, task) for task in tasks], threads)
     return _cv_report(lfs, folds, fold_of, keys, values)
@@ -385,6 +377,8 @@ def real_data_workflow(
     paths first.
     """
     data.validate_for_family(Bernoulli())
+    _check_max_steps(path_steps, "path_steps")
+    _check_max_steps(cv_path_length, "cv_path_length")
     lfs, fold_of, cv_tasks, keys = _cv_plan(data, links, cv_path_length, cv_folds, seed)
     calls = ([(_full_path_task, (lf, path_steps)) for lf in lfs]
              + [(_cv_fold_task, task) for task in cv_tasks])

@@ -227,33 +227,39 @@ def _loglik_from_eta(y: np.ndarray, eta: np.ndarray, lf: LinkFamily) -> float:
         return lf.log_lik(lf.clip_eta(eta), y)
 
 
-def log_likelihood(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> float:
-    """l_n(beta) = sum_i [y_i h(eta_i) - b(h(eta_i))] with clamping policy."""
+def _design_and_eta(data: Dataset, model: ModelIndex, beta):
+    """The model's design X and eta = X beta, for a beta of X's width."""
     X = _design(data, model)
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (X.shape[1],):
         raise InvalidArgs(f"beta has shape {beta.shape}, expected ({X.shape[1]},)")
-    return _loglik_from_eta(data.y, X @ beta, lf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return X, X @ beta
 
 
-def _newton_terms_at(lf: LinkFamily, X: np.ndarray, beta):
-    """``lf.newton_terms`` at eta = X beta, clipped into the link's domain."""
-    eta = lf.clip_eta(X @ np.asarray(beta, dtype=float))
+def log_likelihood(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> float:
+    """l_n(beta) = sum_i [y_i h(eta_i) - b(h(eta_i))] with clamping policy."""
+    _, eta = _design_and_eta(data, model, beta)
+    return _loglik_from_eta(data.y, eta, lf)
+
+
+def _newton_terms_at(lf: LinkFamily, eta):
+    """``lf.newton_terms`` at eta, clipped into the link's domain."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return lf.newton_terms(eta)
+        return lf.newton_terms(lf.clip_eta(eta))
 
 
 def score(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> np.ndarray:
     """Gradient of the log-likelihood at beta."""
-    X = _design(data, model)
-    mu, _, hp, _ = _newton_terms_at(lf, X, beta)
+    X, eta = _design_and_eta(data, model, beta)
+    mu, _, hp, _ = _newton_terms_at(lf, eta)
     return X.T @ ((data.y - mu) * hp)
 
 
 def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> HessianParts:
     """The PSD part H1 and the correction H0 (H = H1 - H0 = -d2 loglik)."""
-    X = _design(data, model)
-    mu, sigma2, hp, hpp = _newton_terms_at(lf, X, beta)
+    X, eta = _design_and_eta(data, model, beta)
+    mu, sigma2, hp, hpp = _newton_terms_at(lf, eta)
     h1 = X.T @ (X * (sigma2 * hp * hp)[:, None])
     if hpp is None:
         h0 = np.zeros_like(h1)
@@ -585,11 +591,7 @@ def _initial_beta(lf: LinkFamily, y: np.ndarray, k: int, intercept: bool) -> np.
     beta0 = np.zeros(k)
     if intercept:
         lo, hi = lf.family.mean_domain
-        ybar = float(np.mean(y))
-        if hi < np.inf:
-            ybar = min(max(ybar, lo + 1e-3), hi - 1e-3)
-        else:
-            ybar = max(ybar, lo + 1e-3)
+        ybar = min(max(float(np.mean(y)), lo + 1e-3), hi - 1e-3)
         beta0[0] = float(lf.link.g(ybar))
     return beta0
 
@@ -632,8 +634,8 @@ class DiagnosticReport:
     n_threshold: float
 
     @property
-    def first_below_threshold(self) -> bool:
-        return self.first_ratio < self.n_threshold
+    def first_below_threshold(self):
+        return None if np.isnan(self.first_ratio) else self.first_ratio < self.n_threshold
 
     @property
     def second_below_threshold(self):
@@ -645,28 +647,29 @@ class DiagnosticReport:
 def c6_diagnostics(lf: LinkFamily, data: Dataset, beta0) -> DiagnosticReport:
     """Evaluate the information-ratio diagnostics at a full coefficient vector.
 
-    ``beta0`` has length p and enters through eta_i = x_i^T beta0 (no
-    intercept). When h'' is identically zero the second ratio has a zero
-    denominator and is reported as None (not applicable).
+    ``beta0`` is finite, has length p and enters through eta_i = x_i^T beta0
+    (no intercept). When no column has positive information the first ratio
+    is NaN (not applicable). When h'' is identically zero the second ratio
+    has a zero denominator and is reported as None (not applicable).
     """
     beta0 = np.asarray(beta0, dtype=float)
-    if beta0.shape != (data.p,):
-        raise InvalidArgs(f"beta0 must have length p={data.p}")
-    _, sigma2, hp, hpp = _newton_terms_at(lf, data.X, beta0)
-    if hpp is None:
-        hpp = np.zeros_like(hp)
+    if beta0.shape != (data.p,) or not np.all(np.isfinite(beta0)):
+        raise InvalidArgs(f"beta0 must be a finite vector of length p={data.p}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, sigma2, hp, hpp = _newton_terms_at(lf, data.X @ beta0)
+        if hpp is None:
+            hpp = np.zeros_like(hp)
 
-    hp2 = hp * hp
-    W = data.X * data.X
-    num = (W * hp2[:, None]).max(axis=0)
-    den = (sigma2 * hp2) @ W
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
-    first = float(np.nanmax(ratios))
+        hp2 = hp * hp
+        W = data.X * data.X
+        num = (W * hp2[:, None]).max(axis=0)
+        den = (sigma2 * hp2) @ W
+        # fmax skips the NaNs of the columns without positive information
+        first = float(np.fmax.reduce(np.where(den > 0, num / den, np.nan)))
 
-    hpp2 = hpp * hpp
-    den2 = float(sigma2 @ hpp2)
-    second = float(hpp2.max() / den2) if den2 > 0 else None
+        hpp2 = hpp * hpp
+        den2 = float(sigma2 @ hpp2)
+        second = float(hpp2.max() / den2) if den2 > 0 else None
 
     return DiagnosticReport(
         first_ratio=first,

@@ -385,31 +385,24 @@ class LinkFamily:
     def log_lik(self, eta, y, keep_state=False):
         """sum_i [y_i theta_i - b(theta_i)] with the family's theta clamp.
 
-        ``eta`` must already be inside the admissible domain. A 1-D ``eta``
-        gives a float; a C x n array of C linear predictors gives one value
-        per row, each summed over its own n values alone (pairwise, for
-        contiguous rows), so equal rows get bit-equal values wherever they
-        sit. With ``keep_state`` the result is (value, state), and state
-        lets ``newton_terms`` at the same eta skip the link.
+        ``eta`` must already be inside the admissible domain. A C x n array
+        of C linear predictors gives one value per row, each summed over its
+        own n values alone (pairwise, for contiguous rows), so equal rows get
+        bit-equal values wherever they sit. A 1-D ``eta`` is summed as one
+        such row and gives a float. With ``keep_state`` the result is
+        (value, state), and state lets ``newton_terms`` at the same eta skip
+        the link.
         """
         state = self._state(eta)
         value = self._log_lik(y, state)
+        if value.ndim == 0:
+            value = float(value)
         return (value, state) if keep_state else value
 
     def _log_lik(self, y, state):
         lo, hi = self.family.theta_clip
         th = np.minimum(hi, np.maximum(lo, state[0]))
-        if th.ndim == 1:
-            return float(y @ th - self.family.b(th).sum())
-        return (y * th).sum(axis=1) - self.family.b(th).sum(axis=1)
-
-    def validate_eta(self, eta) -> None:
-        lo, hi = self.eta_domain
-        e = np.asarray(eta, dtype=float)
-        if not np.all((e > lo) & (e < hi)):
-            raise DomainError(
-                f"eta outside admissible range ({lo}, {hi}) for {self.name}"
-            )
+        return (y * th).sum(axis=-1) - self.family.b(th).sum(axis=-1)
 
     def clip_eta(self, eta):
         """Clamp eta into the interior of the admissible range, 1e-10 inside
@@ -417,9 +410,7 @@ class LinkFamily:
         lo, hi = self.eta_domain
         if lo == -np.inf and hi == np.inf:
             return np.asarray(eta, dtype=float)
-        lo = lo + 1e-10 if lo > -np.inf else lo
-        hi = hi - 1e-10 if hi < np.inf else hi
-        return np.clip(eta, lo, hi)
+        return np.clip(eta, lo + 1e-10, hi - 1e-10)
 
     def __repr__(self):
         return f"LinkFamily({self.family!r}, {self.link!r})"
@@ -465,9 +456,7 @@ class _BinaryCdfLF(LinkFamily):
         floor = _LOG_MU_FLOOR
         lcdf = np.maximum(state[0], floor)
         lsf = np.maximum(state[1], floor)
-        if lsf.ndim == 1:
-            return float(y @ (lcdf - lsf) + lsf.sum())
-        return (y * (lcdf - lsf)).sum(axis=1) + lsf.sum(axis=1)
+        return (y * (lcdf - lsf)).sum(axis=-1) + lsf.sum(axis=-1)
 
 
 class _BernoulliCloglogLF(LinkFamily):
@@ -510,10 +499,8 @@ class _BernoulliCloglogLF(LinkFamily):
         u, a = state
         log_mu = np.maximum(np.log(a), _LOG_MU_FLOOR)
         log_1m = np.maximum(-u, _LOG_MU_FLOOR)
-        if u.ndim == 1:
-            return float(y @ log_mu - y @ log_1m + log_1m.sum())
-        return ((y * log_mu).sum(axis=1) - (y * log_1m).sum(axis=1)
-                + log_1m.sum(axis=1))
+        return ((y * log_mu).sum(axis=-1) - (y * log_1m).sum(axis=-1)
+                + log_1m.sum(axis=-1))
 
 
 class _BernoulliIdentityLF(LinkFamily):
@@ -606,7 +593,10 @@ def compose_link_family(family: Family, link: Link) -> LinkFamily:
 
 def eval_mean(lf: LinkFamily, eta) -> np.ndarray:
     """Mean mu = b'(h(eta)); raises DomainError for inadmissible eta."""
-    lf.validate_eta(eta)
+    lo, hi = lf.eta_domain
+    e = np.asarray(eta, dtype=float)
+    if not np.all((e > lo) & (e < hi)):
+        raise DomainError(f"eta outside admissible range ({lo}, {hi}) for {lf.name}")
     return lf.family.b_prime(lf.h(eta))
 
 

@@ -23,12 +23,11 @@ path stops, since no later step could change any gamma's model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ebic import ebic_score, log_choose, resolve_gamma
+from .ebic import ebic_penalties, ebic_score, resolve_gamma
 from .errors import EmptyCandidates, InvalidArgs, PathEmpty
 from .glm import Dataset, FitResult, ModelIndex, _initial_beta, _newton_lanes, fit_mle
 from .links import LinkFamily
@@ -130,12 +129,18 @@ class SelectionPath:
         )
 
 
+def _check_max_steps(max_steps: int, name: str = "max_steps") -> None:
+    """Refuse a path step cap below 1; ``name`` is the caller's parameter."""
+    if max_steps < 1:
+        raise InvalidArgs(f"{name} must be >= 1, got {max_steps}")
+
+
 def _ebic_floors(sat: float, n: int, p: int, gammas: tuple, last: int) -> np.ndarray:
     """floors[i, s]: the least EBIC at gammas[i] that any prefix of size
     s + 1 .. last can score. A fit's log-likelihood is at most ``sat``, the
     saturated one, so EBIC_gamma(K) >= -2 sat + K ln n + 2 gamma ln C(p, K)."""
-    pen = np.array([[k * math.log(n) + 2.0 * g * log_choose(p, k)
-                     for k in range(1, last + 1)] for g in gammas])
+    pen = np.array([[sum(ebic_penalties(n, p, k, g)) for k in range(1, last + 1)]
+                    for g in gammas])
     return -2.0 * sat + np.minimum.accumulate(pen[:, ::-1], axis=1)[:, ::-1]
 
 
@@ -199,8 +204,7 @@ def forward_select(
         raise EmptyCandidates("forward selection needs at least one candidate")
     if cand[0] < 0 or cand[-1] >= data.p:
         raise InvalidArgs(f"candidate index out of range for p={data.p}")
-    if max_steps < 1:
-        raise InvalidArgs(f"max_steps must be >= 1, got {max_steps}")
+    _check_max_steps(max_steps)
     gammas = tuple(float(g) for g in gammas)
     if not gammas:
         raise InvalidArgs("need at least one gamma")
@@ -264,8 +268,8 @@ class SelectConfig:
 
     ``gammas`` entries may be numbers or preset names (resolved against the
     data dimensions). ``max_steps=None`` means 50; a value below 1 is
-    refused by ``forward_select``, which also ends the path at n - 2
-    covariates. The simulation batch fills ``max_steps`` with its own
+    refused before any fit (``_check_max_steps``), and the path also ends at
+    n - 2 covariates. The simulation batch fills ``max_steps`` with its own
     cap min(ceil(1.6 * p0n), 50) (``experiments.GROWTH_FACTOR``).
     """
 
@@ -293,12 +297,13 @@ def select_pipeline(
     """Screen when p exceeds the threshold, then run forward selection."""
     config = config or SelectConfig()
     gammas = tuple(resolve_gamma(g, data.n, data.p) for g in config.gammas)
+    max_steps = 50 if config.max_steps is None else config.max_steps
+    _check_max_steps(max_steps)
     screen = None
     candidates = np.arange(data.p)
     if data.p > config.screen_threshold:
         screen = screen_mme(lf, data, config.screen_keep, config.include_intercept)
         candidates = screen.keep
-    max_steps = 50 if config.max_steps is None else config.max_steps
     path = forward_select(lf, data, candidates, gammas, max_steps, config.include_intercept)
     final = tuple(path.model_for(g) for g in gammas)
 

@@ -334,13 +334,6 @@ def unstopped_forward_path(lf, data, candidates, gammas, max_steps, include_inte
                          include_intercept)
 
 
-def lane_loglik(lf, y, eta):
-    """lf's log-likelihood at the linear predictor eta, summed as
-    ``glm._newton_lanes`` sums a lane: over one row of a C x n array, which
-    can differ in the last bits from ``log_likelihood``'s dot product."""
-    return lf.log_lik(lf.clip_eta(eta[None, :]), y)[0]
-
-
 def fit_mle_reference(lf, data, model):
     """``fit_mle`` as one ``_newton`` fit of the whole design from
     ``_initial_beta``'s start: the oracle for its one-lane kernel call."""

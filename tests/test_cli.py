@@ -315,6 +315,26 @@ class TestDiagnose:
         out = capsys.readouterr().out
         assert "second_ratio\tNA" in out
 
+    def test_non_finite_beta_is_usage_error(self, toy_csv, tmp_path, capsys):
+        beta = tmp_path / "beta.txt"
+        beta.write_text("\n".join(["nan"] + ["0.0"] * 5) + "\n")
+        rc = main(["diagnose", "--input", toy_csv, "--link", "logit",
+                   "--beta", str(beta)])
+        assert rc == 1
+        assert "beta0 must be a finite vector" in capsys.readouterr().err
+
+    def test_no_positive_information_is_na(self, toy_csv, tmp_path, capsys):
+        # eta overflows to +-inf on every row, where sigma^2 = 0: no column
+        # has positive information (and a NumPy RuntimeWarning on the way
+        # fails the suite, see pyproject.toml)
+        beta = tmp_path / "beta.txt"
+        beta.write_text("\n".join(["1e308"] * 2 + ["0.0"] * 4) + "\n")
+        rc = main(["diagnose", "--input", toy_csv, "--link", "logit",
+                   "--beta", str(beta)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "first_ratio\tNA" in out and "first_below_threshold\tNA" in out
+
 
 def test_leukemia_shape_csv_loads_quickly(tmp_path):
     """A 72 x 7129 covariate CSV must parse in well under five seconds."""

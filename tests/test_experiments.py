@@ -174,6 +174,30 @@ class TestSimulationBatch:
         assert queued == [exp_mod.MAX_REPLICATES]
 
 
+def _no_pool(shared, calls, threads):
+    raise AssertionError("tasks were queued")
+
+
+class TestStepCapsBeforeThePool:
+    # a step cap below 1 is refused before any task is queued
+    def test_simulation_batch(self, monkeypatch):
+        monkeypatch.setattr(exp_mod, "_map_tasks", _no_pool)
+        config = SelectConfig(include_intercept=False, max_steps=0)
+        with pytest.raises(InvalidArgs, match="max_steps must be >= 1"):
+            run_simulation_batch(_small_design(), 2, config=config)
+
+    def test_cv_select_link(self, monkeypatch):
+        monkeypatch.setattr(exp_mod, "_map_tasks", _no_pool)
+        with pytest.raises(InvalidArgs, match="path_length must be >= 1"):
+            cv_select_link(_binary_data(), ["logit"], path_length=0, folds=4)
+
+    @pytest.mark.parametrize("cap", ["path_steps", "cv_path_length"])
+    def test_real_data_workflow(self, monkeypatch, cap):
+        monkeypatch.setattr(exp_mod, "_map_tasks", _no_pool)
+        with pytest.raises(InvalidArgs, match=f"^{cap} must be >= 1"):
+            real_data_workflow(_binary_data(), ["logit"], cv_folds=4, **{cap: 0})
+
+
 def _binary_data(n=48, p=4, coef=2.5, seed=0, dominant=1):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))

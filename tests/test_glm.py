@@ -31,7 +31,6 @@ from helpers import (
     fd_jacobian,
     fit_mle_reference,
     irls_logit,
-    lane_loglik,
     random_instance,
     rel_err,
 )
@@ -122,6 +121,14 @@ def test_loglik_cloglog_zero_response():
     data = Dataset(np.array([0.0, 0.0]), np.zeros((2, 1)))
     ll = log_likelihood(lf, data, ModelIndex((0,)), np.array([0.0, 0.0]))
     assert ll == pytest.approx(-2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("fn", [log_likelihood, score, hessian_parts])
+def test_beta_of_the_wrong_length_is_refused(fn):
+    # a two-covariate model with an intercept has three coefficients
+    lf, data, _, _ = random_instance("cloglog", "bernoulli", n=30, seed=5)
+    with pytest.raises(InvalidArgs, match=r"expected \(3,\)"):
+        fn(lf, data, ModelIndex((0, 1)), np.zeros(2))
 
 
 def test_loglik_maximal_at_mle():
@@ -234,9 +241,8 @@ def test_monotone_ascent(link, family, include_intercept):
     lf, data, model, _ = random_instance(link, family, n=50, size=3, seed=17)
     model = ModelIndex(model.indices, include_intercept)
     fit = fit_mle(lf, data, model)
-    X = _design(data, model)
-    start = _initial_beta(lf, data.y, X.shape[1], include_intercept)
-    assert fit.log_lik >= lane_loglik(lf, data.y, X @ start)
+    start = _initial_beta(lf, data.y, model.size + include_intercept, include_intercept)
+    assert fit.log_lik >= log_likelihood(lf, data, model, start)
 
 
 @settings(max_examples=150)
@@ -337,12 +343,11 @@ def test_intercept_only_and_empty_models():
     # the fit starts at the intercept g(ybar), which is the MLE
     start = float(lf.link.g(ybar))
     assert null.beta[0] == pytest.approx(start, rel=1e-9)
-    assert null.log_lik >= lane_loglik(lf, data.y, np.full(data.n, start))
+    assert null.log_lik >= log_likelihood(lf, data, ModelIndex(()), [start])
     assert null.converged and null.beta.shape == (1,)
     empty = fit_mle(lf, data, ModelIndex((), include_intercept=False))
     assert empty.beta.shape == (0,) and empty.iterations == 0 and empty.converged
-    assert empty.log_lik == pytest.approx(
-        log_likelihood(lf, data, ModelIndex((), False), []), rel=1e-12)
+    assert empty.log_lik == log_likelihood(lf, data, ModelIndex((), False), [])
 
 
 @pytest.mark.parametrize("include_intercept", [True, False])

@@ -9,7 +9,6 @@ from helpers import (
     _newton,
     assert_same_fit,
     forward_step_reference,
-    lane_loglik,
     screen_mme_reference,
     unstopped_forward_path,
 )
@@ -26,12 +25,14 @@ from ebicglm import (
     fit_mle,
     forward_select,
     generate_replicate,
+    log_likelihood,
     parse_link_family,
     resolve_gamma,
     screen_mme,
     select_pipeline,
 )
 from ebicglm import glm
+from ebicglm import select as select_mod
 from ebicglm.glm import LANE_BLOCK_CELLS, _initial_beta, _newton_lanes
 
 
@@ -171,7 +172,8 @@ class TestScreenMatchesPerColumnFits:
         fits = _newton_lanes(data.y, A, data.X, np.arange(data.p), lf, start)
         usable = ~fits.rank_deficient & np.isfinite(fits.log_lik)
         assert usable.any()
-        assert np.all(fits.log_lik[usable] >= lane_loglik(lf, data.y, A @ start[:-1]))
+        null = ModelIndex((), include_intercept)
+        assert np.all(fits.log_lik[usable] >= log_likelihood(lf, data, null, start[:-1]))
 
     @pytest.mark.parametrize("include_intercept", [True, False])
     def test_data_reaches_the_cap_and_the_clamp(self, include_intercept):
@@ -551,10 +553,15 @@ class TestSelectPipeline:
         assert report.path.stop_reason == "size-limit"
 
     @pytest.mark.parametrize("max_steps", [0, -5])
-    def test_max_steps_below_1_is_refused(self, max_steps):
+    def test_max_steps_below_1_is_refused(self, monkeypatch, max_steps):
+        def no_screen(*args, **kwargs):
+            raise AssertionError("the screen ran")
+
+        monkeypatch.setattr(select_mod, "screen_mme", no_screen)
         data = _logit_data(n=40, p=6, seed=19)
+        cfg = SelectConfig(max_steps=max_steps, screen_threshold=2, screen_keep=2)
         with pytest.raises(InvalidArgs, match="max_steps must be >= 1"):
-            select_pipeline(LF, data, SelectConfig(max_steps=max_steps))
+            select_pipeline(LF, data, cfg)
 
     def test_deterministic(self):
         data = _logit_data(n=100, p=12, seed=17)
