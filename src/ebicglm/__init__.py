@@ -1,5 +1,15 @@
 """EBIC-guided variable selection for GLMs with non-canonical links."""
 
+import os
+
+# One BLAS thread per process, so that ``--threads`` (worker processes) is the
+# only parallelism and a fit's bits do not depend on the host's core count.
+# OpenBLAS reads these once, when numpy first loads it, so this must run
+# before the first numpy import; a value the caller set is kept, and a
+# process that imported numpy before ebicglm keeps the threads it started.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .ebic import (
     GammaGrid,
     ModelScore,

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 from .errors import DataError, InvalidArgs, RankDeficient
 from .links import Family, LinkFamily
@@ -186,7 +185,10 @@ class LaneFits:
         """Lane j as a ``FitResult``; raises RankDeficient where it failed
         the rank test."""
         if self.rank_deficient[j]:
-            raise RankDeficient("design matrix is rank deficient for this model")
+            raise RankDeficient(
+                "design matrix is rank deficient for this model, or its "
+                "weighted Gram matrix is not finite"
+            )
         return FitResult(
             beta=self.beta[:, j].copy(),
             log_lik=float(self.log_lik[j]),
@@ -289,7 +291,10 @@ def _lane_cholesky(h):
     try:
         return np.linalg.cholesky(h), np.ones(len(h), dtype=bool)
     except np.linalg.LinAlgError:
-        # the stacked call fails as a whole, so factor lane by lane
+        # the stacked call fails as a whole, so factor lane by lane; no other
+        # step of a fit needs scipy.linalg, so it is imported only here
+        from scipy.linalg.lapack import dpotrf
+
         factors = [dpotrf(a, lower=1) for a in h]
         return (np.array([c for c, _ in factors]),
                 np.array([info == 0 for _, info in factors], dtype=bool))
@@ -571,9 +576,12 @@ def _newton_lanes(y, A, X, cols, lf, start):
     iu = np.triu_indices(m)  # row by row: (0, 0), (0, 1), ..., (1, 1), ...
     Z = np.empty((n, iu[0].size))
     pos = 0
-    for a in range(m):  # a block of columns at a time keeps temporaries small
-        Z[:, pos:pos + m - a] = A[:, a:a + 1] * A[:, a:]
-        pos += m - a
+    # covariates above about 1e154 overflow here; the Gram they enter is then
+    # not finite, and the rank test refuses every lane
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(m):  # a block of columns at a time keeps temporaries small
+            Z[:, pos:pos + m - a] = A[:, a:a + 1] * A[:, a:]
+            pos += m - a
     start = np.asarray(start, dtype=float)
     width = max(1, LANE_BLOCK_CELLS // max(n, k * k))
     parts = [

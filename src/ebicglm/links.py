@@ -11,6 +11,14 @@ pairs degenerate to h(eta) = eta with h' = 1 and h'' = 0 exactly.
 (theta itself, or cloglog's exp(eta), or a CDF link's log-CDF and
 log-survival). ``log_lik(..., keep_state=True)`` hands them over, so the
 fitter evaluates the link once at each accepted eta.
+
+SciPy is loaded on use: each function that calls ``scipy.special`` imports
+it there. ``compose_link_family`` loads it for every pair except those that
+never call it to fit, screen, select or score (``uses_scipy = False``:
+Bernoulli-cloglog, Gamma-log and Gamma-invpower), so that pool workers
+forked after the pair was built inherit it rather than each import it on
+their own. A process that only fits and scores those pairs never imports
+SciPy.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import DataError, DomainError, UnsupportedPair
 
@@ -83,14 +90,16 @@ class Family:
 
 class Bernoulli(Family):
     name = "bernoulli"
-    # mu limited to [1e-12, 1 - 1e-12]
-    theta_clip = (special.logit(1e-12), special.logit(1 - 1e-12))
+    # mu limited to [1e-12, 1 - 1e-12]: scipy.special.logit at both ends
+    theta_clip = (-27.63102111592755, 27.63104323789236)
     mean_domain = (0.0, 1.0)
 
     def b(self, theta):
         return np.logaddexp(0.0, theta)
 
     def mean_and_variance(self, theta):
+        from scipy import special
+
         t = np.asarray(theta)
         mu = special.expit(t)
         return mu, mu * special.expit(-t)
@@ -117,6 +126,8 @@ class Poisson(Family):
         return mu, mu
 
     def saturated_log_lik(self, y):
+        from scipy import special
+
         return float(np.sum(special.xlogy(y, y) - y))
 
     y_rule = "must be nonnegative"
@@ -174,9 +185,13 @@ class Logit(Link):
     name = "logit"
 
     def g(self, mu):
+        from scipy import special
+
         return special.logit(mu)
 
     def g_inverse(self, eta):
+        from scipy import special
+
         return special.expit(eta)
 
 
@@ -184,16 +199,24 @@ class Probit(Link):
     name = "probit"
 
     def g(self, mu):
+        from scipy import special
+
         return special.ndtri(mu)
 
     def g_inverse(self, eta):
+        from scipy import special
+
         return special.ndtr(eta)
 
     # pieces used by the composite h and its derivatives
     def log_cdf(self, eta):
+        from scipy import special
+
         return special.log_ndtr(eta)
 
     def log_sf(self, eta):
+        from scipy import special
+
         return special.log_ndtr(-np.asarray(eta, dtype=float))
 
     def log_pdf(self, eta):
@@ -336,6 +359,9 @@ class LinkFamily:
     is_canonical = False
     #: True whenever h'' is identically zero (implies H_0 vanishes downstream)
     h_curvature_zero = False
+    #: False only for the pairs that call no SciPy function to fit, screen,
+    #: select or score (see the module docstring)
+    uses_scipy = True
 
     def __init__(self, family: Family, link: Link):
         self.family = family
@@ -471,6 +497,8 @@ class _BernoulliCloglogLF(LinkFamily):
     ignores it.
     """
 
+    uses_scipy = False
+
     def _state(self, eta):
         u = np.exp(np.asarray(eta, dtype=float))
         return u, -np.expm1(-u)
@@ -507,6 +535,8 @@ class _BernoulliIdentityLF(LinkFamily):
     eta_domain = (0.0, 1.0)
 
     def h(self, eta):
+        from scipy import special
+
         return special.logit(eta)
 
     def _terms(self, eta, state):
@@ -528,6 +558,8 @@ class _BernoulliArcsinLF(LinkFamily):
 
 
 class _GammaLogLF(LinkFamily):
+    uses_scipy = False
+
     def h(self, eta):
         return -np.exp(-np.asarray(eta, dtype=float))
 
@@ -551,6 +583,7 @@ class _PoissonPowerLF(LinkFamily):
 
 class _GammaPowerLF(LinkFamily):
     eta_domain = (0.0, np.inf)
+    uses_scipy = False
 
     def __init__(self, family, link):
         super().__init__(family, link)
@@ -582,12 +615,18 @@ _COMPOSITES = {
 
 
 def compose_link_family(family: Family, link: Link) -> LinkFamily:
-    """Return the LinkFamily for a supported pair, or raise UnsupportedPair."""
+    """Return the LinkFamily for a supported pair, or raise UnsupportedPair.
+
+    SciPy is loaded here for every pair that may call it, so that pool
+    workers forked after this call inherit it.
+    """
     cls = _COMPOSITES.get((family.name, link.name))
     if cls is None:
         raise UnsupportedPair(
             f"no composite coded for family '{family.name}' with link '{link.name}'"
         )
+    if cls.uses_scipy:
+        import scipy.special  # noqa: F401
     return cls(family, link)
 
 

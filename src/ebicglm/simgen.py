@@ -6,6 +6,9 @@ Dimensions follow the divergent pattern (n, pn, p0n) =
 (setting 3); responses are binary through the complementary log-log inverse
 link. Randomness is counter-based (Philox keyed by seed and replicate id) so
 replicates generate identically in any order or process layout.
+
+``numpy.random`` is imported with this module: numpy loads it lazily, and
+each pool worker forked before its first use would import it on its own.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (see the module docstring)
 
 from .errors import InvalidArgs, InvalidDesign, InvalidRho
 from .glm import Dataset

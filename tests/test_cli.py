@@ -3,7 +3,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +173,25 @@ class TestExitCodes:
         assert f"replicates must be <= {limit}" in capsys.readouterr().err
         assert main(base["simulate"] + ["--n", "5825"]) == 1
         assert "cells exceeds the limit" in capsys.readouterr().err
+
+    def test_covariates_whose_squares_overflow_are_numerical_failures(self, tmp_path):
+        # |x| near 1e300: the products of the shared columns overflow. Run as
+        # a user would, with every RuntimeWarning an error, in a new process
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((12, 4)) * 1e300
+        rows = [",".join(repr(float(v)) for v in (i % 2, *X[i])) for i in range(12)]
+        csv = tmp_path / "huge.csv"
+        csv.write_text("y,a,b,c,d\n" + "\n".join(rows) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).parent.parent))
+        for command in (["fit", "--features", "1,2"], ["select", "--out", str(tmp_path / "o")]):
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "ebicglm.cli",
+                 *command, "--link", "logit", "--input", str(csv)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 3, proc.stderr
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+            assert proc.stderr.startswith("ebicglm: numerical failure:")
 
 
 class TestFit:

@@ -48,6 +48,16 @@ class TestLogChoose:
             math.log(7129 * 7128 // 2), abs=1e-9
         )
 
+    @pytest.mark.parametrize("p", [716, 1279, 7129])
+    def test_matches_exact_integers_at_paper_dimensions(self, p):
+        # the S1 pn at n = 200 and 500, and the Leukemia p; paths stop by 50.
+        # The three log-gamma terms round on the scale of lgamma(p + 1), which
+        # exceeds ln C(p, k) by far at small k (about 56,000 against 8.9 at
+        # p = 7129, k = 1), so the bound is a few ulp of lgamma(p + 1)
+        tol = 4 * np.finfo(float).eps * math.lgamma(p + 1)
+        for k in range(51):
+            assert abs(log_choose(p, k) - math.log(math.comb(p, k))) <= tol
+
     def test_invalid(self):
         with pytest.raises(InvalidArgs):
             log_choose(3, 4)

@@ -271,6 +271,13 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
+def test_bernoulli_theta_clip_is_logit_of_the_mean_floor():
+    # written as literals, so that the module loads without SciPy
+    from scipy import special
+
+    assert Bernoulli.theta_clip == (special.logit(1e-12), special.logit(1 - 1e-12))
+
+
 @pytest.mark.parametrize("family", ["bernoulli", "poisson", "gamma"])
 def test_mean_and_variance_match_independent_formulas(family):
     # b' and b'' written out here, on a theta grid with the theta_clip ends

@@ -1,0 +1,126 @@
+"""What a fresh ebicglm process loads: SciPy only for the pairs that call it,
+nothing new in pool workers, and one BLAS thread unless the caller set one.
+
+Each test runs its script in a new interpreter, since this test process has
+long since imported SciPy and numpy.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import ebicglm
+
+SRC = str(Path(ebicglm.__file__).resolve().parent.parent)
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run(script, cwd, env_update=None, unset=()):
+    """Run ``script`` in a new interpreter that imports this package's
+    sources; its stdout, stripped. It must exit 0."""
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = SRC
+    env.update(env_update or {})
+    path = Path(cwd) / "script.py"
+    path.write_text(textwrap.dedent(script))
+    proc = subprocess.run([sys.executable, str(path)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_cloglog_cli_runs_load_no_scipy(tmp_path):
+    out = _run("""
+        import sys
+        import numpy as np
+        import ebicglm.cli
+
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((60, 6))
+        y = (rng.random(60) < -np.expm1(-np.exp(X[:, 1] - X[:, 4]))).astype(float)
+        rows = [",".join(repr(float(v)) for v in (y[i], *X[i])) for i in range(60)]
+        with open("toy.csv", "w") as fh:
+            fh.write("y,a,b,c,d,e,f\\n" + "\\n".join(rows) + "\\n")
+        common = ["--input", "toy.csv", "--link", "cloglog"]
+        assert ebicglm.cli.main(["select", *common, "--out", "sel"]) == 0
+        assert ebicglm.cli.main(["fit", *common, "--features", "2,5"]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """, tmp_path)
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_a_pair_that_calls_scipy_loads_it_when_built(tmp_path):
+    out = _run("""
+        import sys
+        from ebicglm import parse_link_family
+
+        before = "scipy.special" in sys.modules
+        parse_link_family("logit")
+        print(before, "scipy.special" in sys.modules)
+    """, tmp_path)
+    assert out == "False True"
+
+
+def test_pool_workers_import_no_module_their_parent_lacked(tmp_path):
+    # each worker notes sys.modules as it was forked, which is its parent's
+    # set at the fork, and reports what its task added to it
+    out = _run("""
+        import os
+        import sys
+        import numpy as np
+        from ebicglm import Dataset, SelectConfig, design_for, experiments, parse_link_family
+
+        at_fork = set()
+        os.register_at_fork(after_in_child=lambda: at_fork.update(sys.modules))
+
+        def added(shared, task):
+            fn, inner = task
+            fn(shared, inner)
+            return sorted(set(sys.modules) - at_fork)
+
+        design = design_for("S1", 30)
+        config = SelectConfig(include_intercept=False, max_steps=2)
+        s1 = experiments._map_tasks(
+            (design, 1, config), [(added, (experiments._replicate_task, r)) for r in (0, 1)], 2)
+        rng = np.random.default_rng(0)
+        data = Dataset((rng.random(30) < 0.4).astype(float), rng.standard_normal((30, 1100)))
+        golub = experiments._map_tasks(
+            data, [(added, (experiments._full_path_task, (parse_link_family(name), 2)))
+                   for name in ("logit", "cloglog")], 2)
+        print(s1 + golub)
+    """, tmp_path)
+    assert out == "[[], [], [], []]"
+
+
+_DIGEST = """
+    import hashlib
+    import os
+    import ebicglm
+    import numpy as np
+    from ebicglm import glm, parse_link_family
+
+    # a forward step with m = 14 shared columns (intercept included), where
+    # the kernel's BLAS products round by the thread count
+    rng = np.random.default_rng(0)
+    n, m, C = 500, 14, 32
+    X = rng.standard_normal((n, m - 1 + C))
+    A = np.hstack([np.ones((n, 1)), X[:, :m - 1]])
+    eta = X[:, :m - 1] @ rng.uniform(-0.4, 0.4, m - 1) - 0.5
+    y = (rng.random(n) < -np.expm1(-np.exp(eta))).astype(float)
+    fits = glm._newton_lanes(y, A, X, np.arange(m - 1, m - 1 + C),
+                             parse_link_family("cloglog"), np.zeros(m + 1))
+    print(os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"],
+          hashlib.sha256(fits.beta.tobytes() + fits.log_lik.tobytes()).hexdigest())
+"""
+
+
+def test_blas_is_pinned_to_one_thread_unless_the_caller_set_it(tmp_path):
+    unset = _run(_DIGEST, tmp_path, unset=BLAS_VARS).split()
+    pinned = _run(_DIGEST, tmp_path, {"OPENBLAS_NUM_THREADS": "1"},
+                  unset=BLAS_VARS).split()
+    assert unset[:2] == ["1", "1"]
+    assert unset[2] == pinned[2]
+    kept = _run(_DIGEST, tmp_path, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"})
+    assert kept.split()[:2] == ["2", "3"]
