@@ -13,12 +13,12 @@ log-survival). ``log_lik(..., keep_state=True)`` hands them over, so the
 fitter evaluates the link once at each accepted eta.
 
 SciPy is loaded on use: each function that calls ``scipy.special`` imports
-it there. ``compose_link_family`` loads it for every pair except those that
-never call it to fit, screen, select or score (``uses_scipy = False``:
-Bernoulli-cloglog, Gamma-log and Gamma-invpower), so that pool workers
-forked after the pair was built inherit it rather than each import it on
-their own. A process that only fits and scores those pairs never imports
-SciPy.
+it there. One pair calls it to fit, screen, select or score:
+Bernoulli-probit (the normal CDF and its logarithms). Its class sets
+``uses_scipy = True``, and ``compose_link_family`` loads SciPy as it builds
+it, so that pool workers forked after the pair was built inherit it rather
+than each import it on their own. A process that only fits and scores the
+other pairs never imports SciPy.
 """
 
 from __future__ import annotations
@@ -95,14 +95,16 @@ class Bernoulli(Family):
     mean_domain = (0.0, 1.0)
 
     def b(self, theta):
-        return np.logaddexp(0.0, theta)
+        return np.maximum(theta, 0.0) + np.log1p(np.exp(-np.abs(theta)))
 
     def mean_and_variance(self, theta):
-        from scipy import special
-
-        t = np.asarray(theta)
-        mu = special.expit(t)
-        return mu, mu * special.expit(-t)
+        # with e = exp(-|t|) and r = 1 / (1 + e): mu = r where t >= 0 and
+        # e r elsewhere, sigma^2 = e r r. exp(min(t, 0)) is e where t < 0 and
+        # 1 elsewhere, so mu needs no select, which costs more than the exp.
+        t = np.asarray(theta, dtype=float)
+        e = np.exp(-np.abs(t))
+        r = 1.0 / (1.0 + e)
+        return r * np.exp(np.minimum(t, 0.0)), e * r * r
 
     def saturated_log_lik(self, y):
         return 0.0
@@ -126,9 +128,8 @@ class Poisson(Family):
         return mu, mu
 
     def saturated_log_lik(self, y):
-        from scipy import special
-
-        return float(np.sum(special.xlogy(y, y) - y))
+        # y log y - y, with 0 log 0 = 0
+        return float(np.sum(y * np.log(np.where(y > 0, y, 1.0)) - y))
 
     y_rule = "must be nonnegative"
 
@@ -185,14 +186,16 @@ class Logit(Link):
     name = "logit"
 
     def g(self, mu):
-        from scipy import special
-
-        return special.logit(mu)
+        # log(mu / (1 - mu)) loses its relative accuracy near mu = 1/2, and
+        # so does log(mu) - log1p(-mu); there log1p((2 mu - 1) / (1 - mu))
+        # keeps it, as 2 mu - 1 is exact
+        m = np.asarray(mu, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where((m < 0.3) | (m > 0.65), np.log(m / (1.0 - m)),
+                            np.log1p((2.0 * m - 1.0) / (1.0 - m)))
 
     def g_inverse(self, eta):
-        from scipy import special
-
-        return special.expit(eta)
+        return Bernoulli().b_prime(eta)
 
 
 class Probit(Link):
@@ -359,9 +362,9 @@ class LinkFamily:
     is_canonical = False
     #: True whenever h'' is identically zero (implies H_0 vanishes downstream)
     h_curvature_zero = False
-    #: False only for the pairs that call no SciPy function to fit, screen,
+    #: True only for the pairs that call a SciPy function to fit, screen,
     #: select or score (see the module docstring)
-    uses_scipy = True
+    uses_scipy = False
 
     def __init__(self, family: Family, link: Link):
         self.family = family
@@ -485,6 +488,12 @@ class _BinaryCdfLF(LinkFamily):
         return (y * (lcdf - lsf)).sum(axis=-1) + lsf.sum(axis=-1)
 
 
+class _ProbitLF(_BinaryCdfLF):
+    """Bernoulli + probit, whose link functions call ``scipy.special``."""
+
+    uses_scipy = True
+
+
 class _BernoulliCloglogLF(LinkFamily):
     """Bernoulli + cloglog: h(eta) = log(exp(exp(eta)) - 1).
 
@@ -496,8 +505,6 @@ class _BernoulliCloglogLF(LinkFamily):
     is expected: callers run ``newton_terms`` under an errstate that
     ignores it.
     """
-
-    uses_scipy = False
 
     def _state(self, eta):
         u = np.exp(np.asarray(eta, dtype=float))
@@ -535,9 +542,7 @@ class _BernoulliIdentityLF(LinkFamily):
     eta_domain = (0.0, 1.0)
 
     def h(self, eta):
-        from scipy import special
-
-        return special.logit(eta)
+        return Logit().g(eta)
 
     def _terms(self, eta, state):
         e = np.asarray(eta, dtype=float)
@@ -558,8 +563,6 @@ class _BernoulliArcsinLF(LinkFamily):
 
 
 class _GammaLogLF(LinkFamily):
-    uses_scipy = False
-
     def h(self, eta):
         return -np.exp(-np.asarray(eta, dtype=float))
 
@@ -583,7 +586,6 @@ class _PoissonPowerLF(LinkFamily):
 
 class _GammaPowerLF(LinkFamily):
     eta_domain = (0.0, np.inf)
-    uses_scipy = False
 
     def __init__(self, family, link):
         super().__init__(family, link)
@@ -602,7 +604,7 @@ class _GammaPowerLF(LinkFamily):
 
 _COMPOSITES = {
     ("bernoulli", "logit"): _CanonicalLF,
-    ("bernoulli", "probit"): _BinaryCdfLF,
+    ("bernoulli", "probit"): _ProbitLF,
     ("bernoulli", "cauchit"): _BinaryCdfLF,
     ("bernoulli", "cloglog"): _BernoulliCloglogLF,
     ("bernoulli", "identity"): _BernoulliIdentityLF,

@@ -12,6 +12,7 @@ from ebicglm import (
     DomainError,
     Gamma,
     InversePower,
+    Logit,
     Probit,
     UnsupportedPair,
     compose_link_family,
@@ -299,6 +300,66 @@ def test_mean_and_variance_match_independent_formulas(family):
     assert rel_err(sigma2, want[1], floor=1e-300) < 1e-14
     assert np.array_equal(_bits(fam.b_prime(t)), _bits(mu))
     assert np.array_equal(_bits(fam.b_double_prime(t)), _bits(sigma2))
+
+
+# ---------------------------------------------------------------------------
+# the logistic functions against an extended-precision reference
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+_WIDE = np.longdouble
+_wide_reference = pytest.mark.skipif(
+    np.finfo(_WIDE).eps > 1e-18, reason="np.longdouble is no wider than double here")
+
+
+def _within_4_eps(got, want):
+    got = np.asarray(got, dtype=_WIDE)
+    return np.all(np.abs(got - want) <= 4 * _EPS * np.abs(want))
+
+
+def _logit_reference(mu):
+    m = np.asarray(mu, dtype=_WIDE)
+    # 2 mu - 1 is exact, and so is 1 - mu in the wide type for mu >= 2^-11
+    middle = (m >= 0.25) & (m <= 0.75)
+    return np.where(middle, 2 * np.arctanh(2 * np.where(middle, m, 0.5) - 1),
+                    np.log(m / (1 - m)))
+
+
+_THETAS = st.lists(
+    st.one_of(st.floats(-700.0, 700.0),
+              st.sampled_from([0.0, -0.0, *Bernoulli.theta_clip, -700.0, 700.0])),
+    min_size=1, max_size=40,
+)
+
+
+@_wide_reference
+@settings(max_examples=300, deadline=None)
+@given(thetas=_THETAS)
+def test_bernoulli_b_mean_and_variance_are_within_4_eps(thetas):
+    t = np.array(thetas)
+    T = t.astype(_WIDE)
+    fam = Bernoulli()
+    b = fam.b(t)
+    mu, sigma2 = fam.mean_and_variance(t)
+    assert _within_4_eps(b, np.log1p(np.exp(T)))
+    assert _within_4_eps(mu, 1 / (1 + np.exp(-T)))
+    assert _within_4_eps(sigma2, np.exp(-T) / (1 + np.exp(-T)) ** 2)
+    assert _within_4_eps(Logit().g_inverse(t), 1 / (1 + np.exp(-T)))
+    assert np.array_equal(_bits(sigma2), _bits(fam.mean_and_variance(-t)[1]))
+    b_neg = fam.b(-t)
+    assert np.all(np.abs((b - b_neg) - t) <= 4 * _EPS * np.maximum(b, b_neg))
+
+
+@_wide_reference
+@settings(max_examples=300, deadline=None)
+@given(thetas=_THETAS, means=st.lists(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=20))
+def test_logit_is_within_4_eps(thetas, means):
+    # at the means of the thetas above (below 1, where logit is finite) and
+    # at any mean in (0, 1)
+    mu = Bernoulli().b_prime(np.array(thetas))
+    mu = np.concatenate([mu[mu < 1.0], means, [0.5, 0.3, 0.65]])
+    assert _within_4_eps(Logit().g(mu), _logit_reference(mu))
 
 
 def test_cloglog_tail_cells_leave_the_other_terms_bit_equal():

@@ -11,7 +11,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import ebicglm
+from helpers import ALL_PAIRS
 
 SRC = str(Path(ebicglm.__file__).resolve().parent.parent)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -31,8 +34,9 @@ def _run(script, cwd, env_update=None, unset=()):
     return proc.stdout.strip()
 
 
-def test_cloglog_cli_runs_load_no_scipy(tmp_path):
-    out = _run("""
+@pytest.mark.parametrize("link", ["cloglog", "logit", "cauchit"])
+def test_cli_runs_load_no_scipy(tmp_path, link):
+    out = _run(f"""
         import sys
         import numpy as np
         import ebicglm.cli
@@ -43,7 +47,7 @@ def test_cloglog_cli_runs_load_no_scipy(tmp_path):
         rows = [",".join(repr(float(v)) for v in (y[i], *X[i])) for i in range(60)]
         with open("toy.csv", "w") as fh:
             fh.write("y,a,b,c,d,e,f\\n" + "\\n".join(rows) + "\\n")
-        common = ["--input", "toy.csv", "--link", "cloglog"]
+        common = ["--input", "toy.csv", "--link", "{link}"]
         assert ebicglm.cli.main(["select", *common, "--out", "sel"]) == 0
         assert ebicglm.cli.main(["fit", *common, "--features", "2,5"]) == 0
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
@@ -57,10 +61,54 @@ def test_a_pair_that_calls_scipy_loads_it_when_built(tmp_path):
         from ebicglm import parse_link_family
 
         before = "scipy.special" in sys.modules
-        parse_link_family("logit")
+        parse_link_family("probit")
         print(before, "scipy.special" in sys.modules)
     """, tmp_path)
     assert out == "False True"
+
+
+@pytest.mark.parametrize("link,family", ALL_PAIRS)
+def test_uses_scipy_says_whether_fitting_the_pair_loads_scipy(tmp_path, link, family):
+    out = _run(f"""
+        import sys
+        import numpy as np
+        from ebicglm import Dataset, ModelIndex, fit_mle, links, parse_family, parse_link
+
+        family, link = parse_family({family!r}), parse_link({link!r})
+        # built without compose_link_family, which loads SciPy for the pairs
+        # that say they use it
+        lf = links._COMPOSITES[family.name, link.name](family, link)
+        rng = np.random.default_rng(0)
+        y = {{"bernoulli": (rng.random(40) < 0.4).astype(float),
+              "poisson": rng.poisson(2.0, 40).astype(float),
+              "gamma": rng.exponential(1.0, 40) + 0.1}}[family.name]
+        fit_mle(lf, Dataset(y, np.ones((40, 1))), ModelIndex((), include_intercept=True))
+        lf.family.saturated_log_lik(y)
+        print(lf.uses_scipy, "scipy" in sys.modules)
+    """, tmp_path)
+    flag, loaded = out.split()
+    assert flag == loaded
+
+
+def test_a_logit_and_cloglog_workflow_on_a_pool_runs_without_scipy(tmp_path):
+    # None in sys.modules makes every import of scipy fail, in this process
+    # and in the pool workers it forks
+    out = _run("""
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        from ebicglm import Dataset, real_data_workflow
+
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 1100))
+        y = (rng.random(40) < 1.0 / (1.0 + np.exp(-X[:, 3]))).astype(float)
+        report = real_data_workflow(Dataset(y, X), ("logit", "cloglog"), path_steps=3,
+                                    cv_folds=2, cv_path_length=2, threads=2)
+        print(sorted(report.rankings),
+              sorted(m for m, mod in sys.modules.items()
+                     if m.split(".")[0] == "scipy" and mod is not None))
+    """, tmp_path)
+    assert out == "['cloglog', 'logit'] []"
 
 
 def test_pool_workers_import_no_module_their_parent_lacked(tmp_path):
