@@ -7,8 +7,14 @@ import os
 # OpenBLAS reads these once, when numpy first loads it, so this must run
 # before the first numpy import; a value the caller set is kept, and a
 # process that imported numpy before ebicglm keeps the threads it started.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
+# Every manifest.json records each variable's value after this and whether
+# this import set it.
+_BLAS_THREADS = {}
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    _set_here = _var not in os.environ
+    _BLAS_THREADS[_var] = {"value": os.environ.setdefault(_var, "1"),
+                           "set_by_ebicglm": _set_here}
+del _var, _set_here
 
 from .ebic import (
     GammaGrid,

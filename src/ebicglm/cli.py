@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Every output-producing run writes a ``manifest.json`` that reproduces it
 bit for bit via ``--config manifest.json`` at the same BLAS thread count
-(``OPENBLAS_NUM_THREADS``), whatever ``--threads`` (worker processes) is.
+(``OPENBLAS_NUM_THREADS``, which the manifest records under
+``blas_threads``), whatever ``--threads`` (worker processes) is.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import _BLAS_THREADS, __version__
 from .ebic import ebic_score, resolve_gamma
 from .errors import DataError, EbicGlmError, InvalidArgs
 from .glm import Dataset, ModelIndex, c6_diagnostics, fit_mle
@@ -165,13 +166,15 @@ def _manifest(args) -> dict:
 
 def _write_out(args, files: dict, stop_reason: str | None = None) -> None:
     """Write the result files and the run's manifest into ``args.out``; a
-    path's ``stop_reason`` goes into the manifest beside ``params``, so
-    ``--config`` replay ignores it."""
+    path's ``stop_reason`` and the BLAS thread variables as ``import
+    ebicglm`` left them go into the manifest beside ``params``, so
+    ``--config`` replay ignores them."""
     path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
         (path / name).write_text(content, encoding="utf-8")
     manifest = _manifest(args)
+    manifest["blas_threads"] = _BLAS_THREADS
     if stop_reason is not None:
         manifest["stop_reason"] = stop_reason
     (path / "manifest.json").write_text(

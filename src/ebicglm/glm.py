@@ -273,10 +273,15 @@ def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> Hes
 #: most doubles in one working array of ``_newton_lanes`` (a C x n block of
 #: linear predictors or a C x k x k stack of Hessians); it sets how many
 #: candidate designs one block fits together. The block size trades the
-#: per-call overhead of numpy against peak memory: at 2^16 a Setting-1
-#: worker's peak RSS grew by 16 MB, at 2^14 by 5 MB, for the same speed
-#: within noise.
-LANE_BLOCK_CELLS = 1 << 14
+#: per-call overhead of numpy, about 0.2 ms per Newton iteration of a block
+#: whatever its width, against peak memory. A block frees each C x n array
+#: once it is spent, so its peak holds about 9 of them under logit and 11
+#: under cloglog (``tracemalloc``, 1024 lanes x n = 64; a test holds it at
+#: 12 or fewer), 5-6 MB at 2^16. Against 2^14, 2^16 cut the
+#: block-iterations of the benchmark's Golub-shaped workflow 3x (3588 ->
+#: 1179) and raised its peak RSS by 2 MB (104 -> 107 MB), and that of the
+#: Setting-1 batch by 3.5 MB (77 -> 81 MB).
+LANE_BLOCK_CELLS = 1 << 16
 
 
 def _with_identity(h, ok):
@@ -287,17 +292,18 @@ def _with_identity(h, ok):
 
 def _lane_cholesky(h):
     """Cholesky factors of a finite P x k x k stack and the mask of lanes
-    where LAPACK's potrf succeeds."""
+    where LAPACK's potrf succeeds; a refused lane's factor is zero. numpy
+    refuses a stack as a whole when one lane fails, so a refused stack is
+    bisected until each refused part is one lane. potrf factors each matrix
+    alone either way, so every factor keeps its bits."""
     try:
         return np.linalg.cholesky(h), np.ones(len(h), dtype=bool)
     except np.linalg.LinAlgError:
-        # the stacked call fails as a whole, so factor lane by lane; no other
-        # step of a fit needs scipy.linalg, so it is imported only here
-        from scipy.linalg.lapack import dpotrf
-
-        factors = [dpotrf(a, lower=1) for a in h]
-        return (np.array([c for c, _ in factors]),
-                np.array([info == 0 for _, info in factors], dtype=bool))
+        if len(h) == 1:
+            return np.zeros_like(h), np.zeros(1, dtype=bool)
+    half = len(h) // 2
+    (c0, ok0), (c1, ok1) = _lane_cholesky(h[:half]), _lane_cholesky(h[half:])
+    return np.concatenate([c0, c1]), np.concatenate([ok0, ok1])
 
 
 def _lane_rank_deficient(h1):
@@ -361,6 +367,27 @@ def _rows(a, idx):
     return a if keep_all else a[idx]
 
 
+def _lane_gradient(A, x, r):
+    """X^T r for each lane's design X = [A, x_j], as k x C, for the C x n
+    rows x_j of x and r (C x n, or 1 x n when all lanes share it)."""
+    grad = np.empty((A.shape[1] + 1, x.shape[0]))
+    grad[:-1] = _shared_dot(A, r)
+    grad[-1] = (x * r).sum(axis=1)
+    return grad
+
+
+def _lane_weights(lf, y, A, x, eta, state):
+    """Each lane's gradient (k x C) and the Gram weights of H1 and of
+    H1 - H0 (C x n, or 1 x n while the lanes share eta; the same array when
+    h'' vanishes) at eta, from the link ``state`` that ``log_lik`` left
+    there. The C x n link terms die on return."""
+    mu, sigma2, hp, hpp = lf.newton_terms(eta, state)
+    resid = y - mu
+    grad = _lane_gradient(A, x, resid * hp)
+    w1 = sigma2 * hp * hp
+    return grad, w1, w1 if hpp is None else w1 - resid * hpp
+
+
 def _lane_direction(lf, y, A, Z, iu, x, eta, state, first):
     """Each lane's ascent direction at an in-domain eta (C x n, one row per
     lane, or 1 x n while every lane shares it), whose link ``state`` came
@@ -371,18 +398,10 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, first):
     fallback, and the mask of lanes failing the rank test, which is run
     when ``first``). Lanes whose gradient is non-finite get no step. The
     C x n intermediates die on return."""
-    m = A.shape[1]
-    k = m + 1
+    k = A.shape[1] + 1
     lanes = x.shape[0]
-    mu, sigma2, hp, hpp = lf.newton_terms(eta, state)
-    resid = y - mu
-    r = resid * hp
-    grad = np.empty((k, lanes))
-    grad[:m] = _shared_dot(A, r)
-    grad[m] = (x * r).sum(axis=1)
+    grad, w1, w = _lane_weights(lf, y, A, x, eta, state)
     stop = ~np.isfinite(grad).all(axis=0)
-    w1 = sigma2 * hp * hp
-    w = w1 if hpp is None else w1 - resid * hpp
     rank_deficient = np.zeros(lanes, dtype=bool)
     if first:
         # the rank test needs every lane's H1; while eta is still shared,
@@ -391,7 +410,7 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, first):
         rank_deficient = _lane_rank_deficient(h1_all)
         stop |= rank_deficient
         go = np.flatnonzero(~stop)
-        h = (h1_all if hpp is None else _lane_gram(A, Z, iu, x, w))[go]
+        h = _rows(h1_all if w is w1 else _lane_gram(A, Z, iu, x, w), go)
     else:
         go = np.flatnonzero(~stop)
         h = _lane_gram(A, Z, iu, _rows(x, go), _rows(w, go))
@@ -407,7 +426,7 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, first):
         d[:, go], ok[go] = _lane_chol_solve(h, grad[:, go])
     direct = ok.copy()
     bad = go[~ok[go]]
-    if bad.size and hpp is not None:
+    if bad.size and w is not w1:
         d[:, bad], ok[bad] = _lane_chol_solve(h1_of(bad), grad[:, bad])
         bad = bad[~ok[bad]]
     if bad.size:
@@ -418,11 +437,57 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, first):
     return d, (grad * d).sum(axis=0) / 2, ok, ok & ~direct, rank_deficient
 
 
+def _step_search(lf, y, A, x, eta, d, ll, ok, conv, clip):
+    """The step halving of one iteration, for the lanes at eta (C x n, or
+    1 x n while they share it) with directions d (k x C): the lanes still
+    searching all stand at the same step 2^-tried, and a converged lane
+    tries only the full step. A lane takes the first (longest) step that
+    does not lower its log-likelihood ll. Returns (each lane's step, its
+    log-likelihood there, -inf where no step was taken, and that trial's
+    eta and link state as C x n arrays whose other rows are undefined).
+    The step's C x n products die on return."""
+    # A @ d[:-1] is computed n x C, as in the package's earlier n x C
+    # kernel, because BLAS can round a product by its output's orientation
+    # and the step's last bits decide which trial a lane takes
+    dx = (A @ d[:-1]).T + d[-1][:, None] * x
+    eta_all = np.broadcast_to(eta, dx.shape)
+    lanes = dx.shape[0]
+    step = np.ones(lanes)
+    ll_t = np.full(lanes, -np.inf)
+    eta_t = state_t = None
+    pending = np.flatnonzero(ok)
+    for tried in range(MAX_HALVINGS + 1):
+        if not pending.size:
+            break
+        s = np.ldexp(1.0, -tried)
+        trial = _rows(eta_all, pending) + s * _rows(dx, pending)
+        ll_trial, st = lf.log_lik(clip(trial), y, keep_state=True)
+        good = np.isfinite(ll_trial) & (ll_trial >= ll[pending])
+        took = pending[good]
+        if eta_t is None and pending.size == lanes:
+            # every lane tried the full step: the trial's own arrays keep
+            # the rows of the lanes that took it
+            eta_t, state_t = trial, st
+        else:
+            if eta_t is None:
+                eta_t = np.empty_like(dx)
+                state_t = tuple(np.empty_like(dx) for _ in st)
+            eta_t[took] = trial[good]
+            for kept, new in zip(state_t, st):
+                kept[took] = new[good]
+        ll_t[took] = ll_trial[good]
+        step[took] = s
+        pending = pending[~good & ~conv[pending]]
+    return step, ll_t, eta_t, state_t
+
+
 def _newton_block(y, A, Z, iu, x, lf, start):
     """``_newton_lanes`` for one block: the designs [A, x_j] for the rows
     x_j of x (C x n). Every per-lane array over the n observations is
     C x n with one row per lane, so each lane's sums run over its own
-    contiguous row."""
+    contiguous row. Each C x n array is freed once it is spent, by the
+    return of the helper that made it or by ``del``, so the block's peak
+    holds few of them (see ``LANE_BLOCK_CELLS``)."""
     width = x.shape[0]
     k = A.shape[1] + 1
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
@@ -458,47 +523,18 @@ def _newton_block(y, A, Z, iu, x, lf, start):
             d, gain, ok, fell_back, rd = _lane_direction(
                 lf, y, A, Z, iu, x, eta_c, state, it == 1
             )
+            del eta_c, state  # spent
             out.rank_deficient[lanes[rd]] = True
             out.used_fisher_fallback[lanes] |= fell_back
             conv = ok & (gain <= DEC_TOL * (1 + np.abs(ll)))
             out.converged[lanes] = conv
             out.iterations[lanes] = it
 
-            # step halving: the lanes still searching all stand at the same
-            # step 2^-tried, and a converged lane tries only the full step.
-            # A lane takes the first (longest) step that does not lower its
-            # log-likelihood; the eta and link state of that trial carry
-            # over to the next iteration. A @ d[:-1] is computed n x C, as in
-            # the package's earlier n x C kernel, because BLAS can round a
-            # product by its output's orientation and the step's last bits
-            # decide which trial a lane takes
-            dx = (A @ d[:-1]).T + d[-1][:, None] * x
-            eta_all = np.broadcast_to(eta, dx.shape)
-            step = np.ones(lanes.size)
-            ll_t = np.full(lanes.size, -np.inf)  # stays -inf unless accepted
-            eta_t = state_t = None
-            pending = np.flatnonzero(ok)
-            for tried in range(MAX_HALVINGS + 1):
-                if not pending.size:
-                    break
-                s = np.ldexp(1.0, -tried)
-                trial = _rows(eta_all, pending) + s * _rows(dx, pending)
-                ll_trial, st = lf.log_lik(clip(trial), y, keep_state=True)
-                good = np.isfinite(ll_trial) & (ll_trial >= ll[pending])
-                took = pending[good]
-                if took.size == lanes.size:  # every lane took this trial
-                    eta_t, state_t = trial, st
-                else:
-                    if eta_t is None:
-                        eta_t = np.empty_like(dx)
-                        state_t = tuple(np.empty_like(dx) for _ in st)
-                    eta_t[took] = trial[good]
-                    for kept, new in zip(state_t, st):
-                        kept[took] = new[good]
-                ll_t[took] = ll_trial[good]
-                step[took] = s
-                pending = pending[~good & ~conv[pending]]
-
+            # the eta and link state of a lane's accepted trial carry over
+            # to its next iteration
+            step, ll_t, eta_t, state_t = _step_search(
+                lf, y, A, x, eta, d, ll, ok, conv, clip
+            )
             accepted = np.isfinite(ll_t)
             beta_t = beta + step * d
             capped = np.abs(beta_t).max(axis=0) > BETA_CAP
@@ -516,6 +552,7 @@ def _newton_block(y, A, Z, iu, x, lf, start):
                 break
             x, eta = _rows(x, move), _rows(eta_t, move)
             state = tuple(_rows(a, move) for a in state_t)
+            del eta_t, state_t  # spent, unless move kept every row
             beta, ll, lanes = beta[:, move], ll[move], lanes[move]
     out.beta[:, lanes] = beta
     out.log_lik[lanes] = ll
@@ -566,7 +603,9 @@ def _newton_lanes(y, A, X, cols, lf, start):
     within ``LANE_BLOCK_CELLS`` doubles, except the n x m(m+1)/2 products of
     A's columns that give every lane's A^T W A in one matrix product. A
     block gathers its columns as the rows of a C x n array and holds every
-    per-lane array over the observations the same way, one lane per row.
+    per-lane array over the observations the same way, one lane per row,
+    and frees each once it is spent: at its peak a block holds about 9
+    such arrays under logit and 11 under cloglog, besides its input.
     """
     n, m = A.shape
     k = m + 1

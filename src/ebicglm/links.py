@@ -57,10 +57,6 @@ class Family:
         """Mean function mu(theta)."""
         return self.mean_and_variance(theta)[0]
 
-    def b_double_prime(self, theta):
-        """Variance function sigma^2(theta)."""
-        return self.mean_and_variance(theta)[1]
-
     def saturated_log_lik(self, y):
         """sup over theta of sum_i [y_i theta_i - b(theta_i)]: no fit's
         ``log_lik`` on y exceeds it."""
@@ -351,9 +347,9 @@ class LinkFamily:
 
     Each pair states h and ``_terms``, its Newton terms computed from its
     link quantities at eta (``_state``: theta = h(eta) unless the pair has
-    better ones). ``_terms`` is the only place its h' and h'' are written;
-    every pair shares ``newton_terms`` and ``log_lik``, and ``h_prime`` and
-    ``h_double_prime`` read ``newton_terms``.
+    better ones). ``_terms`` is the only place its h' and h'' are written,
+    and ``newton_terms`` is the only way to read them; every pair shares
+    ``newton_terms`` and ``log_lik``.
     """
 
     #: open interval of admissible linear predictors
@@ -400,16 +396,6 @@ class LinkFamily:
         """(b'(th), b''(th), hp, hpp) at th = h(eta): ``_terms`` for the
         pairs whose mean and variance come straight from the family."""
         return (*self.family.mean_and_variance(th), hp, hpp)
-
-    def h_prime(self, eta):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return self.newton_terms(eta)[2]
-
-    def h_double_prime(self, eta):
-        """h'' at eta, zeros where it is identically zero."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            _, _, hp, hpp = self.newton_terms(eta)
-        return np.zeros_like(hp) if hpp is None else hpp
 
     def log_lik(self, eta, y, keep_state=False):
         """sum_i [y_i theta_i - b(theta_i)] with the family's theta clamp.

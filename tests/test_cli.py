@@ -517,6 +517,26 @@ def test_manifest_params_are_the_config_keys(cli_inputs, command):
     assert sorted(params) == sorted(d for c, d in _config_keys() if c == command)
 
 
+def test_manifest_records_the_blas_thread_variables(toy_csv, tmp_path):
+    # a new process, as a user starts it: one variable unset, so that
+    # import ebicglm pins it, and one set by the caller
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=str(Path(cli_module.__file__).parent.parent), OMP_NUM_THREADS="3")
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ebicglm.cli", "fit", "--input", toy_csv,
+         "--features", "2,5", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": {"value": "1", "set_by_ebicglm": True},
+        "OMP_NUM_THREADS": {"value": "3", "set_by_ebicglm": False},
+    }
+    assert "blas_threads" not in manifest["params"]
+
+
 # each replay's own flags differ from the recorded run's, so only the
 # manifest can make the outputs equal
 _REPLAY_FLAGS = {

@@ -1,6 +1,7 @@
 """Likelihood, score, Hessian decomposition and the Newton fitter."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from ebicglm import (
     parse_link_family,
     score,
 )
+from ebicglm import glm
 from ebicglm.glm import DEC_TOL, _design, _first_copies, _initial_beta, _shared_dot
 from helpers import (
     ALL_PAIRS,
@@ -424,6 +426,52 @@ def test_shared_products_do_not_depend_on_the_lane_layout(n, lanes, q):
     v = rng.standard_normal((lanes, n))
     want = M.T @ np.ascontiguousarray(v.T)
     assert np.array_equal(_shared_dot(M, v), want)
+
+
+@pytest.mark.parametrize("link", ["logit", "cloglog"])
+def test_a_block_holds_at_most_12_lane_arrays(link):
+    # a block of C = 1024 lanes x n = 64 (2^16 cells, the block size), from a
+    # lane coefficient of 0.5: the lanes leave over many iterations, so the
+    # block is compacted, and some iterations halve the step of a few lanes.
+    # Each spent C x n array must be freed before the next is made, so the
+    # block's peak stays at or below 12 C x n arrays
+    rng = np.random.default_rng(0)
+    n, lanes = 64, 1024
+    y = (rng.random(n) < 0.4).astype(float)
+    x = rng.standard_normal((lanes, n)) * np.linspace(0.1, 4.0, lanes)[:, None]
+    x[::3] *= 3.0
+    x[1::3] = (2 * y - 1) + rng.standard_normal((len(x[1::3]), n)) * np.linspace(
+        0.3, 1.5, len(x[1::3]))[:, None]
+    lf = parse_link_family(link)
+    A = np.ones((n, 1))
+    start = np.array([_initial_beta(lf, y, 1, True)[0], 0.5])
+    args = (y, A, A * A, np.triu_indices(1), x, lf, start)
+    glm._newton_block(*args)  # warm-up: numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        fits = glm._newton_block(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * x.nbytes, peak / x.nbytes
+    # the peak covers both moves: lanes left at different iterations, and an
+    # iteration tried a halved step on fewer lanes than its full step
+    assert np.unique(fits.iterations).size > 1
+    calls = []  # per iteration, the lanes of each trial step
+    newton_terms, log_lik = lf.newton_terms, lf.log_lik
+
+    def terms_spy(eta, state=None):  # called once per iteration
+        calls.append([])
+        return newton_terms(eta, state)
+
+    def log_lik_spy(eta, y, keep_state=False):
+        if calls:
+            calls[-1].append(eta.shape[0])
+        return log_lik(eta, y, keep_state)
+
+    lf.newton_terms, lf.log_lik = terms_spy, log_lik_spy
+    glm._newton_block(*args)
+    assert any(0 < c[1] < c[0] for c in calls if len(c) > 1)
 
 
 def test_model_too_large_rejected():

@@ -24,6 +24,13 @@ from ebicglm import (
 from helpers import ALL_PAIRS, eta_grid, rel_err
 
 
+def _h_derivatives(lf, eta):
+    """h' and h'' at eta, read from ``newton_terms``; h'' is zeros where it
+    vanishes identically."""
+    _, _, hp, hpp = lf.newton_terms(np.asarray(eta, dtype=float))
+    return hp, np.zeros_like(hp) if hpp is None else hpp
+
+
 # ---------------------------------------------------------------------------
 # spot values
 # ---------------------------------------------------------------------------
@@ -40,8 +47,9 @@ def test_canonical_pairs_are_exactly_identity():
         assert lf.is_canonical
         eta = np.array([-3.0, 0.7, 1.3, 12.0])
         assert np.array_equal(lf.h(eta), eta)
-        assert np.array_equal(lf.h_prime(eta), np.ones(4))
-        assert np.array_equal(lf.h_double_prime(eta), np.zeros(4))
+        _, _, hp, hpp = lf.newton_terms(eta)
+        assert np.array_equal(hp, np.ones(4))
+        assert hpp is None
 
 
 def test_eval_mean_values():
@@ -80,7 +88,7 @@ def test_h_prime_matches_finite_difference(link, family):
     grid = eta_grid(lf, 41)
     step = 1e-5
     fd = (lf.h(grid + step) - lf.h(grid - step)) / (2.0 * step)
-    assert rel_err(lf.h_prime(grid), fd, floor=1e-6) < 1e-6
+    assert rel_err(_h_derivatives(lf, grid)[0], fd, floor=1e-6) < 1e-6
 
 
 @pytest.mark.parametrize("link,family", ALL_PAIRS)
@@ -88,8 +96,9 @@ def test_h_double_prime_matches_finite_difference(link, family):
     lf = parse_link_family(link, family)
     grid = eta_grid(lf, 41)
     step = 1e-5
-    fd = (lf.h_prime(grid + step) - lf.h_prime(grid - step)) / (2.0 * step)
-    assert rel_err(lf.h_double_prime(grid), fd, floor=1e-4) < 1e-5
+    fd = (_h_derivatives(lf, grid + step)[0]
+          - _h_derivatives(lf, grid - step)[0]) / (2.0 * step)
+    assert rel_err(_h_derivatives(lf, grid)[1], fd, floor=1e-4) < 1e-5
 
 
 def _interior_mu(lf, num):
@@ -121,7 +130,7 @@ def test_g_strictly_monotone(link, family):
 def test_family_variance_positive_and_mean_increasing(family):
     fam = parse_family(family)
     theta = np.linspace(-3.0, -0.1, 50) if family == "gamma" else np.linspace(-3, 3, 50)
-    assert np.all(fam.b_double_prime(theta) > 0)
+    assert np.all(fam.mean_and_variance(theta)[1] > 0)
     assert np.all(np.diff(fam.b_prime(theta)) > 0)
 
 
@@ -136,21 +145,22 @@ def test_cloglog_stable_for_large_eta():
     assert np.all(np.isfinite(h))
     # h(eta) ~ e^eta in the upper tail
     assert h[1] == pytest.approx(math.exp(20.0), rel=1e-12)
-    assert float(lf.h_prime(100.0)) == pytest.approx(math.exp(100.0), rel=1e-12)
+    assert float(_h_derivatives(lf, 100.0)[0]) == pytest.approx(math.exp(100.0), rel=1e-12)
 
 
 def test_cloglog_stable_for_very_negative_eta():
     lf = parse_link_family("cloglog")
     assert float(lf.h(-30.0)) == pytest.approx(-30.0, rel=1e-10)
-    assert float(lf.h_prime(-700.0)) == 1.0
-    assert float(lf.h_double_prime(-700.0)) < 1e-300
+    hp, hpp = _h_derivatives(lf, -700.0)
+    assert float(hp) == 1.0
+    assert float(hpp) < 1e-300
 
 
 def test_probit_tails_stay_finite():
     lf = parse_link_family("probit")
     eta = np.array([-37.0, -8.0, 8.0, 37.0])
-    for fn in (lf.h, lf.h_prime, lf.h_double_prime):
-        assert np.all(np.isfinite(fn(eta)))
+    for values in (lf.h(eta), *_h_derivatives(lf, eta)):
+        assert np.all(np.isfinite(values))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +177,7 @@ def test_unsupported_pair_raises():
 def test_gamma_reciprocal_has_zero_curvature():
     lf = parse_link_family("invpower:1", "gamma")
     assert lf.h_curvature_zero
-    assert np.array_equal(lf.h_double_prime(np.array([0.5, 2.0])), np.zeros(2))
+    assert lf.newton_terms(np.array([0.5, 2.0]))[3] is None
     # h(eta) = -eta for the reciprocal link under unit shape
     assert float(lf.h(3.0)) == -3.0
 
@@ -224,7 +234,7 @@ def test_newton_terms_match_reference_route(link, family):
     mu, sigma2, _hp, hpp = lf.newton_terms(grid)
     th = lf.h(grid)
     assert rel_err(mu, lf.family.b_prime(th), floor=1e-12) < 1e-12
-    assert rel_err(sigma2, lf.family.b_double_prime(th), floor=1e-12) < 1e-12
+    assert rel_err(sigma2, lf.family.mean_and_variance(th)[1], floor=1e-12) < 1e-12
     if hpp is None:
         assert lf.h_curvature_zero
 
@@ -299,7 +309,6 @@ def test_mean_and_variance_match_independent_formulas(family):
     assert rel_err(mu, want[0], floor=1e-300) < 1e-14
     assert rel_err(sigma2, want[1], floor=1e-300) < 1e-14
     assert np.array_equal(_bits(fam.b_prime(t)), _bits(mu))
-    assert np.array_equal(_bits(fam.b_double_prime(t)), _bits(sigma2))
 
 
 # ---------------------------------------------------------------------------

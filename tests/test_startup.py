@@ -142,6 +142,28 @@ def test_pool_workers_import_no_module_their_parent_lacked(tmp_path):
     assert out == "[[], [], [], []]"
 
 
+def test_lane_cholesky_of_a_stack_with_a_refused_lane_loads_no_scipy(tmp_path):
+    out = _run("""
+        import sys
+        import numpy as np
+        from ebicglm.glm import _lane_cholesky
+
+        rng = np.random.default_rng(0)
+        M = rng.standard_normal((1000, 3, 3))
+        spd = M @ M.transpose(0, 2, 1) + 0.1 * np.eye(3)
+        alone = np.array([np.linalg.cholesky(a) for a in spd])
+        for refused in ([0], [500], [999], [0, 500, 999]):
+            h = spd.copy()
+            h[refused] = np.diag([1.0, -1.0, 1.0])  # indefinite
+            c, ok = _lane_cholesky(h)
+            assert np.flatnonzero(~ok).tolist() == refused
+            # each accepted lane's factor has the bits of its own call
+            assert c[ok].tobytes() == alone[ok].tobytes()
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """, tmp_path)
+    assert out == "[]"
+
+
 _DIGEST = """
     import hashlib
     import os
