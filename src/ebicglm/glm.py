@@ -290,20 +290,22 @@ def _with_identity(h, ok):
     return h if ok.all() else np.where(ok[:, None, None], h, np.eye(h.shape[1]))
 
 
-def _lane_cholesky(h):
-    """Cholesky factors of a finite P x k x k stack and the mask of lanes
-    where LAPACK's potrf succeeds; a refused lane's factor is zero. numpy
-    refuses a stack as a whole when one lane fails, so a refused stack is
-    bisected until each refused part is one lane. potrf factors each matrix
-    alone either way, so every factor keeps its bits."""
+def _per_lane(solver, *stacks):
+    """``solver`` (a numpy.linalg function) on stacks of P lanes along their
+    first axis, and the mask of lanes LAPACK accepts; a refused lane's
+    result is zero, shaped like the last stack's lane. numpy refuses a stack
+    as a whole when one lane fails, so a refused stack is bisected until
+    each refused part is one lane. LAPACK treats each lane alone either way,
+    so every accepted lane keeps its bits."""
     try:
-        return np.linalg.cholesky(h), np.ones(len(h), dtype=bool)
+        return solver(*stacks), np.ones(len(stacks[0]), dtype=bool)
     except np.linalg.LinAlgError:
-        if len(h) == 1:
-            return np.zeros_like(h), np.zeros(1, dtype=bool)
-    half = len(h) // 2
-    (c0, ok0), (c1, ok1) = _lane_cholesky(h[:half]), _lane_cholesky(h[half:])
-    return np.concatenate([c0, c1]), np.concatenate([ok0, ok1])
+        if len(stacks[0]) == 1:
+            return np.zeros_like(stacks[-1]), np.zeros(1, dtype=bool)
+    half = len(stacks[0]) // 2
+    (r0, ok0), (r1, ok1) = (_per_lane(solver, *(s[:half] for s in stacks)),
+                            _per_lane(solver, *(s[half:] for s in stacks)))
+    return np.concatenate([r0, r1]), np.concatenate([ok0, ok1])
 
 
 def _lane_rank_deficient(h1):
@@ -314,7 +316,7 @@ def _lane_rank_deficient(h1):
     entry: pivot_i^2 / h1_ii is the weighted 1 - R^2 of column i against
     its predecessors, so the test is invariant to column scaling."""
     finite = np.isfinite(h1).all(axis=(1, 2))
-    c, ok = _lane_cholesky(_with_identity(h1, finite))
+    c, ok = _per_lane(np.linalg.cholesky, _with_identity(h1, finite))
     piv2 = np.diagonal(c, axis1=1, axis2=2) ** 2
     small = (piv2 <= 1e-10 * np.diagonal(h1, axis1=1, axis2=2)).any(axis=1)
     return ~(finite & ok) | small
@@ -323,12 +325,14 @@ def _lane_rank_deficient(h1):
 def _lane_chol_solve(h, g):
     """Solve h d = g lane by lane for a P x k x k stack and a k x P
     right-hand side: (d as k x P, mask of lanes where h is finite and
-    numerically SPD, by LAPACK's potrf test, and d finite). The systems
-    themselves are solved by one stacked LU solve."""
+    numerically SPD, by LAPACK's potrf test, and its LU solve succeeds with
+    a finite d). The systems themselves are solved by one stacked LU
+    solve; potrf can accept a matrix whose LU meets an exact zero pivot."""
     ok = np.isfinite(h).all(axis=(1, 2))
-    ok &= _lane_cholesky(_with_identity(h, ok))[1]
-    d = np.linalg.solve(_with_identity(h, ok), g.T[:, :, None])[:, :, 0].T
-    return d, ok & np.isfinite(d).all(axis=0)
+    ok &= _per_lane(np.linalg.cholesky, _with_identity(h, ok))[1]
+    d, solved = _per_lane(np.linalg.solve, _with_identity(h, ok), g.T[:, :, None])
+    d = d[:, :, 0].T
+    return d, ok & solved & np.isfinite(d).all(axis=0)
 
 
 def _shared_dot(M, v):
@@ -437,7 +441,7 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, first):
     return d, (grad * d).sum(axis=0) / 2, ok, ok & ~direct, rank_deficient
 
 
-def _step_search(lf, y, A, x, eta, d, ll, ok, conv, clip):
+def _step_search(lf, y, A, x, eta, d, ll, ok, conv):
     """The step halving of one iteration, for the lanes at eta (C x n, or
     1 x n while they share it) with directions d (k x C): the lanes still
     searching all stand at the same step 2^-tried, and a converged lane
@@ -446,10 +450,7 @@ def _step_search(lf, y, A, x, eta, d, ll, ok, conv, clip):
     log-likelihood there, -inf where no step was taken, and that trial's
     eta and link state as C x n arrays whose other rows are undefined).
     The step's C x n products die on return."""
-    # A @ d[:-1] is computed n x C, as in the package's earlier n x C
-    # kernel, because BLAS can round a product by its output's orientation
-    # and the step's last bits decide which trial a lane takes
-    dx = (A @ d[:-1]).T + d[-1][:, None] * x
+    dx = d[:-1].T @ A.T + d[-1][:, None] * x
     eta_all = np.broadcast_to(eta, dx.shape)
     lanes = dx.shape[0]
     step = np.ones(lanes)
@@ -461,7 +462,7 @@ def _step_search(lf, y, A, x, eta, d, ll, ok, conv, clip):
             break
         s = np.ldexp(1.0, -tried)
         trial = _rows(eta_all, pending) + s * _rows(dx, pending)
-        ll_trial, st = lf.log_lik(clip(trial), y, keep_state=True)
+        ll_trial, st = lf.log_lik(lf.clip_eta(trial), y, keep_state=True)
         good = np.isfinite(ll_trial) & (ll_trial >= ll[pending])
         took = pending[good]
         if eta_t is None and pending.size == lanes:
@@ -492,9 +493,6 @@ def _newton_block(y, A, Z, iu, x, lf, start):
     k = A.shape[1] + 1
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
 
-    def clip(eta_arr):
-        return lf.clip_eta(eta_arr) if bounded_eta else eta_arr
-
     def flags():
         return np.zeros(width, dtype=bool)
 
@@ -512,12 +510,12 @@ def _newton_block(y, A, Z, iu, x, lf, start):
         eta = (A @ start[:-1])[None, :]
         if start[-1]:
             eta = eta + start[-1] * x
-        ll, state = lf.log_lik(clip(eta), y, keep_state=True)
+        ll, state = lf.log_lik(lf.clip_eta(eta), y, keep_state=True)
         ll = np.broadcast_to(ll, width).copy()
         it = 0
         while lanes.size and it < MAX_ITER:
             it += 1
-            eta_c = clip(eta)
+            eta_c = lf.clip_eta(eta)
             if bounded_eta:
                 out.eta_clamped[lanes] |= (eta_c != eta).any(axis=1)
             d, gain, ok, fell_back, rd = _lane_direction(
@@ -533,7 +531,7 @@ def _newton_block(y, A, Z, iu, x, lf, start):
             # the eta and link state of a lane's accepted trial carry over
             # to its next iteration
             step, ll_t, eta_t, state_t = _step_search(
-                lf, y, A, x, eta, d, ll, ok, conv, clip
+                lf, y, A, x, eta, d, ll, ok, conv
             )
             accepted = np.isfinite(ll_t)
             beta_t = beta + step * d

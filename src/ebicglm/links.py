@@ -354,8 +354,6 @@ class LinkFamily:
 
     #: open interval of admissible linear predictors
     eta_domain = (-np.inf, np.inf)
-    #: True only for the canonical pairs where h is the identity
-    is_canonical = False
     #: True whenever h'' is identically zero (implies H_0 vanishes downstream)
     h_curvature_zero = False
     #: True only for the pairs that call a SciPy function to fit, screen,
@@ -432,7 +430,6 @@ class LinkFamily:
 
 
 class _CanonicalLF(LinkFamily):
-    is_canonical = True
     h_curvature_zero = True
 
     def h(self, eta):

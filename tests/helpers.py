@@ -1,18 +1,11 @@
-"""Shared test utilities: instance generators and independent oracles."""
+"""Shared test utilities: instance generators and independent references."""
+
+from dataclasses import fields
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dpotrf
 
-from ebicglm import (
-    Dataset,
-    FitResult,
-    ModelIndex,
-    RankDeficient,
-    ebic_score,
-    fit_mle,
-    parse_link_family,
-)
-from ebicglm.glm import BETA_CAP, DEC_TOL, MAX_HALVINGS, MAX_ITER, _design, _initial_beta
+from ebicglm import Dataset, ModelIndex, ebic_score, fit_mle, parse_link_family
+from ebicglm.glm import LaneFits, _initial_beta, _newton_lanes
 from ebicglm.select import ScreenResult, SelectionPath, _forward_step
 
 # (link, family, eta-safe box for random instances)
@@ -121,181 +114,114 @@ def rel_err(a, b, floor=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# the oracle fitter: one design at a time, the reference for
-# glm._newton_lanes and every fit it gives
+# references for the fitting kernel glm._newton_lanes: a many-lane call
+# against one one-lane call per lane
 # ---------------------------------------------------------------------------
 
-def _chol_solve(A: np.ndarray, g: np.ndarray):
-    """Solve A d = g by Cholesky (LAPACK posv); None unless A is
-    numerically SPD with a finite solution."""
-    if not np.isfinite(A).all():
-        return None
-    _c, d, info = dposv(A, g, lower=1)
-    if info != 0 or not np.isfinite(d).all():
-        return None
-    return d
+def one_lane_fits(y, A, X, cols, lf, start):
+    """``_newton_lanes(y, A, X, cols, lf, start)`` as one one-lane call per
+    entry of ``cols``: the reference for the kernel's batching."""
+    parts = [_newton_lanes(y, A, X, [j], lf, start) for j in cols]
+    return LaneFits(**{
+        f.name: np.concatenate([getattr(part, f.name) for part in parts], axis=-1)
+        for f in fields(LaneFits)
+    })
 
 
-def _assert_full_rank(h1: np.ndarray) -> None:
-    """Raise RankDeficient unless the weighted Gram h1 is numerically
-    full rank. A Cholesky pivot can round to +eps on an exactly singular
-    matrix, so the factorization alone is not a reliable test; each squared
-    pivot is compared against its own diagonal entry instead."""
-    if not np.isfinite(h1).all():
-        raise RankDeficient("non-finite weighted Gram matrix")
-    c, info = dpotrf(h1, lower=1)
-    if info != 0:
-        raise RankDeficient("design matrix is rank deficient for this model")
-    # pivot_i^2 / h1_ii is the weighted 1 - R^2 of column i against its
-    # predecessors, so the test is invariant to column scaling
-    piv2 = np.diag(c) ** 2
-    if np.any(piv2 <= 1e-10 * np.diag(h1)):
-        raise RankDeficient("design matrix is rank deficient for this model")
+def check_batching(y, A, X, cols, lf, start, clamped_log_lik=True):
+    """``_newton_lanes(y, A, X, cols, lf, start)`` and its ``one_lane_fits``,
+    once each lane of the first has matched the same lane of the second.
 
-
-def _newton(y, X, lf, beta0):
-    """Damped Newton ascent with Fisher-scoring fallback and a beta-norm cap,
-    under the stop rules of ``glm._newton_lanes``."""
-    bounded_eta = lf.eta_domain != (-np.inf, np.inf)
-    k = X.shape[1]
-
-    def loglik(eta_arr):
-        return lf.log_lik(lf.clip_eta(eta_arr) if bounded_eta else eta_arr, y)
-
-    beta = np.array(beta0, dtype=float)
-    eta = X @ beta
-    if k == 0:
-        # empty design (no intercept, no covariates): eta is identically zero
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ll = loglik(eta)
-        return FitResult(
-            beta=beta,
-            log_lik=ll,
-            converged=True,
-            iterations=0,
-            used_fisher_fallback=False,
-        )
+    Every flag is equal, and so is the finiteness of the log-likelihood.
+    Where it is finite, the log-likelihoods agree within tol = 1e-9
+    (1 + |ll|), and beta agrees where the likelihood determines it: the
+    difference delta has delta' H1 delta / 2 <= tol, with H1 at the one-lane
+    beta. Along flat directions (a separating direction, a near-singular
+    Hessian) rounding moves beta freely, and this norm lets it. An
+    unconverged fit on the eta clamp can creep on by tiny gains (the
+    gradient at the clipped eta is that of the unclamped likelihood), so
+    rounding decides where it stops, and its beta is not compared; see
+    ROADMAP item 3, fits on a bounded link as constrained MLEs. With
+    ``clamped_log_lik=False`` neither is its log-likelihood, for callers
+    whose clamped fits creep further than the tolerance; their flags are
+    still compared.
+    """
+    got = _newton_lanes(y, A, X, cols, lf, start)
+    ref = one_lane_fits(y, A, X, cols, lf, start)
+    for flag in ("rank_deficient", "converged", "quasi_separated", "eta_clamped",
+                 "used_fisher_fallback"):
+        assert np.array_equal(getattr(got, flag), getattr(ref, flag)), flag
+    finite = np.isfinite(ref.log_lik)
+    assert np.array_equal(np.isfinite(got.log_lik), finite)
+    creeping = ref.eta_clamped & ~ref.converged
+    tol = 1e-9 * (1 + np.abs(np.where(finite, ref.log_lik, 0.0)))
+    compared = finite if clamped_log_lik else finite & ~creeping
+    assert np.all(np.abs(got.log_lik - ref.log_lik)[compared] <= tol[compared])
+    lanes = finite & ~creeping
+    x = X.T[np.asarray(cols)[lanes]]
+    b, delta = ref.beta[:, lanes], got.beta[:, lanes] - ref.beta[:, lanes]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ll = loglik(eta)
-        converged = False
-        fallback = False
-        separated = False
-        clamped = False
-        it = 0
-        while it < MAX_ITER:
-            it += 1
-            eta_c = lf.clip_eta(eta) if bounded_eta else eta
-            if bounded_eta and not clamped:
-                clamped = bool(np.any(eta_c != eta))
-            mu, sigma2, hp, hpp = lf.newton_terms(eta_c)
-            resid = y - mu
-            grad = X.T @ (resid * hp)
-            h1 = X.T @ (X * (sigma2 * hp * hp)[:, None])
-            if it == 1:
-                _assert_full_rank(h1)
-            if not np.isfinite(grad).all():
-                break
-            if hpp is None:
-                h = h1
-            else:
-                h = h1 - X.T @ (X * (resid * hpp)[:, None])
-            d = _chol_solve(h, grad)
-            if d is None and h is not h1:
-                d = _chol_solve(h1, grad)
-                if d is not None:
-                    fallback = True
-            if d is None:
-                jitter = 1e-10 * float(np.trace(h1)) / k
-                d = _chol_solve(h1 + jitter * np.eye(k), grad)
-                if d is None:
-                    break
-                fallback = True
-            converged = bool(grad @ d / 2 <= DEC_TOL * (1 + abs(ll)))
-            # the first step that does not lower the log-likelihood; a
-            # converged fit tries only the full step
-            dx = X @ d
-            for halvings in range(1 if converged else MAX_HALVINGS + 1):
-                step = 0.5 ** halvings
-                eta_t = eta + step * dx
-                ll_t = loglik(eta_t)
-                if np.isfinite(ll_t) and ll_t >= ll:
-                    break
-            else:
-                break  # no step accepted
-            beta_t = beta + step * d
-            if float(np.abs(beta_t).max()) > BETA_CAP:
-                separated = True
-                break
-            if not (converged or ll_t > ll):
-                break  # stalled
-            beta = beta_t
-            eta = eta_t
-            ll = ll_t
-            if converged:
-                break
+        _mu, sigma2, hp, _hpp = lf.newton_terms(
+            lf.clip_eta((A @ b[:-1]).T + b[-1][:, None] * x))
+    dx = (A @ delta[:-1]).T + delta[-1][:, None] * x
+    assert np.all((sigma2 * hp * hp * dx * dx).sum(axis=1) / 2 <= tol[lanes])
+    return got, ref
 
-    return FitResult(
-        beta=beta,
-        log_lik=ll,
-        converged=converged,
-        iterations=it,
-        used_fisher_fallback=fallback,
-        quasi_separated=separated,
-        eta_clamped=clamped,
-    )
+
+def screen_call(lf, data, include_intercept=True):
+    """``screen_mme``'s kernel call, as the arguments (y, A, X, cols, lf,
+    start) of ``_newton_lanes``."""
+    m = 1 if include_intercept else 0
+    start = _initial_beta(lf, data.y, m + 1, include_intercept)
+    return data.y, np.ones((data.n, m)), data.X, np.arange(data.p), lf, start
+
+
+def screen_ranking(fits, d):
+    """The ``ScreenResult`` that the fits of ``screen_mme``'s call give:
+    |slope| where the fit is usable, -inf elsewhere, ranked largest first
+    with ties to the lower index."""
+    slope = fits.beta[-1]
+    usable = ~fits.rank_deficient & np.isfinite(fits.log_lik) & np.isfinite(slope)
+    stats = np.where(usable, np.abs(slope), -np.inf)
+    ranked = np.lexsort((np.arange(stats.size), -stats))
+    return ScreenResult(ranked_features=ranked, statistics=stats, keep=ranked[:d].copy())
 
 
 def screen_mme_reference(lf, data, d, include_intercept=True):
-    """The marginal screen as one ``_newton`` fit per feature: the oracle
-    for the column-batched ``screen_mme``."""
-    n, p = data.n, data.p
-    stats = np.full(p, -np.inf)
+    """The marginal screen from one one-lane kernel call per feature: the
+    reference for the column-batched ``screen_mme``."""
+    return screen_ranking(one_lane_fits(*screen_call(lf, data, include_intercept)), d)
+
+
+def step_call(lf, data, current, remaining, init, include_intercept=True):
+    """The kernel call of a forward step from the model ``current``
+    (selection order) fitted at ``init``, as the arguments (y, A, X, cols,
+    lf, start) of ``_newton_lanes``."""
     off = 1 if include_intercept else 0
-    design = np.empty((n, 1 + off))
-    if include_intercept:
-        design[:, 0] = 1.0
-    init = _initial_beta(lf, data.y, 1 + off, include_intercept)
-    for j in range(p):
-        design[:, off] = data.X[:, j]
-        try:
-            fit = _newton(data.y, design, lf, init)
-        except RankDeficient:
-            continue
-        if np.isfinite(fit.log_lik) and np.isfinite(fit.beta[off]):
-            stats[j] = abs(float(fit.beta[off]))
-    ranked = np.lexsort((np.arange(p), -stats))
-    return ScreenResult(
-        ranked_features=ranked,
-        statistics=stats,
-        keep=ranked[: min(d, p)].copy(),
-    )
+    A = np.ones((data.n, len(current) + off))
+    A[:, off:] = data.X[:, list(current)]
+    return data.y, A, data.X, list(remaining), lf, np.append(init, 0.0)
+
+
+def usable_log_liks(fits):
+    """Each lane's log-likelihood, -inf where it failed the rank test or
+    is not finite: the ones a forward step ranks."""
+    return np.where(fits.rank_deficient | ~np.isfinite(fits.log_lik), -np.inf, fits.log_lik)
 
 
 def forward_step_reference(lf, data, current, remaining, init, include_intercept=True):
-    """One forward step as one ``_newton`` fit per remaining candidate: the
-    oracle for the candidate-batched step in ``forward_select``. Returns the
-    winner (the lowest index among equal log-likelihoods, rank-deficient and
-    non-finite fits skipped) and its fit, or (-1, None), plus every
-    candidate's log-likelihood (-inf where skipped)."""
-    off = 1 if include_intercept else 0
-    design = np.empty((data.n, len(current) + off + 1))
-    if include_intercept:
-        design[:, 0] = 1.0
-    design[:, off:-1] = data.X[:, list(current)]
-    init = np.append(init, 0.0)
-    best_ll, best_feature, best_fit = -np.inf, -1, None
-    lls = np.full(len(remaining), -np.inf)
-    for i, c in enumerate(remaining):
-        design[:, -1] = data.X[:, c]
-        try:
-            fit = _newton(data.y, design, lf, init)
-        except RankDeficient:
-            continue
-        if np.isfinite(fit.log_lik):
-            lls[i] = fit.log_lik
-            if fit.log_lik > best_ll:
-                best_ll, best_feature, best_fit = fit.log_lik, c, fit
-    return best_feature, best_fit, lls
+    """One forward step as one one-lane kernel call per remaining
+    candidate: the reference for the candidate-batched step in
+    ``forward_select``. Returns the winner (the lowest index among equal
+    log-likelihoods, rank-deficient and non-finite fits skipped) and its
+    fit, or (-1, None), plus every candidate's log-likelihood (-inf where
+    skipped)."""
+    fits = one_lane_fits(*step_call(lf, data, current, remaining, init, include_intercept))
+    lls = usable_log_liks(fits)
+    if lls.max() == -np.inf:
+        return -1, None, lls
+    best = int(np.argmax(lls))
+    return remaining[best], fits.fit(best), lls
 
 
 def unstopped_forward_path(lf, data, candidates, gammas, max_steps, include_intercept=True):
@@ -332,38 +258,3 @@ def unstopped_forward_path(lf, data, candidates, gammas, max_steps, include_inte
     )
     return SelectionPath(steps, null_fit, null_scores, prefixes, gammas, stop_reason,
                          include_intercept)
-
-
-def fit_mle_reference(lf, data, model):
-    """``fit_mle`` as one ``_newton`` fit of the whole design from
-    ``_initial_beta``'s start: the oracle for its one-lane kernel call."""
-    X = _design(data, model)
-    start = _initial_beta(lf, data.y, X.shape[1], model.include_intercept)
-    return _newton(data.y, X, lf, start)
-
-
-def assert_same_fit(got, ref, lf, y, X):
-    """A kernel fit against the oracle's fit of the design X (response y,
-    link-family lf) from the same start.
-
-    The flags ``converged``, ``quasi_separated``, ``eta_clamped`` and
-    ``used_fisher_fallback`` are equal. An unconverged fit on the eta clamp
-    can creep on by tiny gains (the gradient at the clipped eta is that of
-    the unclamped likelihood), so rounding decides where it stops; there
-    only the flags are compared. Elsewhere the log-likelihoods agree within
-    tol = 1e-9 (1 + |ll|), and beta agrees where the likelihood determines
-    it: the difference delta has delta' H1 delta / 2 <= tol, with H1 at the
-    oracle's beta. Along flat directions (a separating direction, a
-    near-singular Hessian) rounding moves beta freely, and this norm lets
-    it.
-    """
-    for flag in ("converged", "quasi_separated", "eta_clamped", "used_fisher_fallback"):
-        assert getattr(got, flag) == getattr(ref, flag), flag
-    if got.eta_clamped and not got.converged:
-        return
-    tol = 1e-9 * (1 + abs(ref.log_lik))
-    assert abs(got.log_lik - ref.log_lik) <= tol
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _mu, sigma2, hp, _hpp = lf.newton_terms(lf.clip_eta(X @ ref.beta))
-    delta = X @ (got.beta - ref.beta)
-    assert delta @ (sigma2 * hp * hp * delta) / 2 <= tol

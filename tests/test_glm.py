@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from ebicglm import (
     DataError,
@@ -28,13 +29,13 @@ from ebicglm import glm
 from ebicglm.glm import DEC_TOL, _design, _first_copies, _initial_beta, _shared_dot
 from helpers import (
     ALL_PAIRS,
-    assert_same_fit,
+    check_batching,
     fd_gradient,
     fd_jacobian,
-    fit_mle_reference,
     irls_logit,
     random_instance,
     rel_err,
+    screen_call,
 )
 
 E = math.e
@@ -268,6 +269,36 @@ def test_converged_fit_has_a_small_decrement(pair, seed, size, include_intercept
     assert z @ z / 2 <= 2 * DEC_TOL * (1 + abs(fit.log_lik))
 
 
+# the pairs whose log-likelihood is concave in beta: the canonical ones,
+# Bernoulli with a log-concave link CDF (Pratt, JASA 1981), and Gamma-log,
+# where l(eta) = -y e^-eta - eta
+CONCAVE_PAIRS = (("logit", "bernoulli"), ("probit", "bernoulli"), ("cloglog", "bernoulli"),
+                 ("log", "poisson"), ("log", "gamma"))
+
+
+@settings(max_examples=100)
+@given(pair=st.sampled_from(CONCAVE_PAIRS), seed=st.integers(0, 2**16),
+       size=st.sampled_from([0, 1, 3]), include_intercept=st.booleans())
+def test_no_optimizer_beats_a_converged_fit(pair, seed, size, include_intercept):
+    # on a concave log-likelihood a converged fit is the maximum: SciPy's
+    # trust-region Newton, from the fit's own start, finds nothing higher
+    lf, data, _, _ = random_instance(*pair, n=50, size=3, seed=seed)
+    model = ModelIndex(tuple(range(size)), include_intercept)
+    fit = fit_mle(lf, data, model)
+    assume(fit.beta.size and fit.converged and not fit.quasi_separated)
+
+    def hessian(b):
+        parts = hessian_parts(lf, data, model, b)
+        return parts.h0 - parts.h1
+
+    start = _initial_beta(lf, data.y, fit.beta.size, include_intercept)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        best = minimize(lambda b: -log_likelihood(lf, data, model, b), start,
+                        jac=lambda b: -score(lf, data, model, b), hess=hessian,
+                        method="trust-exact")
+    assert -best.fun <= fit.log_lik + 1e-9 * (1 + abs(fit.log_lik))
+
+
 def test_matches_irls_on_canonical_logit():
     for seed in range(5):
         lf, data, model, _ = random_instance("logit", "bernoulli", n=60, seed=seed)
@@ -309,34 +340,8 @@ def test_quasi_separation_is_capped_and_flagged():
 
 
 # ---------------------------------------------------------------------------
-# fit_mle, a one-lane kernel call, against the _newton oracle
+# the fitter's stop rules, each by its own flag, direction or count
 # ---------------------------------------------------------------------------
-
-def _oracle_outcome(lf, data, model):
-    """(fit_mle's fit, the oracle's fit) once ``assert_same_fit`` has passed
-    on them, or (None, None) where both raise RankDeficient; a one-sided
-    raise fails."""
-    try:
-        ref = fit_mle_reference(lf, data, model)
-    except RankDeficient:
-        with pytest.raises(RankDeficient):
-            fit_mle(lf, data, model)
-        return None, None
-    got = fit_mle(lf, data, model)
-    assert_same_fit(got, ref, lf, data.y, _design(data, model))
-    return got, ref
-
-
-@pytest.mark.parametrize("include_intercept", [True, False])
-@pytest.mark.parametrize("link,family", ALL_PAIRS)
-def test_fit_mle_matches_oracle(link, family, include_intercept):
-    # the null model (intercept-only, or empty without an intercept), one
-    # covariate and three, on five draws
-    for seed in range(5):
-        lf, data, _, _ = random_instance(link, family, n=50, size=3, seed=seed)
-        for indices in ((), (0,), (0, 1, 2)):
-            _oracle_outcome(lf, data, ModelIndex(indices, include_intercept))
-
 
 def test_intercept_only_and_empty_models():
     lf, data, _, _ = random_instance("cloglog", "bernoulli", n=50, seed=3)
@@ -354,27 +359,36 @@ def test_intercept_only_and_empty_models():
 
 @pytest.mark.parametrize("include_intercept", [True, False])
 @pytest.mark.parametrize("link", ["logit", "probit", "cauchit", "cloglog"])
-def test_separated_fit_matches_oracle_at_the_cap(link, include_intercept):
+def test_separated_fit_stops_at_the_cap(link, include_intercept):
+    # the log-likelihood rises toward 0 along the separating direction, so
+    # the fit ends at the last iterate inside the cap, above its start
     lf = parse_link_family(link)
     x = np.linspace(-2, 2, 40)
     data = Dataset((x > 0).astype(float), x[:, None])
-    _got, ref = _oracle_outcome(lf, data, ModelIndex((0,), include_intercept))
-    assert ref.quasi_separated
+    model = ModelIndex((0,), include_intercept)
+    fit = fit_mle(lf, data, model)
+    assert fit.quasi_separated and not fit.converged
+    assert np.abs(fit.beta).max() <= glm.BETA_CAP
+    start = _initial_beta(lf, data.y, fit.beta.size, include_intercept)
+    assert fit.log_lik > log_likelihood(lf, data, model, start)
 
 
 @pytest.mark.parametrize("include_intercept", [True, False])
 @pytest.mark.parametrize("link", ["identity", "arcsin"])
-def test_clamped_fit_matches_oracle(link, include_intercept):
+def test_clamped_fit_is_flagged(link, include_intercept):
     # a column split by the response drives the fitted means onto 0 and 1
     lf = parse_link_family(link)
     rng = np.random.default_rng(0)
     y = (rng.random(40) < 0.5).astype(float)
     X = np.column_stack([np.where(y > 0, 0.3, -0.3), rng.uniform(0.02, 0.08, 40)])
-    _got, ref = _oracle_outcome(lf, Dataset(y, X), ModelIndex((0,), include_intercept))
-    assert ref.eta_clamped
+    data, model = Dataset(y, X), ModelIndex((0,), include_intercept)
+    fit = fit_mle(lf, data, model)
+    assert fit.eta_clamped and np.isfinite(fit.log_lik)
+    start = _initial_beta(lf, data.y, fit.beta.size, include_intercept)
+    assert fit.log_lik >= log_likelihood(lf, data, model, start)
 
 
-def test_fisher_fallback_matches_oracle():
+def test_fisher_fallback_is_flagged():
     # three flipped labels far out on the cauchit tails make H1 - H0
     # indefinite on the way
     lf = parse_link_family("cauchit")
@@ -383,12 +397,58 @@ def test_fisher_fallback_matches_oracle():
     y = (X[:, 0] > 0).astype(float)
     flip = rng.choice(30, 3, replace=False)
     y[flip] = 1.0 - y[flip]
-    _got, ref = _oracle_outcome(lf, Dataset(y, X), ModelIndex((0, 1)))
-    assert ref.used_fisher_fallback and ref.converged
+    fit = fit_mle(lf, Dataset(y, X), ModelIndex((0, 1)))
+    assert fit.used_fisher_fallback and fit.converged
+
+
+def test_an_indefinite_hessian_steps_by_fisher_scoring():
+    # y = 1 far out on the cauchit left tail: there h' ~ 1/|eta| and
+    # h'' ~ 1/eta^2, so H0 outweighs H1 and H1 - H0 is not PD. The step
+    # then solves H1 d = g itself, not H1 plus the last resort's jitter
+    lf = parse_link_family("cauchit")
+    rng = np.random.default_rng(1)
+    n = 20
+    x = rng.standard_normal(n)
+    data = Dataset((np.arange(n) < 15).astype(float), x[:, None])
+    model, beta = ModelIndex((0,)), np.array([-20.0, 0.5])
+    g = score(lf, data, model, beta)
+    parts = hessian_parts(lf, data, model, beta)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(parts.h1 - parts.h0)
+    A = np.ones((n, 1))
+    eta = (beta[0] + beta[1] * x)[None, :]
+    _ll, state = lf.log_lik(eta, data.y, keep_state=True)
+    d, _gain, ok, fell_back, _rd = glm._lane_direction(
+        lf, data.y, A, A * A, np.triu_indices(1), x[None, :], eta, state, True)
+    assert ok[0] and fell_back[0]
+    assert np.abs(parts.h1 @ d[:, 0] - g).max() <= 1e-12 * np.abs(g).max()
+
+
+def test_a_fit_that_cannot_meet_the_decrement_test_stalls(monkeypatch):
+    # with no decrement small enough to converge, each lane iterates until a
+    # step gains nothing, and stops there, near the converged fit
+    lf, data, _, _ = random_instance("cloglog", "bernoulli", n=60, size=3, seed=11)
+    call = screen_call(lf, data)
+    converged = glm._newton_lanes(*call)
+    monkeypatch.setattr(glm, "DEC_TOL", 0.0)
+    stalled = glm._newton_lanes(*call)
+    assert converged.converged.all() and not stalled.converged.any()
+    assert np.all(stalled.iterations < glm.MAX_ITER)
+    assert np.all(stalled.iterations >= converged.iterations)
+    tol = 1e-9 * (1 + np.abs(converged.log_lik))
+    assert np.all(np.abs(stalled.log_lik - converged.log_lik) <= tol)
+
+
+def test_a_fit_stops_at_the_iteration_cap(monkeypatch):
+    lf, data, model, _ = random_instance("cloglog", "bernoulli", n=60, size=3, seed=11)
+    assert fit_mle(lf, data, model).iterations > 2
+    monkeypatch.setattr(glm, "MAX_ITER", 2)
+    fit = fit_mle(lf, data, model)
+    assert fit.iterations == 2 and not fit.converged
 
 
 @pytest.mark.parametrize("include_intercept", [True, False])
-def test_rank_deficient_matches_oracle(include_intercept):
+def test_rank_test_refuses_collinear_designs(include_intercept):
     lf = parse_link_family("cloglog")
     rng = np.random.default_rng(4)
     x = rng.standard_normal(30)
@@ -396,8 +456,61 @@ def test_rank_deficient_matches_oracle(include_intercept):
     data = Dataset((rng.random(30) < 0.5).astype(float), X)
     # a duplicate, a zero column and (with the intercept) a constant
     for indices in ((0, 1), (2, 4), (3, 4)):
-        got, _ref = _oracle_outcome(lf, data, ModelIndex(indices, include_intercept))
-        assert (got is None) == (indices != (3, 4) or include_intercept)
+        model = ModelIndex(indices, include_intercept)
+        if indices != (3, 4) or include_intercept:
+            with pytest.raises(RankDeficient):
+                fit_mle(lf, data, model)
+        else:
+            assert fit_mle(lf, data, model).converged
+
+
+def test_a_refused_stacked_solve_refuses_only_its_lane():
+    # potrf accepts v v' (its second pivot rounds to about 1e-8), and the
+    # stacked LU solve then meets an exact zero pivot
+    v = np.array([3.0, 5 / 7])
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((7, 2, 2))
+    h = M @ M.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    h[3] = np.outer(v, v)
+    g = rng.standard_normal((2, 7))
+    d, ok = glm._lane_chol_solve(h, g)
+    assert np.flatnonzero(~ok).tolist() == [3]
+    # every other lane keeps the bits of a stack without the refused one
+    alone = np.linalg.solve(h[ok], g.T[ok][:, :, None])[:, :, 0].T
+    assert d[:, ok].tobytes() == alone.tobytes()
+
+
+def test_standard_cauchy_columns_from_a_nonzero_start_raise_nothing():
+    # from a lane coefficient of 0.5, heavy-tailed columns reach a
+    # numerically rank-one H1 - H0 on the way; its refused solve falls
+    # through to Fisher scoring instead of failing the whole call
+    lf = parse_link_family("cloglog")
+    rng = np.random.default_rng(10)
+    n = 64
+    y = (rng.random(n) < 0.4).astype(float)
+    x = rng.standard_cauchy((8, n))
+    start = np.array([_initial_beta(lf, y, 1, True)[0], 0.5])
+    fits = glm._newton_lanes(y, np.ones((n, 1)), x.T, np.arange(8), lf, start)
+    assert np.isfinite(fits.log_lik).all() and fits.used_fisher_fallback.any()
+
+
+@pytest.mark.parametrize("include_intercept", [True, False])
+@pytest.mark.parametrize("link,family", ALL_PAIRS)
+def test_each_lane_of_a_batched_call_matches_its_one_lane_call(link, family,
+                                                               include_intercept):
+    # the designs [A, x_j] of fit_mle, with every other column beside x_j.
+    # An unconverged invpower:-2 Poisson fit on the eta clamp ends where
+    # rounding decides, and here its log-likelihood moves with the lanes
+    # beside it (up to 2e-3 relative at seed 3), so only its flags are
+    # compared; ROADMAP item 3 makes such fits end by a certificate
+    clamped_log_lik = (link, family) != ("invpower:-2", "poisson")
+    for seed in range(5):
+        lf, data, _, _ = random_instance(link, family, n=50, size=3, seed=seed)
+        for model in (ModelIndex((2,), include_intercept), ModelIndex((0, 1, 2), include_intercept)):
+            X = _design(data, model)
+            start = _initial_beta(lf, data.y, X.shape[1], include_intercept)
+            A = np.ascontiguousarray(X[:, :-1])
+            check_batching(data.y, A, data.X, [2, 3, 4], lf, start, clamped_log_lik)
 
 
 def test_first_copies_match_a_loop_over_column_bytes():

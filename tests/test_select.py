@@ -1,16 +1,22 @@
-"""Screening and forward selection against brute-force oracles."""
+"""Screening and forward selection against one-lane and brute-force references."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from helpers import (
     ALL_PAIRS,
-    _newton,
-    assert_same_fit,
+    check_batching,
     forward_step_reference,
+    random_instance,
+    screen_call,
     screen_mme_reference,
+    screen_ranking,
+    step_call,
     unstopped_forward_path,
+    usable_log_liks,
 )
 
 from ebicglm import (
@@ -33,7 +39,7 @@ from ebicglm import (
 )
 from ebicglm import glm
 from ebicglm import select as select_mod
-from ebicglm.glm import LANE_BLOCK_CELLS, _initial_beta, _newton_lanes
+from ebicglm.glm import LANE_BLOCK_CELLS, _newton_lanes
 
 
 def _logit_data(n=80, p=8, strong=(0, 3), seed=0, coef=1.5):
@@ -96,7 +102,7 @@ class TestScreenMME:
 
 
 # ---------------------------------------------------------------------------
-# the batched screen against the per-column _newton oracle
+# the batched screen against one one-lane kernel call per column
 # ---------------------------------------------------------------------------
 
 SCREEN_N = 64
@@ -130,22 +136,16 @@ def _screen_data(family, seed=0):
     return Dataset(y, X)
 
 
-def _reference_fit(lf, data, j, include_intercept):
-    design = data.X[:, [j]]
-    if include_intercept:
-        design = np.column_stack([np.ones(data.n), design])
-    init = _initial_beta(lf, data.y, design.shape[1], include_intercept)
-    return _newton(data.y, design, lf, init)
-
-
 class TestScreenMatchesPerColumnFits:
     @pytest.mark.parametrize("include_intercept", [True, False])
     @pytest.mark.parametrize("link,family", ALL_PAIRS)
     def test_same_ranking_keep_and_failures(self, link, family, include_intercept):
+        # every lane of the screen's call matches its own one-lane call
         lf = parse_link_family(link, family)
         data = _screen_data(family)
         got = screen_mme(lf, data, d=40, include_intercept=include_intercept)
-        ref = screen_mme_reference(lf, data, d=40, include_intercept=include_intercept)
+        _fits, one_lane = check_batching(*screen_call(lf, data, include_intercept))
+        ref = screen_ranking(one_lane, d=40)
         assert np.array_equal(got.ranked_features, ref.ranked_features)
         assert np.array_equal(got.keep, ref.keep)
         assert np.array_equal(np.isneginf(got.statistics), np.isneginf(ref.statistics))
@@ -166,27 +166,24 @@ class TestScreenMatchesPerColumnFits:
         # shared start, where its own coefficient is 0
         lf = parse_link_family(link, family)
         data = _screen_data(family)
-        m = 1 if include_intercept else 0
-        A = np.ones((data.n, m))
-        start = _initial_beta(lf, data.y, m + 1, include_intercept)
-        fits = _newton_lanes(data.y, A, data.X, np.arange(data.p), lf, start)
+        call = screen_call(lf, data, include_intercept)
+        fits = _newton_lanes(*call)
         usable = ~fits.rank_deficient & np.isfinite(fits.log_lik)
         assert usable.any()
         null = ModelIndex((), include_intercept)
-        assert np.all(fits.log_lik[usable] >= log_likelihood(lf, data, null, start[:-1]))
+        assert np.all(fits.log_lik[usable] >= log_likelihood(lf, data, null, call[-1][:-1]))
 
     @pytest.mark.parametrize("include_intercept", [True, False])
     def test_data_reaches_the_cap_and_the_clamp(self, include_intercept):
-        # the comparison above only covers these stop rules if the reference
-        # fits actually hit them
+        # the comparison above only covers these stop rules if the fits
+        # actually hit them
+        model = ModelIndex((SEPARATING,), include_intercept)
         for link in ("logit", "cauchit", "cloglog"):
             lf = parse_link_family(link)
-            fit = _reference_fit(lf, _screen_data("bernoulli"), SEPARATING, include_intercept)
-            assert fit.quasi_separated, link
+            assert fit_mle(lf, _screen_data("bernoulli"), model).quasi_separated, link
         for link in ("identity", "arcsin"):
             lf = parse_link_family(link)
-            fit = _reference_fit(lf, _screen_data("bernoulli"), SEPARATING, include_intercept)
-            assert fit.eta_clamped, link
+            assert fit_mle(lf, _screen_data("bernoulli"), model).eta_clamped, link
 
     def test_single_column_block(self):
         # n above the block size leaves one column per block
@@ -204,7 +201,7 @@ class TestScreenMatchesPerColumnFits:
 
 
 # ---------------------------------------------------------------------------
-# the batched forward step against the per-candidate _newton oracle
+# the batched forward step against one one-lane kernel call per candidate
 # ---------------------------------------------------------------------------
 
 STEP_N = 48
@@ -235,46 +232,32 @@ def _step_data(family, seed=0):
     return Dataset(y, X)
 
 
-def _shared_block(data, current, include_intercept):
-    """[1, X[:, current]] (or X[:, current]), laid out as forward_select
-    lays out its designs."""
-    off = 1 if include_intercept else 0
-    A = np.ones((data.n, len(current) + off))
-    A[:, off:] = data.X[:, list(current)]
-    return A
-
-
-def _check_path_against_oracle(lf, data, path, include_intercept, max_steps):
+def _check_path_by_lanes(lf, data, path, include_intercept, max_steps):
     """Follow the batched path step by step, each from the path's own start:
-    the per-candidate loop skips the same candidates, its best
-    log-likelihood ties the batched pick up to float noise, and the step's
-    reported fit agrees with the oracle's fit of the picked model. The path
-    ends for the reason it gives: where the loop finds nothing usable, where
-    the loop's next step cannot lower any gamma's EBIC minimum, or at a
-    size cap."""
+    every lane of the step's kernel call matches its own one-lane call, the
+    pick's one-lane log-likelihood ties the best one up to float noise, and
+    the step reports the pick's lane of the call. The path ends for the
+    reason it gives: where the one-lane fits leave nothing usable, where
+    their next step cannot lower any gamma's EBIC minimum, or at a size
+    cap."""
     off = 1 if include_intercept else 0
     init = path.null_fit.beta
     current, remaining = [], list(range(data.p))
     for step in path.steps:
-        start = np.append(init, 0.0)
-        _feature, _fit, lls = forward_step_reference(
-            lf, data, current, remaining, init, include_intercept
-        )
-        fits = _newton_lanes(data.y, _shared_block(data, current, include_intercept),
-                             data.X, remaining, lf, start)
-        skipped = fits.rank_deficient | ~np.isfinite(fits.log_lik)
-        assert np.array_equal(skipped, np.isneginf(lls))
-        best = lls.max()
-        assert lls[remaining.index(step.feature)] >= best - 1e-9 * (1 + abs(best))
+        fits, one_lane = check_batching(
+            *step_call(lf, data, current, remaining, init, include_intercept))
+        lls = usable_log_liks(one_lane)
+        pick = remaining.index(step.feature)
+        assert lls[pick] >= lls.max() - 1e-9 * (1 + abs(lls.max()))
         current.append(step.feature)
         remaining.remove(step.feature)
-        # the step's beta back in selection order: the oracle's layout and
-        # the next step's start
+        # the step's beta back in selection order: the lane's layout and the
+        # next step's start
         init = step.fit.beta.copy()
         init[off:][np.argsort(current, kind="stable")] = step.fit.beta[off:]
-        design = _shared_block(data, current, include_intercept)
-        ref = _newton(data.y, design, lf, start)
-        assert_same_fit(replace(step.fit, beta=init), ref, lf, data.y, design)
+        lane = fits.fit(pick)
+        assert np.array_equal(lane.beta, init)
+        assert replace(lane, beta=None) == replace(step.fit, beta=None)
     reason = path.stop_reason
     if reason in ("no-usable-fit", "ebic-decided"):
         feature, fit, _lls = forward_step_reference(
@@ -307,37 +290,34 @@ class TestForwardStepMatchesPerCandidateFits:
         # every pair reaches the step cap but invpower:-2 with an intercept,
         # where no candidate gives a usable fit at step 3
         assert len(path.steps) == (2 if (link, include_intercept) == ("invpower:-2", True) else 4)
-        _check_path_against_oracle(lf, data, path, include_intercept, 4)
+        _check_path_by_lanes(lf, data, path, include_intercept, 4)
         stopped = forward_select(lf, data, range(data.p), [0.0], 4,
                                  include_intercept=include_intercept)
         assert stopped.features == path.features[: len(stopped.steps)]
         # the copies of the signal: one fit, bit-equal results, the lowest
         # index wins, and a selected copy makes the others rank deficient
-        start = np.append(path.null_fit.beta, 0.0)
-        copies = _newton_lanes(data.y, _shared_block(data, [], include_intercept),
-                               data.X, COPIES, lf, start)
+        null_beta = path.null_fit.beta
+        copies = _newton_lanes(*step_call(lf, data, [], COPIES, null_beta, include_intercept))
         assert np.all(copies.log_lik == copies.log_lik[0])
         assert np.all(copies.beta == copies.beta[:, :1])
         assert not set(COPIES[1:]) & set(path.features)
-        collinear = _newton_lanes(
-            data.y, _shared_block(data, [SIGNAL], include_intercept), data.X,
-            COPIES[1:], lf, np.append(start, 0.0),
-        )
+        collinear = _newton_lanes(*step_call(lf, data, [SIGNAL], COPIES[1:],
+                                             np.append(null_beta, 0.0), include_intercept))
         assert collinear.rank_deficient.all()
 
     @pytest.mark.parametrize("include_intercept", [True, False])
     def test_data_reaches_the_cap_and_the_clamp(self, include_intercept):
-        # the comparison above only covers these stop rules if the oracle's
+        # the comparison above only covers these stop rules if the step's
         # fits actually hit them
         for link, flag in (("logit", "quasi_separated"), ("cauchit", "quasi_separated"),
                            ("cloglog", "quasi_separated"), ("identity", "eta_clamped"),
                            ("arcsin", "eta_clamped")):
             lf = parse_link_family(link)
             data = _step_data("bernoulli")
-            design = _shared_block(data, [SIGNAL, STEP_SEPARATING], include_intercept)
             signal_fit = fit_mle(lf, data, ModelIndex((SIGNAL,), include_intercept))
-            start = np.append(signal_fit.beta, 0.0)
-            assert getattr(_newton(data.y, design, lf, start), flag), link
+            fit = _newton_lanes(*step_call(lf, data, [SIGNAL], [STEP_SEPARATING],
+                                           signal_fit.beta, include_intercept)).fit(0)
+            assert getattr(fit, flag), link
 
     @pytest.mark.parametrize("link", ["logit", "cloglog", "identity"])
     def test_one_lane_blocks(self, monkeypatch, link):
@@ -347,11 +327,91 @@ class TestForwardStepMatchesPerCandidateFits:
         monkeypatch.setattr(glm, "LANE_BLOCK_CELLS", 1)
         narrow = unstopped_forward_path(lf, data, range(data.p), [0.0], 4)
         assert len(narrow.steps) == 4
-        _check_path_against_oracle(lf, data, narrow, True, 4)
+        _check_path_by_lanes(lf, data, narrow, True, 4)
         assert narrow.features == wide.features
         # BLAS rounds by lane position, so the block width moves last bits
         for a, b in zip(narrow.steps, wide.steps):
             assert abs(a.fit.log_lik - b.fit.log_lik) <= 1e-9 * (1 + abs(b.fit.log_lik))
+
+
+# ---------------------------------------------------------------------------
+# invariances: changes of X that leave every model the same
+# ---------------------------------------------------------------------------
+
+# a clamped fit on a bounded link ends where rounding decides (ROADMAP item
+# 3), so the invariances are checked on the pairs without a clamp
+UNBOUNDED_PAIRS = tuple(
+    pair for pair in ALL_PAIRS if parse_link_family(*pair).eta_domain == (-np.inf, np.inf)
+)
+# rounding can end a converged fit one iteration sooner, so a slope agrees
+# as far as the decrement test pins it down, not to the last bit
+SLOPE_RTOL = 1e-6
+INSTANCES = dict(pair=st.sampled_from(UNBOUNDED_PAIRS), seed=st.integers(0, 2**16),
+                 include_intercept=st.booleans())
+
+
+def _screen_and_path(lf, data, include_intercept):
+    """The screen statistics and the path of 4 steps grown without the EBIC
+    stop, so that every path has all its steps."""
+    stats = screen_mme(lf, data, data.p, include_intercept).statistics
+    return stats, unstopped_forward_path(lf, data, range(data.p), [0.0], 4, include_intercept)
+
+
+def _assert_same_picks(path, other, new_index):
+    """``other``, the path on changed data, against ``path``: each step's
+    log-likelihood agrees within 1e-9 (1 + |ll|), and each pick j is
+    new_index[j] there, up to the first step whose two picks differ. Rounding
+    orders candidates within about 1e-9, so there the picks tie within that
+    tolerance, and the paths are compared no further."""
+    for a, b in zip(path.steps, other.steps):
+        assert abs(a.fit.log_lik - b.fit.log_lik) <= 1e-9 * (1 + abs(a.fit.log_lik))
+        if new_index[a.feature] != b.feature:
+            return
+    assert len(other.steps) == len(path.steps)
+
+
+@settings(max_examples=60)
+@given(**INSTANCES, power=st.sampled_from([-3, -2, -1, 1, 2, 3]), col=st.integers(0, 5))
+def test_scaling_a_column_by_a_power_of_two(pair, seed, include_intercept, power, col):
+    # x_j -> 2^k x_j rescales beta_j by 2^-k and changes no model; the beta
+    # cap is not scale-free, so paths that reach it are left out
+    lf, data, _, _ = random_instance(*pair, n=60, size=4, seed=seed)
+    X = data.X.copy()
+    X[:, col] *= 2.0 ** power
+    stats, path = _screen_and_path(lf, data, include_intercept)
+    scaled_stats, scaled = _screen_and_path(lf, Dataset(data.y, X), include_intercept)
+    assume(not any(s.fit.quasi_separated for s in path.steps + scaled.steps))
+    scaled_stats[col] *= 2.0 ** power
+    np.testing.assert_allclose(scaled_stats, stats, rtol=SLOPE_RTOL)
+    _assert_same_picks(path, scaled, np.arange(data.p))
+
+
+@settings(max_examples=60)
+@given(**INSTANCES, perm=st.permutations(range(6)))
+def test_permuting_the_columns(pair, seed, include_intercept, perm):
+    lf, data, _, _ = random_instance(*pair, n=60, size=4, seed=seed)
+    perm = np.array(perm)  # new order of the old columns
+    stats, path = _screen_and_path(lf, data, include_intercept)
+    moved_stats, moved = _screen_and_path(lf, Dataset(data.y, data.X[:, perm]),
+                                          include_intercept)
+    np.testing.assert_allclose(moved_stats, stats[perm], rtol=SLOPE_RTOL)
+    _assert_same_picks(path, moved, np.argsort(perm))
+
+
+@settings(max_examples=60)
+@given(**INSTANCES, which=st.integers(0, 3))
+def test_appending_a_copy_of_a_column(pair, seed, include_intercept, which):
+    # the copy ties its original exactly, and the lower index wins: it is
+    # never picked, while its original is picked as before
+    lf, data, _, _ = random_instance(*pair, n=60, size=4, seed=seed)
+    stats, path = _screen_and_path(lf, data, include_intercept)
+    original = path.steps[which].feature
+    X = np.column_stack([data.X, data.X[:, original]])
+    copied_stats, copied = _screen_and_path(lf, Dataset(data.y, X), include_intercept)
+    assert copied_stats[-1] == copied_stats[original]
+    np.testing.assert_allclose(copied_stats[:-1], stats, rtol=SLOPE_RTOL)
+    assert data.p not in copied.features
+    _assert_same_picks(path, copied, np.arange(data.p))
 
 
 # ---------------------------------------------------------------------------

@@ -142,11 +142,11 @@ def test_pool_workers_import_no_module_their_parent_lacked(tmp_path):
     assert out == "[[], [], [], []]"
 
 
-def test_lane_cholesky_of_a_stack_with_a_refused_lane_loads_no_scipy(tmp_path):
+def test_per_lane_cholesky_of_a_stack_with_a_refused_lane_loads_no_scipy(tmp_path):
     out = _run("""
         import sys
         import numpy as np
-        from ebicglm.glm import _lane_cholesky
+        from ebicglm.glm import _per_lane
 
         rng = np.random.default_rng(0)
         M = rng.standard_normal((1000, 3, 3))
@@ -155,7 +155,7 @@ def test_lane_cholesky_of_a_stack_with_a_refused_lane_loads_no_scipy(tmp_path):
         for refused in ([0], [500], [999], [0, 500, 999]):
             h = spd.copy()
             h[refused] = np.diag([1.0, -1.0, 1.0])  # indefinite
-            c, ok = _lane_cholesky(h)
+            c, ok = _per_lane(np.linalg.cholesky, h)
             assert np.flatnonzero(~ok).tolist() == refused
             # each accepted lane's factor has the bits of its own call
             assert c[ok].tobytes() == alone[ok].tobytes()
