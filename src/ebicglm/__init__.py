@@ -16,6 +16,45 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
                            "set_by_ebicglm": _set_here}
 del _var, _set_here
 
+# Keep a Newton block's freed lane arrays in the heap. glibc's malloc serves
+# a block of at least M_MMAP_THRESHOLD bytes by mmap and returns it to the
+# OS when freed, and gives the top of the heap back once more than
+# M_TRIM_THRESHOLD bytes are free there; both thresholds rise with the
+# largest mmapped block the process has freed so far. A process that frees
+# nothing large first keeps thresholds below a lane block's working set, and
+# faults its pages in afresh on nearly every Newton iteration. So both are
+# set here from ``glm.LANE_BLOCK_CELLS`` (setting either one stops both from
+# adapting), unless the caller tuned malloc through glibc's own variables or
+# the C library is not glibc. Forked workers inherit the setting; spawned
+# workers import the package and set it themselves.
+_MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+                "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_")
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt(3) parameters
+
+
+def _set_heap_thresholds():
+    """Whether this import set glibc's mmap and trim thresholds."""
+    if (any(var in os.environ for var in _MALLOC_VARS)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return False
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return False
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return False
+    import ctypes
+
+    from .glm import LANE_BLOCK_CELLS
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    lane_array = 8 * LANE_BLOCK_CELLS  # bytes
+    return (mallopt(_M_MMAP_THRESHOLD, 2 * lane_array) == 1
+            and mallopt(_M_TRIM_THRESHOLD, 32 * lane_array) == 1)
+
+
+_HEAP_THRESHOLDS_SET = _set_heap_thresholds()
+
 from .ebic import (
     GammaGrid,
     ModelScore,

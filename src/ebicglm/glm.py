@@ -280,7 +280,10 @@ def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> Hes
 #: 12 or fewer), 5-6 MB at 2^16. Against 2^14, 2^16 cut the
 #: block-iterations of the benchmark's Golub-shaped workflow 3x (3588 ->
 #: 1179) and raised its peak RSS by 2 MB (104 -> 107 MB), and that of the
-#: Setting-1 batch by 3.5 MB (77 -> 81 MB).
+#: Setting-1 batch by 3.5 MB (77 -> 81 MB). ``import ebicglm`` sets glibc's
+#: mmap threshold to 2 lane arrays and its trim threshold to 32 from this
+#: size, so that a block's freed arrays are reused from the heap rather than
+#: faulted in afresh from the OS on every Newton iteration.
 LANE_BLOCK_CELLS = 1 << 16
 
 
@@ -461,7 +464,9 @@ def _step_search(lf, y, A, x, eta, d, ll, ok, conv):
         if not pending.size:
             break
         s = np.ldexp(1.0, -tried)
-        trial = _rows(eta_all, pending) + s * _rows(dx, pending)
+        step_dx = _rows(dx, pending)
+        # the full step adds dx itself: 1.0 * dx would only copy its bits
+        trial = _rows(eta_all, pending) + (step_dx if tried == 0 else s * step_dx)
         ll_trial, st = lf.log_lik(lf.clip_eta(trial), y, keep_state=True)
         good = np.isfinite(ll_trial) & (ll_trial >= ll[pending])
         took = pending[good]

@@ -437,7 +437,8 @@ class _CanonicalLF(LinkFamily):
 
     def _terms(self, eta, state):
         th = state[0]
-        return self._terms_from_h(th, np.ones_like(th), None)
+        # h' = 1, as a read-only view: no C x n array to allocate and fill
+        return self._terms_from_h(th, np.broadcast_to(1.0, th.shape), None)
 
 
 class _BinaryCdfLF(LinkFamily):

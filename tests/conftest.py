@@ -1,3 +1,8 @@
+# imported before anything that loads numpy, so that the package's pin of one
+# BLAS thread holds in this process and in every pool worker it forks, whatever
+# the caller's environment (OpenBLAS reads its thread count when numpy loads it)
+import ebicglm  # noqa: F401  isort: skip
+
 import os
 import sys
 

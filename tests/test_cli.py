@@ -1,11 +1,14 @@
 """End-to-end command-line behavior: exit codes, files, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -673,3 +676,94 @@ def test_any_link_and_gamma_text_gives_an_exit_code(cli_inputs, link, family, ga
         # refused while the flags are read (or the data before them): a
         # usage or data error, never a numerical failure
         assert rc in (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over CSV contents: extreme magnitudes, degenerate
+# columns, tiny n and responses at the edge of their family's domain
+# ---------------------------------------------------------------------------
+
+_MAGNITUDES = st.sampled_from([1e-300, 1e-200, 1e-5, 1.0, 1e5, 1e200, 1e300])
+_FAMILY_LINKS = {
+    "bernoulli": ["logit", "probit", "cauchit", "cloglog", "identity", "arcsin"],
+    "poisson": ["log", "invpower:-2"],
+    "gamma": ["log", "invpower:1", "invpower:2"],
+}
+
+
+@st.composite
+def _edge_responses(draw, family, n, rng):
+    if family == "bernoulli":
+        # all 0, all 1 or mixed, perhaps with one row flipped
+        y = (rng.random(n) < draw(st.sampled_from([0.0, 1.0, 0.5]))).astype(float)
+        if draw(st.booleans()):
+            i = draw(st.integers(0, n - 1))
+            y[i] = 1.0 - y[i]
+        return y
+    if family == "poisson":
+        # all zero counts, or counts up to a drawn top (1e15 among them)
+        top = draw(st.sampled_from([0.0, 1.0, 3.0, 1e15]))
+        return np.floor(top * rng.random(n) + 0.5)
+    return draw(_MAGNITUDES) * np.exp(rng.standard_normal(n))  # positive
+
+
+@st.composite
+def _edge_csvs(draw):
+    """(CSV text, family, p) of a small dataset."""
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    columns = []
+    for j in range(p):
+        kinds = ["scaled", "scaled", "constant", "zero"] + (["duplicate"] if j else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "scaled":
+            col = draw(_MAGNITUDES) * rng.standard_normal(n)
+        elif kind == "duplicate":
+            col = columns[draw(st.integers(0, j - 1))]
+        elif kind == "constant":
+            col = np.full(n, draw(_MAGNITUDES) * draw(st.sampled_from([1.0, -1.0])))
+        else:
+            col = np.zeros(n)
+        columns.append(col)
+    family = draw(st.sampled_from(sorted(_FAMILY_LINKS)))
+    y = draw(_edge_responses(family, n, rng))
+    rows = [",".join(repr(float(v)) for v in (y[i], *(c[i] for c in columns)))
+            for i in range(n)]
+    header = "y," + ",".join(f"x{j + 1}" for j in range(p))
+    return header + "\n" + "\n".join(rows) + "\n", family, p
+
+
+@pytest.fixture(scope="module")
+def edge_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("edge")
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_edge_csvs(), data=st.data())
+def test_any_csv_contents_give_an_exit_code_and_one_stderr_line(edge_dir, case, data):
+    text, family, p = case
+    link = data.draw(st.sampled_from(_FAMILY_LINKS[family]))
+    features = data.draw(st.sampled_from(["1", "1,2"] if p > 1 else ["1"]))
+    beta = data.draw(st.lists(st.sampled_from([0.0, 0.5, -2.0, 1e3]), min_size=p, max_size=p))
+    csv, beta_file, out = edge_dir / "edge.csv", edge_dir / "beta.txt", edge_dir / "out"
+    csv.write_text(text)
+    beta_file.write_text("".join(f"{b!r}\n" for b in beta))
+    model = ["--input", str(csv), "--link", link, "--family", family]
+    runs = [
+        ["fit", *model, "--features", features],
+        ["select", *model, "--max-steps", "3", "--out", str(out)],
+        ["cv-links", "--input", str(csv), "--folds", "2", "--path-length", "2",
+         "--threads", "1", "--out", str(out)],
+        ["diagnose", *model, "--beta", str(beta_file)],
+    ]
+    for argv in runs:
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            # a warning would reach a command-line user's stderr
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc in (0, 1, 2, 3), argv
+        assert not caught, (argv, [str(w.message) for w in caught])
+        assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())

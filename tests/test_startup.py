@@ -1,11 +1,15 @@
 """What a fresh ebicglm process loads: SciPy only for the pairs that call it,
-nothing new in pool workers, and one BLAS thread unless the caller set one.
+nothing new in pool workers, one BLAS thread unless the caller set one, and
+glibc heap thresholds that keep a lane block's arrays in the heap unless the
+caller tuned malloc.
 
 Each test runs its script in a new interpreter, since this test process has
 long since imported SciPy and numpy.
 """
 
+import ctypes
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -194,3 +198,68 @@ def test_blas_is_pinned_to_one_thread_unless_the_caller_set_it(tmp_path):
     assert unset[2] == pinned[2]
     kept = _run(_DIGEST, tmp_path, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"})
     assert kept.split()[:2] == ["2", "3"]
+
+
+def test_this_test_process_runs_blas_on_one_thread():
+    # conftest imports ebicglm before numpy, so the package's pin holds here
+    # and in the pool workers this process forks, whatever the caller's
+    # environment; OpenBLAS is asked through the symbols of its loaded copy
+    if os.environ["OPENBLAS_NUM_THREADS"] != "1":
+        pytest.skip("the caller chose a BLAS thread count")
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        pytest.skip("no /proc/self/maps")
+    counts = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(handle, name):
+                counts.append(getattr(handle, name)())
+    if not counts:
+        pytest.skip("numpy's BLAS is not a known OpenBLAS build")
+    assert counts == [1] * len(counts)
+
+
+ON_GLIBC = platform.libc_ver()[0] == "glibc"
+MALLOC_VARS = (*ebicglm._MALLOC_VARS, "GLIBC_TUNABLES")
+
+# minor page faults of a 12-step Setting-1 forward path (n = 200, p = 716, no
+# intercept); its lane blocks of 2^16 cells allocate 512 KB arrays
+_FAULTS = """
+    import resource
+    import ebicglm
+    from ebicglm import design_for, forward_select, generate_replicate, parse_link_family
+
+    data = generate_replicate(design_for("S1", 200), 1, 0).dataset
+    lf = parse_link_family("cloglog")
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    path = forward_select(lf, data, range(data.p), (1.0,), 12, include_intercept=False)
+    assert len(path.steps) == 12
+    print(ebicglm._HEAP_THRESHOLDS_SET,
+          resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+# with glibc's own adaptive thresholds this path took 103,320-105,079
+# faults, and about 1,700 with the package's (glibc 2.36, 2-CPU Xeon host)
+FAULT_BOUND = 10_000
+
+
+@pytest.mark.skipif(not ON_GLIBC, reason="glibc's mallopt only")
+def test_a_forward_path_reuses_its_lane_arrays_from_the_heap(tmp_path):
+    out = _run(_FAULTS, tmp_path, unset=MALLOC_VARS).split()
+    assert out[0] == "True"
+    assert int(out[1]) < FAULT_BOUND
+
+
+@pytest.mark.skipif(not ON_GLIBC, reason="glibc's mallopt only")
+@pytest.mark.parametrize("env", [{"MALLOC_TRIM_THRESHOLD_": "131072"},
+                                 {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}])
+def test_a_caller_who_tuned_malloc_keeps_the_heap_as_set(tmp_path, env):
+    # glibc then keeps its 128 KB mmap threshold, so every lane array is
+    # mmapped and faulted in afresh (about 305,000 faults with
+    # MALLOC_TRIM_THRESHOLD_=131072)
+    out = _run(_FAULTS, tmp_path, env, unset=MALLOC_VARS).split()
+    assert out[0] == "False"
+    assert int(out[1]) > FAULT_BOUND
