@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidArgs
+from .errors import DataError, InvalidArgs
 from .glm import FitResult, ModelIndex
 
 
@@ -77,9 +77,6 @@ class GammaGrid:
     gamma4: float
     boundary: float
 
-    def values(self):
-        return (self.gamma1, self.gamma2, self.gamma3, self.gamma4)
-
 
 def gamma_grid(n: int, p: int) -> GammaGrid:
     if p <= 1 or n <= 1:
@@ -116,12 +113,20 @@ GAMMA_PRESETS = tuple(_PRESET_VALUES)
 
 
 def resolve_gamma(spec, n: int, p: int) -> float:
-    """Map a CLI gamma spec (number or preset name) to a value for (n, p)."""
+    """Map a CLI gamma spec (number or preset name) to a value for data with
+    n rows and p covariates. A preset that needs ln p > 0 (or ln n > 0)
+    raises DataError on data that have one covariate (or one row)."""
     if isinstance(spec, (int, float)):
         return _check_gamma(float(spec))
     name = str(spec).strip().lower()
     if name in _PRESET_VALUES:
-        return _PRESET_VALUES[name](n, p)
+        try:
+            return _PRESET_VALUES[name](n, p)
+        except InvalidArgs:
+            raise DataError(
+                f"gamma preset '{name}' is defined through ln n / ln p, so it needs "
+                f"n > 1 rows and p > 1 covariates; the data have n={n}, p={p}"
+            ) from None
     try:
         value = float(name)
     except ValueError:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ebic import resolve_gamma
-from .errors import EbicGlmError, FoldTooSmall, InvalidArgs
+from .errors import DataError, EbicGlmError, FoldTooSmall, InvalidArgs
 from .glm import Dataset, _loglik_from_eta
 from .links import Bernoulli, Cloglog, compose_link_family, parse_link_family
 from .select import SelectConfig, _check_max_steps, select_pipeline
@@ -270,6 +270,9 @@ def _cv_plan(data: Dataset, links, path_length: int, folds: int, seed: int):
         raise InvalidArgs(f"folds must be >= 2, got {folds}")
     if folds > data.n:
         raise FoldTooSmall(f"cannot split n={data.n} rows into {folds} folds")
+    if data.p < 2:
+        # each fold's path ends at the paper-final gamma, which needs ln p > 0
+        raise DataError(f"cross-validating links needs at least 2 covariates, got p={data.p}")
     lfs = [parse_link_family(lf) if isinstance(lf, str) else lf for lf in links]
     if not lfs:
         raise InvalidArgs("need at least one link")

@@ -338,18 +338,6 @@ def _lane_chol_solve(h, g):
     return d, ok & solved & np.isfinite(d).all(axis=0)
 
 
-def _shared_dot(M, v):
-    """M^T v^T, q x C, for an n x q block M of shared columns and a C x n
-    lane array v (or 1 x n). For q >= 2 BLAS packs both operands, so the
-    transposed view of v goes in as it is. For q = 1 numpy calls BLAS's
-    matrix-vector product, whose summation order follows the layout of v;
-    v then goes in as an n x C copy, so every fit keeps the bits of the
-    package's earlier kernel, which held its lane arrays n x C."""
-    if M.shape[1] == 1:
-        return M.T @ np.ascontiguousarray(v.T)
-    return M.T @ v.T
-
-
 def _lane_gram(A, Z, iu, x, w):
     """X^T diag(w) X for each lane's design X = [A, x_j], as a P x k x k
     stack, for the P x n rows x_j of x. Z holds the column products
@@ -359,10 +347,10 @@ def _lane_gram(A, Z, iu, x, w):
     h = np.empty((x.shape[0], m + 1, m + 1))
     wx = w * x
     if m:
-        zw = _shared_dot(Z, w).T
+        zw = (Z.T @ w.T).T
         h[:, iu[0], iu[1]] = zw
         h[:, iu[1], iu[0]] = zw
-        h[:, m, :m] = h[:, :m, m] = _shared_dot(A, wx).T
+        h[:, m, :m] = h[:, :m, m] = (A.T @ wx.T).T
     h[:, m, m] = (x * wx).sum(axis=1)
     return h
 
@@ -378,7 +366,7 @@ def _lane_gradient(A, x, r):
     """X^T r for each lane's design X = [A, x_j], as k x C, for the C x n
     rows x_j of x and r (C x n, or 1 x n when all lanes share it)."""
     grad = np.empty((A.shape[1] + 1, x.shape[0]))
-    grad[:-1] = _shared_dot(A, r)
+    grad[:-1] = A.T @ r.T
     grad[-1] = (x * r).sum(axis=1)
     return grad
 

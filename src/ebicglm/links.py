@@ -12,13 +12,11 @@ pairs degenerate to h(eta) = eta with h' = 1 and h'' = 0 exactly.
 log-survival). ``log_lik(..., keep_state=True)`` hands them over, so the
 fitter evaluates the link once at each accepted eta.
 
-SciPy is loaded on use: each function that calls ``scipy.special`` imports
-it there. One pair calls it to fit, screen, select or score:
-Bernoulli-probit (the normal CDF and its logarithms). Its class sets
-``uses_scipy = True``, and ``compose_link_family`` loads SciPy as it builds
-it, so that pool workers forked after the pair was built inherit it rather
-than each import it on their own. A process that only fits and scores the
-other pairs never imports SciPy.
+SciPy is loaded when the probit link is built: ``Probit()`` imports
+``scipy.special``, which its normal CDF and logarithms call. Links are built
+in the parent before any pool forks, so pool workers inherit SciPy rather
+than each import it on their own. A process that builds no probit link never
+imports SciPy to fit, screen, select or score.
 """
 
 from __future__ import annotations
@@ -197,6 +195,11 @@ class Logit(Link):
 class Probit(Link):
     name = "probit"
 
+    def __init__(self):
+        # loaded here, in the process that builds the link, so that pool
+        # workers forked later inherit it
+        import scipy.special  # noqa: F401
+
     def g(self, mu):
         from scipy import special
 
@@ -208,15 +211,10 @@ class Probit(Link):
         return special.ndtr(eta)
 
     # pieces used by the composite h and its derivatives
-    def log_cdf(self, eta):
+    def log_tail(self, eta):
         from scipy import special
 
-        return special.log_ndtr(eta)
-
-    def log_sf(self, eta):
-        from scipy import special
-
-        return special.log_ndtr(-np.asarray(eta, dtype=float))
+        return special.log_ndtr(-np.abs(eta))
 
     def log_pdf(self, eta):
         e = np.asarray(eta, dtype=float)
@@ -233,21 +231,12 @@ class Cauchit(Link):
         return np.tan(np.pi * (np.asarray(mu, dtype=float) - 0.5))
 
     def g_inverse(self, eta):
-        return self._cdf(eta)
+        # 1/2 + arctan(eta) / pi, as the angle of (-eta, 1): no cancellation
+        # in the lower tail
+        return np.arctan2(1.0, -np.asarray(eta, dtype=float)) / np.pi
 
-    @staticmethod
-    def _cdf(eta):
-        # branch keeps the small tail relative, avoiding 0.5 - arctan cancellation
-        e = np.asarray(eta, dtype=float)
-        with np.errstate(divide="ignore"):
-            tail = np.arctan(-1.0 / np.where(e < 0, e, -1.0)) / np.pi
-        return np.where(e < 0, tail, 0.5 + np.arctan(np.maximum(e, 0.0)) / np.pi)
-
-    def log_cdf(self, eta):
-        return np.log(self._cdf(eta))
-
-    def log_sf(self, eta):
-        return np.log(self._cdf(-np.asarray(eta, dtype=float)))
+    def log_tail(self, eta):
+        return np.log(self.g_inverse(-np.abs(eta)))
 
     def log_pdf(self, eta):
         e = np.asarray(eta, dtype=float)
@@ -356,9 +345,6 @@ class LinkFamily:
     eta_domain = (-np.inf, np.inf)
     #: True whenever h'' is identically zero (implies H_0 vanishes downstream)
     h_curvature_zero = False
-    #: True only for the pairs that call a SciPy function to fit, screen,
-    #: select or score (see the module docstring)
-    uses_scipy = False
 
     def __init__(self, family: Family, link: Link):
         self.family = family
@@ -444,17 +430,25 @@ class _CanonicalLF(LinkFamily):
 class _BinaryCdfLF(LinkFamily):
     """Bernoulli with a smooth CDF link G: h = logit(G(eta)).
 
-    Uses log-CDF / log-survival forms so both tails stay accurate:
+    G is symmetric, G(-e) = 1 - G(e), so the link states only its smaller
+    tail, ``log_tail(eta)`` = log G(-|eta|). The other side is
+    log1p(-exp(tail)), accurate since exp(tail) <= 1/2. Log-CDF and
+    log-survival forms keep both tails accurate:
         h   = log G - log(1 - G)
         h'  = exp(log g - log G - log(1 - G))        (g = G')
         h'' = h' * (g'/g + h' * (G - (1 - G)))
     """
 
     def h(self, eta):
-        return self.link.log_cdf(eta) - self.link.log_sf(eta)
+        lcdf, lsf = self._state(eta)
+        return lcdf - lsf
 
     def _state(self, eta):
-        return self.link.log_cdf(eta), self.link.log_sf(eta)
+        e = np.asarray(eta, dtype=float)
+        tail = self.link.log_tail(e)
+        body = np.log1p(-np.exp(tail))
+        lower = e < 0
+        return np.where(lower, tail, body), np.where(lower, body, tail)
 
     def _terms(self, eta, state):
         lcdf, lsf = state
@@ -470,12 +464,6 @@ class _BinaryCdfLF(LinkFamily):
         lcdf = np.maximum(state[0], floor)
         lsf = np.maximum(state[1], floor)
         return (y * (lcdf - lsf)).sum(axis=-1) + lsf.sum(axis=-1)
-
-
-class _ProbitLF(_BinaryCdfLF):
-    """Bernoulli + probit, whose link functions call ``scipy.special``."""
-
-    uses_scipy = True
 
 
 class _BernoulliCloglogLF(LinkFamily):
@@ -588,7 +576,7 @@ class _GammaPowerLF(LinkFamily):
 
 _COMPOSITES = {
     ("bernoulli", "logit"): _CanonicalLF,
-    ("bernoulli", "probit"): _ProbitLF,
+    ("bernoulli", "probit"): _BinaryCdfLF,
     ("bernoulli", "cauchit"): _BinaryCdfLF,
     ("bernoulli", "cloglog"): _BernoulliCloglogLF,
     ("bernoulli", "identity"): _BernoulliIdentityLF,
@@ -601,18 +589,12 @@ _COMPOSITES = {
 
 
 def compose_link_family(family: Family, link: Link) -> LinkFamily:
-    """Return the LinkFamily for a supported pair, or raise UnsupportedPair.
-
-    SciPy is loaded here for every pair that may call it, so that pool
-    workers forked after this call inherit it.
-    """
+    """Return the LinkFamily for a supported pair, or raise UnsupportedPair."""
     cls = _COMPOSITES.get((family.name, link.name))
     if cls is None:
         raise UnsupportedPair(
             f"no composite coded for family '{family.name}' with link '{link.name}'"
         )
-    if cls.uses_scipy:
-        import scipy.special  # noqa: F401
     return cls(family, link)
 
 

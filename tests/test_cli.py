@@ -16,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebicglm import Dataset, design_for, generate_replicate, parse_link_family, resolve_gamma
+from ebicglm import (
+    Dataset,
+    SelectConfig,
+    design_for,
+    generate_replicate,
+    parse_link_family,
+    resolve_gamma,
+    run_simulation_batch,
+)
 from ebicglm import cli as cli_module
 from ebicglm import experiments
 from ebicglm.cli import main
@@ -197,6 +205,47 @@ class TestExitCodes:
             assert proc.stderr.startswith("ebicglm: numerical failure:")
 
 
+class TestOneCovariate:
+    """A CSV with one covariate column: the EBIC presets that are defined
+    through ln p are refused as data errors that name the file's p."""
+
+    @pytest.fixture()
+    def one_column_csv(self, tmp_path):
+        csv = tmp_path / "one.csv"
+        csv.write_text("y,g1\n0,0.3\n1,1.2\n0,-0.4\n1,0.9\n0,0.1\n1,2.0\n")
+        return str(csv)
+
+    # select's defaults: gamma2 is the first of them that needs p
+    @pytest.mark.parametrize("command,preset", [("select", "gamma2"), ("fit", "gamma3")])
+    def test_presets_that_need_p_above_1_are_data_errors(self, one_column_csv, tmp_path,
+                                                          capsys, command, preset):
+        argv = ["select", "--out", str(tmp_path / "sel")] if command == "select" else [
+            "fit", "--gamma", preset]
+        assert main([*argv, "--input", one_column_csv]) == 2
+        assert capsys.readouterr().err == (
+            f"ebicglm: data error: gamma preset '{preset}' is defined through ln n / ln p, "
+            "so it needs n > 1 rows and p > 1 covariates; the data have n=6, p=1\n"
+        )
+
+    def test_cv_links_is_refused_before_any_fold_runs(self, one_column_csv, tmp_path,
+                                                      monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no fold may start")
+
+        monkeypatch.setattr(experiments, "_map_tasks", no_pool)
+        out = tmp_path / "cv"
+        assert main(["cv-links", "--input", one_column_csv, "--folds", "2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "ebicglm: data error: cross-validating links needs at least 2 covariates, got p=1\n"
+        )
+        assert not out.exists()
+
+    def test_bic_needs_no_p(self, one_column_csv, capsys):
+        assert main(["fit", "--input", one_column_csv, "--gamma", "bic"]) == 0
+        assert capsys.readouterr().out.splitlines()[2].startswith("g1\t")
+
+
 class TestFit:
     def test_prints_coefficients_and_ebic(self, toy_csv, capsys):
         rc = main(["fit", "--input", toy_csv, "--link", "logit",
@@ -215,6 +264,15 @@ class TestFit:
         p.write_text(hdr + "\n" + "\n".join(
             ",".join(str(v) for v in (y[i], *X[i])) for i in range(10)) + "\n")
         assert main(["fit", "--input", str(p), "--link", "logit"]) == 1
+
+    def test_without_features_fits_every_covariate(self, toy_csv, capsys):
+        assert main(["fit", "--input", toy_csv, "--link", "logit"]) == 0
+        every = capsys.readouterr().out
+        terms = [line.split("\t")[0] for line in every.splitlines()[1:8]]
+        assert terms == ["(intercept)", "g1", "g2", "g3", "g4", "g5", "g6"]
+        assert main(["fit", "--input", toy_csv, "--link", "logit",
+                     "--features", "1,2,3,4,5,6"]) == 0
+        assert capsys.readouterr().out == every
 
     @pytest.mark.parametrize("features,message", [
         ("2,2", "--features names a column twice: '2,2'"),
@@ -284,6 +342,19 @@ class TestSimulate:
         assert rc == 0
         assert (out1 / "summary.tsv").read_bytes() == (out3 / "summary.tsv").read_bytes()
 
+    def test_gamma_flags_set_the_replication_gammas(self, tmp_path):
+        out = tmp_path / "g"
+        assert main(["simulate", "--setting", "1", "--n", "30", "--reps", "2", "--seed", "3",
+                     "--gamma", "gamma3", "--gamma", "0.5", "--threads", "1",
+                     "--out", str(out)]) == 0
+        # the simulated model has no intercept, so neither do the fits
+        config = SelectConfig(gammas=("gamma3", "0.5"), include_intercept=False)
+        want = run_simulation_batch(design_for("1", 30), 2, config=config, seed=3)
+        assert (out / "summary.tsv").read_text() == want.to_tsv()
+        labels = [line.split("\t")[1]
+                  for line in (out / "replicates.tsv").read_text().splitlines()[1:]]
+        assert labels == ["gamma3", "0.5"] * 2
+
     def test_dump_data_writes_csv_and_design(self, tmp_path):
         out = tmp_path / "dump"
         rc = main(["simulate", "--setting", "1", "--n", "30", "--reps", "1",
@@ -347,6 +418,17 @@ class TestDiagnose:
                    "--beta", str(beta)])
         assert rc == 1
         assert "beta0 must be a finite vector" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("contents", [None, "0.1\nabc\n"])
+    def test_unreadable_beta_is_data_error(self, toy_csv, tmp_path, capsys, contents):
+        beta = tmp_path / "beta.txt"
+        if contents is not None:
+            beta.write_text(contents)
+        rc = main(["diagnose", "--input", toy_csv, "--link", "logit", "--beta", str(beta)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ebicglm: data error: cannot read coefficient file {beta}: ")
+        assert len(err.splitlines()) == 1
 
     def test_no_positive_information_is_na(self, toy_csv, tmp_path, capsys):
         # eta overflows to +-inf on every row, where sigma^2 = 0: no column

@@ -218,6 +218,19 @@ class TestCvSelectLink:
             counts = np.bincount(assign[data.y == cls], minlength=5)
             assert counts.max() - counts.min() <= 1
 
+    def test_many_response_values_are_not_stratified(self):
+        # Poisson counts with more than 10 distinct values: the rows are
+        # dealt out as one shuffled sequence, so fold sizes differ by at most
+        # one (a split by value would put every once-seen count in fold 0)
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((40, 3))
+        y = rng.poisson(np.exp(1.5 + 0.8 * X[:, 0])).astype(float)
+        assert np.unique(y).size > 10
+        report = cv_select_link(Dataset(y, X), ["log"], path_length=1, folds=3, seed=1)
+        counts = np.bincount(report.fold_assignment, minlength=3)
+        assert counts.tolist() == [14, 13, 13]
+        assert np.isfinite(report.criteria[0])
+
     def test_chooses_generating_link_often_enough_to_run(self):
         data = _binary_data(n=80, coef=3.0, seed=4)
         report = cv_select_link(

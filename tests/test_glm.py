@@ -26,7 +26,7 @@ from ebicglm import (
     score,
 )
 from ebicglm import glm
-from ebicglm.glm import DEC_TOL, _design, _first_copies, _initial_beta, _shared_dot
+from ebicglm.glm import DEC_TOL, _design, _first_copies, _initial_beta
 from helpers import (
     ALL_PAIRS,
     check_batching,
@@ -526,19 +526,6 @@ def test_first_copies_match_a_loop_over_column_bytes():
             seen = {}
             want = [seen.setdefault(M[:, j].tobytes(), i) for i, j in enumerate(cols)]
             assert _first_copies(M, cols).tolist() == want
-
-
-@pytest.mark.parametrize("n,lanes", [(500, 32), (72, 227)])
-@pytest.mark.parametrize("q", [1, 2, 5])
-def test_shared_products_do_not_depend_on_the_lane_layout(n, lanes, q):
-    # the kernel's sums over shared columns come out as they would from an
-    # n x C lane array; for one shared column numpy calls BLAS's
-    # matrix-vector routine, whose summation order follows the layout
-    rng = np.random.default_rng(q)
-    M = rng.standard_normal((n, q))
-    v = rng.standard_normal((lanes, n))
-    want = M.T @ np.ascontiguousarray(v.T)
-    assert np.array_equal(_shared_dot(M, v), want)
 
 
 @pytest.mark.parametrize("link", ["logit", "cloglog"])

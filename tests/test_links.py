@@ -370,6 +370,55 @@ def test_logit_is_within_4_eps(thetas, means):
     assert _within_4_eps(Logit().g(mu), _logit_reference(mu))
 
 
+# |eta| up to 1e3 at steps of 0.05, the central range at steps of 0.001, and
+# 1e-300 to 1e3 in geometric steps, on both sides of 0
+_CDF_ETA = np.concatenate([np.linspace(0.0, 1e3, 20001), np.linspace(0.0, 8.0, 8001),
+                           np.geomspace(1e-300, 1e3, 2001)])
+_CDF_ETA = np.concatenate([_CDF_ETA, -_CDF_ETA])
+
+
+def _cdf_sides(link, eta):
+    """(the smaller tail log G(-|eta|), the other side log G(|eta|)) as a
+    CDF link's pair computes them."""
+    lcdf, lsf = parse_link_family(link)._state(eta)
+    return np.where(eta < 0, lcdf, lsf), np.where(eta < 0, lsf, lcdf)
+
+
+@_wide_reference
+def test_cauchit_sides_are_within_4_eps_beyond_the_rounding_of_the_tail():
+    # the other side, log1p(-exp(tail)), also carries the tail's own rounding
+    # to double, half an ulp of |tail|, which exp turns into a relative
+    # error of up to |tail| eps / 2 (4.03 eps at |eta| = 1e3)
+    tail, body = _cdf_sides("cauchit", _CDF_ETA)
+    a = np.abs(_CDF_ETA).astype(_WIDE)
+    pi = 4 * np.arctan(_WIDE(1))
+    assert _within_4_eps(tail, np.log(np.arctan2(_WIDE(1), a) / pi))
+    want = np.log(np.arctan2(_WIDE(1), -a) / pi)
+    err = np.abs(body.astype(_WIDE) - want) / (_EPS * np.abs(want))
+    assert np.all(err <= 4 + np.abs(tail) / 2)
+
+
+def test_probit_states_one_log_ndtr_pass():
+    # the tail is SciPy's log_ndtr(-|eta|) bit for bit; the other side, from
+    # log1p, is within 24 eps of SciPy's second pass log_ndtr(|eta|) for
+    # |eta| <= 8, where half an ulp of |tail| (up to 36) alone is 16 eps
+    from scipy import special
+
+    eta = _CDF_ETA[np.abs(_CDF_ETA) <= 8.0]
+    tail, body = _cdf_sides("probit", eta)
+    assert np.array_equal(_bits(tail), _bits(special.log_ndtr(-np.abs(eta))))
+    want = special.log_ndtr(np.abs(eta))
+    assert np.all(np.abs(body - want) <= 24 * _EPS * np.abs(want))
+
+
+@_wide_reference
+def test_probit_other_side_is_log1p_of_the_tail_within_4_eps():
+    # up to |eta| = 37, where exp(tail) is still a normal double
+    eta = _CDF_ETA[np.abs(_CDF_ETA) <= 37.0]
+    tail, body = _cdf_sides("probit", eta)
+    assert _within_4_eps(body, np.log1p(-np.exp(tail.astype(_WIDE))))
+
+
 def test_cloglog_tail_cells_leave_the_other_terms_bit_equal():
     # cells below u = 1e-8 take h'' = u / 2 (and h' = 1 once u underflows);
     # that must change no bit of the other cells of the same array

@@ -1,7 +1,7 @@
-"""What a fresh ebicglm process loads: SciPy only for the pairs that call it,
-nothing new in pool workers, one BLAS thread unless the caller set one, and
-glibc heap thresholds that keep a lane block's arrays in the heap unless the
-caller tuned malloc.
+"""What a fresh ebicglm process loads: SciPy only once a probit link is
+built, nothing new in pool workers, one BLAS thread unless the caller set
+one, and glibc heap thresholds that keep a lane block's arrays in the heap
+unless the caller tuned malloc.
 
 Each test runs its script in a new interpreter, since this test process has
 long since imported SciPy and numpy.
@@ -59,39 +59,27 @@ def test_cli_runs_load_no_scipy(tmp_path, link):
     assert out.splitlines()[-1] == "[]"
 
 
-def test_a_pair_that_calls_scipy_loads_it_when_built(tmp_path):
-    out = _run("""
-        import sys
-        from ebicglm import parse_link_family
-
-        before = "scipy.special" in sys.modules
-        parse_link_family("probit")
-        print(before, "scipy.special" in sys.modules)
-    """, tmp_path)
-    assert out == "False True"
-
-
 @pytest.mark.parametrize("link,family", ALL_PAIRS)
-def test_uses_scipy_says_whether_fitting_the_pair_loads_scipy(tmp_path, link, family):
+def test_only_building_probit_loads_scipy(tmp_path, link, family):
+    # a probit link loads SciPy as it is built; no other pair loads it, to
+    # be built or to be fitted
     out = _run(f"""
         import sys
         import numpy as np
-        from ebicglm import Dataset, ModelIndex, fit_mle, links, parse_family, parse_link
+        from ebicglm import Dataset, ModelIndex, fit_mle, parse_link_family
 
-        family, link = parse_family({family!r}), parse_link({link!r})
-        # built without compose_link_family, which loads SciPy for the pairs
-        # that say they use it
-        lf = links._COMPOSITES[family.name, link.name](family, link)
+        lf = parse_link_family({link!r}, {family!r})
+        built = "scipy.special" in sys.modules
         rng = np.random.default_rng(0)
         y = {{"bernoulli": (rng.random(40) < 0.4).astype(float),
               "poisson": rng.poisson(2.0, 40).astype(float),
-              "gamma": rng.exponential(1.0, 40) + 0.1}}[family.name]
+              "gamma": rng.exponential(1.0, 40) + 0.1}}[lf.family.name]
         fit_mle(lf, Dataset(y, np.ones((40, 1))), ModelIndex((), include_intercept=True))
         lf.family.saturated_log_lik(y)
-        print(lf.uses_scipy, "scipy" in sys.modules)
+        print(built, "scipy" in sys.modules)
     """, tmp_path)
-    flag, loaded = out.split()
-    assert flag == loaded
+    loads = link == "probit"
+    assert out == f"{loads} {loads}"
 
 
 def test_a_logit_and_cloglog_workflow_on_a_pool_runs_without_scipy(tmp_path):
@@ -138,12 +126,14 @@ def test_pool_workers_import_no_module_their_parent_lacked(tmp_path):
             (design, 1, config), [(added, (experiments._replicate_task, r)) for r in (0, 1)], 2)
         rng = np.random.default_rng(0)
         data = Dataset((rng.random(30) < 0.4).astype(float), rng.standard_normal((30, 1100)))
+        # building the probit link loads SciPy here, before the pool forks
+        lfs = [parse_link_family(name) for name in ("logit", "cloglog", "probit")]
+        built = "scipy.special" in sys.modules
         golub = experiments._map_tasks(
-            data, [(added, (experiments._full_path_task, (parse_link_family(name), 2)))
-                   for name in ("logit", "cloglog")], 2)
-        print(s1 + golub)
+            data, [(added, (experiments._full_path_task, (lf, 2))) for lf in lfs], 2)
+        print(built, s1 + golub)
     """, tmp_path)
-    assert out == "[[], [], [], []]"
+    assert out == "True [[], [], [], [], []]"
 
 
 def test_per_lane_cholesky_of_a_stack_with_a_refused_lane_loads_no_scipy(tmp_path):
