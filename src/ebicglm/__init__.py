@@ -17,43 +17,23 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 del _var, _set_here
 
 # Keep a Newton block's freed lane arrays in the heap. glibc's malloc serves
-# a block of at least M_MMAP_THRESHOLD bytes by mmap and returns it to the
-# OS when freed, and gives the top of the heap back once more than
-# M_TRIM_THRESHOLD bytes are free there; both thresholds rise with the
-# largest mmapped block the process has freed so far. A process that frees
-# nothing large first keeps thresholds below a lane block's working set, and
-# faults its pages in afresh on nearly every Newton iteration. So both are
-# set here from ``glm.LANE_BLOCK_CELLS`` (setting either one stops both from
-# adapting), unless the caller tuned malloc through glibc's own variables or
-# the C library is not glibc. Forked workers inherit the setting; spawned
-# workers import the package and set it themselves.
-_MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
-                "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_")
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt(3) parameters
+# a block at or above its mmap threshold (128 KB at start) by mmap and
+# returns it to the OS when freed, and trims the top of the heap once more
+# than its trim threshold is free there. Freeing an mmapped block above the
+# mmap threshold raises that threshold to the block's size and the trim
+# threshold to twice it, unless the caller tuned the thresholds, top pad or
+# mmap count through glibc's own variables. So one block of 8 lane arrays
+# (4 MB) is allocated and freed here, which sets 4 MB and 8 MB: a lane
+# block's working set (12 or fewer 512 KB arrays) is then reused from the
+# heap instead of faulted in afresh on every Newton iteration. Forked
+# workers inherit the thresholds; spawned ones import the package and free
+# the block themselves.
+import numpy
 
+from .glm import LANE_BLOCK_CELLS
 
-def _set_heap_thresholds():
-    """Whether this import set glibc's mmap and trim thresholds."""
-    if (any(var in os.environ for var in _MALLOC_VARS)
-            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
-        return False
-    try:
-        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
-            return False
-    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
-        return False
-    import ctypes
-
-    from .glm import LANE_BLOCK_CELLS
-
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    lane_array = 8 * LANE_BLOCK_CELLS  # bytes
-    return (mallopt(_M_MMAP_THRESHOLD, 2 * lane_array) == 1
-            and mallopt(_M_TRIM_THRESHOLD, 32 * lane_array) == 1)
-
-
-_HEAP_THRESHOLDS_SET = _set_heap_thresholds()
+numpy.empty(8 * LANE_BLOCK_CELLS)
+del numpy, LANE_BLOCK_CELLS
 
 from .ebic import (
     GammaGrid,

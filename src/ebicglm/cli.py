@@ -203,7 +203,7 @@ def _cmd_fit(args) -> int:
     lf = parse_link_family(args.link, args.family)
     data.validate_for_family(lf.family)
     gamma = resolve_gamma(args.gamma, data.n, data.p)
-    if args.features:
+    if args.features is not None:
         try:
             cols = [int(t) for t in args.features.split(",")]  # 1-based
         except ValueError:

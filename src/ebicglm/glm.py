@@ -280,10 +280,10 @@ def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> Hes
 #: 12 or fewer), 5-6 MB at 2^16. Against 2^14, 2^16 cut the
 #: block-iterations of the benchmark's Golub-shaped workflow 3x (3588 ->
 #: 1179) and raised its peak RSS by 2 MB (104 -> 107 MB), and that of the
-#: Setting-1 batch by 3.5 MB (77 -> 81 MB). ``import ebicglm`` sets glibc's
-#: mmap threshold to 2 lane arrays and its trim threshold to 32 from this
-#: size, so that a block's freed arrays are reused from the heap rather than
-#: faulted in afresh from the OS on every Newton iteration.
+#: Setting-1 batch by 3.5 MB (77 -> 81 MB). ``import ebicglm`` frees one
+#: block of 8 lane arrays of this size, which raises glibc's mmap and trim
+#: thresholds to 8 and 16 lane arrays, so that a block's freed arrays are
+#: reused from the heap rather than faulted in afresh on every iteration.
 LANE_BLOCK_CELLS = 1 << 16
 
 

@@ -343,8 +343,6 @@ class LinkFamily:
 
     #: open interval of admissible linear predictors
     eta_domain = (-np.inf, np.inf)
-    #: True whenever h'' is identically zero (implies H_0 vanishes downstream)
-    h_curvature_zero = False
 
     def __init__(self, family: Family, link: Link):
         self.family = family
@@ -416,8 +414,6 @@ class LinkFamily:
 
 
 class _CanonicalLF(LinkFamily):
-    h_curvature_zero = True
-
     def h(self, eta):
         return np.asarray(eta, dtype=float)
 
@@ -562,7 +558,6 @@ class _GammaPowerLF(LinkFamily):
     def __init__(self, family, link):
         super().__init__(family, link)
         self._r = 1.0 / link.exponent
-        self.h_curvature_zero = self._r == 1.0
 
     def h(self, eta):
         return -(np.asarray(eta, dtype=float) ** self._r)
@@ -570,7 +565,7 @@ class _GammaPowerLF(LinkFamily):
     def _terms(self, eta, state):
         r = self._r
         e = np.asarray(eta, dtype=float)
-        hpp = None if self.h_curvature_zero else -r * (r - 1.0) * e ** (r - 2.0)
+        hpp = None if r == 1.0 else -r * (r - 1.0) * e ** (r - 2.0)
         return self._terms_from_h(state[0], -r * e ** (r - 1.0), hpp)
 
 

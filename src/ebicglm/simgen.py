@@ -46,6 +46,9 @@ class SimDesign:
             raise InvalidArgs(f"setting must be one of {SETTINGS}, got {self.setting!r}")
         if not (0.0 <= self.rho < 1.0):
             raise InvalidRho(f"rho must be in [0, 1), got {self.rho}")
+        if self.setting == "S3" and self.rho != 0.0:
+            # setting 3's covariates have no equicorrelated block
+            raise InvalidRho(f"setting 3 has no rho: it must be 0, got {self.rho}")
         if self.setting in ("S1", "S2"):
             if self.q >= self.pn // 3:
                 raise InvalidDesign(

@@ -278,6 +278,8 @@ class TestFit:
         ("2,2", "--features names a column twice: '2,2'"),
         ("0", "--features column 0 is not in 1..6"),
         ("99", "--features column 99 is not in 1..6"),
+        ("", "--features must be comma-separated column numbers, got ''"),
+        (" ", "--features must be comma-separated column numbers, got ' '"),
     ])
     def test_features_checked_in_one_based_terms(self, toy_csv, capsys, features, message):
         assert main(["fit", "--input", toy_csv, "--features", features]) == 1
@@ -508,6 +510,13 @@ class TestConfigValues:
     def test_bad_features_flag_is_usage_error(self, toy_csv):
         assert main(["fit", "--input", toy_csv, "--features", "a,b"]) == 1
 
+    def test_empty_features_key_is_usage_error(self, toy_csv, tmp_path, capsys):
+        # an empty list of columns names none; it does not mean every column
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"features": ""}))
+        assert main(["fit", "--input", toy_csv, "--config", str(cfg)]) == 1
+        assert "--features must be comma-separated column numbers" in capsys.readouterr().err
+
     def test_old_path_per_gamma_key_is_usage_error(self, toy_csv, tmp_path, capsys):
         # the option is gone; a manifest written before still carries its key
         cfg = tmp_path / "manifest.json"
@@ -576,6 +585,13 @@ class TestFlagRanges:
         _root, base = cli_inputs
         assert main(base["simulate"] + ["--rho", rho]) == 1
         assert "usage error: rho must be in [0, 1)" in capsys.readouterr().err
+
+    def test_setting_3_with_a_rho_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s3"
+        assert main(["simulate", "--setting", "3", "--n", "30", "--reps", "1",
+                     "--rho", "0.5", "--out", str(out)]) == 1
+        assert "usage error: setting 3 has no rho" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_inconsistent_design_is_usage_error(self, cli_inputs, monkeypatch, capsys):
         # no flag value breaks the block layout, so the design builder is

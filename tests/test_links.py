@@ -175,7 +175,6 @@ def test_unsupported_pair_raises():
 
 def test_gamma_reciprocal_has_zero_curvature():
     lf = parse_link_family("invpower:1", "gamma")
-    assert lf.h_curvature_zero
     assert lf.newton_terms(np.array([0.5, 2.0]))[3] is None
     # h(eta) = -eta for the reciprocal link under unit shape
     assert float(lf.h(3.0)) == -3.0
@@ -234,8 +233,6 @@ def test_newton_terms_match_reference_route(link, family):
     th = lf.h(grid)
     assert rel_err(mu, lf.family.b_prime(th), floor=1e-12) < 1e-12
     assert rel_err(sigma2, lf.family.mean_and_variance(th)[1], floor=1e-12) < 1e-12
-    if hpp is None:
-        assert lf.h_curvature_zero
 
 
 def _response_at(lf, family, grid, rng):

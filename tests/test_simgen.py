@@ -36,6 +36,11 @@ class TestDesignFor:
         with pytest.raises(InvalidRho):
             design_for("S1", 100, rho=-0.2)
 
+    def test_setting_3_refuses_a_rho_it_would_ignore(self):
+        with pytest.raises(InvalidRho, match="setting 3 has no rho"):
+            design_for("S3", 100, rho=0.5)
+        assert design_for("S3", 100, rho=0.0).rho == 0.0
+
     def test_unknown_setting(self):
         with pytest.raises(InvalidArgs):
             design_for("S9", 100)

@@ -1,7 +1,7 @@
 """What a fresh ebicglm process loads: SciPy only once a probit link is
 built, nothing new in pool workers, one BLAS thread unless the caller set
-one, and glibc heap thresholds that keep a lane block's arrays in the heap
-unless the caller tuned malloc.
+one, and glibc heap thresholds, raised by a block the import frees, that
+keep a lane block's arrays in the heap unless the caller tuned malloc.
 
 Each test runs its script in a new interpreter, since this test process has
 long since imported SciPy and numpy.
@@ -214,13 +214,16 @@ def test_this_test_process_runs_blas_on_one_thread():
 
 
 ON_GLIBC = platform.libc_ver()[0] == "glibc"
-MALLOC_VARS = (*ebicglm._MALLOC_VARS, "GLIBC_TUNABLES")
+MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
+               "MALLOC_MMAP_MAX_", "GLIBC_TUNABLES")
+TUNED_TRIM = [{"MALLOC_TRIM_THRESHOLD_": "131072"},
+              {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}]
+glibc_only = pytest.mark.skipif(not ON_GLIBC, reason="glibc's malloc thresholds only")
 
 # minor page faults of a 12-step Setting-1 forward path (n = 200, p = 716, no
 # intercept); its lane blocks of 2^16 cells allocate 512 KB arrays
 _FAULTS = """
     import resource
-    import ebicglm
     from ebicglm import design_for, forward_select, generate_replicate, parse_link_family
 
     data = generate_replicate(design_for("S1", 200), 1, 0).dataset
@@ -228,28 +231,48 @@ _FAULTS = """
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     path = forward_select(lf, data, range(data.p), (1.0,), 12, include_intercept=False)
     assert len(path.steps) == 12
-    print(ebicglm._HEAP_THRESHOLDS_SET,
-          resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
-# with glibc's own adaptive thresholds this path took 103,320-105,079
-# faults, and about 1,700 with the package's (glibc 2.36, 2-CPU Xeon host)
+# without the import's freed 4 MB block this path took about 105,000 faults,
+# and about 1,500 with it (glibc 2.36, 2-CPU Xeon host)
 FAULT_BOUND = 10_000
 
 
-@pytest.mark.skipif(not ON_GLIBC, reason="glibc's mallopt only")
+@glibc_only
 def test_a_forward_path_reuses_its_lane_arrays_from_the_heap(tmp_path):
-    out = _run(_FAULTS, tmp_path, unset=MALLOC_VARS).split()
-    assert out[0] == "True"
-    assert int(out[1]) < FAULT_BOUND
+    assert int(_run(_FAULTS, tmp_path, unset=MALLOC_VARS)) < FAULT_BOUND
 
 
-@pytest.mark.skipif(not ON_GLIBC, reason="glibc's mallopt only")
-@pytest.mark.parametrize("env", [{"MALLOC_TRIM_THRESHOLD_": "131072"},
-                                 {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}])
+@glibc_only
+def test_a_malloc_tunable_that_sets_no_threshold_keeps_them_adaptive(tmp_path):
+    env = {"GLIBC_TUNABLES": "glibc.malloc.tcache_count=0"}
+    assert int(_run(_FAULTS, tmp_path, env, unset=MALLOC_VARS)) < FAULT_BOUND
+
+
+@glibc_only
+@pytest.mark.parametrize("env", TUNED_TRIM)
 def test_a_caller_who_tuned_malloc_keeps_the_heap_as_set(tmp_path, env):
     # glibc then keeps its 128 KB mmap threshold, so every lane array is
-    # mmapped and faulted in afresh (about 305,000 faults with
-    # MALLOC_TRIM_THRESHOLD_=131072)
-    out = _run(_FAULTS, tmp_path, env, unset=MALLOC_VARS).split()
-    assert out[0] == "False"
-    assert int(out[1]) > FAULT_BOUND
+    # mmapped and faulted in afresh (about 294,000 faults)
+    assert int(_run(_FAULTS, tmp_path, env, unset=MALLOC_VARS)) > FAULT_BOUND
+
+
+# minor page faults of the forked workers of a two-replicate Setting-1 batch
+# (n = 200) on a 2-worker pool: about 13,000 with the thresholds inherited
+# from the parent's import, 212,000 without the import's freed block, and
+# 670,000 with a tuned trim threshold
+_POOL_FAULTS = """
+    import resource
+    from ebicglm import design_for, run_simulation_batch
+
+    run_simulation_batch(design_for("S1", 200), 2, seed=1, threads=2)
+    print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt)
+"""
+POOL_FAULT_BOUND = 50_000
+
+
+@glibc_only
+def test_pool_workers_inherit_the_heap_thresholds(tmp_path):
+    assert int(_run(_POOL_FAULTS, tmp_path, unset=MALLOC_VARS)) < POOL_FAULT_BOUND
+    tuned = _run(_POOL_FAULTS, tmp_path, TUNED_TRIM[0], unset=MALLOC_VARS)
+    assert int(tuned) > POOL_FAULT_BOUND
