@@ -26,20 +26,12 @@ from .glm import Dataset, ModelIndex, c6_diagnostics, fit_mle
 from .links import parse_link_family
 from .select import SelectConfig, select_pipeline
 from .simgen import design_for, generate_replicate
-from .experiments import cv_select_link, run_simulation_batch
+from .experiments import _tsv, cv_select_link, run_simulation_batch
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the contract wants 1
     def error(self, message):
         raise InvalidArgs(message)
-
-
-def _fmt(x) -> str:
-    if x is None:  # a statistic that does not apply
-        return "NA"
-    if isinstance(x, float):
-        return "NA" if not np.isfinite(x) else f"{x:.6f}"
-    return str(x)
 
 
 def _threads(args) -> int:
@@ -150,36 +142,26 @@ def _check_ranges(args) -> None:
 _PATH_KEYS = ("input", "beta")
 
 
-def _manifest(args) -> dict:
+def _manifest(args, stop_reason: str | None) -> str:
+    """The run's manifest.json: its ``params`` replay it through
+    ``--config``; a path's ``stop_reason`` and the BLAS thread variables as
+    ``import ebicglm`` left them sit beside ``params``, so replay ignores
+    them."""
     params = {dest: getattr(args, dest)
               for dest in _param_actions(_build_parser().commands[args.command])}
     for dest in _PATH_KEYS:
         if params.get(dest) is not None:
             params[dest] = os.path.abspath(params[dest])
-    return {
+    manifest = {
         "tool": "ebicglm",
         "version": __version__,
         "command": args.command,
         "params": params,
+        "blas_threads": _BLAS_THREADS,
     }
-
-
-def _write_out(args, files: dict, stop_reason: str | None = None) -> None:
-    """Write the result files and the run's manifest into ``args.out``; a
-    path's ``stop_reason`` and the BLAS thread variables as ``import
-    ebicglm`` left them go into the manifest beside ``params``, so
-    ``--config`` replay ignores them."""
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        (path / name).write_text(content, encoding="utf-8")
-    manifest = _manifest(args)
-    manifest["blas_threads"] = _BLAS_THREADS
     if stop_reason is not None:
         manifest["stop_reason"] = stop_reason
-    (path / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def _select_config(args) -> SelectConfig:
@@ -194,14 +176,20 @@ def _select_config(args) -> SelectConfig:
     return SelectConfig(**{k: v for k, v in fields.items() if v is not None})
 
 
+def _feature_names(data: Dataset) -> tuple:
+    """The CSV's covariate names, or x1..xp for data that carry none."""
+    return data.feature_names or tuple(f"x{j + 1}" for j in range(data.p))
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its result files, the table it prints and the
+# path's stop reason (None where there is no path); main alone writes them,
+# with the manifest, into --out and prints the table
 # ---------------------------------------------------------------------------
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> tuple:
     data = Dataset.from_csv(args.input)
     lf = parse_link_family(args.link, args.family)
-    data.validate_for_family(lf.family)
     gamma = resolve_gamma(args.gamma, data.n, data.p)
     if args.features is not None:
         try:
@@ -226,65 +214,44 @@ def _cmd_fit(args) -> int:
     fit = fit_mle(lf, data, model)
     sc = ebic_score(fit, model, data.n, data.p, gamma)
 
-    lines = ["term\tcoefficient"]
-    names = data.feature_names or tuple(f"x{j + 1}" for j in range(data.p))
-    off = 0
-    if model.include_intercept:
-        lines.append(f"(intercept)\t{_fmt(float(fit.beta[0]))}")
-        off = 1
-    for pos, j in enumerate(model.indices):
-        lines.append(f"{names[j]}\t{_fmt(float(fit.beta[off + pos]))}")
-    lines += [
-        f"log_lik\t{_fmt(fit.log_lik)}",
-        f"ebic\t{_fmt(sc.ebic)}",
-        f"gamma\t{_fmt(gamma)}",
-        f"converged\t{fit.converged}",
-        f"quasi_separated\t{fit.quasi_separated}",
-    ]
-    table = "\n".join(lines) + "\n"
-    sys.stdout.write(table)
-    if args.out:
-        _write_out(args, {"fit.tsv": table})
-    return 0
+    names = _feature_names(data)
+    terms = ["(intercept)"] if model.include_intercept else []
+    terms += [names[j] for j in model.indices]
+    table = _tsv([
+        ("term", "coefficient"),
+        *zip(terms, (float(b) for b in fit.beta)),
+        ("log_lik", fit.log_lik),
+        ("ebic", sc.ebic),
+        ("gamma", gamma),
+        ("converged", fit.converged),
+        ("quasi_separated", fit.quasi_separated),
+    ])
+    return {"fit.tsv": table}, table, None
 
 
-def _cmd_select(args) -> int:
+def _cmd_select(args) -> tuple:
     data = Dataset.from_csv(args.input)
     lf = parse_link_family(args.link, args.family)
-    data.validate_for_family(lf.family)
-    config = _select_config(args)
-    report = select_pipeline(lf, data, config)
+    report = select_pipeline(lf, data, _select_config(args))
+    path = report.path
 
-    names = data.feature_names or tuple(f"x{j + 1}" for j in range(data.p))
-    head = ["step", "feature", "name", "log_lik"]
-    head += [f"ebic_{spec}" for spec in report.gamma_specs]
-    lines = ["\t".join(head)]
-    null_row = ["0", "-", "(null)", _fmt(report.path.null_fit.log_lik)]
-    null_row += [_fmt(s.ebic) for s in report.path.null_scores]
-    lines.append("\t".join(null_row))
-    for i, step in enumerate(report.path.steps):
-        row = [str(i + 1), str(step.feature + 1), names[step.feature], _fmt(step.fit.log_lik)]
-        row += [_fmt(s.ebic) for s in step.scores]
-        lines.append("\t".join(row))
-    path_tsv = "\n".join(lines) + "\n"
-
-    chosen = ["gamma_spec\tgamma\tsize\tfeatures\tfeature_names\tlog_lik"]
+    names = _feature_names(data)
+    steps = [("step", "feature", "name", "log_lik", *(f"ebic_{s}" for s in report.gamma_specs)),
+             (0, "-", "(null)", path.null_fit.log_lik, *(s.ebic for s in path.null_scores))]
+    for i, step in enumerate(path.steps, start=1):
+        steps.append((i, step.feature + 1, names[step.feature], step.fit.log_lik,
+                      *(s.ebic for s in step.scores)))
+    chosen = [("gamma_spec", "gamma", "size", "features", "feature_names", "log_lik")]
     for spec, g, model in zip(report.gamma_specs, report.gammas, report.final_models):
-        feats = ",".join(str(j + 1) for j in model.indices) or "-"
-        fnames = ",".join(names[j] for j in model.indices) or "-"
-        fit = report.path.fit_for(g)
-        chosen.append(
-            f"{spec}\t{_fmt(float(g))}\t{model.size}\t{feats}\t{fnames}\t{_fmt(fit.log_lik)}"
-        )
-    chosen_tsv = "\n".join(chosen) + "\n"
-
-    _write_out(args, {"path.tsv": path_tsv, "chosen.tsv": chosen_tsv},
-               stop_reason=report.path.stop_reason)
-    sys.stdout.write(chosen_tsv)
-    return 0
+        chosen.append((spec, float(g), model.size,
+                       ",".join(str(j + 1) for j in model.indices) or "-",
+                       ",".join(names[j] for j in model.indices) or "-",
+                       path.fit_for(g).log_lik))
+    path_tsv, chosen_tsv = _tsv(steps), _tsv(chosen)
+    return {"path.tsv": path_tsv, "chosen.tsv": chosen_tsv}, chosen_tsv, path.stop_reason
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     design = design_for(args.setting, args.n, rho=args.rho)
     config = None
     if args.gamma:
@@ -293,62 +260,47 @@ def _cmd_simulate(args) -> int:
     summary = run_simulation_batch(
         design, args.reps, config=config, seed=args.seed, threads=_threads(args)
     )
-    files = {"summary.tsv": summary.to_tsv()}
-    rep_lines = ["replicate\tgamma\tpdr\tfdr"]
     labels = [c.gamma_label for c in summary.cells]
+    replicates = [("replicate", "gamma", "pdr", "fdr")]
     for rid, metrics in summary.replicate_metrics:
-        for label, m in zip(labels, metrics):
-            rep_lines.append(f"{rid}\t{label}\t{_fmt(m.pdr)}\t{_fmt(m.fdr)}")
-    files["replicates.tsv"] = "\n".join(rep_lines) + "\n"
+        replicates += [(rid, label, m.pdr, m.fdr) for label, m in zip(labels, metrics)]
+    files = {"summary.tsv": summary.to_tsv(), "replicates.tsv": _tsv(replicates)}
     if summary.failures:
-        files["failures.tsv"] = (
-            "replicate\terror\n"
-            + "\n".join(f"{rid}\t{msg}" for rid, msg in summary.failures)
-            + "\n"
-        )
+        files["failures.tsv"] = _tsv([("replicate", "error"), *summary.failures])
+    for rid in range(min(args.reps, args.dump_data)):
+        data = generate_replicate(design, args.seed, rid).dataset
+        csv = io.StringIO()
+        # %.17g round-trips every double, so a dump reloads the exact data
+        np.savetxt(csv, np.column_stack([data.y, data.X]), fmt="%.17g", delimiter=",",
+                   header=",".join(["y", *_feature_names(data)]), comments="")
+        files[f"replicate_{rid}.csv"] = csv.getvalue()
     if args.dump_data:
-        for rid in range(min(args.reps, args.dump_data)):
-            data = generate_replicate(design, args.seed, rid).dataset
-            hdr = ",".join(["y"] + [f"x{j + 1}" for j in range(design.pn)])
-            csv = io.StringIO()
-            # %.17g round-trips every double, so a dump reloads the exact data
-            np.savetxt(csv, np.column_stack([data.y, data.X]), fmt="%.17g", delimiter=",",
-                       header=hdr, comments="")
-            files[f"replicate_{rid}.csv"] = csv.getvalue()
         # the design's fields in declaration order, then its support
         files["design.json"] = json.dumps(
             {**asdict(design), "true_support_1based": [j + 1 for j in design.support]},
             indent=2,
         ) + "\n"
-    _write_out(args, files)
-    sys.stdout.write(summary.to_tsv())
-    return 0
+    return files, files["summary.tsv"], None
 
 
-def _cmd_cv_links(args) -> int:
-    data = Dataset.from_csv(args.input)
-    links = [s.strip() for s in args.links.split(",") if s.strip()]
-    for name in links:
-        lf = parse_link_family(name)
-        data.validate_for_family(lf.family)
+def _cmd_cv_links(args) -> tuple:
     report = cv_select_link(
-        data,
-        links,
+        Dataset.from_csv(args.input),
+        [s.strip() for s in args.links.split(",") if s.strip()],
         path_length=args.path_length,
         folds=args.folds,
         seed=args.seed,
         threads=_threads(args),
     )
-    lines = ["link\theld_out_log_lik\tchosen"]
-    for name, value in zip(report.link_names, report.criteria):
-        lines.append(f"{name}\t{_fmt(value)}\t{'*' if name == report.chosen else ''}")
-    table = "\n".join(lines) + "\n"
-    _write_out(args, {"cv_links.tsv": table})
-    sys.stdout.write(table)
-    return 0
+    table = _tsv([
+        ("link", "held_out_log_lik", "chosen"),
+        *((name, value, "*" if name == report.chosen else "")
+          for name, value in zip(report.link_names, report.criteria)),
+    ])
+    return {"cv_links.tsv": table}, table, None
 
 
-def _cmd_diagnose(args) -> int:
+def _cmd_diagnose(args) -> tuple:
     data = Dataset.from_csv(args.input)
     lf = parse_link_family(args.link, args.family)
     try:
@@ -356,24 +308,11 @@ def _cmd_diagnose(args) -> int:
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read coefficient file {args.beta}: {exc}") from None
     rep = c6_diagnostics(lf, data, beta0)
-    lines = [
-        "quantity\tvalue",
-        f"first_ratio\t{_fmt(rep.first_ratio)}",
-        f"second_ratio\t{_fmt(rep.second_ratio)}",
-        f"n_threshold\t{_fmt(rep.n_threshold)}",
-        f"first_below_threshold\t{_fmt(rep.first_below_threshold)}",
-        f"second_below_threshold\t{_fmt(rep.second_below_threshold)}",
-        f"max_abs_x\t{_fmt(rep.max_abs_x)}",
-        f"max_abs_h_prime\t{_fmt(rep.max_abs_h_prime)}",
-        f"max_abs_h_double_prime\t{_fmt(rep.max_abs_h_double_prime)}",
-        f"sigma2_min\t{_fmt(rep.sigma2_min)}",
-        f"sigma2_max\t{_fmt(rep.sigma2_max)}",
-    ]
-    table = "\n".join(lines) + "\n"
-    sys.stdout.write(table)
-    if args.out:
-        _write_out(args, {"diagnostics.tsv": table})
-    return 0
+    quantities = ("first_ratio", "second_ratio", "n_threshold", "first_below_threshold",
+                  "second_below_threshold", "max_abs_x", "max_abs_h_prime",
+                  "max_abs_h_double_prime", "sigma2_min", "sigma2_max")
+    table = _tsv([("quantity", "value"), *((q, getattr(rep, q)) for q in quantities)])
+    return {"diagnostics.tsv": table}, table, None
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +325,17 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # subcommand name -> its parser
 
-    def common(p, needs_input=True):
+    def common(p, needs_input=True, link=None):
         if needs_input:
             p.add_argument("--input", required=True, help="CSV with y as first column")
+        if link:  # the command fits a family/link pair
+            p.add_argument("--link", default=link)
+            p.add_argument("--family", default=None)
         p.add_argument("--config", help="JSON config/manifest; overrides flags")
         p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("fit", help="fit one model, print coefficients + logLik + EBIC")
-    common(p)
-    p.add_argument("--link", default="logit")
-    p.add_argument("--family", default=None)
+    common(p, link="logit")
     p.add_argument("--features", default=None, help="comma list of 1-based columns")
     p.add_argument("--gamma", default="bic")
     p.add_argument("--no-intercept", action="store_true")
@@ -403,9 +343,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("select", help="screen + forward selection on a CSV")
-    common(p)
-    p.add_argument("--link", default="logit")
-    p.add_argument("--family", default=None)
+    common(p, link="logit")
     p.add_argument("--gamma", action="append", default=None,
                    help="gamma value or preset; repeatable, all read off one path")
     p.add_argument("--max-steps", type=int, default=None)
@@ -438,9 +376,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_cv_links)
 
     p = sub.add_parser("diagnose", help="information-ratio diagnostics at beta0")
-    common(p)
-    p.add_argument("--link", default="cloglog")
-    p.add_argument("--family", default=None)
+    common(p, link="cloglog")
     p.add_argument("--beta", required=True, help="text file, one coefficient per row")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_diagnose)
@@ -453,7 +389,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _merge_config_file(args, parser.commands[args.command])
         _check_ranges(args)
-        return args.func(args)
+        files, table, stop_reason = args.func(args)
+        if args.out:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            files["manifest.json"] = _manifest(args, stop_reason)
+            for name, content in files.items():
+                (out / name).write_text(content, encoding="utf-8")
+        sys.stdout.write(table)
+        return 0
     except OSError as exc:
         print(f"ebicglm: data error: {exc}", file=sys.stderr)
         return 2

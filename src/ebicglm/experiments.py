@@ -56,6 +56,21 @@ class SummaryCell:
     n_failed: int
 
 
+def _fmt(x) -> str:
+    """One TSV cell: NA for a statistic that does not apply (None or a
+    non-finite float), six decimals for any other float, else ``str``."""
+    if x is None:
+        return "NA"
+    if isinstance(x, float):
+        return "NA" if not np.isfinite(x) else f"{x:.6f}"
+    return str(x)
+
+
+def _tsv(rows) -> str:
+    """The package's one TSV writer: a line per row, every cell through ``_fmt``."""
+    return "".join("\t".join(_fmt(x) for x in row) + "\n" for row in rows)
+
+
 @dataclass
 class ExperimentSummary:
     design: SimDesign
@@ -64,31 +79,13 @@ class ExperimentSummary:
     failures: tuple  # (replicate_id, message)
     replicate_metrics: tuple  # (replicate_id, PdrFdr-per-gamma) for successes
 
-    TSV_HEADER = "setting\trho\tn\tgamma\tmean_pdr\tsd_pdr\tmean_fdr\tsd_fdr\tn_reps\tn_failed"
-
     def to_tsv(self) -> str:
-        def fmt(x):
-            return "NA" if (isinstance(x, float) and math.isnan(x)) else f"{x:.6f}"
-
-        lines = [self.TSV_HEADER]
-        for c in self.cells:
-            lines.append(
-                "\t".join(
-                    [
-                        c.setting,
-                        f"{c.rho:g}",
-                        str(c.n),
-                        f"{c.gamma:.6f}",
-                        fmt(c.mean_pdr),
-                        fmt(c.sd_pdr),
-                        fmt(c.mean_fdr),
-                        fmt(c.sd_fdr),
-                        str(c.n_reps),
-                        str(c.n_failed),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return _tsv([
+            ("setting", "rho", "n", "gamma", "mean_pdr", "sd_pdr", "mean_fdr", "sd_fdr",
+             "n_reps", "n_failed"),
+            *((c.setting, f"{c.rho:g}", c.n, c.gamma, c.mean_pdr, c.sd_pdr, c.mean_fdr,
+               c.sd_fdr, c.n_reps, c.n_failed) for c in self.cells),
+        ])
 
 
 # the argument every task of a pool shares; set once in each worker process
@@ -265,7 +262,7 @@ def _cv_fold_task(data, task):
 
 def _cv_plan(data: Dataset, links, path_length: int, folds: int, seed: int):
     """The link families, the fold labels and the CV tasks of
-    ``cv_select_link``, with each task's (link, fold) key."""
+    ``cv_select_link`` in (link, fold) order, with each task's link index."""
     if folds < 2:
         raise InvalidArgs(f"folds must be >= 2, got {folds}")
     if folds > data.n:
@@ -276,6 +273,8 @@ def _cv_plan(data: Dataset, links, path_length: int, folds: int, seed: int):
     lfs = [parse_link_family(lf) if isinstance(lf, str) else lf for lf in links]
     if not lfs:
         raise InvalidArgs("need at least one link")
+    for lf in lfs:  # on all rows, so a refused y names its row of the data
+        lf.family.validate_y(data.y)
     fold_of = _fold_assignment(data.y, folds, seed)
 
     tasks = []
@@ -291,13 +290,13 @@ def _cv_plan(data: Dataset, links, path_length: int, folds: int, seed: int):
                     f"training fold {f} has {train_rows.size} rows; too small to fit"
                 )
             tasks.append((lf, train_rows, test_rows, path_length))
-            keys.append((li, f))
+            keys.append(li)
     return lfs, fold_of, tasks, keys
 
 
 def _cv_report(lfs, folds, fold_of, keys, values) -> CvLinkReport:
     criteria = np.zeros(len(lfs))
-    for (li, _f), v in sorted(zip(keys, values), key=lambda kv: kv[0]):
+    for li, v in zip(keys, values):  # each link's folds in fold order
         criteria[li] += v
     best = float(np.max(criteria))
     chosen_idx = next(i for i, v in enumerate(criteria) if v >= best - 1e-9)
@@ -325,7 +324,8 @@ def cv_select_link(
     to at most ``path_length``, EBIC-minimizing prefix read out at the fold's
     real-data preset gamma = 1 - ln n / (3 ln p)) and is scored on the
     held-out fold. Ties within 1e-9 go to the earlier link in the input
-    order. Fold assignment is seeded and stratified by response class.
+    order. Fold assignment is seeded and stratified by response class. A y
+    that a link's family cannot model raises DataError naming its row.
     """
     _check_max_steps(path_length, "path_length")
     lfs, fold_of, tasks, keys = _cv_plan(data, links, path_length, folds, seed)
@@ -379,7 +379,6 @@ def real_data_workflow(
     paths and the CV folds run as one batch of tasks on the same pool, the
     paths first.
     """
-    data.validate_for_family(Bernoulli())
     _check_max_steps(path_steps, "path_steps")
     _check_max_steps(cv_path_length, "cv_path_length")
     lfs, fold_of, cv_tasks, keys = _cv_plan(data, links, cv_path_length, cv_folds, seed)

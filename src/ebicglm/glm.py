@@ -26,8 +26,10 @@ log-likelihood, and stops. Otherwise the step is halved, at most
 ``MAX_HALVINGS`` = 30 times, until the log-likelihood does not fall; a
 step that gains nothing is a stall and ends the fit where it stands,
 unconverged. A step that would take any |beta_j| above ``BETA_CAP`` = 30
-ends the fit at the last in-cap iterate, flagged ``quasi_separated``, and
-no fit runs more than ``MAX_ITER`` = 100 iterations.
+ends the fit at the last in-cap iterate, flagged ``quasi_separated``; a
+coefficient whose start already lies beyond the cap (an intercept g(ybar)
+under a power link, say) is exempt from it. No fit runs more than
+``MAX_ITER`` = 100 iterations.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DataError, InvalidArgs, RankDeficient
-from .links import Family, LinkFamily
+from .links import LinkFamily
 
 #: the Newton stop rules shared by every fit (see the module docstring).
 #: DEC_TOL = 2^12 eps stays above what rounding lets a log-likelihood sum
@@ -92,9 +94,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
-
-    def validate_for_family(self, family: Family) -> None:
-        family.validate_y(self.y)
 
     def subset(self, rows) -> "Dataset":
         rows = np.asarray(rows, dtype=int)
@@ -496,6 +495,7 @@ def _newton_block(y, A, Z, iu, x, lf, start):
     )
     lanes = np.arange(width)  # block position of each iterating lane
     beta = np.repeat(start[:, None], width, axis=1)
+    exempt = np.abs(start) > BETA_CAP  # coefficients the cap does not bind
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # when the lanes start with their own coefficient at 0 they all share
         # one eta, so it stays 1 x n (and the first iteration's weights are
@@ -528,7 +528,9 @@ def _newton_block(y, A, Z, iu, x, lf, start):
             )
             accepted = np.isfinite(ll_t)
             beta_t = beta + step * d
-            capped = np.abs(beta_t).max(axis=0) > BETA_CAP
+            size = np.abs(beta_t)
+            size[exempt] = 0.0
+            capped = size.max(axis=0) > BETA_CAP
             out.quasi_separated[lanes] = accepted & capped
             # a converged lane's last step is taken; an unconverged lane
             # whose step gains nothing has stalled, and stays where it is
@@ -584,7 +586,8 @@ def _newton_lanes(y, A, X, cols, lf, start):
     step unless it lowers the log-likelihood), no step accepted after
     ``MAX_HALVINGS`` halvings, an accepted step that gains nothing (a stall,
     left where it stands), a step that would take some |beta_j| above
-    ``BETA_CAP`` (quasi-separated, left at the last in-cap iterate) and
+    ``BETA_CAP`` (quasi-separated, left at the last in-cap iterate; a
+    coefficient whose start lies beyond the cap is exempt from it) and
     ``MAX_ITER`` iterations. eta is clamped into the link's domain wherever
     it is evaluated.
 
@@ -630,7 +633,8 @@ def _initial_beta(lf: LinkFamily, y: np.ndarray, k: int, intercept: bool) -> np.
     if intercept:
         lo, hi = lf.family.mean_domain
         ybar = min(max(float(np.mean(y)), lo + 1e-3), hi - 1e-3)
-        beta0[0] = float(lf.link.g(ybar))
+        with np.errstate(over="ignore"):  # g(ybar) may overflow to inf
+            beta0[0] = float(lf.link.g(ybar))
     return beta0
 
 
@@ -641,11 +645,14 @@ def fit_mle(lf: LinkFamily, data: Dataset, model: ModelIndex) -> FitResult:
     last column, and the lane is that column. Raises RankDeficient when
     X(model) is not of full column rank. The fit has converged once its
     step's predicted gain g'd / 2 is at most ``DEC_TOL`` (1 + |loglik|). A
-    fit whose coefficient sup-norm would exceed ``BETA_CAP`` is stopped at
-    the last in-cap iterate and flagged ``quasi_separated``. A stall (a
-    step that gains nothing) or ``MAX_ITER`` iterations without convergence
-    are reported through ``converged=False``, not as an error.
+    fit that would take a coefficient above ``BETA_CAP`` (one that starts
+    beyond it is exempt) is stopped at the last in-cap iterate and flagged
+    ``quasi_separated``. A stall (a step that gains nothing) or
+    ``MAX_ITER`` iterations without convergence are reported through
+    ``converged=False``, not as an error. A y the family cannot model
+    raises DataError naming its row.
     """
+    lf.family.validate_y(data.y)
     X = _design(data, model)
     k = X.shape[1]
     beta0 = _initial_beta(lf, data.y, k, model.include_intercept)

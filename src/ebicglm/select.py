@@ -54,10 +54,12 @@ def screen_mme(
     rules of ``fit_mle``; a duplicated column is fitted once, so its copies
     get bit-equal statistics. Features that fail the rank test or end
     without a finite log-likelihood and slope get statistic -inf and rank
-    last; the screen itself never aborts. Ties go to the lower index.
+    last; no feature aborts the screen. Ties go to the lower index. A y the
+    family cannot model raises DataError naming its row.
     """
     if d < 1:
         raise InvalidArgs(f"screen size d must be >= 1, got {d}")
+    lf.family.validate_y(data.y)
     n, p = data.n, data.p
     m = 1 if include_intercept else 0  # the shared block A is [1] or empty
     start = _initial_beta(lf, data.y, m + 1, include_intercept)

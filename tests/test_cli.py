@@ -785,7 +785,7 @@ _MAGNITUDES = st.sampled_from([1e-300, 1e-200, 1e-5, 1.0, 1e5, 1e200, 1e300])
 _FAMILY_LINKS = {
     "bernoulli": ["logit", "probit", "cauchit", "cloglog", "identity", "arcsin"],
     "poisson": ["log", "invpower:-2"],
-    "gamma": ["log", "invpower:1", "invpower:2"],
+    "gamma": ["log", "invpower:1", "invpower:2", "invpower:-2"],
 }
 
 

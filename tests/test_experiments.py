@@ -10,6 +10,7 @@ from helpers import unstopped_forward_path
 
 import ebicglm.experiments as exp_mod
 from ebicglm import (
+    DataError,
     Dataset,
     FoldTooSmall,
     InvalidArgs,
@@ -19,6 +20,7 @@ from ebicglm import (
     TrueModel,
     SelectConfig,
     cv_select_link,
+    fit_mle,
     generate_replicate,
     parse_link_family,
     pdr_fdr,
@@ -26,6 +28,7 @@ from ebicglm import (
     resolve_gamma,
     run_simulation_batch,
     screen_mme,
+    select_pipeline,
 )
 
 
@@ -345,7 +348,36 @@ class TestRealDataWorkflow:
     def test_requires_binary_response(self):
         rng = np.random.default_rng(1)
         data = Dataset(rng.poisson(3.0, size=30).astype(float), rng.standard_normal((30, 3)))
-        from ebicglm import DataError
-
         with pytest.raises(DataError):
             real_data_workflow(data, ["logit"], path_steps=2, cv_folds=3)
+
+
+class TestResponseCheck:
+    """Each library call that fits refuses a y its family cannot model,
+    before any fit or task, naming the row as the data hold it."""
+
+    CALLS = {
+        "fit_mle": lambda lf, data: fit_mle(lf, data, ModelIndex((0,))),
+        "select_pipeline": select_pipeline,
+        "screened_pipeline": lambda lf, data: select_pipeline(
+            lf, data, SelectConfig(screen_threshold=2, screen_keep=2)),
+        "cv_select_link": lambda lf, data: cv_select_link(data, ["cloglog", lf], folds=4),
+        "real_data_workflow": lambda lf, data: real_data_workflow(data, [lf], cv_folds=4),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_names_the_row_of_the_data(self, monkeypatch, call):
+        monkeypatch.setattr(exp_mod, "_map_tasks", _no_pool)
+        data = _binary_data(n=40)
+        y = data.y.copy()
+        y[36] = 2.0
+        with pytest.raises(DataError, match="^Bernoulli response must be 0/1; row 37 has y=2.0$"):
+            self.CALLS[call](parse_link_family("logit"), Dataset(y, data.X))
+
+    def test_workflow_takes_counts_under_a_log_link(self):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((30, 3))
+        data = Dataset(rng.poisson(np.exp(0.5 + 0.8 * X[:, 0])).astype(float), X)
+        report = real_data_workflow(data, ["log"], path_steps=2, cv_folds=3)
+        assert report.chosen_link == "log"
+        assert np.isfinite(report.finals[0].log_lik)

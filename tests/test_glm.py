@@ -62,7 +62,7 @@ class TestDataset:
         data = Dataset(np.array([0.0, 1.0, 2.0]), np.ones((3, 1)))
         lf = parse_link_family("logit")
         with pytest.raises(DataError, match="row 3"):
-            data.validate_for_family(lf.family)
+            lf.family.validate_y(data.y)
 
     @pytest.mark.parametrize("family,y,message", [
         ("bernoulli", [0.0, 1.0, 2.0], "Bernoulli response must be 0/1; row 3 has y=2.0"),
@@ -74,7 +74,7 @@ class TestDataset:
         # the offending value prints as a plain number, not a NumPy repr
         data = Dataset(np.array(y), np.ones((3, 1)))
         with pytest.raises(DataError) as info:
-            data.validate_for_family(parse_family(family))
+            parse_family(family).validate_y(data.y)
         assert str(info.value) == message
 
     def test_from_csv_roundtrip(self, tmp_path):
@@ -371,6 +371,31 @@ def test_separated_fit_stops_at_the_cap(link, include_intercept):
     assert np.abs(fit.beta).max() <= glm.BETA_CAP
     start = _initial_beta(lf, data.y, fit.beta.size, include_intercept)
     assert fit.log_lik > log_likelihood(lf, data, model, start)
+
+
+@pytest.mark.parametrize("link,family,draw", [
+    ("invpower:-1", "poisson", lambda rng, x: rng.poisson(40 + 3 * x)),
+    ("invpower:-2", "poisson", lambda rng, x: rng.poisson(np.sqrt(64 + 8 * x))),  # eta = mu^2
+    ("invpower:-1", "gamma", lambda rng, x: rng.exponential(40 + 3 * x)),
+    # three 1s in 400 rows: g(ybar) = -42.4
+    ("cauchit", "bernoulli",
+     lambda rng, x: np.isin(np.arange(400), rng.choice(400, 3, replace=False))),
+], ids=["poisson-identity", "poisson-square", "gamma-identity", "cauchit"])
+def test_a_start_beyond_the_cap_is_exempt_from_it(link, family, draw):
+    # the intercept starts at g(ybar) above BETA_CAP; were it capped, the fit
+    # could never leave its start. It converges to what BFGS finds
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(400)
+    lf, data = parse_link_family(link, family), Dataset(draw(rng, x).astype(float), x[:, None])
+    model = ModelIndex((0,))
+    start = _initial_beta(lf, data.y, 2, True)
+    assert abs(start[0]) > glm.BETA_CAP
+    fit = fit_mle(lf, data, model)
+    assert fit.converged and not fit.quasi_separated and fit.iterations > 1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        best = minimize(lambda b: -log_likelihood(lf, data, model, b), start, method="BFGS")
+    assert fit.log_lik == pytest.approx(-best.fun, rel=1e-10)
+    np.testing.assert_allclose(fit.beta, best.x, rtol=1e-4)
 
 
 @pytest.mark.parametrize("include_intercept", [True, False])
