@@ -28,8 +28,16 @@ step that gains nothing is a stall and ends the fit where it stands,
 unconverged. A step that would take any |beta_j| above ``BETA_CAP`` = 30
 ends the fit at the last in-cap iterate, flagged ``quasi_separated``; a
 coefficient whose start already lies beyond the cap (an intercept g(ybar)
-under a power link, say) is exempt from it. No fit runs more than
-``MAX_ITER`` = 100 iterations.
+under a power link, say) is held instead to |start_j| + ``BETA_CAP``. No
+fit runs more than ``MAX_ITER`` = 100 iterations.
+
+A forward step needs only the lane with the largest log-likelihood, so its
+call is pick-only: at its first ``BOUND_ITERS`` iterations each lane gets a
+weak-duality upper bound on the log-likelihood of every iterate inside its
+coefficient box (``_dual_bound``), and a lane whose bound lies below the
+best log-likelihood any lane of the call has reached, by 1e-7 (1 + |best|),
+is retired where it stands. Every lane ascends, so a retired lane cannot be
+picked.
 """
 
 from __future__ import annotations
@@ -49,6 +57,9 @@ DEC_TOL = 4096 * np.finfo(float).eps
 MAX_ITER = 100
 BETA_CAP = 30.0
 MAX_HALVINGS = 30
+#: the iterations at which a pick-only call bounds its lanes; bounding the
+#: third as well retires few more lanes
+BOUND_ITERS = 2
 
 
 class Dataset:
@@ -168,7 +179,9 @@ class LaneFits:
     every field (beta is k x C).
 
     Every field named as in ``FitResult`` means what it means there, for
-    each lane; ``rank_deficient`` marks the lanes that failed the rank test.
+    each lane; ``rank_deficient`` marks the lanes that failed the rank test,
+    and ``retired`` the lanes that a pick-only call stopped where they stood
+    once a bound showed they could not be picked (see ``_newton_lanes``).
     """
 
     beta: np.ndarray  # k x C, laid out as [A, x_j]
@@ -179,6 +192,7 @@ class LaneFits:
     quasi_separated: np.ndarray
     eta_clamped: np.ndarray
     rank_deficient: np.ndarray
+    retired: np.ndarray
 
     def fit(self, j: int) -> FitResult:
         """Lane j as a ``FitResult``; raises RankDeficient where it failed
@@ -370,16 +384,26 @@ def _lane_gradient(A, x, r):
     return grad
 
 
-def _lane_weights(lf, y, A, x, eta, state):
-    """Each lane's gradient (k x C) and the Gram weights of H1 and of
-    H1 - H0 (C x n, or 1 x n while the lanes share eta; the same array when
-    h'' vanishes) at eta, from the link ``state`` that ``log_lik`` left
-    there. The C x n link terms die on return."""
+def _newton_weights(lf, y, eta, state):
+    """At eta, from the link ``state`` that ``log_lik`` left there: each
+    observation's score residual r = (y - mu) h' = dl/deta, and the Gram
+    weights of H1 and of H1 - H0 (the same array when h'' vanishes), all
+    C x n, or 1 x n while the lanes share eta. The link terms die on
+    return."""
     mu, sigma2, hp, hpp = lf.newton_terms(eta, state)
     resid = y - mu
-    grad = _lane_gradient(A, x, resid * hp)
-    w1 = sigma2 * hp * hp
-    return grad, w1, w1 if hpp is None else w1 - resid * hpp
+    r = resid * hp
+    w1 = sigma2 * hp
+    w1 *= hp
+    del mu, sigma2, hp
+    return r, w1, w1 if hpp is None else w1 - resid * hpp
+
+
+def _lane_weights(lf, y, A, x, eta, state):
+    """Each lane's gradient (k x C) and the Gram weights of H1 and of
+    H1 - H0 at eta (see ``_newton_weights``)."""
+    r, w1, w = _newton_weights(lf, y, eta, state)
+    return _lane_gradient(A, x, r), w1, w
 
 
 def _lane_direction(lf, y, A, Z, iu, x, eta, state, first):
@@ -431,16 +455,51 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, first):
     return d, (grad * d).sum(axis=0) / 2, ok, ok & ~direct, rank_deficient
 
 
-def _step_search(lf, y, A, x, eta, d, ll, ok, conv):
+def _dual_bound(lf, y, A, x, caps, eta, state, dx):
+    """Each lane's weak-duality bound on the log-likelihood of every iterate
+    whose coefficients lie in the box |beta_j| <= caps[j], from the lanes at
+    eta (with its link ``state``) whose full steps change eta by dx (C x n).
+
+    For any u in the domain of phi_i(u) = inf_eta [u eta - l_i(eta)],
+    l_i(eta_i) <= u_i eta_i - phi_i(u_i), and sum_i u_i eta_i = u'X beta is
+    at most sum_j caps[j] |(X'u)_j|; so the log-likelihood is at most that
+    sum minus sum_i phi_i(u_i), and any lower bound on phi keeps it a bound
+    (``lf.dual_floor``). The dual point is the score residual linearized
+    at the full step, u = r - w dx, clipped into phi's domain: where the
+    step solved H d = g, X'(r - w dx) = g - H d = 0 before the clip. The
+    kernel's l_i is l itself except where its mu floor or theta clip
+    flattens it (``lf.flat_eta``), so a lane with an observation within 1
+    of a flat end, at eta or after the full step, gets no bound (inf): its
+    current log-likelihood could exceed the bound. An iterate with an
+    observation on a flat end is not covered; covering it over the whole
+    coefficient box leaves a bound too loose to retire any lane."""
+    r, w1, w = _newton_weights(lf, y, eta, state)
+    del w1
+    u = w * dx
+    del w
+    np.subtract(r, u, out=u)
+    del r
+    phi = lf.dual_floor(u, y)  # clips u first: X'u is that of the clipped u
+    bound = caps @ np.abs(_lane_gradient(A, x, u)) - phi
+    del u
+    hi, lo = lf.flat_eta
+    one = y == 1.0
+    # each observation's signed distance past its flat end's margin
+    sign, edge = np.where(one, -1.0, 1.0), np.where(one, -lo - 1.0, hi - 1.0)
+    near = (eta * sign > edge).any(axis=1) | ((eta + dx) * sign > edge).any(axis=1)
+    bound[near] = np.inf
+    return bound
+
+
+def _step_search(lf, y, eta, dx, ll, ok, conv):
     """The step halving of one iteration, for the lanes at eta (C x n, or
-    1 x n while they share it) with directions d (k x C): the lanes still
-    searching all stand at the same step 2^-tried, and a converged lane
-    tries only the full step. A lane takes the first (longest) step that
-    does not lower its log-likelihood ll. Returns (each lane's step, its
-    log-likelihood there, -inf where no step was taken, and that trial's
-    eta and link state as C x n arrays whose other rows are undefined).
-    The step's C x n products die on return."""
-    dx = d[:-1].T @ A.T + d[-1][:, None] * x
+    1 x n while they share it) whose full steps change eta by dx (C x n):
+    the lanes still searching all stand at the same step 2^-tried, and a
+    converged lane tries only the full step. A lane takes the first
+    (longest) step that does not lower its log-likelihood ll. Returns (each
+    lane's step, its log-likelihood there, -inf where no step was taken,
+    and that trial's eta and link state as C x n arrays whose other rows
+    are undefined). The trials' C x n arrays die on return."""
     eta_all = np.broadcast_to(eta, dx.shape)
     lanes = dx.shape[0]
     step = np.ones(lanes)
@@ -474,16 +533,18 @@ def _step_search(lf, y, A, x, eta, d, ll, ok, conv):
     return step, ll_t, eta_t, state_t
 
 
-def _newton_block(y, A, Z, iu, x, lf, start):
+def _newton_block(y, A, Z, iu, x, lf, start, pick_only=False, best=-np.inf):
     """``_newton_lanes`` for one block: the designs [A, x_j] for the rows
     x_j of x (C x n). Every per-lane array over the n observations is
     C x n with one row per lane, so each lane's sums run over its own
     contiguous row. Each C x n array is freed once it is spent, by the
     return of the helper that made it or by ``del``, so the block's peak
-    holds few of them (see ``LANE_BLOCK_CELLS``)."""
+    holds few of them (see ``LANE_BLOCK_CELLS``). ``best`` is the largest
+    log-likelihood the call's earlier blocks reached."""
     width = x.shape[0]
     k = A.shape[1] + 1
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
+    bounding = pick_only and lf.flat_eta is not None
 
     def flags():
         return np.zeros(width, dtype=bool)
@@ -492,10 +553,12 @@ def _newton_block(y, A, Z, iu, x, lf, start):
         beta=np.empty((k, width)), log_lik=np.empty(width), converged=flags(),
         iterations=np.zeros(width, dtype=int), used_fisher_fallback=flags(),
         quasi_separated=flags(), eta_clamped=flags(), rank_deficient=flags(),
+        retired=flags(),
     )
     lanes = np.arange(width)  # block position of each iterating lane
     beta = np.repeat(start[:, None], width, axis=1)
-    exempt = np.abs(start) > BETA_CAP  # coefficients the cap does not bind
+    # each coefficient's box: BETA_CAP, or BETA_CAP beyond a start outside it
+    caps = np.where(np.abs(start) > BETA_CAP, np.abs(start) + BETA_CAP, BETA_CAP)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # when the lanes start with their own coefficient at 0 they all share
         # one eta, so it stays 1 x n (and the first iteration's weights are
@@ -514,6 +577,9 @@ def _newton_block(y, A, Z, iu, x, lf, start):
             d, gain, ok, fell_back, rd = _lane_direction(
                 lf, y, A, Z, iu, x, eta_c, state, it == 1
             )
+            dx = d[:-1].T @ A.T + d[-1][:, None] * x  # each full step's eta change
+            bound = (_dual_bound(lf, y, A, x, caps, eta_c, state, dx)
+                     if bounding and it <= BOUND_ITERS else None)
             del eta_c, state  # spent
             out.rank_deficient[lanes[rd]] = True
             out.used_fisher_fallback[lanes] |= fell_back
@@ -523,14 +589,13 @@ def _newton_block(y, A, Z, iu, x, lf, start):
 
             # the eta and link state of a lane's accepted trial carry over
             # to its next iteration
-            step, ll_t, eta_t, state_t = _step_search(
-                lf, y, A, x, eta, d, ll, ok, conv
-            )
+            step, ll_t, eta_t, state_t = _step_search(lf, y, eta, dx, ll, ok, conv)
+            del dx
             accepted = np.isfinite(ll_t)
             beta_t = beta + step * d
             size = np.abs(beta_t)
-            size[exempt] = 0.0
-            capped = size.max(axis=0) > BETA_CAP
+            size -= caps[:, None]
+            capped = size.max(axis=0) > 0.0
             out.quasi_separated[lanes] = accepted & capped
             # a converged lane's last step is taken; an unconverged lane
             # whose step gains nothing has stalled, and stays where it is
@@ -538,6 +603,13 @@ def _newton_block(y, A, Z, iu, x, lf, start):
             move = take & ~conv
             beta = np.where(take, beta_t, beta)
             ll = np.where(take, ll_t, ll)
+            if bound is not None:
+                # every lane ascends, so some lane ends at or above best,
+                # and a lane bounded below it cannot be picked
+                best = max(best, np.fmax.reduce(ll))
+                retire = move & (bound < best - 1e-7 * (1.0 + abs(best)))
+                out.retired[lanes] = retire
+                move &= ~retire
             done = ~move
             out.beta[:, lanes[done]] = beta[:, done]
             out.log_lik[lanes[done]] = ll[done]
@@ -571,7 +643,7 @@ def _first_copies(X, cols):
     return first
 
 
-def _newton_lanes(y, A, X, cols, lf, start):
+def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
     """Damped Newton ascent on the designs [A, X[:, j]] for every j in
     ``cols`` at once, as a ``LaneFits`` with one lane per entry of ``cols``.
 
@@ -587,9 +659,22 @@ def _newton_lanes(y, A, X, cols, lf, start):
     ``MAX_HALVINGS`` halvings, an accepted step that gains nothing (a stall,
     left where it stands), a step that would take some |beta_j| above
     ``BETA_CAP`` (quasi-separated, left at the last in-cap iterate; a
-    coefficient whose start lies beyond the cap is exempt from it) and
-    ``MAX_ITER`` iterations. eta is clamped into the link's domain wherever
-    it is evaluated.
+    coefficient whose start lies beyond the cap is held to |start_j| +
+    ``BETA_CAP`` instead) and ``MAX_ITER`` iterations. eta is clamped into
+    the link's domain wherever it is evaluated.
+
+    A ``pick_only`` call serves a caller that keeps only the lane with the
+    largest log-likelihood (the lowest index among equal ones): at each of
+    its first ``BOUND_ITERS`` iterations a lane also leaves, flagged
+    ``retired``, once its ``_dual_bound`` lies below the best log-likelihood
+    any lane of the call has reached by 1e-7 (1 + |best|). That best
+    carries across blocks. Every lane ascends, so the lane that reached it
+    ends at or above it, and no retired lane can reach or tie the pick; a
+    retired lane reports where it stood. The bound covers the pairs with a
+    ``flat_eta`` (Bernoulli logit and cloglog); under any other pair a
+    pick-only call fits every lane in full. The pick is that of the full
+    call, but its fit's last bits can differ: lanes leave the blocks
+    sooner, and BLAS rounds by lane count and position.
 
     Each distinct column (by byte equality) is fitted once, so duplicated
     columns get bit-equal results (BLAS rounds by lane position), and the
@@ -617,10 +702,11 @@ def _newton_lanes(y, A, X, cols, lf, start):
             pos += m - a
     start = np.asarray(start, dtype=float)
     width = max(1, LANE_BLOCK_CELLS // max(n, k * k))
-    parts = [
-        _newton_block(y, A, Z, iu, X.T[cols[distinct[s:s + width]]], lf, start)
-        for s in range(0, distinct.size, width)
-    ]
+    parts, best = [], -np.inf
+    for s in range(0, distinct.size, width):
+        parts.append(_newton_block(y, A, Z, iu, X.T[cols[distinct[s:s + width]]], lf,
+                                   start, pick_only, best))
+        best = max(best, np.fmax.reduce(parts[-1].log_lik))
     lane_of = np.searchsorted(distinct, first)  # each col's place among the distinct
     return LaneFits(**{
         f.name: np.concatenate([getattr(part, f.name) for part in parts], axis=-1)[..., lane_of]
@@ -645,12 +731,12 @@ def fit_mle(lf: LinkFamily, data: Dataset, model: ModelIndex) -> FitResult:
     last column, and the lane is that column. Raises RankDeficient when
     X(model) is not of full column rank. The fit has converged once its
     step's predicted gain g'd / 2 is at most ``DEC_TOL`` (1 + |loglik|). A
-    fit that would take a coefficient above ``BETA_CAP`` (one that starts
-    beyond it is exempt) is stopped at the last in-cap iterate and flagged
-    ``quasi_separated``. A stall (a step that gains nothing) or
-    ``MAX_ITER`` iterations without convergence are reported through
-    ``converged=False``, not as an error. A y the family cannot model
-    raises DataError naming its row.
+    fit that would take a coefficient above ``BETA_CAP`` (or one that starts
+    beyond it above |start| + ``BETA_CAP``) is stopped at the last in-cap
+    iterate and flagged ``quasi_separated``. A stall (a step that gains
+    nothing) or ``MAX_ITER`` iterations without convergence are reported
+    through ``converged=False``, not as an error. A y the family cannot
+    model raises DataError naming its row.
     """
     lf.family.validate_y(data.y)
     X = _design(data, model)

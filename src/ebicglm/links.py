@@ -21,6 +21,7 @@ imports SciPy to fit, screen, select or score.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,6 +30,8 @@ from .errors import DataError, DomainError, UnsupportedPair
 
 _LOG1E12 = math.log(1e12)
 _LOG_MU_FLOOR = math.log(1e-12)
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +347,20 @@ class LinkFamily:
     #: open interval of admissible linear predictors
     eta_domain = (-np.inf, np.inf)
 
+    #: for the pairs that state ``dual_floor``: (hi, lo), the kernel's
+    #: log-likelihood of a y = 0 observation is flat for eta above hi (the mu
+    #: floor or the theta clip) and that of a y = 1 observation below lo;
+    #: None for the other pairs
+    flat_eta = None
+
+    def dual_floor(self, u, y):
+        """Each row's sum over the observations of a lower bound on
+        phi_i(u_i) = inf_eta [u_i eta - l_i(eta)], the concave conjugate of
+        the per-observation log-likelihood l_i, after clipping the C x n
+        array u into phi's domain in place. Only the pairs with a
+        ``flat_eta`` state it: the Bernoulli pairs whose l_i is concave."""
+        raise NotImplementedError
+
     def __init__(self, family: Family, link: Link):
         self.family = family
         self.link = link
@@ -423,6 +440,19 @@ class _CanonicalLF(LinkFamily):
         return self._terms_from_h(th, np.broadcast_to(1.0, th.shape), None)
 
 
+class _BernoulliLogitLF(_CanonicalLF):
+    """Bernoulli + logit: l_i(eta) = y eta - log(1 + e^eta), whose conjugate
+    is the binary entropy phi_i(u) = H(y - u) on y - 1 <= u <= y."""
+
+    flat_eta = (Bernoulli.theta_clip[1], Bernoulli.theta_clip[0])
+
+    def dual_floor(self, u, y):
+        # v = y - u kept inside (0, 1), where H is finite
+        np.clip(u, y - (1.0 - _EPS), y - _EPS, out=u)
+        v = y - u
+        return -(v * np.log(v) + (1.0 - v) * np.log1p(-v)).sum(axis=-1)
+
+
 class _BinaryCdfLF(LinkFamily):
     """Bernoulli with a smooth CDF link G: h = logit(G(eta)).
 
@@ -497,6 +527,20 @@ class _BernoulliCloglogLF(LinkFamily):
             hpp[tiny] = 0.5 * u[tiny]
         return a, a * emu, hp, hpp
 
+    # a y = 1 observation is on the mu floor below eta = log(-log1p(-1e-12)),
+    # a y = 0 one on the 1 - mu floor above eta = log(-log 1e-12)
+    flat_eta = (math.log(-_LOG_MU_FLOOR), math.log(-math.log1p(-1e-12)))
+
+    def dual_floor(self, u, y):
+        # y = 0: l = -e^eta, so phi(u) = u log(-u) - u on u <= 0, with u
+        # kept below 0, where it is finite; y = 1: u in [0, 1], and phi is
+        # read off the chord table
+        one = y == 1.0
+        u0 = np.minimum(u[:, ~one], -_TINY)
+        u1 = np.clip(u[:, one], 0.0, 1.0)
+        u[:, ~one], u[:, one] = u0, u1
+        return (u0 * (np.log(-u0) - 1.0)).sum(axis=-1) + _cloglog_chords(u1).sum(axis=-1)
+
     def _log_lik(self, y, state):
         # y log mu + (1 - y) log(1 - mu) with log(1 - mu) = -u exactly
         u, a = state
@@ -504,6 +548,50 @@ class _BernoulliCloglogLF(LinkFamily):
         log_1m = np.maximum(-u, _LOG_MU_FLOOR)
         return ((y * log_mu).sum(axis=-1) - (y * log_1m).sum(axis=-1)
                 + log_1m.sum(axis=-1))
+
+
+#: the cloglog chord table's nodes are u = 1 / (1 + e^-t) for t = -30,
+#: -30 + 1/32, ..., 30: distinct doubles strictly inside (0, 1)
+_CHORD_T, _CHORD_PER_UNIT = 30, 32
+
+
+@functools.cache
+def _cloglog_chord_table():
+    """The nodes u_0 = 0 < u_1 < ... < u_K = 1 of the chord table of phi
+    for a y = 1 observation under cloglog (l(eta) = log(1 - e^-v), v =
+    e^eta), and each chord's intercept and slope. The inner nodes are
+    u = 1 / (1 + e^-t) on the grid of t; phi(0) = phi(1) = 0."""
+    t = np.arange(-_CHORD_T * _CHORD_PER_UNIT, _CHORD_T * _CHORD_PER_UNIT + 1) / _CHORD_PER_UNIT
+    u = 1.0 / (1.0 + np.exp(-t))
+    # phi(u) = u eta - l(eta) where l'(eta) = v / expm1(v) = u, which falls
+    # as eta rises: bisect for that eta. Any eta gives at least phi(u), so
+    # each value is shifted below phi by more than its rounding
+    lo, hi = np.full(t.size, -40.0), np.full(t.size, 5.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        v = np.exp(mid)
+        rising = v / np.expm1(v) > u
+        lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+    eta = 0.5 * (lo + hi)
+    ue, ll = u * eta, np.log(-np.expm1(-np.exp(eta)))
+    phi = ue - ll - 1e-13 * (1.0 + np.abs(ue) + np.abs(ll))
+    nodes = np.concatenate([[0.0], u, [1.0]])
+    values = np.concatenate([[0.0], phi, [0.0]])
+    slope = np.diff(values) / np.diff(nodes)
+    return nodes, values[:-1] - slope * nodes[:-1], slope
+
+
+def _cloglog_chords(u):
+    """A lower bound on phi (see ``_cloglog_chord_table``) at each u in
+    [0, 1]: phi is concave, so the chord between two nodes lies below it
+    there. The chord of u is found from logit(u) by arithmetic."""
+    _nodes, icpt, slope = _cloglog_chord_table()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at = (np.log(u) - np.log1p(-u) + _CHORD_T) * _CHORD_PER_UNIT + 1.0
+        # u = 0 and u = 1 give -inf and inf; fmin and fmax send a NaN to
+        # chord 0, where its value stays NaN
+        c = np.fmin(np.fmax(at, 0.0), slope.size - 1).astype(np.intp)
+    return icpt[c] + slope[c] * u
 
 
 class _BernoulliIdentityLF(LinkFamily):
@@ -570,7 +658,7 @@ class _GammaPowerLF(LinkFamily):
 
 
 _COMPOSITES = {
-    ("bernoulli", "logit"): _CanonicalLF,
+    ("bernoulli", "logit"): _BernoulliLogitLF,
     ("bernoulli", "probit"): _BinaryCdfLF,
     ("bernoulli", "cauchit"): _BinaryCdfLF,
     ("bernoulli", "cloglog"): _BernoulliCloglogLF,

@@ -12,6 +12,22 @@ only itself. The step's reported fit is its winner's lane of that same call,
 so every fit the path reports comes from the one kernel. Ties go to the
 lower feature index.
 
+A step keeps only its winner, so its call is pick-only: under Bernoulli
+logit and cloglog, whose per-observation log-likelihoods l_i are concave,
+each lane is bounded at its first two iterations by weak duality. For any
+u in the domain of the conjugate phi_i(u) = inf_eta [u eta - l_i(eta)],
+every coefficient vector in the lane's box |beta_j| <= cap_j has
+log-likelihood at most sum_j cap_j |(X'u)_j| - sum_i phi_i(u_i); u is the
+score residual linearized at the Newton step, clipped into phi's domain.
+A lane whose bound lies below the best log-likelihood any lane has reached
+(less a rounding margin) cannot win, since that lane only climbs, and is
+retired. So the pick is the full call's, while the winner's fit can move in
+its last bits (its block's lanes leave sooner, and BLAS rounds by lane
+count). The bound is that of the log-likelihood without the mu floor and
+theta clip that flatten it far out, so a lane with an observation near a
+flat end is not bounded, and one that would reach a flat end only after it
+retires is not covered. Every other pair fits every candidate in full.
+
 Every candidate model at a given step has the same size, so the step's
 argmin of EBIC is its argmax of log-likelihood for every gamma: one path is
 grown, and all gammas are read off it by prefix minimization. No fit's
@@ -77,9 +93,15 @@ def screen_mme(
 
 @dataclass
 class SelectionStep:
+    """A step of the path, with its kernel call's work: its candidate lanes,
+    their Newton iterations summed, and the lanes it retired."""
+
     feature: int
     fit: FitResult
     scores: tuple  # ModelScore per gamma, aligned with SelectionPath.gammas
+    lanes: int
+    lane_iterations: int
+    retired: int
 
 
 @dataclass
@@ -156,7 +178,8 @@ def _forward_step(lf, data, current, cur_beta, remaining, gammas, include_interc
     if include_intercept:
         shared[:, 0] = 1.0
     shared[:, off:] = data.X[:, current]
-    fits = _newton_lanes(data.y, shared, data.X, remaining, lf, np.append(cur_beta, 0.0))
+    fits = _newton_lanes(data.y, shared, data.X, remaining, lf, np.append(cur_beta, 0.0),
+                         pick_only=True)
     score = np.where(fits.rank_deficient | ~np.isfinite(fits.log_lik), -np.inf,
                      fits.log_lik)
     if score.max() == -np.inf:
@@ -171,7 +194,10 @@ def _forward_step(lf, data, current, cur_beta, remaining, gammas, include_interc
     model = ModelIndex(tuple(cols), include_intercept=include_intercept)
     step_fit = replace(best_fit, beta=beta_sorted)
     scores = tuple(ebic_score(step_fit, model, n, p, g) for g in gammas)
-    return SelectionStep(feature=best_feature, fit=step_fit, scores=scores), best_fit.beta
+    step = SelectionStep(feature=best_feature, fit=step_fit, scores=scores,
+                         lanes=len(remaining), lane_iterations=int(fits.iterations.sum()),
+                         retired=int(fits.retired.sum()))
+    return step, best_fit.beta
 
 
 def forward_select(
@@ -184,11 +210,15 @@ def forward_select(
 ) -> SelectionPath:
     """Grow the greedy path, fitting every remaining candidate at each step.
 
-    Each step fits all remaining candidates with one ``_newton_lanes`` call
-    (blocks of lanes bounded by ``glm.LANE_BLOCK_CELLS``) and takes the
-    largest log-likelihood, lowest index among equal ones. That lane of the
-    call is the step's reported fit, flags included, and its beta starts the
-    next step.
+    Each step fits all remaining candidates with one pick-only
+    ``_newton_lanes`` call (blocks of lanes bounded by
+    ``glm.LANE_BLOCK_CELLS``) and takes the largest log-likelihood, lowest
+    index among equal ones. A lane that a weak-duality bound shows cannot
+    win is retired early (see the module docstring), so the pick is that of
+    fitting every candidate in full; the winner's fit may differ from that
+    full call's in its last bits. That lane of the call is the step's
+    reported fit, flags included, and its beta starts the next step; the
+    step also records its call's lanes, lane-iterations and retired lanes.
 
     Stops at ``max_steps``, when the model reaches n - 2 covariates, when no
     candidate is left, when no candidate yields a usable fit (finite

@@ -128,9 +128,16 @@ def one_lane_fits(y, A, X, cols, lf, start):
     })
 
 
-def check_batching(y, A, X, cols, lf, start, clamped_log_lik=True):
-    """``_newton_lanes(y, A, X, cols, lf, start)`` and its ``one_lane_fits``,
-    once each lane of the first has matched the same lane of the second.
+def check_batching(y, A, X, cols, lf, start, clamped_log_lik=True, pick_only=False):
+    """``_newton_lanes(y, A, X, cols, lf, start, pick_only)`` and its
+    ``one_lane_fits``, once each lane of the first has matched the same lane
+    of the second.
+
+    A one-lane call fits its lane in full, pick-only or not: its own
+    log-likelihood is the best it can compare a bound with. So a lane that
+    the batched pick-only call retired is checked only to end, fitted in
+    full, strictly below the log-likelihood of the call's pick; it passed
+    the rank test. Every other lane is compared as follows.
 
     Every flag is equal, and so is the finiteness of the log-likelihood.
     Where it is finite, the log-likelihoods agree within tol = 1e-9
@@ -146,13 +153,17 @@ def check_batching(y, A, X, cols, lf, start, clamped_log_lik=True):
     whose clamped fits creep further than the tolerance; their flags are
     still compared.
     """
-    got = _newton_lanes(y, A, X, cols, lf, start)
+    got = _newton_lanes(y, A, X, cols, lf, start, pick_only)
     ref = one_lane_fits(y, A, X, cols, lf, start)
+    retired = got.retired
+    assert pick_only or not retired.any()
+    assert not ref.retired.any() and not ref.rank_deficient[retired].any()
+    assert np.all(ref.log_lik[retired] < usable_log_liks(got).max())
     for flag in ("rank_deficient", "converged", "quasi_separated", "eta_clamped",
                  "used_fisher_fallback"):
-        assert np.array_equal(getattr(got, flag), getattr(ref, flag)), flag
-    finite = np.isfinite(ref.log_lik)
-    assert np.array_equal(np.isfinite(got.log_lik), finite)
+        assert np.array_equal(getattr(got, flag)[~retired], getattr(ref, flag)[~retired]), flag
+    finite = np.isfinite(ref.log_lik) & ~retired
+    assert np.array_equal(np.isfinite(got.log_lik) & ~retired, finite)
     creeping = ref.eta_clamped & ~ref.converged
     tol = 1e-9 * (1 + np.abs(np.where(finite, ref.log_lik, 0.0)))
     compared = finite if clamped_log_lik else finite & ~creeping

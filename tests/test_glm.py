@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from ebicglm import (
     DataError,
@@ -25,7 +25,7 @@ from ebicglm import (
     parse_link_family,
     score,
 )
-from ebicglm import glm
+from ebicglm import glm, links
 from ebicglm.glm import DEC_TOL, _design, _first_copies, _initial_beta
 from helpers import (
     ALL_PAIRS,
@@ -33,9 +33,12 @@ from helpers import (
     fd_gradient,
     fd_jacobian,
     irls_logit,
+    one_lane_fits,
     random_instance,
     rel_err,
     screen_call,
+    step_call,
+    usable_log_liks,
 )
 
 E = math.e
@@ -398,6 +401,21 @@ def test_a_start_beyond_the_cap_is_exempt_from_it(link, family, draw):
     np.testing.assert_allclose(fit.beta, best.x, rtol=1e-4)
 
 
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_an_exempt_coefficient_is_boxed_beyond_its_start(value):
+    # cauchit on a constant y starts its intercept at g(ybar) = -+318, past
+    # the cap; the log-likelihood rises toward 0 without end along it, so the
+    # fit stops at its box, |start| + BETA_CAP, and is flagged as the
+    # separated fits of logit and cloglog are
+    lf = parse_link_family("cauchit")
+    x = np.random.default_rng(0).standard_normal(200)
+    data = Dataset(np.full(200, value), x[:, None])
+    start = _initial_beta(lf, data.y, 2, True)
+    fit = fit_mle(lf, data, ModelIndex((0,)))
+    assert fit.quasi_separated and not fit.converged
+    assert abs(fit.beta[0]) <= abs(start[0]) + glm.BETA_CAP
+
+
 @pytest.mark.parametrize("include_intercept", [True, False])
 @pytest.mark.parametrize("link", ["identity", "arcsin"])
 def test_clamped_fit_is_flagged(link, include_intercept):
@@ -553,13 +571,10 @@ def test_first_copies_match_a_loop_over_column_bytes():
             assert _first_copies(M, cols).tolist() == want
 
 
-@pytest.mark.parametrize("link", ["logit", "cloglog"])
-def test_a_block_holds_at_most_12_lane_arrays(link):
-    # a block of C = 1024 lanes x n = 64 (2^16 cells, the block size), from a
-    # lane coefficient of 0.5: the lanes leave over many iterations, so the
-    # block is compacted, and some iterations halve the step of a few lanes.
-    # Each spent C x n array must be freed before the next is made, so the
-    # block's peak stays at or below 12 C x n arrays
+def _lane_block(link):
+    """The arguments of ``glm._newton_block`` for a block of C = 1024 lanes x
+    n = 64 (2^16 cells, the block size), from a lane coefficient of 0.5, so
+    that every lane has its own eta from the first iteration on."""
     rng = np.random.default_rng(0)
     n, lanes = 64, 1024
     y = (rng.random(n) < 0.4).astype(float)
@@ -570,14 +585,29 @@ def test_a_block_holds_at_most_12_lane_arrays(link):
     lf = parse_link_family(link)
     A = np.ones((n, 1))
     start = np.array([_initial_beta(lf, y, 1, True)[0], 0.5])
-    args = (y, A, A * A, np.triu_indices(1), x, lf, start)
-    glm._newton_block(*args)  # warm-up: numpy's first-call allocations
+    return y, A, A * A, np.triu_indices(1), x, lf, start
+
+
+def _block_peak(args, pick_only=False):
+    """The block's fits and its peak of traced memory."""
+    glm._newton_block(*args, pick_only=pick_only)  # warm-up: numpy's first-call allocations
     tracemalloc.start()
     try:
-        fits = glm._newton_block(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        fits = glm._newton_block(*args, pick_only=pick_only)
+        return fits, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("link", ["logit", "cloglog"])
+def test_a_block_holds_at_most_12_lane_arrays(link):
+    # the lanes leave over many iterations, so the block is compacted, and
+    # some iterations halve the step of a few lanes. Each spent C x n array
+    # must be freed before the next is made, so the block's peak stays at or
+    # below 12 C x n arrays
+    args = _lane_block(link)
+    lf, x = args[5], args[4]
+    fits, peak = _block_peak(args)
     assert peak <= 12 * x.nbytes, peak / x.nbytes
     # the peak covers both moves: lanes left at different iterations, and an
     # iteration tried a halved step on fewer lanes than its full step
@@ -597,6 +627,124 @@ def test_a_block_holds_at_most_12_lane_arrays(link):
     lf.newton_terms, lf.log_lik = terms_spy, log_lik_spy
     glm._newton_block(*args)
     assert any(0 < c[1] < c[0] for c in calls if len(c) > 1)
+
+
+@pytest.mark.parametrize("link", ["logit", "cloglog"])
+def test_a_pick_only_block_holds_at_most_12_lane_arrays(link):
+    # the bounds of the first two iterations add their own C x n arrays; a
+    # third of the lanes and more retire, at both iterations
+    args = _lane_block(link)
+    x = args[4]
+    fits, peak = _block_peak(args, pick_only=True)
+    assert peak <= 12 * x.nbytes, peak / x.nbytes
+    assert fits.retired.sum() > x.shape[0] // 3
+    assert set(fits.iterations[fits.retired]) == {1, 2}
+
+
+# ---------------------------------------------------------------------------
+# the weak-duality bound of a pick-only call
+# ---------------------------------------------------------------------------
+
+DUAL_LINKS = [link for link, family in ALL_PAIRS
+              if parse_link_family(link, family).flat_eta is not None]
+
+
+def _dual_instance(link, seed):
+    """A forward step's kernel call (y, A, X, cols, lf, start) on Bernoulli
+    data whose candidates include heavy-tailed and wide columns, a column
+    split by the response and one split with a few cells far on the wrong
+    side, so that fits reach the beta cap and the mu floor. The step starts
+    from the fit of 0-2 columns, with or without an intercept."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(15, 60))
+    X = rng.standard_normal((n, 8))
+    X[:, 1] = rng.standard_cauchy(n)
+    X[:, 2] = 10.0 * rng.standard_cauchy(n)
+    X[:, 3] *= 20.0
+    signal = rng.uniform(-3.0, 3.0) * X[:, 0] + rng.uniform(-2.0, 2.0)
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-signal))).astype(float)
+    y[:2] = (0.0, 1.0)
+    X[:, 4] = (2.0 * y - 1.0) * rng.choice([0.3, 1.0, 3.0])
+    X[:, 5] = X[:, 4] + 0.3 * rng.standard_normal(n)
+    wrong = rng.random(n) < 0.1
+    X[wrong, 5] *= -rng.choice([1.0, 50.0])
+    lf = parse_link_family(link)
+    data = Dataset(y, X)
+    current = sorted(int(j) for j in rng.choice([0, 1, 6, 7], rng.integers(0, 3), replace=False))
+    include_intercept = bool(rng.integers(2))
+    init = fit_mle(lf, data, ModelIndex(current, include_intercept)).beta
+    remaining = [j for j in range(8) if j not in current]
+    return step_call(lf, data, current, remaining, init, include_intercept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(link=st.sampled_from(DUAL_LINKS), seed=st.integers(0, 2**16))
+def test_every_bound_lies_above_its_lanes_final_log_likelihood(link, seed):
+    # the bounds of a pick-only call, recorded and then discarded so that no
+    # lane retires: each is at least the log-likelihood the lane ends at
+    call = _dual_instance(link, seed)
+    y, A, X, cols = call[:4]
+    bounds = []
+    dual_bound = glm._dual_bound
+
+    def record(lf, y, A, x, caps, eta, state, dx):
+        bound = dual_bound(lf, y, A, x, caps, eta, state, dx)
+        bounds.append((x.copy(), bound))
+        return np.full_like(bound, np.inf)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glm, "_dual_bound", record)
+        fits = glm._newton_lanes(*call, pick_only=True)
+    assert bounds and not fits.retired.any()
+    lane_of = {X[:, j].tobytes(): i for i, j in enumerate(cols)}
+    for x, bound in bounds:
+        final = fits.log_lik[[lane_of[row.tobytes()] for row in x]]
+        assert not np.any(bound < final - 1e-9 * (1 + np.abs(final)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(link=st.sampled_from(DUAL_LINKS), seed=st.integers(0, 2**16))
+def test_no_retired_lane_reaches_the_pick(link, seed):
+    # each lane fitted in full by a one-lane call: a retired lane ends
+    # strictly below the pick, and the pick ties the best of them. (Here
+    # rounding can move a lane's flags with the lanes beside it, so the
+    # other lanes are not compared flag by flag as check_batching does.)
+    call = _dual_instance(link, seed)
+    got, full = glm._newton_lanes(*call, pick_only=True), one_lane_fits(*call)
+    picked = usable_log_liks(got).max()
+    assert np.all(full.log_lik[got.retired] < picked)
+    best = usable_log_liks(full).max()
+    assert usable_log_liks(full)[np.argmax(usable_log_liks(got))] >= best - 1e-9 * (1 + abs(best))
+
+
+def _cloglog_phi(u):
+    """phi(u) = inf_eta [u eta - l(eta)] for a y = 1 observation under
+    cloglog, from the root of l'(eta) = u by ``brentq``, and the size of
+    its terms."""
+    if u in (0.0, 1.0):
+        return 0.0, 1.0
+    with np.errstate(over="ignore"):
+        eta = brentq(lambda e: np.exp(e) / np.expm1(np.exp(e)) - u, -80.0, 7.0,
+                     xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500)
+    ll = np.log(-np.expm1(-np.exp(eta)))
+    return u * eta - ll, 1.0 + abs(u * eta) + abs(ll)
+
+
+def test_the_cloglog_chord_table_lies_below_phi():
+    nodes, _icpt, _slope = links._cloglog_chord_table()
+    # distinct nodes strictly inside (0, 1) between the end nodes 0 and 1
+    assert nodes[0] == 0.0 and nodes[-1] == 1.0 and np.all(np.diff(nodes) > 0)
+    inner = nodes[1:-1:7]
+    u = np.unique(np.concatenate([
+        np.linspace(0.0, 1.0, 1001), inner, np.nextafter(inner, 0.0),
+        np.nextafter(inner, 1.0), 1.0 / (1.0 + np.exp(-np.linspace(-40.0, 40.0, 401))),
+        [np.finfo(float).tiny, 1e-300, 1.0 - np.finfo(float).epsneg],
+    ]))
+    phi, size = np.array([_cloglog_phi(v) for v in u]).T
+    low = links._cloglog_chords(u)
+    assert np.all(low <= phi + 8 * np.finfo(float).eps * size)
+    # and close enough to phi to be of use
+    assert np.max(phi - low) <= 1e-4
 
 
 def test_model_too_large_rejected():

@@ -39,6 +39,7 @@ from ebicglm import (
 )
 from ebicglm import glm
 from ebicglm import select as select_mod
+from ebicglm.experiments import _map_tasks
 from ebicglm.glm import LANE_BLOCK_CELLS, _newton_lanes
 
 
@@ -234,9 +235,10 @@ def _step_data(family, seed=0):
 
 def _check_path_by_lanes(lf, data, path, include_intercept, max_steps):
     """Follow the batched path step by step, each from the path's own start:
-    every lane of the step's kernel call matches its own one-lane call, the
-    pick's one-lane log-likelihood ties the best one up to float noise, and
-    the step reports the pick's lane of the call. The path ends for the
+    every lane of the step's pick-only kernel call matches its own one-lane
+    call, or was retired and ends below the pick there (``check_batching``),
+    the pick's one-lane log-likelihood ties the best one up to float noise,
+    and the step reports the pick's lane of the call. The path ends for the
     reason it gives: where the one-lane fits leave nothing usable, where
     their next step cannot lower any gamma's EBIC minimum, or at a size
     cap."""
@@ -245,7 +247,8 @@ def _check_path_by_lanes(lf, data, path, include_intercept, max_steps):
     current, remaining = [], list(range(data.p))
     for step in path.steps:
         fits, one_lane = check_batching(
-            *step_call(lf, data, current, remaining, init, include_intercept))
+            *step_call(lf, data, current, remaining, init, include_intercept),
+            pick_only=True)
         lls = usable_log_liks(one_lane)
         pick = remaining.index(step.feature)
         assert lls[pick] >= lls.max() - 1e-9 * (1 + abs(lls.max()))
@@ -291,6 +294,8 @@ class TestForwardStepMatchesPerCandidateFits:
         # where no candidate gives a usable fit at step 3
         assert len(path.steps) == (2 if (link, include_intercept) == ("invpower:-2", True) else 4)
         _check_path_by_lanes(lf, data, path, include_intercept, 4)
+        # the pairs that state a dual floor retire lanes, here at step 1
+        assert (path.steps[0].retired > 0) == (lf.flat_eta is not None)
         stopped = forward_select(lf, data, range(data.p), [0.0], 4,
                                  include_intercept=include_intercept)
         assert stopped.features == path.features[: len(stopped.steps)]
@@ -332,6 +337,25 @@ class TestForwardStepMatchesPerCandidateFits:
         # BLAS rounds by lane position, so the block width moves last bits
         for a, b in zip(narrow.steps, wide.steps):
             assert abs(a.fit.log_lik - b.fit.log_lik) <= 1e-9 * (1 + abs(b.fit.log_lik))
+
+
+def _path_work(data, include_intercept):
+    """Each step's (lanes, lane-iterations, retired lanes) on a cloglog path
+    of 6 steps."""
+    path = forward_select(parse_link_family("cloglog"), data, range(data.p), [0.0], 6,
+                          include_intercept)
+    return [(s.lanes, s.lane_iterations, s.retired) for s in path.steps]
+
+
+def test_step_work_counts_repeat_in_pool_workers():
+    # a step's counts come from its kernel call alone, so paths grown on a
+    # pool of 2 workers count what they count in this process; nearly every
+    # lane of a Setting-1 step retires, most after one iteration
+    data = generate_replicate(design_for("S1", 100), 1).dataset
+    here = [_path_work(data, i) for i in (False, True)]
+    assert _map_tasks(data, [(_path_work, i) for i in (False, True)], 2) == here
+    for lanes, lane_iterations, retired in sum(here, []):
+        assert lanes - 10 <= retired < lanes <= lane_iterations < 2 * lanes
 
 
 # ---------------------------------------------------------------------------
