@@ -37,7 +37,12 @@ weak-duality upper bound on the log-likelihood of every iterate inside its
 coefficient box (``_dual_bound``), and a lane whose bound lies below the
 best log-likelihood any lane of the call has reached, by 1e-7 (1 + |best|),
 is retired where it stands. Every lane ascends, so a retired lane cannot be
-picked.
+picked. A step's lanes all start from the same eta, so when they fill more
+than one block their first bounds come from one pass over them before any
+is fitted: one inverse of the shared A'WA gives every lane's Newton step
+through its Schur complement. The lanes are then fitted best first, in
+descending order of those bounds, and most are retired at their start by
+the best log-likelihood that the first few reach.
 """
 
 from __future__ import annotations
@@ -127,8 +132,11 @@ class Dataset:
                 )
             try:
                 body = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float)
-            except ValueError as exc:  # UnicodeDecodeError included
-                raise DataError(f"{path}: missing or unparseable value: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+            except ValueError as exc:
+                # numpy counts rows from 0 or 1 by the fault, so name the row
+                raise DataError(f"{path}: {_bad_row(path, names) or exc}") from None
         if body.size == 0:
             raise DataError(f"{path}: no data rows")
         if body.shape[1] != len(names):
@@ -139,6 +147,31 @@ class Dataset:
 
     def __repr__(self):
         return f"Dataset(n={self.n}, p={self.p})"
+
+
+def _bad_row(path, names):
+    """What is wrong with the first data row of a CSV file that numpy
+    refused, counting data rows from 1 as every other data error does:
+    a number of cells other than the header's, or a cell that is empty or
+    not a number. None where no row shows either (numpy's reason stands)."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        fh.readline()
+        row = 0
+        for line in fh:
+            cells = line.split("#", 1)[0].split(",")  # numpy skips comments and blank lines
+            if len(cells) == 1 and not cells[0].strip():
+                continue
+            row += 1
+            if len(cells) != len(names):
+                return f"data row {row} has {len(cells)} columns, the header {len(names)}"
+            for name, cell in zip(names, cells):
+                if not cell.strip():
+                    return f"data row {row}: column {name!r} is empty"
+                try:
+                    float(cell)
+                except ValueError:
+                    return f"data row {row}: column {name!r} holds {cell.strip()!r}, not a number"
+    return None
 
 
 @dataclass(frozen=True)
@@ -491,6 +524,74 @@ def _dual_bound(lf, y, A, x, caps, eta, state, dx):
     return bound
 
 
+def _beaten(bound, best):
+    """The lanes whose bound lies below best by more than the margin
+    1e-7 (1 + |best|): they cannot reach or tie it."""
+    return bound < best - 1e-7 * (1.0 + abs(best))
+
+
+def _schur_step(P, g_a, b, c, g_x):
+    """The Newton steps of lanes [A, x_j] on H = [[P, b_j], [b_j', c_j]],
+    for the shared P = A'WA, each lane's b_j = A'W x_j (the rows of the
+    C x m b) and c_j = x_j'W x_j, and the gradients [g_a, g_x_j], from P's
+    inverse: the Schur complement s_j = c_j - b_j'P^-1 b_j is H's last
+    squared Cholesky pivot. Returns (the steps as k x C, the mask of lanes
+    whose H is positive definite, and each lane's least squared Cholesky
+    pivot of H over its diagonal entry: the rank test refuses H where that
+    is not above 1e-10, NaN included)."""
+    k, lanes = P.shape[0] + 1, c.size
+    try:
+        L = np.linalg.cholesky(P)
+        inv = np.linalg.inv(P)
+    except np.linalg.LinAlgError:
+        return np.zeros((k, lanes)), np.zeros(lanes, dtype=bool), np.zeros(lanes)
+    a, pb = inv @ g_a, b @ inv
+    s = c - np.einsum("ij,ij->i", b, pb)
+    d = np.empty((k, lanes))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[-1] = (g_x - b @ a) / s
+        d[:-1] = a[:, None] - pb.T * d[-1]
+        lead = np.min(np.diagonal(L) ** 2 / np.diagonal(P), initial=np.inf)
+        pivot = np.minimum(lead, s / c)
+    return d, (s > 0.0) & np.isfinite(d).all(axis=0), pivot
+
+
+def _shared_direction(lf, y, A, x, eta, state):
+    """``_lane_direction``'s first step for lanes (the rows of x, C x n)
+    that all start at the shared eta (1 x n, with its link ``state``) with
+    their own coefficient at 0: the Newton step on H1 - H0, else Fisher
+    scoring on H1, each by ``_schur_step`` rather than by a Gram and a
+    factorization per lane. Returns d as k x C and ``_schur_step``'s pivot
+    ratio of each lane's H1; a lane whose H1 passes the rank test has a
+    step."""
+    r, w1, w = _newton_weights(lf, y, eta, state)
+    weighted = [w1.T * A] if w is w1 else [w1.T * A, w.T * A]
+    # every lane's A'W x_j under each weight and its x_j'r come from one
+    # product, and its x_j'W x_j from another: no other C x n array is made
+    prod = x @ np.hstack(weighted + [r.T])
+    c = (x * x) @ np.vstack([w1, w]).T
+    g_a, g_x, m = A.T @ r[0], prod[:, -1], A.shape[1]
+    d, _, pivot = _schur_step(A.T @ weighted[0], g_a, prod[:, :m], c[:, 0], g_x)
+    if w is not w1:
+        newton, direct, _ = _schur_step(A.T @ weighted[1], g_a, prod[:, m:2 * m],
+                                        c[:, 1], g_x)
+        d = np.where(direct, newton, d)
+    return d, pivot
+
+
+def _shared_bounds(lf, y, A, x, caps, eta, state):
+    """Each lane's iteration-1 ``_dual_bound``, at its step from the shared
+    start (``_shared_direction``). A lane gets inf, and so enters a block,
+    where its bound is not finite or where its H1's pivot ratio is not
+    above 100 times the rank test's 1e-10: the block's rank test then
+    decides it, since a lane retired on this bound never meets that test,
+    and its Cholesky pivots can round apart from the Schur complement's."""
+    d, pivot = _shared_direction(lf, y, A, x, eta, state)
+    dx = d[:-1].T @ A.T + d[-1][:, None] * x
+    bound = _dual_bound(lf, y, A, x, caps, eta, state, dx)
+    return np.where((pivot > 1e-8) & np.isfinite(bound), bound, np.inf)
+
+
 def _step_search(lf, y, eta, dx, ll, ok, conv):
     """The step halving of one iteration, for the lanes at eta (C x n, or
     1 x n while they share it) whose full steps change eta by dx (C x n):
@@ -533,14 +634,24 @@ def _step_search(lf, y, eta, dx, ll, ok, conv):
     return step, ll_t, eta_t, state_t
 
 
-def _newton_block(y, A, Z, iu, x, lf, start, pick_only=False, best=-np.inf):
+def _box(start):
+    """Each coefficient's box: ``BETA_CAP``, or ``BETA_CAP`` beyond a start
+    outside it."""
+    return np.where(np.abs(start) > BETA_CAP, np.abs(start) + BETA_CAP, BETA_CAP)
+
+
+def _newton_block(y, A, Z, iu, x, lf, start, pick_only=False, best=-np.inf,
+                  shared_bound=None):
     """``_newton_lanes`` for one block: the designs [A, x_j] for the rows
     x_j of x (C x n). Every per-lane array over the n observations is
     C x n with one row per lane, so each lane's sums run over its own
     contiguous row. Each C x n array is freed once it is spent, by the
     return of the helper that made it or by ``del``, so the block's peak
     holds few of them (see ``LANE_BLOCK_CELLS``). ``best`` is the largest
-    log-likelihood the call's earlier blocks reached."""
+    log-likelihood the call's earlier blocks reached. ``shared_bound``, when
+    the call bounded its lanes at their shared start (``_shared_bounds``),
+    holds each lane's bound, which then serves as iteration 1's. A bounded
+    lane that the best is already past leaves before its step search."""
     width = x.shape[0]
     k = A.shape[1] + 1
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
@@ -557,8 +668,7 @@ def _newton_block(y, A, Z, iu, x, lf, start, pick_only=False, best=-np.inf):
     )
     lanes = np.arange(width)  # block position of each iterating lane
     beta = np.repeat(start[:, None], width, axis=1)
-    # each coefficient's box: BETA_CAP, or BETA_CAP beyond a start outside it
-    caps = np.where(np.abs(start) > BETA_CAP, np.abs(start) + BETA_CAP, BETA_CAP)
+    caps = _box(start)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # when the lanes start with their own coefficient at 0 they all share
         # one eta, so it stays 1 x n (and the first iteration's weights are
@@ -578,14 +688,20 @@ def _newton_block(y, A, Z, iu, x, lf, start, pick_only=False, best=-np.inf):
                 lf, y, A, Z, iu, x, eta_c, state, it == 1
             )
             dx = d[:-1].T @ A.T + d[-1][:, None] * x  # each full step's eta change
-            bound = (_dual_bound(lf, y, A, x, caps, eta_c, state, dx)
-                     if bounding and it <= BOUND_ITERS else None)
+            bound = None
+            if bounding and it <= BOUND_ITERS:
+                bound = (shared_bound if it == 1 and shared_bound is not None
+                         else _dual_bound(lf, y, A, x, caps, eta_c, state, dx))
             del eta_c, state  # spent
             out.rank_deficient[lanes[rd]] = True
             out.used_fisher_fallback[lanes] |= fell_back
             conv = ok & (gain <= DEC_TOL * (1 + np.abs(ll)))
             out.converged[lanes] = conv
             out.iterations[lanes] = it
+            if bound is not None:
+                # a lane already beaten leaves before its step search
+                early = ok & ~conv & _beaten(bound, best)
+                ok = ok & ~early
 
             # the eta and link state of a lane's accepted trial carry over
             # to its next iteration
@@ -607,8 +723,8 @@ def _newton_block(y, A, Z, iu, x, lf, start, pick_only=False, best=-np.inf):
                 # every lane ascends, so some lane ends at or above best,
                 # and a lane bounded below it cannot be picked
                 best = max(best, np.fmax.reduce(ll))
-                retire = move & (bound < best - 1e-7 * (1.0 + abs(best)))
-                out.retired[lanes] = retire
+                retire = move & _beaten(bound, best)
+                out.retired[lanes] = early | retire
                 move &= ~retire
             done = ~move
             out.beta[:, lanes[done]] = beta[:, done]
@@ -667,14 +783,27 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
     largest log-likelihood (the lowest index among equal ones): at each of
     its first ``BOUND_ITERS`` iterations a lane also leaves, flagged
     ``retired``, once its ``_dual_bound`` lies below the best log-likelihood
-    any lane of the call has reached by 1e-7 (1 + |best|). That best
-    carries across blocks. Every lane ascends, so the lane that reached it
-    ends at or above it, and no retired lane can reach or tie the pick; a
-    retired lane reports where it stood. The bound covers the pairs with a
-    ``flat_eta`` (Bernoulli logit and cloglog); under any other pair a
-    pick-only call fits every lane in full. The pick is that of the full
-    call, but its fit's last bits can differ: lanes leave the blocks
-    sooner, and BLAS rounds by lane count and position.
+    any lane of the call has reached by 1e-7 (1 + |best|), before its step
+    search where it is beaten already. That best carries across blocks.
+    Every lane ascends, so the lane that reached it ends at or above it, and
+    no retired lane can reach or tie the pick; a retired lane reports where
+    it stood. The bound covers the pairs with a ``flat_eta`` (Bernoulli
+    logit and cloglog); under any other pair a pick-only call fits every
+    lane in full. The pick is that of the full call, but its fit's last bits
+    can differ: lanes leave the blocks sooner, and BLAS rounds by lane count
+    and position.
+
+    When such a call's lanes share their start (their own coefficient at 0,
+    as in every forward step) and fill more than one block, each distinct
+    lane is first bounded there (``_shared_bounds``, in chunks of a block's
+    lanes), and the blocks take the lanes best first: in descending order
+    of that bound, the first block an eighth of the others. A lane whose
+    bound is beaten by the best reached so far is retired without entering
+    a block (``iterations`` 0, at its start), and so is every lane after it.
+    In a block, that bound serves as iteration 1's. Lanes that fill one
+    block are not bounded first: none could leave before that block, whose
+    iteration 1 computes the same bound. Every other call takes its lanes
+    in index order.
 
     Each distinct column (by byte equality) is fitted once, so duplicated
     columns get bit-equal results (BLAS rounds by lane position), and the
@@ -702,16 +831,53 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
             pos += m - a
     start = np.asarray(start, dtype=float)
     width = max(1, LANE_BLOCK_CELLS // max(n, k * k))
-    parts, best = [], -np.inf
-    for s in range(0, distinct.size, width):
-        parts.append(_newton_block(y, A, Z, iu, X.T[cols[distinct[s:s + width]]], lf,
-                                   start, pick_only, best))
+    # lanes that fill one block gain nothing from a shared-start bound: none
+    # can leave before that block, whose iteration 1 computes the same bound
+    shared = (pick_only and lf.flat_eta is not None and start[-1] == 0.0
+              and distinct.size > width)
+    bound = np.full(distinct.size, np.inf)
+    if shared:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            eta = lf.clip_eta((A @ start[:-1])[None, :])
+            start_ll, state = lf.log_lik(eta, y, keep_state=True)
+            for s in range(0, distinct.size, width):
+                bound[s:s + width] = _shared_bounds(
+                    lf, y, A, X.T[cols[distinct[s:s + width]]], _box(start), eta, state)
+        del eta, state
+    # best first (a stable sort: equal bounds, all-inf ones too, keep index
+    # order). The first block is an eighth of the others, so that the best
+    # it reaches retires most lanes before they enter one
+    order = np.argsort(-bound, kind="stable")
+    parts, best, s, size = [], -np.inf, 0, max(1, width // 8) if shared else width
+    while s < order.size:
+        block = order[s:s + size]
+        block = block[~_beaten(bound[block], best)]  # a prefix: bound descends
+        if not block.size:  # every lane left is beaten: none enters a block
+            parts.append(_retired_at_start(start, start_ll, order.size - s))
+            break
+        parts.append(_newton_block(y, A, Z, iu, X.T[cols[distinct[block]]], lf, start,
+                                   pick_only, best, bound[block] if shared else None))
         best = max(best, np.fmax.reduce(parts[-1].log_lik))
-    lane_of = np.searchsorted(distinct, first)  # each col's place among the distinct
+        s, size = s + block.size, width
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    # each col's place among the distinct lanes, in the order they were fitted
+    lane_of = place[np.searchsorted(distinct, first)]
     return LaneFits(**{
         f.name: np.concatenate([getattr(part, f.name) for part in parts], axis=-1)[..., lane_of]
         for f in fields(LaneFits)
     })
+
+
+def _retired_at_start(start, log_lik, count):
+    """``LaneFits`` of ``count`` lanes retired where they start."""
+    flags = np.zeros(count, dtype=bool)
+    return LaneFits(
+        beta=np.repeat(start[:, None], count, axis=1), log_lik=np.repeat(log_lik, count),
+        converged=flags, iterations=np.zeros(count, dtype=int), used_fisher_fallback=flags,
+        quasi_separated=flags, eta_clamped=flags, rank_deficient=flags,
+        retired=np.ones(count, dtype=bool),
+    )
 
 
 def _initial_beta(lf: LinkFamily, y: np.ndarray, k: int, intercept: bool) -> np.ndarray:

@@ -536,9 +536,9 @@ class _BernoulliCloglogLF(LinkFamily):
         # kept below 0, where it is finite; y = 1: u in [0, 1], and phi is
         # read off the chord table
         one = y == 1.0
-        u0 = np.minimum(u[:, ~one], -_TINY)
-        u1 = np.clip(u[:, one], 0.0, 1.0)
-        u[:, ~one], u[:, one] = u0, u1
+        np.minimum(u, np.where(one, 1.0, -_TINY), out=u)
+        np.maximum(u, np.where(one, 0.0, -np.inf), out=u)
+        u0, u1 = u[:, ~one], u[:, one]
         return (u0 * (np.log(-u0) - 1.0)).sum(axis=-1) + _cloglog_chords(u1).sum(axis=-1)
 
     def _log_lik(self, y, state):
@@ -587,11 +587,13 @@ def _cloglog_chords(u):
     there. The chord of u is found from logit(u) by arithmetic."""
     _nodes, icpt, slope = _cloglog_chord_table()
     with np.errstate(divide="ignore", invalid="ignore"):
-        at = (np.log(u) - np.log1p(-u) + _CHORD_T) * _CHORD_PER_UNIT + 1.0
+        # 1 - u is exact for u >= 1/2
+        at = (np.log(u / (1.0 - u)) + _CHORD_T) * _CHORD_PER_UNIT + 1.0
         # u = 0 and u = 1 give -inf and inf; fmin and fmax send a NaN to
         # chord 0, where its value stays NaN
         c = np.fmin(np.fmax(at, 0.0), slope.size - 1).astype(np.intp)
-    return icpt[c] + slope[c] * u
+    chord = np.stack([icpt, slope], axis=1).take(c, axis=0)
+    return chord[..., 0] + chord[..., 1] * u
 
 
 class _BernoulliIdentityLF(LinkFamily):

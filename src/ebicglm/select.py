@@ -21,12 +21,17 @@ log-likelihood at most sum_j cap_j |(X'u)_j| - sum_i phi_i(u_i); u is the
 score residual linearized at the Newton step, clipped into phi's domain.
 A lane whose bound lies below the best log-likelihood any lane has reached
 (less a rounding margin) cannot win, since that lane only climbs, and is
-retired. So the pick is the full call's, while the winner's fit can move in
-its last bits (its block's lanes leave sooner, and BLAS rounds by lane
-count). The bound is that of the log-likelihood without the mu floor and
-theta clip that flatten it far out, so a lane with an observation near a
-flat end is not bounded, and one that would reach a flat end only after it
-retires is not covered. Every other pair fits every candidate in full.
+retired. Every candidate of a step starts at the current model's fit, so
+when they fill more than one block of the kernel, all are bounded there
+first, from one inverse of the current model's Hessian, and fitted best
+first: the few with the highest bounds reach a best that retires most of
+the others before their first iteration. So the pick is the full call's,
+while the winner's fit can move in its last bits (its block's lanes leave
+sooner, and BLAS rounds by lane count). The bound is that of the
+log-likelihood without the mu floor and theta clip that flatten it far
+out, so a lane with an observation near a flat end is not bounded, and one
+that would reach a flat end only after it retires is not covered. Every
+other pair fits every candidate in full.
 
 Every candidate model at a given step has the same size, so the step's
 argmin of EBIC is its argmax of log-likelihood for every gamma: one path is
@@ -94,7 +99,9 @@ def screen_mme(
 @dataclass
 class SelectionStep:
     """A step of the path, with its kernel call's work: its candidate lanes,
-    their Newton iterations summed, and the lanes it retired."""
+    their Newton iterations summed, and the lanes it retired. A lane retired
+    at its start runs no iteration, so a step whose lanes were bounded there
+    can count fewer lane-iterations than lanes."""
 
     feature: int
     fit: FitResult
@@ -213,10 +220,11 @@ def forward_select(
     Each step fits all remaining candidates with one pick-only
     ``_newton_lanes`` call (blocks of lanes bounded by
     ``glm.LANE_BLOCK_CELLS``) and takes the largest log-likelihood, lowest
-    index among equal ones. A lane that a weak-duality bound shows cannot
-    win is retired early (see the module docstring), so the pick is that of
-    fitting every candidate in full; the winner's fit may differ from that
-    full call's in its last bits. That lane of the call is the step's
+    index among equal ones. The candidates are fitted best first, and a lane
+    that a weak-duality bound shows cannot win is retired early, most of
+    them before their first iteration (see the module docstring), so the
+    pick is that of fitting every candidate in full; the winner's fit may
+    differ from that full call's in its last bits. That lane of the call is the step's
     reported fit, flags included, and its beta starts the next step; the
     step also records its call's lanes, lane-iterations and retired lanes.
 

@@ -70,6 +70,17 @@ class TestExitCodes:
         p.write_text("y,g1\n1,0.5\n0,\n")
         assert main(["fit", "--input", str(p), "--link", "logit"]) == 2
 
+    @pytest.mark.parametrize("row,message", [
+        ("0,abc", "data row 2: column 'g1' holds 'abc', not a number"),
+        ("0,", "data row 2: column 'g1' is empty"),
+        ("0,0.5,1", "data row 2 has 3 columns, the header 2"),
+    ])
+    def test_an_unreadable_row_is_named_on_one_line(self, tmp_path, capsys, row, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"y,g1\n1,0.5\n{row}\n1,0.25\n")
+        assert main(["fit", "--input", str(p), "--link", "logit"]) == 2
+        assert capsys.readouterr().err == f"ebicglm: data error: {p}: {message}\n"
+
     @pytest.mark.parametrize("kind", ["input", "config"])
     def test_non_utf8_file_is_2(self, kind, toy_csv, tmp_path, capsys):
         bad = tmp_path / "bad"

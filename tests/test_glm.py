@@ -94,6 +94,21 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset.from_csv(path)
 
+    @pytest.mark.parametrize("row,message", [
+        ("0,abc", "data row 2: column 'g1' holds 'abc', not a number"),
+        ("0, ", "data row 2: column 'g1' is empty"),
+        ("0,1.5,2", "data row 2 has 3 columns, the header 2"),
+    ])
+    def test_from_csv_names_the_data_row_and_column(self, tmp_path, row, message):
+        # numpy names such a row by 0-based or 1-based counts depending on
+        # the fault; the package counts data rows from 1, a comment line and
+        # a blank one not among them
+        path = tmp_path / "bad.csv"
+        path.write_text(f"y,g1\n# a comment\n1,0.5\n\n{row}\n1,0.25\n")
+        with pytest.raises(DataError) as info:
+            Dataset.from_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_from_csv_needs_y_first(self, tmp_path):
         path = tmp_path / "noy.csv"
         path.write_text("a,b\n1,2\n3,4\n")
@@ -641,6 +656,33 @@ def test_a_pick_only_block_holds_at_most_12_lane_arrays(link):
     assert set(fits.iterations[fits.retired]) == {1, 2}
 
 
+def _shared_start(y, A, lf, start):
+    """The shared eta (1 x n) and link state of lanes that start with their
+    own coefficient at 0."""
+    eta = lf.clip_eta((A @ start[:-1])[None, :])
+    return eta, lf.log_lik(eta, y, keep_state=True)[1]
+
+
+@pytest.mark.parametrize("link", ["logit", "cloglog"])
+def test_the_shared_start_pass_holds_at_most_12_lane_arrays(link):
+    # the bounds of every lane from its shared start, one full block of
+    # lanes at a time: the product and the dual point's C x n arrays are
+    # freed as they are spent
+    y, A, _Z, _iu, x, lf, start = _lane_block(link)
+    start[-1] = 0.0
+    eta, state = _shared_start(y, A, lf, start)
+    args = (lf, y, A, x, glm._box(start), eta, state)
+    glm._shared_bounds(*args)  # warm-up
+    tracemalloc.start()
+    try:
+        bound = glm._shared_bounds(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * x.nbytes, peak / x.nbytes
+    assert np.isfinite(bound).sum() > x.shape[0] // 2
+
+
 # ---------------------------------------------------------------------------
 # the weak-duality bound of a pick-only call
 # ---------------------------------------------------------------------------
@@ -649,12 +691,13 @@ DUAL_LINKS = [link for link, family in ALL_PAIRS
               if parse_link_family(link, family).flat_eta is not None]
 
 
-def _dual_instance(link, seed):
+def _dual_instance(link, seed, include_intercept=None):
     """A forward step's kernel call (y, A, X, cols, lf, start) on Bernoulli
     data whose candidates include heavy-tailed and wide columns, a column
     split by the response and one split with a few cells far on the wrong
     side, so that fits reach the beta cap and the mu floor. The step starts
-    from the fit of 0-2 columns, with or without an intercept."""
+    from the fit of 0-2 columns, with an intercept or without (drawn unless
+    given)."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(15, 60))
     X = rng.standard_normal((n, 8))
@@ -671,17 +714,29 @@ def _dual_instance(link, seed):
     lf = parse_link_family(link)
     data = Dataset(y, X)
     current = sorted(int(j) for j in rng.choice([0, 1, 6, 7], rng.integers(0, 3), replace=False))
-    include_intercept = bool(rng.integers(2))
+    drawn = bool(rng.integers(2))
+    include_intercept = drawn if include_intercept is None else include_intercept
     init = fit_mle(lf, data, ModelIndex(current, include_intercept)).beta
     remaining = [j for j in range(8) if j not in current]
     return step_call(lf, data, current, remaining, init, include_intercept)
 
 
+def _lanes_per_block(mp, call, lanes):
+    """Patch ``LANE_BLOCK_CELLS`` so that ``call``'s blocks hold ``lanes``
+    lanes (None leaves it as it is): with more than one block, a pick-only
+    call bounds its lanes at their shared start."""
+    if lanes is not None:
+        y, A = call[:2]
+        mp.setattr(glm, "LANE_BLOCK_CELLS", lanes * max(y.size, (A.shape[1] + 1) ** 2))
+
+
 @settings(max_examples=60, deadline=None)
-@given(link=st.sampled_from(DUAL_LINKS), seed=st.integers(0, 2**16))
-def test_every_bound_lies_above_its_lanes_final_log_likelihood(link, seed):
-    # the bounds of a pick-only call, recorded and then discarded so that no
-    # lane retires: each is at least the log-likelihood the lane ends at
+@given(link=st.sampled_from(DUAL_LINKS), seed=st.integers(0, 2**16),
+       lanes=st.sampled_from([None, 2]))
+def test_every_bound_lies_above_its_lanes_final_log_likelihood(link, seed, lanes):
+    # the bounds of a pick-only call, from the shared start or in a block,
+    # recorded and then discarded so that no lane retires: each is at least
+    # the log-likelihood the lane ends at
     call = _dual_instance(link, seed)
     y, A, X, cols = call[:4]
     bounds = []
@@ -694,6 +749,7 @@ def test_every_bound_lies_above_its_lanes_final_log_likelihood(link, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(glm, "_dual_bound", record)
+        _lanes_per_block(mp, call, lanes)
         fits = glm._newton_lanes(*call, pick_only=True)
     assert bounds and not fits.retired.any()
     lane_of = {X[:, j].tobytes(): i for i, j in enumerate(cols)}
@@ -703,18 +759,88 @@ def test_every_bound_lies_above_its_lanes_final_log_likelihood(link, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(link=st.sampled_from(DUAL_LINKS), seed=st.integers(0, 2**16))
-def test_no_retired_lane_reaches_the_pick(link, seed):
+@given(link=st.sampled_from(DUAL_LINKS), seed=st.integers(0, 2**16),
+       lanes=st.sampled_from([None, 2]))
+def test_no_retired_lane_reaches_the_pick(link, seed, lanes):
     # each lane fitted in full by a one-lane call: a retired lane ends
     # strictly below the pick, and the pick ties the best of them. (Here
     # rounding can move a lane's flags with the lanes beside it, so the
     # other lanes are not compared flag by flag as check_batching does.)
+    # With two lanes per block, lanes are also retired at their shared
+    # start, before any iteration
     call = _dual_instance(link, seed)
-    got, full = glm._newton_lanes(*call, pick_only=True), one_lane_fits(*call)
+    with pytest.MonkeyPatch.context() as mp:
+        _lanes_per_block(mp, call, lanes)
+        got = glm._newton_lanes(*call, pick_only=True)
+    full = one_lane_fits(*call)
     picked = usable_log_liks(got).max()
     assert np.all(full.log_lik[got.retired] < picked)
     best = usable_log_liks(full).max()
     assert usable_log_liks(full)[np.argmax(usable_log_liks(got))] >= best - 1e-9 * (1 + abs(best))
+
+
+def test_lanes_retired_at_their_shared_start_report_it():
+    # no iteration: the start's beta and log-likelihood, retired, passed the
+    # rank test (a lane that fails it enters a block, which flags it)
+    at_start = 0
+    for link in DUAL_LINKS:
+        for seed in range(10):
+            call = _dual_instance(link, seed)
+            y, A, X, cols, lf, start = call
+            with pytest.MonkeyPatch.context() as mp:
+                _lanes_per_block(mp, call, 2)
+                fits = glm._newton_lanes(*call, pick_only=True)
+            zero = fits.iterations == 0
+            at_start += zero.sum()
+            assert fits.retired[zero].all() and not fits.converged[zero].any()
+            assert not (fits.rank_deficient | fits.used_fisher_fallback)[zero].any()
+            assert np.all(fits.beta[:, zero] == start[:, None])
+            assert np.all(fits.log_lik[zero] == glm._loglik_from_eta(y, A @ start[:-1], lf))
+            assert np.array_equal(fits.rank_deficient, one_lane_fits(*call).rank_deficient)
+    assert at_start > 0
+
+
+def _column_products(A):
+    """The products of A's column pairs (a, b), a <= b, row by row, and
+    their indices, as ``_newton_lanes`` hands them to a block."""
+    iu = np.triu_indices(A.shape[1])
+    return A[:, iu[0]] * A[:, iu[1]], iu
+
+
+def _check_shared_direction(y, A, X, cols, lf, start):
+    """``_shared_direction`` against ``_lane_direction``'s first iteration
+    from the same shared start: the same step within 1e-9 relative where H
+    is positive definite, and the pivot ratio's test agrees with the rank
+    test. Returns the numbers of such lanes and of rank-deficient ones."""
+    x = X.T[np.asarray(cols)]
+    eta, state = _shared_start(y, A, lf, start)
+    d, pivot = glm._shared_direction(lf, y, A, x, eta, state)
+    ref, _gain, ref_ok, fell_back, rank_deficient = glm._lane_direction(
+        lf, y, A, *_column_products(A), x, eta, state, True)
+    assert np.array_equal(~(pivot > 1e-10), rank_deficient)  # NaN for a zero column
+    newton = ref_ok & ~fell_back
+    err = np.abs(d - ref)[:, newton].max(axis=0)
+    assert np.all(err <= 1e-9 * np.abs(ref)[:, newton].max(axis=0))
+    return newton.sum(), rank_deficient.sum()
+
+
+@pytest.mark.parametrize("include_intercept", [True, False])
+@pytest.mark.parametrize("link", DUAL_LINKS)
+def test_the_shared_step_is_the_first_iterations_step(link, include_intercept):
+    compared = 0
+    for seed in range(20):
+        compared += _check_shared_direction(*_dual_instance(link, seed, include_intercept))[0]
+    assert compared > 100
+    # a screen-shaped call, with columns that fail the rank test
+    rng = np.random.default_rng(3)
+    n = 40
+    X = rng.standard_normal((n, 9)) * [1.0, 1.0, 10.0, 1e-3, 1.0, 1.0, 1.0, 1.0, 1.0]
+    X[:, 1] = rng.standard_cauchy(n)
+    X[:, 4], X[:, 5], X[:, 6] = 2.5, 0.0, X[:, 0]
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(float)
+    lf = parse_link_family(link)
+    newton, deficient = _check_shared_direction(*screen_call(lf, Dataset(y, X), include_intercept))
+    assert newton >= 7 and deficient == (2 if include_intercept else 1)
 
 
 def _cloglog_phi(u):

@@ -309,6 +309,12 @@ class TestForwardStepMatchesPerCandidateFits:
         collinear = _newton_lanes(*step_call(lf, data, [SIGNAL], COPIES[1:],
                                              np.append(null_beta, 0.0), include_intercept))
         assert collinear.rank_deficient.all()
+        # and so they are in a pick-only call over every other column, whose
+        # lanes fill several blocks and are bounded at their shared start
+        others = [j for j in range(data.p) if j != SIGNAL]
+        every = _newton_lanes(*step_call(lf, data, [SIGNAL], others, np.append(null_beta, 0.0),
+                                         include_intercept), pick_only=True)
+        assert every.rank_deficient[[others.index(j) for j in COPIES[1:]]].all()
 
     @pytest.mark.parametrize("include_intercept", [True, False])
     def test_data_reaches_the_cap_and_the_clamp(self, include_intercept):
@@ -349,13 +355,14 @@ def _path_work(data, include_intercept):
 
 def test_step_work_counts_repeat_in_pool_workers():
     # a step's counts come from its kernel call alone, so paths grown on a
-    # pool of 2 workers count what they count in this process; nearly every
-    # lane of a Setting-1 step retires, most after one iteration
-    data = generate_replicate(design_for("S1", 100), 1).dataset
+    # pool of 2 workers count what they count in this process. Nearly every
+    # lane of a Setting-1 step retires, and its 716 lanes fill three blocks,
+    # so most retire at their shared start, before any Newton iteration
+    data = generate_replicate(design_for("S1", 200), 1).dataset
     here = [_path_work(data, i) for i in (False, True)]
     assert _map_tasks(data, [(_path_work, i) for i in (False, True)], 2) == here
     for lanes, lane_iterations, retired in sum(here, []):
-        assert lanes - 10 <= retired < lanes <= lane_iterations < 2 * lanes
+        assert lanes - 10 <= retired < lanes and lane_iterations < lanes
 
 
 # ---------------------------------------------------------------------------
