@@ -7,6 +7,8 @@ aggregation happens in id order, so thread counts never change the numbers.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -113,9 +115,11 @@ def _map_tasks(shared, calls, threads):
     workers = min(threads or 1, len(calls))
     if workers <= 1:
         return [fn(shared, task) for fn, task in calls]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_set_worker_shared, initargs=(shared,)
-    ) as pool:
+    # Linux workers fork whatever the default (forkserver from Python 3.14),
+    # so they inherit the parent's modules and heap thresholds
+    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                             initializer=_set_worker_shared, initargs=(shared,)) as pool:
         return list(pool.map(_shared_call, *zip(*calls), chunksize=1))
 
 

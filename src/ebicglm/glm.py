@@ -227,6 +227,14 @@ class LaneFits:
     rank_deficient: np.ndarray
     retired: np.ndarray
 
+    @classmethod
+    def at_start(cls, start, lanes: int) -> "LaneFits":
+        """``lanes`` lanes at ``start``: no iteration, no flag, NaN log_lik."""
+        table = {f.name: np.zeros(lanes, dtype=bool) for f in fields(cls)}
+        table.update(beta=np.repeat(start[:, None], lanes, axis=1),
+                     log_lik=np.full(lanes, np.nan), iterations=np.zeros(lanes, dtype=int))
+        return cls(**table)
+
     def fit(self, j: int) -> FitResult:
         """Lane j as a ``FitResult``; raises RankDeficient where it failed
         the rank test."""
@@ -321,9 +329,10 @@ def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> Hes
 #: candidate designs one block fits together. The block size trades the
 #: per-call overhead of numpy, about 0.2 ms per Newton iteration of a block
 #: whatever its width, against peak memory. A block frees each C x n array
-#: once it is spent, so its peak holds about 9 of them under logit and 11
-#: under cloglog (``tracemalloc``, 1024 lanes x n = 64; a test holds it at
-#: 12 or fewer), 5-6 MB at 2^16. Against 2^14, 2^16 cut the
+#: once it is spent, so its peak holds about 8.4 of them under logit and
+#: 10.2 under cloglog, and 10.2 and 10.8 where a pick-only call bounds its
+#: lanes (``tracemalloc``, 1024 lanes x n = 64; a test holds it at 12 or
+#: fewer), 5-6 MB at 2^16. Against 2^14, 2^16 cut the
 #: block-iterations of the benchmark's Golub-shaped workflow 3x (3588 ->
 #: 1179) and raised its peak RSS by 2 MB (104 -> 107 MB), and that of the
 #: Setting-1 batch by 3.5 MB (77 -> 81 MB). ``import ebicglm`` frees one
@@ -432,28 +441,25 @@ def _newton_weights(lf, y, eta, state):
     return r, w1, w1 if hpp is None else w1 - resid * hpp
 
 
-def _lane_weights(lf, y, A, x, eta, state):
-    """Each lane's gradient (k x C) and the Gram weights of H1 and of
-    H1 - H0 at eta (see ``_newton_weights``)."""
-    r, w1, w = _newton_weights(lf, y, eta, state)
-    return _lane_gradient(A, x, r), w1, w
-
-
-def _lane_direction(lf, y, A, Z, iu, x, eta, state, first):
+def _lane_direction(lf, y, A, Z, iu, x, eta, state, first, caps=None):
     """Each lane's ascent direction at an in-domain eta (C x n, one row per
     lane, or 1 x n while every lane shares it), whose link ``state`` came
     from ``log_lik``: the Newton step on H1 - H0, else Fisher scoring on
     H1, else on H1 plus a jitter of 1e-10 times its mean diagonal. Returns
-    (d as k x C, the predicted gain g'd / 2 of each lane's step, mask of
-    lanes with a step to try, mask of those whose step came from a Fisher
-    fallback, and the mask of lanes failing the rank test, which is run
-    when ``first``). Lanes whose gradient is non-finite get no step. The
-    C x n intermediates die on return."""
+    (d as k x C, each full step's eta change dx as C x n, the predicted
+    gain g'd / 2 of each lane's step, mask of lanes with a step to try,
+    mask of those whose step came from a Fisher fallback, the mask of
+    lanes failing the rank test, which is run when ``first``, and, given
+    the coefficient box ``caps``, each lane's ``_dual_bound`` from the
+    weights the step was solved with, else None). Lanes whose gradient is
+    non-finite get no step. The other C x n intermediates die on return."""
     k = A.shape[1] + 1
     lanes = x.shape[0]
-    grad, w1, w = _lane_weights(lf, y, A, x, eta, state)
+    r, w1, w = _newton_weights(lf, y, eta, state)
+    grad = _lane_gradient(A, x, r)
     stop = ~np.isfinite(grad).all(axis=0)
     rank_deficient = np.zeros(lanes, dtype=bool)
+    h1_all = None
     if first:
         # the rank test needs every lane's H1; while eta is still shared,
         # so are the weights
@@ -467,7 +473,7 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, first):
         h = _lane_gram(A, Z, iu, _rows(x, go), _rows(w, go))
 
     def h1_of(idx):
-        if first:
+        if h1_all is not None:
             return h1_all[idx]
         return _lane_gram(A, Z, iu, x[idx], w1[idx])
 
@@ -485,13 +491,17 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, first):
         jitter = 1e-10 * np.trace(h1, axis1=1, axis2=2) / k
         h1 = h1 + jitter[:, None, None] * np.eye(k)
         d[:, bad], ok[bad] = _lane_chol_solve(h1, grad[:, bad])
-    return d, (grad * d).sum(axis=0) / 2, ok, ok & ~direct, rank_deficient
+    del w1, h1_all, h  # spent: the bound needs room for its own C x n arrays
+    dx = d[:-1].T @ A.T + d[-1][:, None] * x
+    bound = None if caps is None else _dual_bound(lf, y, A, x, caps, eta, r, w, dx)
+    return d, dx, (grad * d).sum(axis=0) / 2, ok, ok & ~direct, rank_deficient, bound
 
 
-def _dual_bound(lf, y, A, x, caps, eta, state, dx):
+def _dual_bound(lf, y, A, x, caps, eta, r, w, dx):
     """Each lane's weak-duality bound on the log-likelihood of every iterate
     whose coefficients lie in the box |beta_j| <= caps[j], from the lanes at
-    eta (with its link ``state``) whose full steps change eta by dx (C x n).
+    eta, with score residual r and Gram weights w of H1 - H0 there (see
+    ``_newton_weights``), whose full steps change eta by dx (C x n).
 
     For any u in the domain of phi_i(u) = inf_eta [u eta - l_i(eta)],
     l_i(eta_i) <= u_i eta_i - phi_i(u_i), and sum_i u_i eta_i = u'X beta is
@@ -506,12 +516,8 @@ def _dual_bound(lf, y, A, x, caps, eta, state, dx):
     current log-likelihood could exceed the bound. An iterate with an
     observation on a flat end is not covered; covering it over the whole
     coefficient box leaves a bound too loose to retire any lane."""
-    r, w1, w = _newton_weights(lf, y, eta, state)
-    del w1
     u = w * dx
-    del w
     np.subtract(r, u, out=u)
-    del r
     phi = lf.dual_floor(u, y)  # clips u first: X'u is that of the clipped u
     bound = caps @ np.abs(_lane_gradient(A, x, u)) - phi
     del u
@@ -556,14 +562,20 @@ def _schur_step(P, g_a, b, c, g_x):
     return d, (s > 0.0) & np.isfinite(d).all(axis=0), pivot
 
 
-def _shared_direction(lf, y, A, x, eta, state):
+def _shared_direction(lf, y, A, x, caps, eta, state):
     """``_lane_direction``'s first step for lanes (the rows of x, C x n)
     that all start at the shared eta (1 x n, with its link ``state``) with
     their own coefficient at 0: the Newton step on H1 - H0, else Fisher
     scoring on H1, each by ``_schur_step`` rather than by a Gram and a
-    factorization per lane. Returns d as k x C and ``_schur_step``'s pivot
-    ratio of each lane's H1; a lane whose H1 passes the rank test has a
-    step."""
+    factorization per lane. Returns d as k x C, ``_schur_step``'s pivot
+    ratio of each lane's H1 (a lane whose H1 passes the rank test has a
+    step), and each lane's ``_dual_bound`` in the box ``caps`` at that
+    step, from the weights it was solved with. A lane's bound is inf, so
+    that it enters a block, where it is not finite or where its H1's pivot
+    ratio is not above 100 times the rank test's 1e-10: the block's rank
+    test then decides it, since a lane retired on this bound never meets
+    that test, and its Cholesky pivots can round apart from the Schur
+    complement's."""
     r, w1, w = _newton_weights(lf, y, eta, state)
     weighted = [w1.T * A] if w is w1 else [w1.T * A, w.T * A]
     # every lane's A'W x_j under each weight and its x_j'r come from one
@@ -576,20 +588,9 @@ def _shared_direction(lf, y, A, x, eta, state):
         newton, direct, _ = _schur_step(A.T @ weighted[1], g_a, prod[:, m:2 * m],
                                         c[:, 1], g_x)
         d = np.where(direct, newton, d)
-    return d, pivot
-
-
-def _shared_bounds(lf, y, A, x, caps, eta, state):
-    """Each lane's iteration-1 ``_dual_bound``, at its step from the shared
-    start (``_shared_direction``). A lane gets inf, and so enters a block,
-    where its bound is not finite or where its H1's pivot ratio is not
-    above 100 times the rank test's 1e-10: the block's rank test then
-    decides it, since a lane retired on this bound never meets that test,
-    and its Cholesky pivots can round apart from the Schur complement's."""
-    d, pivot = _shared_direction(lf, y, A, x, eta, state)
     dx = d[:-1].T @ A.T + d[-1][:, None] * x
-    bound = _dual_bound(lf, y, A, x, caps, eta, state, dx)
-    return np.where((pivot > 1e-8) & np.isfinite(bound), bound, np.inf)
+    bound = _dual_bound(lf, y, A, x, caps, eta, r, w, dx)
+    return d, pivot, np.where((pivot > 1e-8) & np.isfinite(bound), bound, np.inf)
 
 
 def _step_search(lf, y, eta, dx, ll, ok, conv):
@@ -640,34 +641,23 @@ def _box(start):
     return np.where(np.abs(start) > BETA_CAP, np.abs(start) + BETA_CAP, BETA_CAP)
 
 
-def _newton_block(y, A, Z, iu, x, lf, start, pick_only=False, best=-np.inf,
-                  shared_bound=None):
+def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, pick_only=False,
+                  best=-np.inf, shared_bound=None):
     """``_newton_lanes`` for one block: the designs [A, x_j] for the rows
-    x_j of x (C x n). Every per-lane array over the n observations is
-    C x n with one row per lane, so each lane's sums run over its own
+    x_j of x (C x n), whose results go in place into the lanes ``lanes`` of
+    the call's table ``out``. Every per-lane array over the n observations
+    is C x n, one row per lane, so each lane's sums run over its own
     contiguous row. Each C x n array is freed once it is spent, by the
     return of the helper that made it or by ``del``, so the block's peak
     holds few of them (see ``LANE_BLOCK_CELLS``). ``best`` is the largest
     log-likelihood the call's earlier blocks reached. ``shared_bound``, when
-    the call bounded its lanes at their shared start (``_shared_bounds``),
-    holds each lane's bound, which then serves as iteration 1's. A bounded
-    lane that the best is already past leaves before its step search."""
-    width = x.shape[0]
-    k = A.shape[1] + 1
+    the call bounded its lanes at their shared start
+    (``_shared_direction``), holds each lane's bound, which then serves as
+    iteration 1's. A bounded lane that the best is already past leaves
+    before its step search."""
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
     bounding = pick_only and lf.flat_eta is not None
-
-    def flags():
-        return np.zeros(width, dtype=bool)
-
-    out = LaneFits(
-        beta=np.empty((k, width)), log_lik=np.empty(width), converged=flags(),
-        iterations=np.zeros(width, dtype=int), used_fisher_fallback=flags(),
-        quasi_separated=flags(), eta_clamped=flags(), rank_deficient=flags(),
-        retired=flags(),
-    )
-    lanes = np.arange(width)  # block position of each iterating lane
-    beta = np.repeat(start[:, None], width, axis=1)
+    beta = np.repeat(start[:, None], lanes.size, axis=1)
     caps = _box(start)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # when the lanes start with their own coefficient at 0 they all share
@@ -677,21 +667,17 @@ def _newton_block(y, A, Z, iu, x, lf, start, pick_only=False, best=-np.inf,
         if start[-1]:
             eta = eta + start[-1] * x
         ll, state = lf.log_lik(lf.clip_eta(eta), y, keep_state=True)
-        ll = np.broadcast_to(ll, width).copy()
-        it = 0
-        while lanes.size and it < MAX_ITER:
-            it += 1
+        ll = np.broadcast_to(ll, lanes.size).copy()
+        for it in range(1, MAX_ITER + 1):
             eta_c = lf.clip_eta(eta)
             if bounded_eta:
                 out.eta_clamped[lanes] |= (eta_c != eta).any(axis=1)
-            d, gain, ok, fell_back, rd = _lane_direction(
-                lf, y, A, Z, iu, x, eta_c, state, it == 1
-            )
-            dx = d[:-1].T @ A.T + d[-1][:, None] * x  # each full step's eta change
-            bound = None
-            if bounding and it <= BOUND_ITERS:
-                bound = (shared_bound if it == 1 and shared_bound is not None
-                         else _dual_bound(lf, y, A, x, caps, eta_c, state, dx))
+            shared = it == 1 and shared_bound is not None
+            d, dx, gain, ok, fell_back, rd, bound = _lane_direction(
+                lf, y, A, Z, iu, x, eta_c, state, it == 1,
+                caps if bounding and it <= BOUND_ITERS and not shared else None)
+            if shared:
+                bound = shared_bound
             del eta_c, state  # spent
             out.rank_deficient[lanes[rd]] = True
             out.used_fisher_fallback[lanes] |= fell_back
@@ -726,18 +712,14 @@ def _newton_block(y, A, Z, iu, x, lf, start, pick_only=False, best=-np.inf,
                 retire = move & _beaten(bound, best)
                 out.retired[lanes] = early | retire
                 move &= ~retire
-            done = ~move
-            out.beta[:, lanes[done]] = beta[:, done]
-            out.log_lik[lanes[done]] = ll[done]
+            out.beta[:, lanes] = beta  # where each lane stands, left or not
+            out.log_lik[lanes] = ll
             if not move.any():  # every lane has left
                 break
             x, eta = _rows(x, move), _rows(eta_t, move)
             state = tuple(_rows(a, move) for a in state_t)
             del eta_t, state_t  # spent, unless move kept every row
             beta, ll, lanes = beta[:, move], ll[move], lanes[move]
-    out.beta[:, lanes] = beta
-    out.log_lik[lanes] = ll
-    return out
 
 
 def _first_copies(X, cols):
@@ -795,15 +777,15 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
 
     When such a call's lanes share their start (their own coefficient at 0,
     as in every forward step) and fill more than one block, each distinct
-    lane is first bounded there (``_shared_bounds``, in chunks of a block's
-    lanes), and the blocks take the lanes best first: in descending order
-    of that bound, the first block an eighth of the others. A lane whose
-    bound is beaten by the best reached so far is retired without entering
-    a block (``iterations`` 0, at its start), and so is every lane after it.
-    In a block, that bound serves as iteration 1's. Lanes that fill one
-    block are not bounded first: none could leave before that block, whose
-    iteration 1 computes the same bound. Every other call takes its lanes
-    in index order.
+    lane is first bounded there (``_shared_direction``, in chunks of a
+    block's lanes), and the blocks take the lanes best first: in descending
+    order of that bound, the first block an eighth of the others. A lane
+    whose bound is beaten by the best reached so far is retired without
+    entering a block (``iterations`` 0, at its start), and so is every lane
+    after it. In a block, that bound serves as iteration 1's. Lanes that
+    fill one block are not bounded first: none could leave before that
+    block, whose iteration 1 computes the same bound. Every other call takes
+    its lanes in index order.
 
     Each distinct column (by byte equality) is fitted once, so duplicated
     columns get bit-equal results (BLAS rounds by lane position), and the
@@ -812,8 +794,10 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
     A's columns that give every lane's A^T W A in one matrix product. A
     block gathers its columns as the rows of a C x n array and holds every
     per-lane array over the observations the same way, one lane per row,
-    and frees each once it is spent: at its peak a block holds about 9
-    such arrays under logit and 11 under cloglog, besides its input.
+    and frees each once it is spent: at its peak a block holds about 8.4
+    such arrays under logit and 10.2 under cloglog (10.2 and 10.8 when it
+    bounds its lanes), besides its input. Every block writes its lanes in
+    place into the call's one ``LaneFits`` table over the distinct lanes.
     """
     n, m = A.shape
     k = m + 1
@@ -841,43 +825,28 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
             eta = lf.clip_eta((A @ start[:-1])[None, :])
             start_ll, state = lf.log_lik(eta, y, keep_state=True)
             for s in range(0, distinct.size, width):
-                bound[s:s + width] = _shared_bounds(
-                    lf, y, A, X.T[cols[distinct[s:s + width]]], _box(start), eta, state)
+                bound[s:s + width] = _shared_direction(
+                    lf, y, A, X.T[cols[distinct[s:s + width]]], _box(start), eta, state)[2]
         del eta, state
     # best first (a stable sort: equal bounds, all-inf ones too, keep index
     # order). The first block is an eighth of the others, so that the best
     # it reaches retires most lanes before they enter one
     order = np.argsort(-bound, kind="stable")
-    parts, best, s, size = [], -np.inf, 0, max(1, width // 8) if shared else width
+    out = LaneFits.at_start(start, distinct.size)  # the blocks write their lanes here
+    best, s, size = -np.inf, 0, max(1, width // 8) if shared else width
     while s < order.size:
         block = order[s:s + size]
         block = block[~_beaten(bound[block], best)]  # a prefix: bound descends
         if not block.size:  # every lane left is beaten: none enters a block
-            parts.append(_retired_at_start(start, start_ll, order.size - s))
+            out.log_lik[order[s:]] = start_ll
+            out.retired[order[s:]] = True
             break
-        parts.append(_newton_block(y, A, Z, iu, X.T[cols[distinct[block]]], lf, start,
-                                   pick_only, best, bound[block] if shared else None))
-        best = max(best, np.fmax.reduce(parts[-1].log_lik))
+        _newton_block(y, A, Z, iu, X.T[cols[distinct[block]]], lf, start, out, block,
+                      pick_only, best, bound[block] if shared else None)
+        best = max(best, np.fmax.reduce(out.log_lik[block]))
         s, size = s + block.size, width
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size)
-    # each col's place among the distinct lanes, in the order they were fitted
-    lane_of = place[np.searchsorted(distinct, first)]
-    return LaneFits(**{
-        f.name: np.concatenate([getattr(part, f.name) for part in parts], axis=-1)[..., lane_of]
-        for f in fields(LaneFits)
-    })
-
-
-def _retired_at_start(start, log_lik, count):
-    """``LaneFits`` of ``count`` lanes retired where they start."""
-    flags = np.zeros(count, dtype=bool)
-    return LaneFits(
-        beta=np.repeat(start[:, None], count, axis=1), log_lik=np.repeat(log_lik, count),
-        converged=flags, iterations=np.zeros(count, dtype=int), used_fisher_fallback=flags,
-        quasi_separated=flags, eta_clamped=flags, rank_deficient=flags,
-        retired=np.ones(count, dtype=bool),
-    )
+    lane_of = np.searchsorted(distinct, first)  # each col's distinct lane
+    return LaneFits(**{f.name: getattr(out, f.name)[..., lane_of] for f in fields(LaneFits)})
 
 
 def _initial_beta(lf: LinkFamily, y: np.ndarray, k: int, intercept: bool) -> np.ndarray:

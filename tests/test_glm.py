@@ -476,7 +476,7 @@ def test_an_indefinite_hessian_steps_by_fisher_scoring():
     A = np.ones((n, 1))
     eta = (beta[0] + beta[1] * x)[None, :]
     _ll, state = lf.log_lik(eta, data.y, keep_state=True)
-    d, _gain, ok, fell_back, _rd = glm._lane_direction(
+    d, _dx, _gain, ok, fell_back, _rd, _bound = glm._lane_direction(
         lf, data.y, A, A * A, np.triu_indices(1), x[None, :], eta, state, True)
     assert ok[0] and fell_back[0]
     assert np.abs(parts.h1 @ d[:, 0] - g).max() <= 1e-12 * np.abs(g).max()
@@ -603,12 +603,20 @@ def _lane_block(link):
     return y, A, A * A, np.triu_indices(1), x, lf, start
 
 
+def _run_block(args, pick_only=False):
+    """The block's fits, written into a table of its own lanes."""
+    y, A, Z, iu, x, lf, start = args
+    fits = glm.LaneFits.at_start(start, x.shape[0])
+    glm._newton_block(y, A, Z, iu, x, lf, start, fits, np.arange(x.shape[0]), pick_only)
+    return fits
+
+
 def _block_peak(args, pick_only=False):
     """The block's fits and its peak of traced memory."""
-    glm._newton_block(*args, pick_only=pick_only)  # warm-up: numpy's first-call allocations
+    _run_block(args, pick_only)  # warm-up: numpy's first-call allocations
     tracemalloc.start()
     try:
-        fits = glm._newton_block(*args, pick_only=pick_only)
+        fits = _run_block(args, pick_only)
         return fits, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -640,7 +648,7 @@ def test_a_block_holds_at_most_12_lane_arrays(link):
         return log_lik(eta, y, keep_state)
 
     lf.newton_terms, lf.log_lik = terms_spy, log_lik_spy
-    glm._newton_block(*args)
+    _run_block(args)
     assert any(0 < c[1] < c[0] for c in calls if len(c) > 1)
 
 
@@ -654,6 +662,26 @@ def test_a_pick_only_block_holds_at_most_12_lane_arrays(link):
     assert peak <= 12 * x.nbytes, peak / x.nbytes
     assert fits.retired.sum() > x.shape[0] // 3
     assert set(fits.iterations[fits.retired]) == {1, 2}
+
+
+@pytest.mark.parametrize("pick_only", [False, True])
+@pytest.mark.parametrize("link", ["logit", "cloglog"])
+def test_a_block_evaluates_the_newton_terms_once_per_iteration(link, pick_only):
+    # a bounded iteration's bound reads the weights its step was solved
+    # with, so it evaluates no Newton terms of its own
+    args = _lane_block(link)
+    lf = args[5]
+    calls = []
+    newton_terms = lf.newton_terms
+
+    def terms_spy(eta, state=None):
+        calls.append(eta.shape[0])
+        return newton_terms(eta, state)
+
+    lf.newton_terms = terms_spy
+    fits = _run_block(args, pick_only)
+    assert len(calls) == fits.iterations.max()
+    assert fits.retired.any() == pick_only  # the bounded iterations ran
 
 
 def _shared_start(y, A, lf, start):
@@ -672,10 +700,10 @@ def test_the_shared_start_pass_holds_at_most_12_lane_arrays(link):
     start[-1] = 0.0
     eta, state = _shared_start(y, A, lf, start)
     args = (lf, y, A, x, glm._box(start), eta, state)
-    glm._shared_bounds(*args)  # warm-up
+    glm._shared_direction(*args)  # warm-up
     tracemalloc.start()
     try:
-        bound = glm._shared_bounds(*args)
+        bound = glm._shared_direction(*args)[2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -742,8 +770,8 @@ def test_every_bound_lies_above_its_lanes_final_log_likelihood(link, seed, lanes
     bounds = []
     dual_bound = glm._dual_bound
 
-    def record(lf, y, A, x, caps, eta, state, dx):
-        bound = dual_bound(lf, y, A, x, caps, eta, state, dx)
+    def record(lf, y, A, x, caps, eta, r, w, dx):
+        bound = dual_bound(lf, y, A, x, caps, eta, r, w, dx)
         bounds.append((x.copy(), bound))
         return np.full_like(bound, np.inf)
 
@@ -814,8 +842,8 @@ def _check_shared_direction(y, A, X, cols, lf, start):
     test. Returns the numbers of such lanes and of rank-deficient ones."""
     x = X.T[np.asarray(cols)]
     eta, state = _shared_start(y, A, lf, start)
-    d, pivot = glm._shared_direction(lf, y, A, x, eta, state)
-    ref, _gain, ref_ok, fell_back, rank_deficient = glm._lane_direction(
+    d, pivot, _bound = glm._shared_direction(lf, y, A, x, glm._box(start), eta, state)
+    ref, _dx, _gain, ref_ok, fell_back, rank_deficient, _bound = glm._lane_direction(
         lf, y, A, *_column_products(A), x, eta, state, True)
     assert np.array_equal(~(pivot > 1e-10), rank_deficient)  # NaN for a zero column
     newton = ref_ok & ~fell_back

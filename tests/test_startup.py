@@ -103,10 +103,9 @@ def test_a_logit_and_cloglog_workflow_on_a_pool_runs_without_scipy(tmp_path):
     assert out == "['cloglog', 'logit'] []"
 
 
-def test_pool_workers_import_no_module_their_parent_lacked(tmp_path):
-    # each worker notes sys.modules as it was forked, which is its parent's
-    # set at the fork, and reports what its task added to it
-    out = _run("""
+# each worker notes sys.modules as it was forked, which is its parent's set
+# at the fork, and reports what its task added to it
+_POOL_MODULES = """
         import os
         import sys
         import numpy as np
@@ -132,8 +131,22 @@ def test_pool_workers_import_no_module_their_parent_lacked(tmp_path):
         golub = experiments._map_tasks(
             data, [(added, (experiments._full_path_task, (lf, 2))) for lf in lfs], 2)
         print(built, s1 + golub)
-    """, tmp_path)
-    assert out == "True [[], [], [], [], []]"
+"""
+
+
+def test_pool_workers_import_no_module_their_parent_lacked(tmp_path):
+    assert _run(_POOL_MODULES, tmp_path) == "True [[], [], [], [], []]"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+def test_pool_workers_are_forked_under_a_forkserver_default(tmp_path):
+    # Python 3.14 makes forkserver the default start method on Linux; the
+    # pool forks its workers all the same, so they still inherit every module
+    prelude = """
+        import multiprocessing
+        multiprocessing.set_start_method("forkserver", force=True)
+"""
+    assert _run(prelude + _POOL_MODULES, tmp_path) == "True [[], [], [], [], []]"
 
 
 def test_per_lane_cholesky_of_a_stack_with_a_refused_lane_loads_no_scipy(tmp_path):
