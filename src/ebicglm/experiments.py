@@ -277,6 +277,11 @@ def _cv_plan(data: Dataset, links, path_length: int, folds: int, seed: int):
     lfs = [parse_link_family(lf) if isinstance(lf, str) else lf for lf in links]
     if not lfs:
         raise InvalidArgs("need at least one link")
+    names = [lf.link.name for lf in lfs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        # each link's ranking, CV criterion and final are keyed by its name
+        raise InvalidArgs(f"link {', '.join(repeated)} given more than once")
     for lf in lfs:  # on all rows, so a refused y names its row of the data
         lf.family.validate_y(data.y)
     fold_of = _fold_assignment(data.y, folds, seed)

@@ -17,6 +17,9 @@ lane-major: every per-lane array over the n observations (x_j, eta, the
 link terms, the weights) is C x n, one lane per row, so each lane's sum is a
 pairwise sum over its own contiguous row and equal lanes get bit-equal
 values. The coefficient-side arrays (gradients, steps, beta) are k x C.
+Its lanes all start at one eta, so one inverse of the shared A'WA gives
+every lane's first Newton step and rank test through its Schur complement
+(``_first_direction``); later iterations solve each lane's own Gram.
 
 Every fit stops by the same fixed rules. It has converged once its step d
 has a predicted gain g'd / 2 (half the squared Newton decrement; Boyd &
@@ -37,16 +40,16 @@ weak-duality upper bound on the log-likelihood of every iterate inside its
 coefficient box (``_dual_bound``), and a lane whose bound lies below the
 best log-likelihood any lane of the call has reached, by 1e-7 (1 + |best|),
 is retired where it stands. Every lane ascends, so a retired lane cannot be
-picked. A step's lanes all start from the same eta, so when they fill more
-than one block their first bounds come from one pass over them before any
-is fitted: one inverse of the shared A'WA gives every lane's Newton step
-through its Schur complement. The lanes are then fitted best first, in
-descending order of those bounds, and most are retired at their start by
-the best log-likelihood that the first few reach.
+picked. When a step's lanes fill more than one block, their first bounds
+come from one pass of that first iteration over them before any is
+fitted. The lanes are then fitted best first, in descending order of those
+bounds, and most are retired at their start by the best log-likelihood
+that the first few reach.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -131,7 +134,9 @@ class Dataset:
                     f"{path}: first CSV column must be named 'y', got {names[0]!r}"
                 )
             try:
-                body = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float)
+                with warnings.catch_warnings():  # numpy's no-data warning: refused below
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    body = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=float)
             except UnicodeDecodeError as exc:
                 raise DataError(f"{path}: not UTF-8 text: {exc}") from None
             except ValueError as exc:
@@ -330,22 +335,16 @@ def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> Hes
 #: per-call overhead of numpy, about 0.2 ms per Newton iteration of a block
 #: whatever its width, against peak memory. A block frees each C x n array
 #: once it is spent, so its peak holds about 8.4 of them under logit and
-#: 10.2 under cloglog, and 10.2 and 10.8 where a pick-only call bounds its
-#: lanes (``tracemalloc``, 1024 lanes x n = 64; a test holds it at 12 or
-#: fewer), 5-6 MB at 2^16. Against 2^14, 2^16 cut the
-#: block-iterations of the benchmark's Golub-shaped workflow 3x (3588 ->
-#: 1179) and raised its peak RSS by 2 MB (104 -> 107 MB), and that of the
-#: Setting-1 batch by 3.5 MB (77 -> 81 MB). ``import ebicglm`` frees one
-#: block of 8 lane arrays of this size, which raises glibc's mmap and trim
-#: thresholds to 8 and 16 lane arrays, so that a block's freed arrays are
-#: reused from the heap rather than faulted in afresh on every iteration.
+#: 11.4 under cloglog, and 7.3 and 7.4 where a pick-only call bounds its
+#: lanes (``tracemalloc``, the tests' 1024 lanes x n = 64 from a shared
+#: start; they hold it at 12 or fewer), 5-6 MB at 2^16. Against 2^14, 2^16
+#: cut the block-iterations of the benchmark's Golub-shaped workflow 3x
+#: (3588 -> 1179) and raised its peak RSS by 2 MB (104 -> 107 MB), and that
+#: of the Setting-1 batch by 3.5 MB (77 -> 81 MB). ``import ebicglm`` frees
+#: one block of 8 lane arrays of this size, which raises glibc's mmap and
+#: trim thresholds to 8 and 16 lane arrays, so that a block's freed arrays
+#: are reused from the heap rather than faulted in afresh on every iteration.
 LANE_BLOCK_CELLS = 1 << 16
-
-
-def _with_identity(h, ok):
-    """The P x k x k stack h with every lane outside the mask ok replaced by
-    the identity, so a stacked LAPACK call cannot fail on it."""
-    return h if ok.all() else np.where(ok[:, None, None], h, np.eye(h.shape[1]))
 
 
 def _per_lane(solver, *stacks):
@@ -366,38 +365,26 @@ def _per_lane(solver, *stacks):
     return np.concatenate([r0, r1]), np.concatenate([ok0, ok1])
 
 
-def _lane_rank_deficient(h1):
-    """True for each lane of a P x k x k stack of weighted Grams that is not
-    numerically full rank. A Cholesky pivot can round to +eps on an exactly
-    singular matrix, so beyond a finite matrix and a successful
-    factorization each squared pivot must exceed 1e-10 of its diagonal
-    entry: pivot_i^2 / h1_ii is the weighted 1 - R^2 of column i against
-    its predecessors, so the test is invariant to column scaling."""
-    finite = np.isfinite(h1).all(axis=(1, 2))
-    c, ok = _per_lane(np.linalg.cholesky, _with_identity(h1, finite))
-    piv2 = np.diagonal(c, axis1=1, axis2=2) ** 2
-    small = (piv2 <= 1e-10 * np.diagonal(h1, axis1=1, axis2=2)).any(axis=1)
-    return ~(finite & ok) | small
-
-
 def _lane_chol_solve(h, g):
     """Solve h d = g lane by lane for a P x k x k stack and a k x P
     right-hand side: (d as k x P, mask of lanes where h is finite and
     numerically SPD, by LAPACK's potrf test, and its LU solve succeeds with
     a finite d). The systems themselves are solved by one stacked LU
     solve; potrf can accept a matrix whose LU meets an exact zero pivot."""
+    def kept(ok):  # the identity in place of each refused lane: LAPACK accepts it
+        return h if ok.all() else np.where(ok[:, None, None], h, np.eye(h.shape[1]))
+
     ok = np.isfinite(h).all(axis=(1, 2))
-    ok &= _per_lane(np.linalg.cholesky, _with_identity(h, ok))[1]
-    d, solved = _per_lane(np.linalg.solve, _with_identity(h, ok), g.T[:, :, None])
+    ok &= _per_lane(np.linalg.cholesky, kept(ok))[1]
+    d, solved = _per_lane(np.linalg.solve, kept(ok), g.T[:, :, None])
     d = d[:, :, 0].T
     return d, ok & solved & np.isfinite(d).all(axis=0)
 
 
 def _lane_gram(A, Z, iu, x, w):
     """X^T diag(w) X for each lane's design X = [A, x_j], as a P x k x k
-    stack, for the P x n rows x_j of x. Z holds the column products
-    A_a * A_b for (a, b) in the upper triangle ``iu``; w is P x n, or 1 x n
-    when all lanes share it."""
+    stack, for the P x n rows x_j of x and w. Z holds the column products
+    A_a * A_b for (a, b) in the upper triangle ``iu``."""
     m = A.shape[1]
     h = np.empty((x.shape[0], m + 1, m + 1))
     wx = w * x
@@ -419,7 +406,7 @@ def _rows(a, idx):
 
 def _lane_gradient(A, x, r):
     """X^T r for each lane's design X = [A, x_j], as k x C, for the C x n
-    rows x_j of x and r (C x n, or 1 x n when all lanes share it)."""
+    rows x_j of x and r."""
     grad = np.empty((A.shape[1] + 1, x.shape[0]))
     grad[:-1] = A.T @ r.T
     grad[-1] = (x * r).sum(axis=1)
@@ -441,60 +428,44 @@ def _newton_weights(lf, y, eta, state):
     return r, w1, w1 if hpp is None else w1 - resid * hpp
 
 
-def _lane_direction(lf, y, A, Z, iu, x, eta, state, first, caps=None):
-    """Each lane's ascent direction at an in-domain eta (C x n, one row per
-    lane, or 1 x n while every lane shares it), whose link ``state`` came
-    from ``log_lik``: the Newton step on H1 - H0, else Fisher scoring on
-    H1, else on H1 plus a jitter of 1e-10 times its mean diagonal. Returns
-    (d as k x C, each full step's eta change dx as C x n, the predicted
-    gain g'd / 2 of each lane's step, mask of lanes with a step to try,
-    mask of those whose step came from a Fisher fallback, the mask of
-    lanes failing the rank test, which is run when ``first``, and, given
-    the coefficient box ``caps``, each lane's ``_dual_bound`` from the
-    weights the step was solved with, else None). Lanes whose gradient is
-    non-finite get no step. The other C x n intermediates die on return."""
+def _lane_direction(lf, y, A, Z, iu, x, eta, state, caps=None):
+    """Each lane's ascent direction after the first iteration, at an
+    in-domain eta (C x n, one row per lane) whose link ``state`` came from
+    ``log_lik``: the Newton step on H1 - H0, else Fisher scoring on H1, else
+    on H1 plus a jitter of 1e-10 times its mean diagonal. Returns (d as
+    k x C, each full step's eta change dx as C x n, the predicted gain g'd / 2
+    of each lane's step, mask of lanes with a step to try, mask of those
+    whose step came from a Fisher fallback, the rank test's mask, which only
+    ``_first_direction`` runs and is all False here, and, given the
+    coefficient box ``caps``, each lane's ``_dual_bound`` from the weights
+    the step was solved with, else None). Lanes whose gradient is non-finite
+    get no step. The other C x n intermediates die on return."""
     k = A.shape[1] + 1
     lanes = x.shape[0]
     r, w1, w = _newton_weights(lf, y, eta, state)
     grad = _lane_gradient(A, x, r)
-    stop = ~np.isfinite(grad).all(axis=0)
-    rank_deficient = np.zeros(lanes, dtype=bool)
-    h1_all = None
-    if first:
-        # the rank test needs every lane's H1; while eta is still shared,
-        # so are the weights
-        h1_all = _lane_gram(A, Z, iu, x, w1)
-        rank_deficient = _lane_rank_deficient(h1_all)
-        stop |= rank_deficient
-        go = np.flatnonzero(~stop)
-        h = _rows(h1_all if w is w1 else _lane_gram(A, Z, iu, x, w), go)
-    else:
-        go = np.flatnonzero(~stop)
-        h = _lane_gram(A, Z, iu, _rows(x, go), _rows(w, go))
-
-    def h1_of(idx):
-        if h1_all is not None:
-            return h1_all[idx]
-        return _lane_gram(A, Z, iu, x[idx], w1[idx])
-
+    go = np.flatnonzero(np.isfinite(grad).all(axis=0))
     d = np.zeros((k, lanes))
     ok = np.zeros(lanes, dtype=bool)
     if go.size:
-        d[:, go], ok[go] = _lane_chol_solve(h, grad[:, go])
+        d[:, go], ok[go] = _lane_chol_solve(_lane_gram(A, Z, iu, _rows(x, go), _rows(w, go)),
+                                            grad[:, go])
     direct = ok.copy()
     bad = go[~ok[go]]
     if bad.size and w is not w1:
-        d[:, bad], ok[bad] = _lane_chol_solve(h1_of(bad), grad[:, bad])
+        d[:, bad], ok[bad] = _lane_chol_solve(_lane_gram(A, Z, iu, x[bad], w1[bad]),
+                                              grad[:, bad])
         bad = bad[~ok[bad]]
     if bad.size:
-        h1 = h1_of(bad)
+        h1 = _lane_gram(A, Z, iu, x[bad], w1[bad])
         jitter = 1e-10 * np.trace(h1, axis1=1, axis2=2) / k
         h1 = h1 + jitter[:, None, None] * np.eye(k)
         d[:, bad], ok[bad] = _lane_chol_solve(h1, grad[:, bad])
-    del w1, h1_all, h  # spent: the bound needs room for its own C x n arrays
+    del w1  # spent: the bound needs room for its own C x n arrays
     dx = d[:-1].T @ A.T + d[-1][:, None] * x
     bound = None if caps is None else _dual_bound(lf, y, A, x, caps, eta, r, w, dx)
-    return d, dx, (grad * d).sum(axis=0) / 2, ok, ok & ~direct, rank_deficient, bound
+    return (d, dx, (grad * d).sum(axis=0) / 2, ok, ok & ~direct, np.zeros(lanes, dtype=bool),
+            bound)
 
 
 def _dual_bound(lf, y, A, x, caps, eta, r, w, dx):
@@ -562,20 +533,18 @@ def _schur_step(P, g_a, b, c, g_x):
     return d, (s > 0.0) & np.isfinite(d).all(axis=0), pivot
 
 
-def _shared_direction(lf, y, A, x, caps, eta, state):
-    """``_lane_direction``'s first step for lanes (the rows of x, C x n)
-    that all start at the shared eta (1 x n, with its link ``state``) with
-    their own coefficient at 0: the Newton step on H1 - H0, else Fisher
-    scoring on H1, each by ``_schur_step`` rather than by a Gram and a
-    factorization per lane. Returns d as k x C, ``_schur_step``'s pivot
-    ratio of each lane's H1 (a lane whose H1 passes the rank test has a
-    step), and each lane's ``_dual_bound`` in the box ``caps`` at that
-    step, from the weights it was solved with. A lane's bound is inf, so
-    that it enters a block, where it is not finite or where its H1's pivot
-    ratio is not above 100 times the rank test's 1e-10: the block's rank
-    test then decides it, since a lane retired on this bound never meets
-    that test, and its Cholesky pivots can round apart from the Schur
-    complement's."""
+def _first_direction(lf, y, A, x, eta, state, caps=None):
+    """``_lane_direction`` at the first iteration, where every lane (a row
+    of x, C x n) stands at one shared eta (1 x n, with its link ``state``),
+    returning the same tuple: the Newton step on H1 - H0, else Fisher
+    scoring on H1, each by ``_schur_step`` from one inverse of the shared
+    A'WA. The rank test refuses a lane whose H1's pivot ratio is not above
+    1e-10, NaN included; neither it nor a lane whose step is not finite (as
+    where its gradient is not) gets a step. Given ``caps``, a lane's bound
+    is inf unless it has a step, a finite bound and a pivot ratio above 100
+    times the rank test's: a lane retired where it stands never meets a
+    later rank test, which rounds by lane count and position (in another
+    block, or in a one-lane call) and could refuse it."""
     r, w1, w = _newton_weights(lf, y, eta, state)
     weighted = [w1.T * A] if w is w1 else [w1.T * A, w.T * A]
     # every lane's A'W x_j under each weight and its x_j'r come from one
@@ -583,14 +552,20 @@ def _shared_direction(lf, y, A, x, caps, eta, state):
     prod = x @ np.hstack(weighted + [r.T])
     c = (x * x) @ np.vstack([w1, w]).T
     g_a, g_x, m = A.T @ r[0], prod[:, -1], A.shape[1]
-    d, _, pivot = _schur_step(A.T @ weighted[0], g_a, prod[:, :m], c[:, 0], g_x)
+    d, direct, pivot = _schur_step(A.T @ weighted[0], g_a, prod[:, :m], c[:, 0], g_x)
     if w is not w1:
         newton, direct, _ = _schur_step(A.T @ weighted[1], g_a, prod[:, m:2 * m],
                                         c[:, 1], g_x)
         d = np.where(direct, newton, d)
+    rank_deficient = ~(pivot > 1e-10)
+    ok = ~rank_deficient & np.isfinite(d).all(axis=0)  # a non-finite gradient's too
+    d = np.where(ok, d, 0.0)
     dx = d[:-1].T @ A.T + d[-1][:, None] * x
-    bound = _dual_bound(lf, y, A, x, caps, eta, r, w, dx)
-    return d, pivot, np.where((pivot > 1e-8) & np.isfinite(bound), bound, np.inf)
+    bound = None
+    if caps is not None:
+        bound = _dual_bound(lf, y, A, x, caps, eta, r, w, dx)
+        bound = np.where(ok & (pivot > 1e-8) & np.isfinite(bound), bound, np.inf)
+    return d, dx, (g_a @ d[:-1] + g_x * d[-1]) / 2, ok, ok & ~direct, rank_deficient, bound
 
 
 def _step_search(lf, y, eta, dx, ll, ok, conv):
@@ -649,20 +624,21 @@ def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, pick_only=False,
     is C x n, one row per lane, so each lane's sums run over its own
     contiguous row. Each C x n array is freed once it is spent, by the
     return of the helper that made it or by ``del``, so the block's peak
-    holds few of them (see ``LANE_BLOCK_CELLS``). ``best`` is the largest
-    log-likelihood the call's earlier blocks reached. ``shared_bound``, when
-    the call bounded its lanes at their shared start
-    (``_shared_direction``), holds each lane's bound, which then serves as
-    iteration 1's. A bounded lane that the best is already past leaves
+    holds few of them (see ``LANE_BLOCK_CELLS``). Every lane starts at the
+    one eta of ``start``, so iteration 1 takes its directions and the rank
+    test from ``_first_direction``, and each later one from
+    ``_lane_direction``. ``best`` is the largest log-likelihood the call's
+    earlier blocks reached. ``shared_bound``, when the call bounded its
+    lanes at their shared start, holds each lane's bound, which then serves
+    as iteration 1's. A bounded lane that the best is already past leaves
     before its step search."""
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
     bounding = pick_only and lf.flat_eta is not None
     beta = np.repeat(start[:, None], lanes.size, axis=1)
     caps = _box(start)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # when the lanes start with their own coefficient at 0 they all share
-        # one eta, so it stays 1 x n (and the first iteration's weights are
-        # shared) until the first step
+        # the lanes start at one eta, 1 x n until the first step: their own
+        # coefficient is 0, or there is one lane
         eta = (A @ start[:-1])[None, :]
         if start[-1]:
             eta = eta + start[-1] * x
@@ -673,9 +649,10 @@ def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, pick_only=False,
             if bounded_eta:
                 out.eta_clamped[lanes] |= (eta_c != eta).any(axis=1)
             shared = it == 1 and shared_bound is not None
-            d, dx, gain, ok, fell_back, rd, bound = _lane_direction(
-                lf, y, A, Z, iu, x, eta_c, state, it == 1,
-                caps if bounding and it <= BOUND_ITERS and not shared else None)
+            box = caps if bounding and it <= BOUND_ITERS and not shared else None
+            d, dx, gain, ok, fell_back, rd, bound = (
+                _first_direction(lf, y, A, x, eta_c, state, box) if it == 1
+                else _lane_direction(lf, y, A, Z, iu, x, eta_c, state, box))
             if shared:
                 bound = shared_bound
             del eta_c, state  # spent
@@ -748,18 +725,21 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
     This is the package's one fitter: ``fit_mle`` is its one-lane case, and
     the screen and every forward step make one call each. The designs share
     the n x m block A (m may be 0) and ``start``, which holds A's
-    coefficients and then the lane's own. Each lane iterates on its own and
-    leaves at the first of: the rank test at iteration 1 (flagged
-    ``rank_deficient``; a single fit raises there), a non-finite gradient,
-    no solvable direction (see ``_lane_direction``), a predicted gain g'd / 2
-    of at most ``DEC_TOL`` (1 + |loglik|) (converged, after taking that full
-    step unless it lowers the log-likelihood), no step accepted after
-    ``MAX_HALVINGS`` halvings, an accepted step that gains nothing (a stall,
-    left where it stands), a step that would take some |beta_j| above
-    ``BETA_CAP`` (quasi-separated, left at the last in-cap iterate; a
-    coefficient whose start lies beyond the cap is held to |start_j| +
-    ``BETA_CAP`` instead) and ``MAX_ITER`` iterations. eta is clamped into
-    the link's domain wherever it is evaluated.
+    coefficients and then the lane's own. The lanes must share their start
+    eta: the lane's own start is 0 (as in the screen and every forward
+    step), or the call has one distinct lane (``fit_mle``); any other call
+    is refused with InvalidArgs. Each lane iterates on its own and leaves at
+    the first of: the rank test at iteration 1 (flagged ``rank_deficient``;
+    a single fit raises there), a non-finite gradient, no solvable
+    direction (see ``_first_direction`` and ``_lane_direction``), a
+    predicted gain g'd / 2 of at most ``DEC_TOL`` (1 + |loglik|) (converged,
+    after taking that full step unless it lowers the log-likelihood), no
+    step accepted after ``MAX_HALVINGS`` halvings, an accepted step that
+    gains nothing (a stall, left where it stands), a step that would take
+    some |beta_j| above ``BETA_CAP`` (quasi-separated, left at the last
+    in-cap iterate; a coefficient whose start lies beyond the cap is held
+    to |start_j| + ``BETA_CAP`` instead) and ``MAX_ITER`` iterations. eta
+    is clamped into the link's domain wherever it is evaluated.
 
     A ``pick_only`` call serves a caller that keeps only the lane with the
     largest log-likelihood (the lowest index among equal ones): at each of
@@ -775,17 +755,16 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
     can differ: lanes leave the blocks sooner, and BLAS rounds by lane count
     and position.
 
-    When such a call's lanes share their start (their own coefficient at 0,
-    as in every forward step) and fill more than one block, each distinct
-    lane is first bounded there (``_shared_direction``, in chunks of a
-    block's lanes), and the blocks take the lanes best first: in descending
-    order of that bound, the first block an eighth of the others. A lane
-    whose bound is beaten by the best reached so far is retired without
-    entering a block (``iterations`` 0, at its start), and so is every lane
-    after it. In a block, that bound serves as iteration 1's. Lanes that
-    fill one block are not bounded first: none could leave before that
-    block, whose iteration 1 computes the same bound. Every other call takes
-    its lanes in index order.
+    When such a call's lanes fill more than one block, each distinct lane
+    is first bounded at the shared start (``_first_direction``, in chunks
+    of a block's lanes), and the blocks take the lanes best first: in
+    descending order of that bound, the first block an eighth of the
+    others. A lane whose bound is beaten by the best reached so far is
+    retired without entering a block (``iterations`` 0, at its start), and
+    so is every lane after it. In a block, that bound serves as iteration
+    1's. Lanes that fill one block are not bounded first: none could leave
+    before that block, whose iteration 1 computes the same bound. Every
+    other call takes its lanes in index order.
 
     Each distinct column (by byte equality) is fitted once, so duplicated
     columns get bit-equal results (BLAS rounds by lane position), and the
@@ -795,7 +774,7 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
     block gathers its columns as the rows of a C x n array and holds every
     per-lane array over the observations the same way, one lane per row,
     and frees each once it is spent: at its peak a block holds about 8.4
-    such arrays under logit and 10.2 under cloglog (10.2 and 10.8 when it
+    such arrays under logit and 11.4 under cloglog (7.3 and 7.4 when it
     bounds its lanes), besides its input. Every block writes its lanes in
     place into the call's one ``LaneFits`` table over the distinct lanes.
     """
@@ -804,6 +783,9 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
     cols = np.asarray(cols, dtype=int)
     first = _first_copies(X, cols)
     distinct = np.flatnonzero(first == np.arange(cols.size))
+    start = np.asarray(start, dtype=float)
+    if start[-1] != 0.0 and distinct.size > 1:
+        raise InvalidArgs("lanes with their own nonzero start do not share one eta")
     iu = np.triu_indices(m)  # row by row: (0, 0), (0, 1), ..., (1, 1), ...
     Z = np.empty((n, iu[0].size))
     pos = 0
@@ -813,20 +795,18 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
         for a in range(m):  # a block of columns at a time keeps temporaries small
             Z[:, pos:pos + m - a] = A[:, a:a + 1] * A[:, a:]
             pos += m - a
-    start = np.asarray(start, dtype=float)
     width = max(1, LANE_BLOCK_CELLS // max(n, k * k))
     # lanes that fill one block gain nothing from a shared-start bound: none
     # can leave before that block, whose iteration 1 computes the same bound
-    shared = (pick_only and lf.flat_eta is not None and start[-1] == 0.0
-              and distinct.size > width)
+    shared = pick_only and lf.flat_eta is not None and distinct.size > width
     bound = np.full(distinct.size, np.inf)
     if shared:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             eta = lf.clip_eta((A @ start[:-1])[None, :])
             start_ll, state = lf.log_lik(eta, y, keep_state=True)
             for s in range(0, distinct.size, width):
-                bound[s:s + width] = _shared_direction(
-                    lf, y, A, X.T[cols[distinct[s:s + width]]], _box(start), eta, state)[2]
+                bound[s:s + width] = _first_direction(
+                    lf, y, A, X.T[cols[distinct[s:s + width]]], eta, state, _box(start))[6]
         del eta, state
     # best first (a stable sort: equal bounds, all-inf ones too, keep index
     # order). The first block is an eighth of the others, so that the best

@@ -166,6 +166,14 @@ def _check_max_steps(max_steps: int, name: str = "max_steps") -> None:
         raise InvalidArgs(f"{name} must be >= 1, got {max_steps}")
 
 
+def _gamma_values(gammas) -> tuple:
+    """The gammas as a tuple of floats; refuses an empty one."""
+    gammas = tuple(float(g) for g in gammas)
+    if not gammas:
+        raise InvalidArgs("need at least one gamma")
+    return gammas
+
+
 def _ebic_floors(sat: float, n: int, p: int, gammas: tuple, last: int) -> np.ndarray:
     """floors[i, s]: the least EBIC at gammas[i] that any prefix of size
     s + 1 .. last can score. A fit's log-likelihood is at most ``sat``, the
@@ -245,9 +253,7 @@ def forward_select(
     if cand[0] < 0 or cand[-1] >= data.p:
         raise InvalidArgs(f"candidate index out of range for p={data.p}")
     _check_max_steps(max_steps)
-    gammas = tuple(float(g) for g in gammas)
-    if not gammas:
-        raise InvalidArgs("need at least one gamma")
+    gammas = _gamma_values(gammas)
     n, p = data.n, data.p
 
     null_model = ModelIndex((), include_intercept=include_intercept)
@@ -334,9 +340,10 @@ def select_pipeline(
     data: Dataset,
     config: SelectConfig | None = None,
 ) -> SelectionReport:
-    """Screen when p exceeds the threshold, then run forward selection."""
+    """Screen when p exceeds the threshold, then run forward selection. An
+    empty ``gammas`` or a ``max_steps`` below 1 is refused before any fit."""
     config = config or SelectConfig()
-    gammas = tuple(resolve_gamma(g, data.n, data.p) for g in config.gammas)
+    gammas = _gamma_values(resolve_gamma(g, data.n, data.p) for g in config.gammas)
     max_steps = 50 if config.max_steps is None else config.max_steps
     _check_max_steps(max_steps)
     screen = None

@@ -404,6 +404,18 @@ class TestCvLinks:
         assert len(lines) == 3
         assert sum(1 for ln in lines[1:] if ln.endswith("*")) == 1
 
+    @pytest.mark.parametrize("links,message", [
+        ("logit,cloglog,logit", "link logit given more than once"),
+        (",", "need at least one link"),
+    ])
+    def test_bad_link_lists_are_usage_errors(self, toy_csv, tmp_path, capsys, links, message):
+        out = tmp_path / "cv"
+        assert main(["cv-links", "--input", toy_csv, "--links", links, "--folds", "4",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ebicglm: usage error") and message in err
+        assert not out.exists()
+
 
 class TestDiagnose:
     def test_ratio_table(self, toy_csv, tmp_path, capsys):
@@ -848,6 +860,30 @@ def edge_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("edge")
 
 
+def _every_command(csv, beta_file, out, link, family, features):
+    """fit, select, cv-links and diagnose on one CSV file."""
+    model = ["--input", str(csv), "--link", link, "--family", family]
+    return [
+        ["fit", *model, "--features", features],
+        ["select", *model, "--max-steps", "3", "--out", str(out)],
+        ["cv-links", "--input", str(csv), "--folds", "2", "--path-length", "2",
+         "--threads", "1", "--out", str(out)],
+        ["diagnose", *model, "--beta", str(beta_file)],
+    ]
+
+
+def _run_quietly(argv):
+    """``main(argv)``'s exit code and stderr lines; no warning escapes it."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        # a warning would reach a command-line user's stderr
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    return rc, err.getvalue().splitlines()
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_edge_csvs(), data=st.data())
 def test_any_csv_contents_give_an_exit_code_and_one_stderr_line(edge_dir, case, data):
@@ -858,21 +894,22 @@ def test_any_csv_contents_give_an_exit_code_and_one_stderr_line(edge_dir, case, 
     csv, beta_file, out = edge_dir / "edge.csv", edge_dir / "beta.txt", edge_dir / "out"
     csv.write_text(text)
     beta_file.write_text("".join(f"{b!r}\n" for b in beta))
-    model = ["--input", str(csv), "--link", link, "--family", family]
-    runs = [
-        ["fit", *model, "--features", features],
-        ["select", *model, "--max-steps", "3", "--out", str(out)],
-        ["cv-links", "--input", str(csv), "--folds", "2", "--path-length", "2",
-         "--threads", "1", "--out", str(out)],
-        ["diagnose", *model, "--beta", str(beta_file)],
-    ]
-    for argv in runs:
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            # a warning would reach a command-line user's stderr
-            warnings.simplefilter("always")
-            rc = main(argv)
+    for argv in _every_command(csv, beta_file, out, link, family, features):
+        rc, lines = _run_quietly(argv)
         assert rc in (0, 1, 2, 3), argv
-        assert not caught, (argv, [str(w.message) for w in caught])
-        assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+        assert len(lines) <= 1, (argv, lines)
+
+
+@pytest.mark.parametrize("body,message", [
+    (b"y,a\n", "no data rows"),
+    (b"", "empty file"),
+    (b"y,a,b\n1,2\n0,3\n", "header has 3 columns, rows have 2"),
+    (b"y,a\n1,0.5\n0,\xff\n", "not UTF-8 text"),
+], ids=["header-only", "empty", "rows-one-cell-short", "non-utf8-body"])
+def test_an_unreadable_csv_file_gives_exit_code_2_and_one_stderr_line(edge_dir, body, message):
+    csv, beta_file, out = edge_dir / "fixed.csv", edge_dir / "fixed-beta.txt", edge_dir / "out"
+    csv.write_bytes(body)
+    beta_file.write_text("0.5\n")
+    for argv in _every_command(csv, beta_file, out, "logit", "bernoulli", "1"):
+        rc, lines = _run_quietly(argv)
+        assert rc == 2 and len(lines) == 1 and message in lines[0], (argv, lines)

@@ -201,6 +201,21 @@ class TestStepCapsBeforeThePool:
             real_data_workflow(_binary_data(), ["logit"], cv_folds=4, **{cap: 0})
 
 
+class TestRepeatedLinksBeforeThePool:
+    # each link's ranking and final are keyed by its name, so a repeated
+    # name is refused before any task is queued
+    @pytest.mark.parametrize("links", [["logit", "logit"], ["cloglog", "logit", "cloglog"]])
+    def test_cv_select_link(self, monkeypatch, links):
+        monkeypatch.setattr(exp_mod, "_map_tasks", _no_pool)
+        with pytest.raises(InvalidArgs, match="given more than once"):
+            cv_select_link(_binary_data(), links, path_length=2, folds=4)
+
+    def test_real_data_workflow(self, monkeypatch):
+        monkeypatch.setattr(exp_mod, "_map_tasks", _no_pool)
+        with pytest.raises(InvalidArgs, match="^link logit given more than once"):
+            real_data_workflow(_binary_data(), ["logit", "logit"], cv_folds=4)
+
+
 def _binary_data(n=48, p=4, coef=2.5, seed=0, dominant=1):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -462,7 +463,8 @@ def test_fisher_fallback_is_flagged():
 def test_an_indefinite_hessian_steps_by_fisher_scoring():
     # y = 1 far out on the cauchit left tail: there h' ~ 1/|eta| and
     # h'' ~ 1/eta^2, so H0 outweighs H1 and H1 - H0 is not PD. The step
-    # then solves H1 d = g itself, not H1 plus the last resort's jitter
+    # then solves H1 d = g itself, not H1 plus the last resort's jitter,
+    # at the first iteration and at any later one
     lf = parse_link_family("cauchit")
     rng = np.random.default_rng(1)
     n = 20
@@ -476,10 +478,12 @@ def test_an_indefinite_hessian_steps_by_fisher_scoring():
     A = np.ones((n, 1))
     eta = (beta[0] + beta[1] * x)[None, :]
     _ll, state = lf.log_lik(eta, data.y, keep_state=True)
-    d, _dx, _gain, ok, fell_back, _rd, _bound = glm._lane_direction(
-        lf, data.y, A, A * A, np.triu_indices(1), x[None, :], eta, state, True)
-    assert ok[0] and fell_back[0]
-    assert np.abs(parts.h1 @ d[:, 0] - g).max() <= 1e-12 * np.abs(g).max()
+    for d, _dx, _gain, ok, fell_back, rd, _bound in (
+            glm._first_direction(lf, data.y, A, x[None, :], eta, state),
+            glm._lane_direction(lf, data.y, A, A * A, np.triu_indices(1), x[None, :], eta,
+                                state)):
+        assert ok[0] and fell_back[0] and not rd[0]
+        assert np.abs(parts.h1 @ d[:, 0] - g).max() <= 1e-12 * np.abs(g).max()
 
 
 def test_a_fit_that_cannot_meet_the_decrement_test_stalls(monkeypatch):
@@ -539,17 +543,45 @@ def test_a_refused_stacked_solve_refuses_only_its_lane():
 
 
 def test_standard_cauchy_columns_from_a_nonzero_start_raise_nothing():
-    # from a lane coefficient of 0.5, heavy-tailed columns reach a
-    # numerically rank-one H1 - H0 on the way; its refused solve falls
-    # through to Fisher scoring instead of failing the whole call
+    # at a lane coefficient of 0.5, heavy-tailed columns give some lanes a
+    # numerically rank-one H1 - H0, whose stacked solve LAPACK refuses; it
+    # falls through to Fisher scoring for its own lane instead of failing
+    # the whole call. Lanes stand at etas of their own only after the first
+    # iteration, so a later iteration's direction is taken at such an eta
     lf = parse_link_family("cloglog")
     rng = np.random.default_rng(10)
     n = 64
     y = (rng.random(n) < 0.4).astype(float)
     x = rng.standard_cauchy((8, n))
+    A = np.ones((n, 1))
     start = np.array([_initial_beta(lf, y, 1, True)[0], 0.5])
-    fits = glm._newton_lanes(y, np.ones((n, 1)), x.T, np.arange(8), lf, start)
-    assert np.isfinite(fits.log_lik).all() and fits.used_fisher_fallback.any()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        eta = lf.clip_eta(start[0] + start[1] * x)
+        _ll, state = lf.log_lik(eta, y, keep_state=True)
+        d, _dx, _gain, ok, fell_back, _rd, _bound = glm._lane_direction(
+            lf, y, A, A * A, np.triu_indices(1), x, eta, state)
+    assert fell_back.any() and np.isfinite(d[:, ok]).all()
+    # and a one-lane call, which may start its own coefficient anywhere,
+    # fits each column from there
+    fits = [glm._newton_lanes(y, A, x.T, [j], lf, start) for j in range(8)]
+    assert all(np.isfinite(f.log_lik).all() for f in fits)
+    assert any(f.used_fisher_fallback.any() for f in fits)
+
+
+def test_lanes_that_do_not_share_their_start_are_refused():
+    # a nonzero own start gives each lane an eta of its own; only a call of
+    # one distinct lane (copies of one column) may start there
+    lf = parse_link_family("logit")
+    rng = np.random.default_rng(0)
+    n = 30
+    y = (rng.random(n) < 0.5).astype(float)
+    X = rng.standard_normal((n, 3))
+    X[:, 2] = X[:, 0]
+    A, start = np.ones((n, 1)), np.array([0.0, 0.5])
+    with pytest.raises(InvalidArgs, match="do not share one eta"):
+        glm._newton_lanes(y, A, X, [0, 1], lf, start)
+    fits = glm._newton_lanes(y, A, X, [0, 2], lf, start)
+    assert fits.converged.all() and fits.beta[:, 0].tobytes() == fits.beta[:, 1].tobytes()
 
 
 @pytest.mark.parametrize("include_intercept", [True, False])
@@ -588,18 +620,22 @@ def test_first_copies_match_a_loop_over_column_bytes():
 
 def _lane_block(link):
     """The arguments of ``glm._newton_block`` for a block of C = 1024 lanes x
-    n = 64 (2^16 cells, the block size), from a lane coefficient of 0.5, so
-    that every lane has its own eta from the first iteration on."""
+    n = 64 (2^16 cells, the block size), from the shared start of a forward
+    step: the intercept at g(ybar) and every lane's own coefficient at 0.
+    About a tenth of the responses are 1, so the start's logit weights lie
+    well below their peak, and a third of the columns are cubed Cauchy
+    draws: some lanes' full steps overshoot, and those lanes halve them."""
     rng = np.random.default_rng(0)
     n, lanes = 64, 1024
-    y = (rng.random(n) < 0.4).astype(float)
+    y = (rng.random(n) < 0.1).astype(float)
     x = rng.standard_normal((lanes, n)) * np.linspace(0.1, 4.0, lanes)[:, None]
     x[::3] *= 3.0
     x[1::3] = (2 * y - 1) + rng.standard_normal((len(x[1::3]), n)) * np.linspace(
         0.3, 1.5, len(x[1::3]))[:, None]
+    x[2::3] = rng.standard_cauchy((len(x[2::3]), n)) ** 3
     lf = parse_link_family(link)
     A = np.ones((n, 1))
-    start = np.array([_initial_beta(lf, y, 1, True)[0], 0.5])
+    start = _initial_beta(lf, y, 2, True)
     return y, A, A * A, np.triu_indices(1), x, lf, start
 
 
@@ -697,13 +733,12 @@ def test_the_shared_start_pass_holds_at_most_12_lane_arrays(link):
     # lanes at a time: the product and the dual point's C x n arrays are
     # freed as they are spent
     y, A, _Z, _iu, x, lf, start = _lane_block(link)
-    start[-1] = 0.0
     eta, state = _shared_start(y, A, lf, start)
-    args = (lf, y, A, x, glm._box(start), eta, state)
-    glm._shared_direction(*args)  # warm-up
+    args = (lf, y, A, x, eta, state, glm._box(start))
+    glm._first_direction(*args)  # warm-up
     tracemalloc.start()
     try:
-        bound = glm._shared_direction(*args)[2]
+        bound = glm._first_direction(*args)[6]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -828,38 +863,72 @@ def test_lanes_retired_at_their_shared_start_report_it():
     assert at_start > 0
 
 
-def _column_products(A):
-    """The products of A's column pairs (a, b), a <= b, row by row, and
-    their indices, as ``_newton_lanes`` hands them to a block."""
-    iu = np.triu_indices(A.shape[1])
-    return A[:, iu[0]] * A[:, iu[1]], iu
+def _cholesky_rank_deficient(h1):
+    """The rank test on a k x k weighted Gram H1 by its Cholesky factor: it
+    fails where H1 is not finite, is refused, or has a squared pivot not
+    above 1e-10 of its diagonal entry. A pivot can round to +eps on an
+    exactly singular matrix, and pivot_i^2 / h1_ii is the weighted 1 - R^2
+    of column i against its predecessors, so the test is invariant to
+    column scaling."""
+    if not np.isfinite(h1).all():
+        return True
+    try:
+        c = np.linalg.cholesky(h1)
+    except np.linalg.LinAlgError:
+        return True
+    return bool(np.any(np.diagonal(c) ** 2 <= 1e-10 * np.diagonal(h1)))
 
 
-def _check_shared_direction(y, A, X, cols, lf, start):
-    """``_shared_direction`` against ``_lane_direction``'s first iteration
-    from the same shared start: the same step within 1e-9 relative where H
-    is positive definite, and the pivot ratio's test agrees with the rank
-    test. Returns the numbers of such lanes and of rank-deficient ones."""
+def _check_first_direction(y, A, X, cols, lf, start):
+    """``_first_direction`` at the shared start of the lanes [A, x_j]
+    against references from ``score`` and ``hessian_parts`` on each lane's
+    own design: its rank mask is ``_cholesky_rank_deficient`` of H1, and a
+    lane that passes it has a step that solves (H1 - H0) d = g where
+    H1 - H0 is positive definite, else H1 d = g (a Fisher fallback), within
+    1e-9 relative. Returns the numbers of lanes of each kind and of
+    rank-deficient ones."""
     x = X.T[np.asarray(cols)]
     eta, state = _shared_start(y, A, lf, start)
-    d, pivot, _bound = glm._shared_direction(lf, y, A, x, glm._box(start), eta, state)
-    ref, _dx, _gain, ref_ok, fell_back, rank_deficient, _bound = glm._lane_direction(
-        lf, y, A, *_column_products(A), x, eta, state, True)
-    assert np.array_equal(~(pivot > 1e-10), rank_deficient)  # NaN for a zero column
-    newton = ref_ok & ~fell_back
-    err = np.abs(d - ref)[:, newton].max(axis=0)
-    assert np.all(err <= 1e-9 * np.abs(ref)[:, newton].max(axis=0))
-    return newton.sum(), rank_deficient.sum()
+    d, _dx, _gain, ok, fell_back, rank_deficient, _bound = glm._first_direction(
+        lf, y, A, x, eta, state)
+    counts = {"newton": 0, "fisher": 0, "deficient": 0}
+    for j, col in enumerate(x):
+        data = Dataset(y, np.column_stack([A, col]))
+        model = ModelIndex(range(A.shape[1] + 1), include_intercept=False)
+        parts = hessian_parts(lf, data, model, start)
+        assert rank_deficient[j] == _cholesky_rank_deficient(parts.h1), j
+        if rank_deficient[j]:
+            assert not ok[j]
+            counts["deficient"] += 1
+            continue
+        try:
+            np.linalg.cholesky(parts.h1 - parts.h0)
+            h, kind = parts.h1 - parts.h0, "newton"
+        except np.linalg.LinAlgError:
+            h, kind = parts.h1, "fisher"
+        ref = np.linalg.solve(h, score(lf, data, model, start))
+        assert ok[j] and fell_back[j] == (kind == "fisher"), j
+        assert np.abs(d[:, j] - ref).max() <= 1e-9 * np.abs(ref).max(), j
+        counts[kind] += 1
+    return counts
+
+
+BERNOULLI_LINKS = [link for link, family in ALL_PAIRS
+                   if family == "bernoulli" and parse_link_family(link).eta_domain
+                   == (-np.inf, np.inf)]
 
 
 @pytest.mark.parametrize("include_intercept", [True, False])
-@pytest.mark.parametrize("link", DUAL_LINKS)
-def test_the_shared_step_is_the_first_iterations_step(link, include_intercept):
-    compared = 0
+@pytest.mark.parametrize("link", BERNOULLI_LINKS)
+def test_the_first_step_solves_each_lanes_own_system(link, include_intercept):
+    counts = Counter()
     for seed in range(20):
-        compared += _check_shared_direction(*_dual_instance(link, seed, include_intercept))[0]
-    assert compared > 100
-    # a screen-shaped call, with columns that fail the rank test
+        counts.update(_check_first_direction(*_dual_instance(link, seed, include_intercept)))
+    # only cauchit's H1 - H0 is indefinite here, at some lanes
+    assert counts["newton"] > 100 and (counts["fisher"] > 0) == (link == "cauchit")
+    # a screen-shaped call, with columns that fail the rank test: a
+    # constant (beside the intercept), a zero column and a column scaled
+    # by 1e-3, which passes
     rng = np.random.default_rng(3)
     n = 40
     X = rng.standard_normal((n, 9)) * [1.0, 1.0, 10.0, 1e-3, 1.0, 1.0, 1.0, 1.0, 1.0]
@@ -867,8 +936,8 @@ def test_the_shared_step_is_the_first_iterations_step(link, include_intercept):
     X[:, 4], X[:, 5], X[:, 6] = 2.5, 0.0, X[:, 0]
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(float)
     lf = parse_link_family(link)
-    newton, deficient = _check_shared_direction(*screen_call(lf, Dataset(y, X), include_intercept))
-    assert newton >= 7 and deficient == (2 if include_intercept else 1)
+    counts = _check_first_direction(*screen_call(lf, Dataset(y, X), include_intercept))
+    assert counts["newton"] >= 7 and counts["deficient"] == (2 if include_intercept else 1)
 
 
 def _cloglog_phi(u):

@@ -654,6 +654,19 @@ class TestSelectPipeline:
         with pytest.raises(InvalidArgs, match="max_steps must be >= 1"):
             select_pipeline(LF, data, cfg)
 
+    def test_no_gamma_is_refused_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(select_mod, "_newton_lanes", no_fit)
+        monkeypatch.setattr(glm, "_newton_lanes", no_fit)
+        data = _logit_data(n=40, p=6, seed=19)
+        cfg = SelectConfig(gammas=(), screen_threshold=2, screen_keep=2)
+        with pytest.raises(InvalidArgs, match="need at least one gamma"):
+            select_pipeline(LF, data, cfg)
+        with pytest.raises(InvalidArgs, match="screen size d must be >= 1"):
+            screen_mme(LF, data, d=0)
+
     def test_deterministic(self):
         data = _logit_data(n=100, p=12, seed=17)
         cfg = SelectConfig(gammas=("gamma1", "gamma3"), max_steps=4)
