@@ -45,6 +45,13 @@ come from one pass of that first iteration over them before any is
 fitted. The lanes are then fitted best first, in descending order of those
 bounds, and most are retired at their start by the best log-likelihood
 that the first few reach.
+
+The screen keeps only its d lanes with the largest |own coefficient|, so
+its call fixes a cut once the d-th is known: its lanes are fitted best
+first by their first Newton step, and a later lane is retired once a bound
+on every iterate whose own coefficient is at least the cut in size lies
+below a log-likelihood the lane has reached (``_cut_bound``): a weak-duality
+bound on the side its step takes it to, the tangent plane on the other.
 """
 
 from __future__ import annotations
@@ -65,8 +72,8 @@ DEC_TOL = 4096 * np.finfo(float).eps
 MAX_ITER = 100
 BETA_CAP = 30.0
 MAX_HALVINGS = 30
-#: the iterations at which a pick-only call bounds its lanes; bounding the
-#: third as well retires few more lanes
+#: the iterations at which a pick-only call, or a call with ``keep``, bounds
+#: its lanes; bounding the third as well retires few more lanes
 BOUND_ITERS = 2
 
 
@@ -240,6 +247,14 @@ class LaneFits:
                      log_lik=np.full(lanes, np.nan), iterations=np.zeros(lanes, dtype=int))
         return cls(**table)
 
+    def statistics(self) -> np.ndarray:
+        """Each lane's |own coefficient| (the last), the screen's statistic:
+        -inf where the lane failed the rank test or has no finite
+        log-likelihood and coefficient, NaN where it was retired."""
+        slope = self.beta[-1]
+        usable = ~self.rank_deficient & np.isfinite(self.log_lik) & np.isfinite(slope)
+        return np.where(self.retired, np.nan, np.where(usable, np.abs(slope), -np.inf))
+
     def fit(self, j: int) -> FitResult:
         """Lane j as a ``FitResult``; raises RankDeficient where it failed
         the rank test."""
@@ -334,10 +349,15 @@ def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> Hes
 #: candidate designs one block fits together. The block size trades the
 #: per-call overhead of numpy, about 0.2 ms per Newton iteration of a block
 #: whatever its width, against peak memory. A block frees each C x n array
-#: once it is spent, so its peak holds about 8.4 of them under logit and
-#: 11.4 under cloglog, and 7.3 and 7.4 where a pick-only call bounds its
-#: lanes (``tracemalloc``, the tests' 1024 lanes x n = 64 from a shared
-#: start; they hold it at 12 or fewer), 5-6 MB at 2^16. Against 2^14, 2^16
+#: once it is spent. On the tests' block (1024 lanes x n = 64 from a shared
+#: start, by ``tracemalloc``) its peak holds 8.4 of them under logit and
+#: 11.4 under cloglog, 7.3 and 7.4 where a pick-only call bounds its lanes,
+#: and 10.8 and 9.2 where a screen's cut bounds them (the cut at the 30th
+#: percentile of the block's statistics); the tests hold each at 12 or
+#: fewer, 5-6 MB at 2^16. The peak depends on the data as well: with a
+#: shared A = [1, z] (z standard normal, at start coefficient 1.0 or 2.0),
+#: a pick-only cloglog block peaked at 12.06 arrays, and a pick-only logit
+#: block of cubed Cauchy columns at coefficient 2.0 at 12.5. Against 2^14, 2^16
 #: cut the block-iterations of the benchmark's Golub-shaped workflow 3x
 #: (3588 -> 1179) and raised its peak RSS by 2 MB (104 -> 107 MB), and that
 #: of the Setting-1 batch by 3.5 MB (77 -> 81 MB). ``import ebicglm`` frees
@@ -428,7 +448,7 @@ def _newton_weights(lf, y, eta, state):
     return r, w1, w1 if hpp is None else w1 - resid * hpp
 
 
-def _lane_direction(lf, y, A, Z, iu, x, eta, state, caps=None):
+def _lane_direction(lf, y, A, Z, iu, x, eta, state, caps=None, cut=None):
     """Each lane's ascent direction after the first iteration, at an
     in-domain eta (C x n, one row per lane) whose link ``state`` came from
     ``log_lik``: the Newton step on H1 - H0, else Fisher scoring on H1, else
@@ -438,18 +458,23 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, caps=None):
     whose step came from a Fisher fallback, the rank test's mask, which only
     ``_first_direction`` runs and is all False here, and, given the
     coefficient box ``caps``, each lane's ``_dual_bound`` from the weights
-    the step was solved with, else None). Lanes whose gradient is non-finite
-    get no step. The other C x n intermediates die on return."""
-    k = A.shape[1] + 1
+    the step was solved with, else None; given also ``cut``, the bound is
+    ``_cut_bound``'s instead). Lanes whose gradient is non-finite get no
+    step. The other C x n intermediates die on return."""
+    m = A.shape[1]
+    k = m + 1
     lanes = x.shape[0]
     r, w1, w = _newton_weights(lf, y, eta, state)
     grad = _lane_gradient(A, x, r)
     go = np.flatnonzero(np.isfinite(grad).all(axis=0))
     d = np.zeros((k, lanes))
     ok = np.zeros(lanes, dtype=bool)
+    q = np.zeros((lanes, m))  # each lane's (A'WA)^-1 A'W x_j, for the cut's bound
     if go.size:
-        d[:, go], ok[go] = _lane_chol_solve(_lane_gram(A, Z, iu, _rows(x, go), _rows(w, go)),
-                                            grad[:, go])
+        h = _lane_gram(A, Z, iu, _rows(x, go), _rows(w, go))
+        d[:, go], ok[go] = _lane_chol_solve(h, grad[:, go])
+        if cut is not None and m:
+            q[go] = _per_lane(np.linalg.solve, h[:, :m, :m], h[:, :m, m:])[0][:, :, 0]
     direct = ok.copy()
     bad = go[~ok[go]]
     if bad.size and w is not w1:
@@ -463,12 +488,15 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, caps=None):
         d[:, bad], ok[bad] = _lane_chol_solve(h1, grad[:, bad])
     del w1  # spent: the bound needs room for its own C x n arrays
     dx = d[:-1].T @ A.T + d[-1][:, None] * x
-    bound = None if caps is None else _dual_bound(lf, y, A, x, caps, eta, r, w, dx)
+    bound = None
+    if caps is not None:
+        bound = (_dual_bound(lf, y, A, x, caps, eta, r, w, dx) if cut is None
+                 else _cut_bound(lf, y, A, x, caps, eta, r, w, dx, grad, d, q, cut))
     return (d, dx, (grad * d).sum(axis=0) / 2, ok, ok & ~direct, np.zeros(lanes, dtype=bool),
             bound)
 
 
-def _dual_bound(lf, y, A, x, caps, eta, r, w, dx):
+def _dual_bound(lf, y, A, x, caps, eta, r, w, dx, half=None):
     """Each lane's weak-duality bound on the log-likelihood of every iterate
     whose coefficients lie in the box |beta_j| <= caps[j], from the lanes at
     eta, with score residual r and Gram weights w of H1 - H0 there (see
@@ -486,12 +514,37 @@ def _dual_bound(lf, y, A, x, caps, eta, r, w, dx):
     of a flat end, at eta or after the full step, gets no bound (inf): its
     current log-likelihood could exceed the bound. An iterate with an
     observation on a flat end is not covered; covering it over the whole
-    coefficient box leaves a bound too loose to retire any lane."""
-    u = w * dx
+    coefficient box leaves a bound too loose to retire any lane.
+
+    ``half`` = (s, new, q) bounds instead the iterates of the half-box
+    whose own coefficient beta_k (the last) lies at or beyond s (per lane,
+    of either sign), for lanes whose beta_k reaches new after the full step
+    and the C x m q = (A'WA)^-1 A'W x_j. There u'X beta is at most
+    sum_{j<k} caps[j] |(X'u)_j| plus the largest beta_k (X'u)_k between s
+    and the cap on its side. The dual point is the residual linearized at
+    the maximum of the lane's quadratic model with beta_k held at s,
+    u = r - w (dx + (s - new) z) with z = x_j - A q, so that A'W z = 0 and
+    A'u = 0 before the clip; ``_refit_shared`` then keeps A'u near 0 after
+    it."""
+    if half is None:
+        u = w * dx
+    else:
+        s, new, q = half
+        u = q @ A.T  # all 0 without shared columns
+        np.subtract(x, u, out=u)
+        u *= (s - new)[:, None]
+        u += dx
+        u *= w
     np.subtract(r, u, out=u)
+    if half is not None:
+        _refit_shared(lf, y, A, w, u)
     phi = lf.dual_floor(u, y)  # clips u first: X'u is that of the clipped u
-    bound = caps @ np.abs(_lane_gradient(A, x, u)) - phi
+    g = _lane_gradient(A, x, u)
     del u
+    if half is None:
+        bound = caps @ np.abs(g) - phi
+    else:
+        bound = caps[:-1] @ np.abs(g[:-1]) + _beyond(s, caps[-1], g[-1]) - phi
     hi, lo = lf.flat_eta
     one = y == 1.0
     # each observation's signed distance past its flat end's margin
@@ -499,6 +552,59 @@ def _dual_bound(lf, y, A, x, caps, eta, r, w, dx):
     near = (eta * sign > edge).any(axis=1) | ((eta + dx) * sign > edge).any(axis=1)
     bound[near] = np.inf
     return bound
+
+
+def _beyond(s, cap, g):
+    """The largest b g over b between s and the cap on its side (the sign
+    of s), per lane."""
+    return np.maximum(s * g, np.copysign(cap, s) * g)
+
+
+def _refit_shared(lf, y, A, w, u):
+    """Shift the dual point u (C x n) in place by w A t, as a change t of
+    the shared coefficients shifts a linearized residual, t being the Newton
+    step that brings A'u back to 0 once u is clipped into phi's domain
+    (``lf.dual_clip``): the clip moves A'u off 0, and the bound pays
+    caps[a] |(A'u)_a| for that."""
+    if not A.shape[1]:
+        return
+    clipped = u.copy()
+    lf.dual_clip(clipped, y)
+    free = np.where(clipped == u, w, 0.0)  # the weights the clip left in play
+    rhs = -(clipped @ A)
+    del clipped
+    m = A.shape[1]
+    iu = np.triu_indices(m)
+    gram = np.empty((u.shape[0], m, m))
+    gram[:, iu[0], iu[1]] = gram[:, iu[1], iu[0]] = free @ (A[:, iu[0]] * A[:, iu[1]])
+    del free
+    t = _per_lane(np.linalg.solve, gram, rhs[:, :, None])[0][:, :, 0]
+    u += w * (t @ A.T)
+
+
+def _tangent_bound(caps, grad, beta, ll, s):
+    """Each lane's bound on the log-likelihood of the half-box of
+    ``_dual_bound`` beyond s, from the tangent plane at its beta (k x C),
+    where it has log-likelihood ll and gradient grad: the log-likelihood is
+    concave, so it is at most ll + grad'(b - beta) at any b. This is the
+    dual bound at u = r, whose phi is r'eta - ll."""
+    return (ll + caps[:-1] @ np.abs(grad[:-1]) - (grad * beta).sum(axis=0)
+            + _beyond(s, caps[-1], grad[-1]))
+
+
+def _cut_bound(lf, y, A, x, caps, eta, r, w, dx, grad, d, q, cut):
+    """Each lane's bound on the log-likelihood of every iterate in its box
+    whose own coefficient beta_k is at least c in size, for ``cut`` =
+    (c, beta as k x C, log-likelihood): a lane bounded below a
+    log-likelihood it has reached ends with |beta_k| < c. It is the larger
+    of two bounds: on the side where the full step d takes beta_k, the dual
+    bound of that half-box (``_dual_bound``); on the other, behind the
+    ascent, the tangent plane (``_tangent_bound``)."""
+    c, beta, ll = cut
+    new = beta[-1] + d[-1]
+    s = np.where(new < 0.0, -c, c)
+    return np.maximum(_dual_bound(lf, y, A, x, caps, eta, r, w, dx, (s, new, q)),
+                      _tangent_bound(caps, grad, beta, ll, -s))
 
 
 def _beaten(bound, best):
@@ -513,15 +619,17 @@ def _schur_step(P, g_a, b, c, g_x):
     C x m b) and c_j = x_j'W x_j, and the gradients [g_a, g_x_j], from P's
     inverse: the Schur complement s_j = c_j - b_j'P^-1 b_j is H's last
     squared Cholesky pivot. Returns (the steps as k x C, the mask of lanes
-    whose H is positive definite, and each lane's least squared Cholesky
-    pivot of H over its diagonal entry: the rank test refuses H where that
-    is not above 1e-10, NaN included)."""
+    whose H is positive definite, each lane's least squared Cholesky pivot
+    of H over its diagonal entry: the rank test refuses H where that is not
+    above 1e-10, NaN included, and each lane's P^-1 b_j as the rows of a
+    C x m array)."""
     k, lanes = P.shape[0] + 1, c.size
     try:
         L = np.linalg.cholesky(P)
         inv = np.linalg.inv(P)
     except np.linalg.LinAlgError:
-        return np.zeros((k, lanes)), np.zeros(lanes, dtype=bool), np.zeros(lanes)
+        return (np.zeros((k, lanes)), np.zeros(lanes, dtype=bool), np.zeros(lanes),
+                np.zeros_like(b))
     a, pb = inv @ g_a, b @ inv
     s = c - np.einsum("ij,ij->i", b, pb)
     d = np.empty((k, lanes))
@@ -530,10 +638,10 @@ def _schur_step(P, g_a, b, c, g_x):
         d[:-1] = a[:, None] - pb.T * d[-1]
         lead = np.min(np.diagonal(L) ** 2 / np.diagonal(P), initial=np.inf)
         pivot = np.minimum(lead, s / c)
-    return d, (s > 0.0) & np.isfinite(d).all(axis=0), pivot
+    return d, (s > 0.0) & np.isfinite(d).all(axis=0), pivot, pb
 
 
-def _first_direction(lf, y, A, x, eta, state, caps=None):
+def _first_direction(lf, y, A, x, eta, state, caps=None, cut=None):
     """``_lane_direction`` at the first iteration, where every lane (a row
     of x, C x n) stands at one shared eta (1 x n, with its link ``state``),
     returning the same tuple: the Newton step on H1 - H0, else Fisher
@@ -544,7 +652,8 @@ def _first_direction(lf, y, A, x, eta, state, caps=None):
     is inf unless it has a step, a finite bound and a pivot ratio above 100
     times the rank test's: a lane retired where it stands never meets a
     later rank test, which rounds by lane count and position (in another
-    block, or in a one-lane call) and could refuse it."""
+    block, or in a one-lane call) and could refuse it. Given also ``cut``,
+    the bound is ``_cut_bound``'s."""
     r, w1, w = _newton_weights(lf, y, eta, state)
     weighted = [w1.T * A] if w is w1 else [w1.T * A, w.T * A]
     # every lane's A'W x_j under each weight and its x_j'r come from one
@@ -552,10 +661,10 @@ def _first_direction(lf, y, A, x, eta, state, caps=None):
     prod = x @ np.hstack(weighted + [r.T])
     c = (x * x) @ np.vstack([w1, w]).T
     g_a, g_x, m = A.T @ r[0], prod[:, -1], A.shape[1]
-    d, direct, pivot = _schur_step(A.T @ weighted[0], g_a, prod[:, :m], c[:, 0], g_x)
+    d, direct, pivot, q = _schur_step(A.T @ weighted[0], g_a, prod[:, :m], c[:, 0], g_x)
     if w is not w1:
-        newton, direct, _ = _schur_step(A.T @ weighted[1], g_a, prod[:, m:2 * m],
-                                        c[:, 1], g_x)
+        newton, direct, _, q = _schur_step(A.T @ weighted[1], g_a, prod[:, m:2 * m],
+                                           c[:, 1], g_x)
         d = np.where(direct, newton, d)
     rank_deficient = ~(pivot > 1e-10)
     ok = ~rank_deficient & np.isfinite(d).all(axis=0)  # a non-finite gradient's too
@@ -563,7 +672,11 @@ def _first_direction(lf, y, A, x, eta, state, caps=None):
     dx = d[:-1].T @ A.T + d[-1][:, None] * x
     bound = None
     if caps is not None:
-        bound = _dual_bound(lf, y, A, x, caps, eta, r, w, dx)
+        if cut is None:
+            bound = _dual_bound(lf, y, A, x, caps, eta, r, w, dx)
+        else:
+            grad = np.vstack([np.repeat(g_a[:, None], g_x.size, axis=1), g_x])
+            bound = _cut_bound(lf, y, A, x, caps, eta, r, w, dx, grad, d, q, cut)
         bound = np.where(ok & (pivot > 1e-8) & np.isfinite(bound), bound, np.inf)
     return d, dx, (g_a @ d[:-1] + g_x * d[-1]) / 2, ok, ok & ~direct, rank_deficient, bound
 
@@ -617,7 +730,7 @@ def _box(start):
 
 
 def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, pick_only=False,
-                  best=-np.inf, shared_bound=None):
+                  best=-np.inf, shared_bound=None, cut=None):
     """``_newton_lanes`` for one block: the designs [A, x_j] for the rows
     x_j of x (C x n), whose results go in place into the lanes ``lanes`` of
     the call's table ``out``. Every per-lane array over the n observations
@@ -628,12 +741,13 @@ def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, pick_only=False,
     one eta of ``start``, so iteration 1 takes its directions and the rank
     test from ``_first_direction``, and each later one from
     ``_lane_direction``. ``best`` is the largest log-likelihood the call's
-    earlier blocks reached. ``shared_bound``, when the call bounded its
-    lanes at their shared start, holds each lane's bound, which then serves
-    as iteration 1's. A bounded lane that the best is already past leaves
-    before its step search."""
+    earlier blocks reached; ``cut``, in a call with ``keep``, is the cut
+    they fixed. ``shared_bound``, when the call bounded its lanes at their
+    shared start, holds each lane's bound, which then serves as iteration
+    1's. A bounded lane that is beaten already (by the best, or with a cut
+    by its own log-likelihood) leaves before its step search."""
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
-    bounding = pick_only and lf.flat_eta is not None
+    bounding = (pick_only or cut is not None) and lf.flat_eta is not None
     beta = np.repeat(start[:, None], lanes.size, axis=1)
     caps = _box(start)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -650,9 +764,10 @@ def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, pick_only=False,
                 out.eta_clamped[lanes] |= (eta_c != eta).any(axis=1)
             shared = it == 1 and shared_bound is not None
             box = caps if bounding and it <= BOUND_ITERS and not shared else None
+            own = None if box is None or cut is None else (cut, beta, ll)
             d, dx, gain, ok, fell_back, rd, bound = (
-                _first_direction(lf, y, A, x, eta_c, state, box) if it == 1
-                else _lane_direction(lf, y, A, Z, iu, x, eta_c, state, box))
+                _first_direction(lf, y, A, x, eta_c, state, box, own) if it == 1
+                else _lane_direction(lf, y, A, Z, iu, x, eta_c, state, box, own))
             if shared:
                 bound = shared_bound
             del eta_c, state  # spent
@@ -663,7 +778,7 @@ def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, pick_only=False,
             out.iterations[lanes] = it
             if bound is not None:
                 # a lane already beaten leaves before its step search
-                early = ok & ~conv & _beaten(bound, best)
+                early = ok & ~conv & _beaten(bound, best if cut is None else ll)
                 ok = ok & ~early
 
             # the eta and link state of a lane's accepted trial carry over
@@ -684,9 +799,11 @@ def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, pick_only=False,
             ll = np.where(take, ll_t, ll)
             if bound is not None:
                 # every lane ascends, so some lane ends at or above best,
-                # and a lane bounded below it cannot be picked
+                # and a lane bounded below it cannot be picked; with a cut,
+                # a lane ends at or above its own log-likelihood, so one
+                # bounded below that cannot reach the cut
                 best = max(best, np.fmax.reduce(ll))
-                retire = move & _beaten(bound, best)
+                retire = move & _beaten(bound, best if cut is None else ll)
                 out.retired[lanes] = early | retire
                 move &= ~retire
             out.beta[:, lanes] = beta  # where each lane stands, left or not
@@ -718,7 +835,7 @@ def _first_copies(X, cols):
     return first
 
 
-def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
+def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
     """Damped Newton ascent on the designs [A, X[:, j]] for every j in
     ``cols`` at once, as a ``LaneFits`` with one lane per entry of ``cols``.
 
@@ -766,6 +883,26 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
     before that block, whose iteration 1 computes the same bound. Every
     other call takes its lanes in index order.
 
+    A call with ``keep`` = d serves a caller that keeps the d lanes with the
+    largest |own coefficient| (``LaneFits.statistics``: the screen). When
+    its lanes fill more than one block under a pair with a ``flat_eta``,
+    every distinct lane first takes its iteration-1 Newton step from the
+    shared start (``_first_direction``, in chunks of a block's lanes), and
+    the blocks take the lanes best first, in descending order of that
+    step's |own coefficient|. Once d finite statistics are known, each
+    column counted once per copy, the d-th largest is the cut c; it only
+    rises as later blocks are fitted. Each later block bounds its lanes at
+    its first ``BOUND_ITERS`` iterations over every iterate of the box with
+    |own coefficient| >= c (``_cut_bound``), and a lane whose bound lies
+    below its own log-likelihood by 1e-7 (1 + |ll|), before or after that
+    iteration's step search, leaves flagged ``retired``: it ascends, so it
+    ends with |own coefficient| < c, outside the d kept. A retired lane
+    reports where it stood. The d kept are those of the call without
+    ``keep``; the other lanes are fitted under the same rules, but their
+    last bits can move with the lanes beside them. Lanes that fill one
+    block, and pairs without a ``flat_eta``, are fitted in full in index
+    order, as without ``keep``.
+
     Each distinct column (by byte equality) is fitted once, so duplicated
     columns get bit-equal results (BLAS rounds by lane position), and the
     distinct columns are fitted in blocks that keep every working array
@@ -773,9 +910,10 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
     A's columns that give every lane's A^T W A in one matrix product. A
     block gathers its columns as the rows of a C x n array and holds every
     per-lane array over the observations the same way, one lane per row,
-    and frees each once it is spent: at its peak a block holds about 8.4
-    such arrays under logit and 11.4 under cloglog (7.3 and 7.4 when it
-    bounds its lanes), besides its input. Every block writes its lanes in
+    and frees each once it is spent: on the tests' block its peak holds
+    about 8.4 such arrays under logit and 11.4 under cloglog (7.3 to 10.8
+    when it bounds its lanes), besides its input, and other data can take
+    it past 12 (see ``LANE_BLOCK_CELLS``). Every block writes its lanes in
     place into the call's one ``LaneFits`` table over the distinct lanes.
     """
     n, m = A.shape
@@ -796,37 +934,54 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False):
             Z[:, pos:pos + m - a] = A[:, a:a + 1] * A[:, a:]
             pos += m - a
     width = max(1, LANE_BLOCK_CELLS // max(n, k * k))
-    # lanes that fill one block gain nothing from a shared-start bound: none
+    lane_of = np.searchsorted(distinct, first)  # each col's distinct lane
+    # lanes that fill one block gain nothing from a shared-start pass: none
     # can leave before that block, whose iteration 1 computes the same bound
-    shared = pick_only and lf.flat_eta is not None and distinct.size > width
-    bound = np.full(distinct.size, np.inf)
+    shared = (pick_only or keep is not None) and lf.flat_eta is not None and distinct.size > width
+    key = np.full(distinct.size, np.inf)  # the blocks take the lanes by it, largest first
     if shared:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             eta = lf.clip_eta((A @ start[:-1])[None, :])
             start_ll, state = lf.log_lik(eta, y, keep_state=True)
             for s in range(0, distinct.size, width):
-                bound[s:s + width] = _first_direction(
-                    lf, y, A, X.T[cols[distinct[s:s + width]]], eta, state, _box(start))[6]
-        del eta, state
-    # best first (a stable sort: equal bounds, all-inf ones too, keep index
-    # order). The first block is an eighth of the others, so that the best
-    # it reaches retires most lanes before they enter one
-    order = np.argsort(-bound, kind="stable")
+                first_step = _first_direction(lf, y, A, X.T[cols[distinct[s:s + width]]], eta,
+                                              state, _box(start) if keep is None else None)
+                key[s:s + width] = first_step[6] if keep is None else np.abs(first_step[0][-1])
+            del first_step
+    # a stable sort: equal keys, all-inf ones too, keep index order. A
+    # pick-only call's first block is an eighth of the others, so that the
+    # best it reaches retires most lanes before they enter one
+    order = np.argsort(-key, kind="stable")
     out = LaneFits.at_start(start, distinct.size)  # the blocks write their lanes here
-    best, s, size = -np.inf, 0, max(1, width // 8) if shared else width
+    copies = np.bincount(lane_of, minlength=distinct.size)
+    best, cut, s = -np.inf, None, 0
+    size = max(1, width // 8) if shared and keep is None else width
     while s < order.size:
-        block = order[s:s + size]
-        block = block[~_beaten(bound[block], best)]  # a prefix: bound descends
-        if not block.size:  # every lane left is beaten: none enters a block
-            out.log_lik[order[s:]] = start_ll
-            out.retired[order[s:]] = True
-            break
-        _newton_block(y, A, Z, iu, X.T[cols[distinct[block]]], lf, start, out, block,
-                      pick_only, best, bound[block] if shared else None)
-        best = max(best, np.fmax.reduce(out.log_lik[block]))
-        s, size = s + block.size, width
-    lane_of = np.searchsorted(distinct, first)  # each col's distinct lane
+        block, s, size = order[s:s + size], s + size, width
+        bound = key[block] if shared and keep is None else None
+        if bound is not None:  # lanes beaten at their start retire there
+            beaten = _beaten(bound, best)
+            out.log_lik[block[beaten]] = start_ll
+            out.retired[block[beaten]] = True
+            block, bound = block[~beaten], bound[~beaten]
+        if block.size:
+            _newton_block(y, A, Z, iu, X.T[cols[distinct[block]]], lf, start, out, block,
+                          pick_only, best, bound, cut)
+            best = max(best, np.fmax.reduce(out.log_lik[block]))
+            if shared and keep is not None:
+                cut = _cut(out.statistics(), copies, keep)
     return LaneFits(**{f.name: getattr(out, f.name)[..., lane_of] for f in fields(LaneFits)})
+
+
+def _cut(stats, copies, keep):
+    """The keep-th largest finite entry of ``stats``, each counted once per
+    copy (``copies``); None while fewer are known."""
+    known = np.flatnonzero(np.isfinite(stats))
+    known = known[np.argsort(-stats[known], kind="stable")]
+    count = np.cumsum(copies[known])
+    if not count.size or count[-1] < keep:
+        return None
+    return stats[known[np.searchsorted(count, keep)]]
 
 
 def _initial_beta(lf: LinkFamily, y: np.ndarray, k: int, intercept: bool) -> np.ndarray:

@@ -361,6 +361,11 @@ class LinkFamily:
         ``flat_eta`` state it: the Bernoulli pairs whose l_i is concave."""
         raise NotImplementedError
 
+    def dual_clip(self, u, y):
+        """Clip the C x n array u in place into the domain where
+        ``dual_floor`` is finite, as that method does first."""
+        raise NotImplementedError
+
     def __init__(self, family: Family, link: Link):
         self.family = family
         self.link = link
@@ -446,9 +451,12 @@ class _BernoulliLogitLF(_CanonicalLF):
 
     flat_eta = (Bernoulli.theta_clip[1], Bernoulli.theta_clip[0])
 
-    def dual_floor(self, u, y):
+    def dual_clip(self, u, y):
         # v = y - u kept inside (0, 1), where H is finite
         np.clip(u, y - (1.0 - _EPS), y - _EPS, out=u)
+
+    def dual_floor(self, u, y):
+        self.dual_clip(u, y)
         v = y - u
         return -(v * np.log(v) + (1.0 - v) * np.log1p(-v)).sum(axis=-1)
 
@@ -531,13 +539,17 @@ class _BernoulliCloglogLF(LinkFamily):
     # a y = 0 one on the 1 - mu floor above eta = log(-log 1e-12)
     flat_eta = (math.log(-_LOG_MU_FLOOR), math.log(-math.log1p(-1e-12)))
 
-    def dual_floor(self, u, y):
-        # y = 0: l = -e^eta, so phi(u) = u log(-u) - u on u <= 0, with u
-        # kept below 0, where it is finite; y = 1: u in [0, 1], and phi is
-        # read off the chord table
+    def dual_clip(self, u, y):
+        # y = 0: u kept below 0, where phi is finite; y = 1: u in [0, 1]
         one = y == 1.0
         np.minimum(u, np.where(one, 1.0, -_TINY), out=u)
         np.maximum(u, np.where(one, 0.0, -np.inf), out=u)
+
+    def dual_floor(self, u, y):
+        # y = 0: l = -e^eta, so phi(u) = u log(-u) - u; y = 1: phi is read
+        # off the chord table
+        self.dual_clip(u, y)
+        one = y == 1.0
         u0, u1 = u[:, ~one], u[:, one]
         return (u0 * (np.log(-u0) - 1.0)).sum(axis=-1) + _cloglog_chords(u1).sum(axis=-1)
 

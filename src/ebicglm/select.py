@@ -33,6 +33,30 @@ out, so a lane with an observation near a flat end is not bounded, and one
 that would reach a flat end only after it retires is not covered. Every
 other pair fits every candidate in full.
 
+The screen keeps only its d columns with the largest |slope|, so under the
+same two pairs it fits only as far as that keep set, after the Gap Safe
+screening rules of Fercoq, Gramfort & Salmon (ICML 2015) and Ndiaye et al.
+(JMLR 2017). When its columns fill more than one block of the kernel, they
+are fitted best first, by the slope of the first Newton step that each
+takes from their shared start; once d statistics are known, the d-th
+largest is the cut c, and it only rises. A later column retires, with
+statistic NaN, once a bound on the log-likelihood of every coefficient
+vector in its box with |slope| >= c lies below the log-likelihood the
+column has reached, less the same margin: since its fit only climbs, it
+ends with |slope| < c. The half-box on the side its Newton step heads for
+is bounded by weak duality, at the residual linearized where the lane's
+quadratic model peaks with the slope held at c (or -c), its intercept
+refitted where the clip into phi's domain moved it; the other half-box is
+bounded by the tangent plane at the column's current fit, since the
+log-likelihood is concave. A retired column's log-likelihood with the
+slope held at c is thus below its own by the margin, about 10^5 times what
+the stop rule (``glm.DEC_TOL``) leaves unresolved, so it never ties the
+cut. Statistics are exact only to that stop rule, so where the d-th and
+(d+1)-th lie within it of each other, which is kept is decided by the
+fitted values, whose last bits move with the columns fitted beside them;
+that holds with or without retiring, and only exactly fitted columns take
+part in such a tie.
+
 Every candidate model at a given step has the same size, so the step's
 argmin of EBIC is its argmax of log-likelihood for every gamma: one path is
 grown, and all gammas are read off it by prefix minimization. No fit's
@@ -56,11 +80,17 @@ from .links import LinkFamily
 
 @dataclass
 class ScreenResult:
-    """Features ranked by |marginal slope|, largest first, ties by lower index."""
+    """Features ranked by |marginal slope|, largest first, ties by lower
+    index, with the screen's kernel call's work as ``SelectionStep`` records
+    it: its lanes, their Newton iterations summed, and the lanes it retired
+    (whose statistics are NaN, see ``screen_mme``)."""
 
     ranked_features: np.ndarray
     statistics: np.ndarray
     keep: np.ndarray
+    lanes: int
+    lane_iterations: int
+    retired: int
 
 
 def screen_mme(
@@ -71,11 +101,17 @@ def screen_mme(
 ) -> ScreenResult:
     """Rank features by the absolute slope of the one-covariate GLM fit.
 
-    All columns are fitted by one ``_newton_lanes`` call under the stop
-    rules of ``fit_mle``; a duplicated column is fitted once, so its copies
-    get bit-equal statistics. Features that fail the rank test or end
-    without a finite log-likelihood and slope get statistic -inf and rank
-    last; no feature aborts the screen. Ties go to the lower index. A y the
+    All columns are fitted by one ``_newton_lanes`` call with ``keep`` = d
+    under the stop rules of ``fit_mle``; a duplicated column is fitted once,
+    so its copies get bit-equal statistics. Under Bernoulli logit and
+    cloglog, when the columns fill more than one block, a column proven to
+    end below the cut (the d-th largest statistic) is retired and gets
+    statistic NaN (see the module docstring); ``keep`` is that of fitting
+    every column in full, and ``retired`` counts the NaN statistics.
+    Features that fail the rank test or end without a finite log-likelihood
+    and slope get statistic -inf; no feature aborts the screen. The ranking
+    puts every exact statistic first, largest first, then the retired
+    features, then the -inf ones, with ties to the lower index. A y the
     family cannot model raises DataError naming its row.
     """
     if d < 1:
@@ -84,15 +120,19 @@ def screen_mme(
     n, p = data.n, data.p
     m = 1 if include_intercept else 0  # the shared block A is [1] or empty
     start = _initial_beta(lf, data.y, m + 1, include_intercept)
-    fits = _newton_lanes(data.y, np.ones((n, m)), data.X, np.arange(p), lf, start)
-    slope = fits.beta[-1]
-    usable = ~fits.rank_deficient & np.isfinite(fits.log_lik) & np.isfinite(slope)
-    stats = np.where(usable, np.abs(slope), -np.inf)
-    ranked = np.lexsort((np.arange(p), -stats))
+    fits = _newton_lanes(data.y, np.ones((n, m)), data.X, np.arange(p), lf, start, keep=d)
+    stats = fits.statistics()
+    # exact statistics largest first, then the retired (NaN), then the
+    # failures (-inf), each group's ties by lower index
+    group = np.where(np.isnan(stats), 1, np.where(stats == -np.inf, 2, 0))
+    ranked = np.lexsort((np.arange(p), np.where(group, 0.0, -stats), group))
     return ScreenResult(
         ranked_features=ranked,
         statistics=stats,
         keep=ranked[: min(d, p)].copy(),
+        lanes=p,
+        lane_iterations=int(fits.iterations.sum()),
+        retired=int(fits.retired.sum()),
     )
 
 

@@ -128,16 +128,19 @@ def one_lane_fits(y, A, X, cols, lf, start):
     })
 
 
-def check_batching(y, A, X, cols, lf, start, clamped_log_lik=True, pick_only=False):
-    """``_newton_lanes(y, A, X, cols, lf, start, pick_only)`` and its
+def check_batching(y, A, X, cols, lf, start, clamped_log_lik=True, pick_only=False,
+                   keep=None):
+    """``_newton_lanes(y, A, X, cols, lf, start, pick_only, keep)`` and its
     ``one_lane_fits``, once each lane of the first has matched the same lane
     of the second.
 
-    A one-lane call fits its lane in full, pick-only or not: its own
-    log-likelihood is the best it can compare a bound with. So a lane that
-    the batched pick-only call retired is checked only to end, fitted in
-    full, strictly below the log-likelihood of the call's pick; it passed
-    the rank test. Every other lane is compared as follows.
+    A one-lane call fits its lane in full, pick-only or with ``keep`` or
+    not: it has no other lane to compare a bound with. So a lane that the
+    batched pick-only call retired is checked only to end, fitted in full,
+    strictly below the log-likelihood of the call's pick, and one that a
+    call with ``keep`` retired only to end with |own coefficient| strictly
+    below the call's cut, the keep-th largest of its exact statistics; it
+    passed the rank test. Every other lane is compared as follows.
 
     Every flag is equal, and so is the finiteness of the log-likelihood.
     Where it is finite, the log-likelihoods agree within tol = 1e-9
@@ -153,12 +156,17 @@ def check_batching(y, A, X, cols, lf, start, clamped_log_lik=True, pick_only=Fal
     whose clamped fits creep further than the tolerance; their flags are
     still compared.
     """
-    got = _newton_lanes(y, A, X, cols, lf, start, pick_only)
+    got = _newton_lanes(y, A, X, cols, lf, start, pick_only, keep)
     ref = one_lane_fits(y, A, X, cols, lf, start)
     retired = got.retired
-    assert pick_only or not retired.any()
+    assert pick_only or keep is not None or not retired.any()
     assert not ref.retired.any() and not ref.rank_deficient[retired].any()
-    assert np.all(ref.log_lik[retired] < usable_log_liks(got).max())
+    if pick_only:
+        assert np.all(ref.log_lik[retired] < usable_log_liks(got).max())
+    elif retired.any():
+        stats = got.statistics()
+        cut = np.sort(stats[np.isfinite(stats)])[::-1][keep - 1]
+        assert np.all(np.abs(ref.beta[-1, retired]) < cut)
     for flag in ("rank_deficient", "converged", "quasi_separated", "eta_clamped",
                  "used_fisher_fallback"):
         assert np.array_equal(getattr(got, flag)[~retired], getattr(ref, flag)[~retired]), flag
@@ -195,7 +203,9 @@ def screen_ranking(fits, d):
     usable = ~fits.rank_deficient & np.isfinite(fits.log_lik) & np.isfinite(slope)
     stats = np.where(usable, np.abs(slope), -np.inf)
     ranked = np.lexsort((np.arange(stats.size), -stats))
-    return ScreenResult(ranked_features=ranked, statistics=stats, keep=ranked[:d].copy())
+    return ScreenResult(ranked_features=ranked, statistics=stats, keep=ranked[:d].copy(),
+                        lanes=stats.size, lane_iterations=int(fits.iterations.sum()),
+                        retired=int(fits.retired.sum()))
 
 
 def screen_mme_reference(lf, data, d, include_intercept=True):

@@ -639,20 +639,21 @@ def _lane_block(link):
     return y, A, A * A, np.triu_indices(1), x, lf, start
 
 
-def _run_block(args, pick_only=False):
+def _run_block(args, pick_only=False, cut=None):
     """The block's fits, written into a table of its own lanes."""
     y, A, Z, iu, x, lf, start = args
     fits = glm.LaneFits.at_start(start, x.shape[0])
-    glm._newton_block(y, A, Z, iu, x, lf, start, fits, np.arange(x.shape[0]), pick_only)
+    glm._newton_block(y, A, Z, iu, x, lf, start, fits, np.arange(x.shape[0]), pick_only,
+                      cut=cut)
     return fits
 
 
-def _block_peak(args, pick_only=False):
+def _block_peak(args, pick_only=False, cut=None):
     """The block's fits and its peak of traced memory."""
-    _run_block(args, pick_only)  # warm-up: numpy's first-call allocations
+    _run_block(args, pick_only, cut)  # warm-up: numpy's first-call allocations
     tracemalloc.start()
     try:
-        fits = _run_block(args, pick_only)
+        fits = _run_block(args, pick_only, cut)
         return fits, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -697,6 +698,22 @@ def test_a_pick_only_block_holds_at_most_12_lane_arrays(link):
     fits, peak = _block_peak(args, pick_only=True)
     assert peak <= 12 * x.nbytes, peak / x.nbytes
     assert fits.retired.sum() > x.shape[0] // 3
+    assert set(fits.iterations[fits.retired]) == {1, 2}
+
+
+@pytest.mark.parametrize("link", ["logit", "cloglog"])
+def test_a_retiring_screen_block_holds_at_most_12_lane_arrays(link):
+    # a block of a screen with a cut bounds |own coefficient| >= c at its
+    # first two iterations: the near half-box's dual point, its shift and
+    # its bound add C x n arrays. With c at the 30th percentile of the
+    # block's statistics, 167 (logit) and 215 (cloglog) of 1024 lanes retire, so most
+    # lanes carry the bound's arrays through both iterations
+    args = _lane_block(link)
+    x = args[4]
+    stats = _run_block(args).statistics()
+    fits, peak = _block_peak(args, cut=np.quantile(stats[np.isfinite(stats)], 0.3))
+    assert peak <= 12 * x.nbytes, peak / x.nbytes
+    assert fits.retired.sum() > x.shape[0] // 8
     assert set(fits.iterations[fits.retired]) == {1, 2}
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 from helpers import (
     ALL_PAIRS,
     check_batching,
@@ -141,22 +142,35 @@ class TestScreenMatchesPerColumnFits:
     @pytest.mark.parametrize("include_intercept", [True, False])
     @pytest.mark.parametrize("link,family", ALL_PAIRS)
     def test_same_ranking_keep_and_failures(self, link, family, include_intercept):
-        # every lane of the screen's call matches its own one-lane call
+        # every lane of the screen's call matches its own one-lane call, or
+        # was retired and ends below the cut there (check_batching)
         lf = parse_link_family(link, family)
         data = _screen_data(family)
         got = screen_mme(lf, data, d=40, include_intercept=include_intercept)
-        _fits, one_lane = check_batching(*screen_call(lf, data, include_intercept))
+        fits, one_lane = check_batching(*screen_call(lf, data, include_intercept), keep=40)
         ref = screen_ranking(one_lane, d=40)
-        assert np.array_equal(got.ranked_features, ref.ranked_features)
+        assert np.array_equal(got.statistics, fits.statistics(), equal_nan=True)
         assert np.array_equal(got.keep, ref.keep)
+        # the pairs with a dual floor retire columns, all of them in the
+        # second block: the first fixes the cut
+        retired = np.isnan(got.statistics)
+        assert retired.any() == (lf.flat_eta is not None)
+        assert retired.sum() <= data.p - SCREEN_WIDTH
+        # the exact statistics rank as the one-lane fits do, then come the
+        # retired columns and then the failures, each by index
+        exact = [j for j in ref.ranked_features if not retired[j]]
+        failed = np.isneginf(ref.statistics[exact])
+        expected = np.concatenate([np.array(exact)[~failed], np.flatnonzero(retired),
+                                   np.array(exact)[failed]])
+        assert np.array_equal(got.ranked_features, expected)
         assert np.array_equal(np.isneginf(got.statistics), np.isneginf(ref.statistics))
         assert got.statistics[ZERO] == -np.inf
         if include_intercept:
             assert got.statistics[CONSTANT] == -np.inf
 
         dup = got.statistics[list(DUPLICATES)]
-        assert np.isfinite(dup[0])
-        assert np.all(dup == dup[0])  # bit-equal, across the block boundary too
+        # bit-equal, across the block boundary too
+        assert np.array_equal(dup, np.full(dup.size, dup[0]), equal_nan=True)
         rank_of = np.argsort(got.ranked_features)
         assert np.all(np.diff(rank_of[list(DUPLICATES)]) > 0)
 
@@ -198,7 +212,150 @@ class TestScreenMatchesPerColumnFits:
         ref = screen_mme_reference(LF, data, d=2)
         assert np.array_equal(got.ranked_features, ref.ranked_features)
         assert got.statistics[0] == got.statistics[2]
-        np.testing.assert_allclose(got.statistics, ref.statistics, rtol=1e-8)
+        # the copies of column 0 are the keep set, and so fix the cut: the
+        # block of column 1 comes after, and retires it
+        assert np.isnan(got.statistics[1]) and ref.statistics[1] < ref.statistics[0]
+        np.testing.assert_allclose(got.statistics[[0, 2]], ref.statistics[[0, 2]], rtol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the screen's certificate: columns retired below its cut
+# ---------------------------------------------------------------------------
+
+DUAL_LINKS = [link for link, family in ALL_PAIRS
+              if parse_link_family(link, family).flat_eta is not None]
+MARGIN = 1e-7  # a lane retires only where a bound lies below its log-likelihood by this (1 + |ll|)
+
+
+def _golub_shaped(seed, n=72, p=3000):
+    """Leukemia-shaped binary data: 25 of 72 rows in class 1, columns with
+    their own location and log-normal spread, and 36 informative columns
+    that shift with the class by 0.8-2 within-class SDs and share two latent
+    factors, so that a few of them nearly separate the classes."""
+    rng = np.random.default_rng(seed)
+    y = np.zeros(n)
+    y[rng.permutation(n)[:round(n * 25 / 72)]] = 1.0
+    Z = rng.standard_normal((n, p))
+    support = rng.choice(p, 36, replace=False)
+    factors = rng.standard_normal((n, 2))
+    shift = rng.uniform(0.8, 2.0, 36) * rng.choice([-1.0, 1.0], 36)
+    Z[:, support] = (0.8 * Z[:, support] + 0.6 * factors[:, rng.integers(0, 2, 36)]
+                     + shift * (y - y.mean())[:, None])
+    return Dataset(y, rng.normal(0.0, 1.0, p) + np.exp(rng.normal(0.0, 0.3, p)) * Z)
+
+
+class TestScreenRetiresBelowItsCut:
+    @pytest.mark.parametrize("include_intercept", [True, False])
+    @pytest.mark.parametrize("link", DUAL_LINKS)
+    def test_each_retired_column_lies_below_the_cut(self, monkeypatch, link, include_intercept):
+        # blocks of 16 lanes: the first three fix the cut, and the other
+        # fifteen are bounded against it; each exact lane matches its
+        # one-lane call, and each retired one ends below the cut there
+        monkeypatch.setattr(glm, "LANE_BLOCK_CELLS", 40 * 16)
+        lf = parse_link_family(link)
+        for seed in range(3):
+            data = _golub_shaped(seed, n=40, p=288)
+            fits, _one_lane = check_batching(*screen_call(lf, data, include_intercept), keep=40)
+            assert 0 < fits.retired.sum() <= data.p - 48
+
+    @pytest.mark.parametrize("include_intercept", [True, False])
+    @pytest.mark.parametrize("link", ["logit", "cloglog", "probit", "cauchit"])
+    def test_the_keep_set_is_the_full_calls(self, link, include_intercept):
+        # 72 x 3000 fills four blocks of 910 lanes: the first fixes the cut
+        lf = parse_link_family(link)
+        for seed in range(3):
+            data = _golub_shaped(seed)
+            got = screen_mme(lf, data, 400, include_intercept)
+            full = screen_ranking(_newton_lanes(*screen_call(lf, data, include_intercept)), 400)
+            assert np.array_equal(got.keep, full.keep), seed
+            assert (got.retired > data.p // 2) == (lf.flat_eta is not None)
+            if lf.flat_eta is None:  # no bound, so the full call's blocks and bits
+                assert np.array_equal(got.statistics, full.statistics)
+
+    def test_the_work_counts_are_its_kernel_calls(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(_newton_lanes(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(select_mod, "_newton_lanes", spy)
+        data = _golub_shaped(4, p=2000)
+        for link in ("logit", "probit"):
+            got = screen_mme(parse_link_family(link), data, 400)
+            fits = calls[-1]
+            assert (got.lanes, got.lane_iterations, got.retired) == (
+                data.p, fits.iterations.sum(), fits.retired.sum())
+            assert got.retired == np.isnan(got.statistics).sum()
+            assert (got.retired > 0) == (link == "logit")
+
+    @pytest.mark.parametrize("link", DUAL_LINKS)
+    def test_a_bound_within_the_margin_retires_nothing(self, monkeypatch, link):
+        # every bound is replaced by the lane's own full-fit log-likelihood
+        # less a share of the margin: a lane reaches no more than that, so
+        # at half the margin none may retire, and at twice the margin the
+        # lanes that come near their end at iterations 1 and 2 do
+        lf = parse_link_family(link)
+        data = _golub_shaped(5, n=40, p=288)
+        call = screen_call(lf, data)
+        final = _newton_lanes(*call).log_lik
+        lane_of = {data.X[:, j].tobytes(): j for j in range(data.p)}
+
+        def at(share):
+            def bound(lf, y, A, x, caps, eta, r, w, dx, grad, d, q, cut):
+                ll = final[[lane_of[row.tobytes()] for row in x]]
+                return ll - share * MARGIN * (1.0 + np.abs(ll))
+            return bound
+
+        monkeypatch.setattr(glm, "LANE_BLOCK_CELLS", 40 * 16)
+        for share, retires in ((0.5, False), (2.0, True)):
+            monkeypatch.setattr(glm, "_cut_bound", at(share))
+            assert _newton_lanes(*call, keep=40).retired.any() == retires, share
+
+
+def _profile_log_lik(lf, data, x, slope, include_intercept):
+    """The largest log-likelihood of [1, x] (or [x]) with the slope held:
+    the intercept maximized by a bounded scalar search within the cap."""
+    def minus(b0):
+        return -glm._loglik_from_eta(data.y, b0 + slope * x, lf)
+
+    if not include_intercept:
+        return -minus(0.0)
+    best = minimize_scalar(minus, bounds=(-glm.BETA_CAP, glm.BETA_CAP), method="bounded",
+                           options={"xatol": 1e-12})
+    return -best.fun
+
+
+@pytest.mark.parametrize("include_intercept", [True, False])
+@pytest.mark.parametrize("link", DUAL_LINKS)
+def test_the_cut_bound_covers_both_half_boxes(link, include_intercept):
+    # from the shared start, each lane's bound for |slope| >= c lies at or
+    # above the largest log-likelihood at slope c and at slope -c, which are
+    # the largest of the two half-boxes where the lane's own fit ends
+    # between them. Columns unrelated to y, some skewed, end near slope 0,
+    # where either side can be the higher
+    lf = parse_link_family(link)
+    rng = np.random.default_rng(7)
+    n = 50
+    y = (rng.random(n) < 0.3).astype(float)
+    X = np.column_stack([rng.standard_normal((n, 20)), rng.lognormal(0.0, 0.8, (n, 20)),
+                         -rng.exponential(1.0, (n, 20)), rng.standard_normal((n, 20)) ** 3])
+    data = Dataset(y, X)
+    call = screen_call(lf, data, include_intercept)
+    _y, A, _X, _cols, _lf, start = call
+    slopes = np.abs(_newton_lanes(*call).beta[-1])
+    eta = lf.clip_eta((A @ start[:-1])[None, :])
+    start_ll, state = lf.log_lik(eta, y, keep_state=True)
+    checked = 0
+    for c in (0.05, 0.2, 0.5):
+        beta = np.repeat(start[:, None], data.p, axis=1)
+        bound = glm._first_direction(lf, y, A, X.T.copy(), eta, state, glm._box(start),
+                                     (c, beta, np.full(data.p, start_ll)))[6]
+        for j in np.flatnonzero(np.isfinite(bound) & (slopes < c)):
+            top = max(_profile_log_lik(lf, data, X[:, j], s, include_intercept) for s in (c, -c))
+            assert bound[j] >= top - 1e-9 * (1 + abs(top)), (c, j)
+            checked += 1
+    assert checked > 100
 
 
 # ---------------------------------------------------------------------------
