@@ -19,7 +19,8 @@ pairwise sum over its own contiguous row and equal lanes get bit-equal
 values. The coefficient-side arrays (gradients, steps, beta) are k x C.
 Its lanes all start at one eta, so one inverse of the shared A'WA gives
 every lane's first Newton step and rank test through its Schur complement
-(``_first_direction``); later iterations solve each lane's own Gram.
+(``_first_direction``), in one pass over the lanes that every block starts
+from; later iterations solve each lane's own Gram.
 
 Every fit stops by the same fixed rules. It has converged once its step d
 has a predicted gain g'd / 2 (half the squared Newton decrement; Boyd &
@@ -40,11 +41,9 @@ weak-duality upper bound on the log-likelihood of every iterate inside its
 coefficient box (``_dual_bound``), and a lane whose bound lies below the
 best log-likelihood any lane of the call has reached, by 1e-7 (1 + |best|),
 is retired where it stands. Every lane ascends, so a retired lane cannot be
-picked. When a step's lanes fill more than one block, their first bounds
-come from one pass of that first iteration over them before any is
-fitted. The lanes are then fitted best first, in descending order of those
-bounds, and most are retired at their start by the best log-likelihood
-that the first few reach.
+picked. The first bounds come with that pass, before any lane is fitted;
+the lanes are fitted best first, in descending order of them, and most are
+retired at their start by the best log-likelihood that the first few reach.
 
 The screen keeps only its d lanes with the largest |own coefficient|, so
 its call fixes a cut once the d-th is known: its lanes are fitted best
@@ -349,12 +348,14 @@ def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> Hes
 #: candidate designs one block fits together. The block size trades the
 #: per-call overhead of numpy, about 0.2 ms per Newton iteration of a block
 #: whatever its width, against peak memory. A block frees each C x n array
-#: once it is spent. On the tests' block (1024 lanes x n = 64 from a shared
-#: start, by ``tracemalloc``) its peak holds 8.4 of them under logit and
-#: 11.4 under cloglog, 7.3 and 7.4 where a pick-only call bounds its lanes,
-#: and 10.8 and 9.2 where a screen's cut bounds them (the cut at the 30th
-#: percentile of the block's statistics); the tests hold each at 12 or
-#: fewer, 5-6 MB at 2^16. The peak depends on the data as well: with a
+#: once it is spent, and a call's one pass of the first iteration takes its
+#: lanes in chunks of a block's width. On the tests' block (1024 lanes x
+#: n = 64 from a shared start, its pass included, by ``tracemalloc``) the
+#: peak holds 8.5 of them under logit and 11.6 under cloglog, 7.2 and 7.5
+#: where a pick-only call bounds its lanes, and 10.8 and 9.3 where a
+#: screen's cut bounds them (the cut at the 30th percentile of the block's
+#: statistics); the tests hold each at 12 or fewer, 5-6 MB at 2^16. The
+#: peak depends on the data as well: with a
 #: shared A = [1, z] (z standard normal, at start coefficient 1.0 or 2.0),
 #: a pick-only cloglog block peaked at 12.06 arrays, and a pick-only logit
 #: block of cubed Cauchy columns at coefficient 2.0 at 12.5. Against 2^14, 2^16
@@ -455,10 +456,9 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, caps=None, cut=None):
     on H1 plus a jitter of 1e-10 times its mean diagonal. Returns (d as
     k x C, each full step's eta change dx as C x n, the predicted gain g'd / 2
     of each lane's step, mask of lanes with a step to try, mask of those
-    whose step came from a Fisher fallback, the rank test's mask, which only
-    ``_first_direction`` runs and is all False here, and, given the
-    coefficient box ``caps``, each lane's ``_dual_bound`` from the weights
-    the step was solved with, else None; given also ``cut``, the bound is
+    whose step came from a Fisher fallback, and, given the coefficient box
+    ``caps``, each lane's ``_dual_bound`` from the weights the step was
+    solved with, else None; given also ``cut``, the bound is
     ``_cut_bound``'s instead). Lanes whose gradient is non-finite get no
     step. The other C x n intermediates die on return."""
     m = A.shape[1]
@@ -492,8 +492,7 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, caps=None, cut=None):
     if caps is not None:
         bound = (_dual_bound(lf, y, A, x, caps, eta, r, w, dx) if cut is None
                  else _cut_bound(lf, y, A, x, caps, eta, r, w, dx, grad, d, q, cut))
-    return (d, dx, (grad * d).sum(axis=0) / 2, ok, ok & ~direct, np.zeros(lanes, dtype=bool),
-            bound)
+    return d, dx, (grad * d).sum(axis=0) / 2, ok, ok & ~direct, bound
 
 
 def _dual_bound(lf, y, A, x, caps, eta, r, w, dx, half=None):
@@ -641,20 +640,22 @@ def _schur_step(P, g_a, b, c, g_x):
     return d, (s > 0.0) & np.isfinite(d).all(axis=0), pivot, pb
 
 
-def _first_direction(lf, y, A, x, eta, state, caps=None, cut=None):
-    """``_lane_direction`` at the first iteration, where every lane (a row
-    of x, C x n) stands at one shared eta (1 x n, with its link ``state``),
-    returning the same tuple: the Newton step on H1 - H0, else Fisher
-    scoring on H1, each by ``_schur_step`` from one inverse of the shared
-    A'WA. The rank test refuses a lane whose H1's pivot ratio is not above
-    1e-10, NaN included; neither it nor a lane whose step is not finite (as
-    where its gradient is not) gets a step. Given ``caps``, a lane's bound
-    is inf unless it has a step, a finite bound and a pivot ratio above 100
-    times the rank test's: a lane retired where it stands never meets a
-    later rank test, which rounds by lane count and position (in another
-    block, or in a one-lane call) and could refuse it. Given also ``cut``,
-    the bound is ``_cut_bound``'s."""
-    r, w1, w = _newton_weights(lf, y, eta, state)
+def _first_direction(lf, y, A, x, eta, r, w1, w, caps=None):
+    """The first iteration of lanes (the rows of x, C x n) that share one
+    eta (1 x n), with score residual r and Gram weights w1 of H1 and w of
+    H1 - H0 there (``_newton_weights``): the Newton step on H1 - H0, else
+    Fisher scoring on H1, each by ``_schur_step`` from one inverse of the
+    shared A'WA. The rank test refuses a lane whose H1's pivot ratio is not
+    above 1e-10, NaN included; neither it nor a lane whose step is not
+    finite (as where its gradient is not) gets a step. Returns (d as k x C,
+    the gain g'd / 2, the masks of lanes with a step, of Fisher fallbacks,
+    of the rank test and of lanes a bound may retire, the gradients as
+    k x C, q = (A'WA)^-1 A'W x_j as m x C and, given the box ``caps``, each
+    lane's ``_dual_bound``, else None). A bound may retire a lane with a
+    step and a pivot ratio above 100 times the rank test's (any other
+    lane's bound is inf): one retired where it stands never meets a later
+    rank test, which rounds by lane count and position and could refuse
+    it."""
     weighted = [w1.T * A] if w is w1 else [w1.T * A, w.T * A]
     # every lane's A'W x_j under each weight and its x_j'r come from one
     # product, and its x_j'W x_j from another: no other C x n array is made
@@ -668,17 +669,16 @@ def _first_direction(lf, y, A, x, eta, state, caps=None, cut=None):
         d = np.where(direct, newton, d)
     rank_deficient = ~(pivot > 1e-10)
     ok = ~rank_deficient & np.isfinite(d).all(axis=0)  # a non-finite gradient's too
+    firm = ok & (pivot > 1e-8)
     d = np.where(ok, d, 0.0)
-    dx = d[:-1].T @ A.T + d[-1][:, None] * x
     bound = None
     if caps is not None:
-        if cut is None:
-            bound = _dual_bound(lf, y, A, x, caps, eta, r, w, dx)
-        else:
-            grad = np.vstack([np.repeat(g_a[:, None], g_x.size, axis=1), g_x])
-            bound = _cut_bound(lf, y, A, x, caps, eta, r, w, dx, grad, d, q, cut)
-        bound = np.where(ok & (pivot > 1e-8) & np.isfinite(bound), bound, np.inf)
-    return d, dx, (g_a @ d[:-1] + g_x * d[-1]) / 2, ok, ok & ~direct, rank_deficient, bound
+        dx = d[:-1].T @ A.T + d[-1][:, None] * x
+        bound = _dual_bound(lf, y, A, x, caps, eta, r, w, dx)
+        bound = np.where(firm & np.isfinite(bound), bound, np.inf)
+    grad = np.vstack([np.repeat(g_a[:, None], g_x.size, axis=1), g_x])
+    return (d, (g_a @ d[:-1] + g_x * d[-1]) / 2, ok, ok & ~direct, rank_deficient, firm, grad,
+            q.T, bound)
 
 
 def _step_search(lf, y, eta, dx, ll, ok, conv):
@@ -729,50 +729,48 @@ def _box(start):
     return np.where(np.abs(start) > BETA_CAP, np.abs(start) + BETA_CAP, BETA_CAP)
 
 
-def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, pick_only=False,
-                  best=-np.inf, shared_bound=None, cut=None):
+def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, shared, first, pick_only=False,
+                  best=-np.inf, cut=None):
     """``_newton_lanes`` for one block: the designs [A, x_j] for the rows
     x_j of x (C x n), whose results go in place into the lanes ``lanes`` of
     the call's table ``out``. Every per-lane array over the n observations
     is C x n, one row per lane, so each lane's sums run over its own
     contiguous row. Each C x n array is freed once it is spent, by the
     return of the helper that made it or by ``del``, so the block's peak
-    holds few of them (see ``LANE_BLOCK_CELLS``). Every lane starts at the
-    one eta of ``start``, so iteration 1 takes its directions and the rank
-    test from ``_first_direction``, and each later one from
-    ``_lane_direction``. ``best`` is the largest log-likelihood the call's
-    earlier blocks reached; ``cut``, in a call with ``keep``, is the cut
-    they fixed. ``shared_bound``, when the call bounded its lanes at their
-    shared start, holds each lane's bound, which then serves as iteration
-    1's. A bounded lane that is beaten already (by the best, or with a cut
-    by its own log-likelihood) leaves before its step search."""
+    holds few of them (see ``LANE_BLOCK_CELLS``). The lanes start at the
+    call's ``shared`` (eta as 1 x n, its log-likelihood, and the score
+    residual and Gram weights there), and iteration 1 takes the block's rows
+    of the call's first pass, ``first`` = (d, gain, step mask, retirable
+    mask, gradients, q, bound) of ``_first_direction`` (gradients and q only
+    with ``keep``); each later one comes from ``_lane_direction``. ``best``
+    is the largest log-likelihood the call's earlier blocks reached;
+    ``cut``, in a call with ``keep``, is the cut they fixed. A bounded lane
+    that is beaten already (by the best, or with a cut by its own
+    log-likelihood) leaves before its step search."""
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
     bounding = (pick_only or cut is not None) and lf.flat_eta is not None
     beta = np.repeat(start[:, None], lanes.size, axis=1)
     caps = _box(start)
+    eta, ll, r, w = shared
+    ll = np.full(lanes.size, ll)
+    d, gain, ok, firm, grad, q, bound = first
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # the lanes start at one eta, 1 x n until the first step: their own
-        # coefficient is 0, or there is one lane
-        eta = (A @ start[:-1])[None, :]
-        if start[-1]:
-            eta = eta + start[-1] * x
-        ll, state = lf.log_lik(lf.clip_eta(eta), y, keep_state=True)
-        ll = np.broadcast_to(ll, lanes.size).copy()
+        dx = d[:-1].T @ A.T + d[-1][:, None] * x
+        if cut is not None:
+            bound = _cut_bound(lf, y, A, x, caps, lf.clip_eta(eta), r, w, dx, grad, d, q.T,
+                               (cut, beta, ll))
+            bound = np.where(firm & np.isfinite(bound), bound, np.inf)
         for it in range(1, MAX_ITER + 1):
-            eta_c = lf.clip_eta(eta)
-            if bounded_eta:
-                out.eta_clamped[lanes] |= (eta_c != eta).any(axis=1)
-            shared = it == 1 and shared_bound is not None
-            box = caps if bounding and it <= BOUND_ITERS and not shared else None
-            own = None if box is None or cut is None else (cut, beta, ll)
-            d, dx, gain, ok, fell_back, rd, bound = (
-                _first_direction(lf, y, A, x, eta_c, state, box, own) if it == 1
-                else _lane_direction(lf, y, A, Z, iu, x, eta_c, state, box, own))
-            if shared:
-                bound = shared_bound
-            del eta_c, state  # spent
-            out.rank_deficient[lanes[rd]] = True
-            out.used_fisher_fallback[lanes] |= fell_back
+            if it > 1:
+                eta_c = lf.clip_eta(eta)
+                if bounded_eta:
+                    out.eta_clamped[lanes] |= (eta_c != eta).any(axis=1)
+                box = caps if bounding and it <= BOUND_ITERS else None
+                own = None if box is None or cut is None else (cut, beta, ll)
+                d, dx, gain, ok, fell_back, bound = _lane_direction(
+                    lf, y, A, Z, iu, x, eta_c, state, box, own)
+                del eta_c, state  # spent
+                out.used_fisher_fallback[lanes] |= fell_back
             conv = ok & (gain <= DEC_TOL * (1 + np.abs(ll)))
             out.converged[lanes] = conv
             out.iterations[lanes] = it
@@ -866,55 +864,49 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
     search where it is beaten already. That best carries across blocks.
     Every lane ascends, so the lane that reached it ends at or above it, and
     no retired lane can reach or tie the pick; a retired lane reports where
-    it stood. The bound covers the pairs with a ``flat_eta`` (Bernoulli
-    logit and cloglog); under any other pair a pick-only call fits every
-    lane in full. The pick is that of the full call, but its fit's last bits
-    can differ: lanes leave the blocks sooner, and BLAS rounds by lane count
-    and position.
-
-    When such a call's lanes fill more than one block, each distinct lane
-    is first bounded at the shared start (``_first_direction``, in chunks
-    of a block's lanes), and the blocks take the lanes best first: in
-    descending order of that bound, the first block an eighth of the
-    others. A lane whose bound is beaten by the best reached so far is
-    retired without entering a block (``iterations`` 0, at its start), and
-    so is every lane after it. In a block, that bound serves as iteration
-    1's. Lanes that fill one block are not bounded first: none could leave
-    before that block, whose iteration 1 computes the same bound. Every
-    other call takes its lanes in index order.
+    it stood. Iteration 1's bounds come from the first pass, and the blocks
+    take the lanes best first: in descending order of that bound, the first
+    block an eighth of the others. A lane whose bound is beaten by the best
+    reached so far is retired without entering a block (``iterations`` 0, at
+    its start), and so is every lane after it. The bound covers the pairs
+    with a ``flat_eta`` (Bernoulli logit and cloglog); under any other pair
+    a pick-only call fits every lane in full, in index order. The pick is
+    that of the full call, but its fit's last bits can differ: lanes leave
+    the blocks sooner, and BLAS rounds by lane count and position.
 
     A call with ``keep`` = d serves a caller that keeps the d lanes with the
-    largest |own coefficient| (``LaneFits.statistics``: the screen). When
-    its lanes fill more than one block under a pair with a ``flat_eta``,
-    every distinct lane first takes its iteration-1 Newton step from the
-    shared start (``_first_direction``, in chunks of a block's lanes), and
-    the blocks take the lanes best first, in descending order of that
-    step's |own coefficient|. Once d finite statistics are known, each
-    column counted once per copy, the d-th largest is the cut c; it only
-    rises as later blocks are fitted. Each later block bounds its lanes at
-    its first ``BOUND_ITERS`` iterations over every iterate of the box with
-    |own coefficient| >= c (``_cut_bound``), and a lane whose bound lies
-    below its own log-likelihood by 1e-7 (1 + |ll|), before or after that
-    iteration's step search, leaves flagged ``retired``: it ascends, so it
-    ends with |own coefficient| < c, outside the d kept. A retired lane
-    reports where it stood. The d kept are those of the call without
-    ``keep``; the other lanes are fitted under the same rules, but their
-    last bits can move with the lanes beside them. Lanes that fill one
-    block, and pairs without a ``flat_eta``, are fitted in full in index
-    order, as without ``keep``.
+    largest |own coefficient| (``LaneFits.statistics``: the screen). Under a
+    pair with a ``flat_eta``, the blocks take the lanes best first, in
+    descending order of the |own coefficient| of the first pass's step. Once
+    d finite statistics are known, each column counted once per copy, the
+    d-th largest is the cut c; it only rises as later blocks are fitted.
+    Each later block bounds its lanes at its first ``BOUND_ITERS``
+    iterations over every iterate of the box with |own coefficient| >= c
+    (``_cut_bound``), and a lane whose bound lies below its own
+    log-likelihood by 1e-7 (1 + |ll|), before or after that iteration's step
+    search, leaves flagged ``retired``: it ascends, so it ends with |own
+    coefficient| < c, outside the d kept. A retired lane reports where it
+    stood. The d kept are those of the call without ``keep``; the other
+    lanes are fitted under the same rules, but their last bits can move with
+    the lanes beside them. Pairs without a ``flat_eta`` are fitted in full
+    in index order, as without ``keep``.
 
     Each distinct column (by byte equality) is fitted once, so duplicated
     columns get bit-equal results (BLAS rounds by lane position), and the
     distinct columns are fitted in blocks that keep every working array
     within ``LANE_BLOCK_CELLS`` doubles, except the n x m(m+1)/2 products of
-    A's columns that give every lane's A^T W A in one matrix product. A
-    block gathers its columns as the rows of a C x n array and holds every
-    per-lane array over the observations the same way, one lane per row,
-    and frees each once it is spent: on the tests' block its peak holds
-    about 8.4 such arrays under logit and 11.4 under cloglog (7.3 to 10.8
-    when it bounds its lanes), besides its input, and other data can take
-    it past 12 (see ``LANE_BLOCK_CELLS``). Every block writes its lanes in
-    place into the call's one ``LaneFits`` table over the distinct lanes.
+    A's columns that give every lane's A^T W A in one matrix product. Every
+    distinct lane's first iteration (with its rank test, and a pick-only
+    call's first bound) is formed once, in one pass at the shared start over
+    chunks of a block's lanes (``_first_direction``) that keeps no C x n
+    array, and each block starts from its lanes' rows of it. A block gathers
+    its columns as the rows of a C x n array and holds every per-lane array
+    over the observations the same way, one lane per row, and frees each
+    once it is spent: on the tests' block its peak holds about 8.5 such
+    arrays under logit and 11.6 under cloglog (7.2 to 10.8 when it bounds
+    its lanes), besides its input, and other data can take it past 12 (see
+    ``LANE_BLOCK_CELLS``). Every block writes its lanes in place into the
+    call's one ``LaneFits`` table over the distinct lanes.
     """
     n, m = A.shape
     k = m + 1
@@ -935,40 +927,48 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
             pos += m - a
     width = max(1, LANE_BLOCK_CELLS // max(n, k * k))
     lane_of = np.searchsorted(distinct, first)  # each col's distinct lane
-    # lanes that fill one block gain nothing from a shared-start pass: none
-    # can leave before that block, whose iteration 1 computes the same bound
-    shared = (pick_only or keep is not None) and lf.flat_eta is not None and distinct.size > width
-    key = np.full(distinct.size, np.inf)  # the blocks take the lanes by it, largest first
-    if shared:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            eta = lf.clip_eta((A @ start[:-1])[None, :])
-            start_ll, state = lf.log_lik(eta, y, keep_state=True)
-            for s in range(0, distinct.size, width):
-                first_step = _first_direction(lf, y, A, X.T[cols[distinct[s:s + width]]], eta,
-                                              state, _box(start) if keep is None else None)
-                key[s:s + width] = first_step[6] if keep is None else np.abs(first_step[0][-1])
-            del first_step
-    # a stable sort: equal keys, all-inf ones too, keep index order. A
-    # pick-only call's first block is an eighth of the others, so that the
-    # best it reaches retires most lanes before they enter one
+    bounded = lf.flat_eta is not None and (pick_only or keep is not None)
+    out = LaneFits.at_start(start, distinct.size)  # the pass and the blocks write their lanes here
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # one start eta: the lanes' own coefficient is 0, or there is one lane
+        eta = (A @ start[:-1])[None, :]
+        if start[-1]:
+            eta = eta + start[-1] * X[:, cols[0]]
+        eta_c = lf.clip_eta(eta)
+        if lf.eta_domain != (-np.inf, np.inf):
+            out.eta_clamped[:] = (eta_c != eta).any()
+        start_ll, state = lf.log_lik(eta_c, y, keep_state=True)
+        r, w1, w = _newton_weights(lf, y, eta_c, state)
+        # each distinct lane's iteration 1, by chunks (one, empty, for no lane)
+        caps = _box(start) if bounded and keep is None else None
+        chunks = [_first_direction(lf, y, A, X.T[cols[distinct[s:s + width]]], eta_c, r, w1, w,
+                                   caps) for s in range(0, max(distinct.size, 1), width)]
+        d, gain, ok, out.used_fisher_fallback, out.rank_deficient, firm, grad, q, bound = (
+            None if a[0] is None else np.concatenate(a, axis=-1) for a in zip(*chunks))
+    if keep is None:
+        grad = q = None  # only a cut bound reads them
+    # the blocks take bounded lanes best first (by bound, or by |own step|
+    # with keep), others in index order; a pick-only call's first block is an
+    # eighth of the others, so that its best retires most lanes at the start
+    key = bound if bound is not None else np.abs(d[-1]) if bounded else np.zeros(distinct.size)
     order = np.argsort(-key, kind="stable")
-    out = LaneFits.at_start(start, distinct.size)  # the blocks write their lanes here
     copies = np.bincount(lane_of, minlength=distinct.size)
     best, cut, s = -np.inf, None, 0
-    size = max(1, width // 8) if shared and keep is None else width
+    size = max(1, width // 8) if bound is not None else width
     while s < order.size:
         block, s, size = order[s:s + size], s + size, width
-        bound = key[block] if shared and keep is None else None
         if bound is not None:  # lanes beaten at their start retire there
-            beaten = _beaten(bound, best)
+            beaten = _beaten(bound[block], best)
             out.log_lik[block[beaten]] = start_ll
             out.retired[block[beaten]] = True
-            block, bound = block[~beaten], bound[~beaten]
+            block = block[~beaten]
         if block.size:
+            rows = tuple(None if a is None else a[..., block]
+                         for a in (d, gain, ok, firm, grad, q, bound))
             _newton_block(y, A, Z, iu, X.T[cols[distinct[block]]], lf, start, out, block,
-                          pick_only, best, bound, cut)
+                          (eta, start_ll, r, w), rows, pick_only, best, cut)
             best = max(best, np.fmax.reduce(out.log_lik[block]))
-            if shared and keep is not None:
+            if bounded and keep is not None:
                 cut = _cut(out.statistics(), copies, keep)
     return LaneFits(**{f.name: getattr(out, f.name)[..., lane_of] for f in fields(LaneFits)})
 

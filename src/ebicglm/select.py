@@ -22,10 +22,10 @@ score residual linearized at the Newton step, clipped into phi's domain.
 A lane whose bound lies below the best log-likelihood any lane has reached
 (less a rounding margin) cannot win, since that lane only climbs, and is
 retired. Every candidate of a step starts at the current model's fit, so
-when they fill more than one block of the kernel, all are bounded there
-first, from one inverse of the current model's Hessian, and fitted best
-first: the few with the highest bounds reach a best that retires most of
-the others before their first iteration. So the pick is the full call's,
+all are bounded there first, from one inverse of the current model's
+Hessian, and fitted best first: the few with the highest bounds reach a
+best that retires most of the others before their first iteration, in
+any number of blocks of the kernel. So the pick is the full call's,
 while the winner's fit can move in its last bits (its block's lanes leave
 sooner, and BLAS rounds by lane count). The bound is that of the
 log-likelihood without the mu floor and theta clip that flatten it far
@@ -36,9 +36,9 @@ other pair fits every candidate in full.
 The screen keeps only its d columns with the largest |slope|, so under the
 same two pairs it fits only as far as that keep set, after the Gap Safe
 screening rules of Fercoq, Gramfort & Salmon (ICML 2015) and Ndiaye et al.
-(JMLR 2017). When its columns fill more than one block of the kernel, they
-are fitted best first, by the slope of the first Newton step that each
-takes from their shared start; once d statistics are known, the d-th
+(JMLR 2017). Its columns are fitted best first, in blocks of the kernel,
+by the slope of the first Newton step that each takes from their shared
+start; once d statistics are known, the d-th
 largest is the cut c, and it only rises. A later column retires, with
 statistic NaN, once a bound on the log-likelihood of every coefficient
 vector in its box with |slope| >= c lies below the log-likelihood the
@@ -104,8 +104,8 @@ def screen_mme(
     All columns are fitted by one ``_newton_lanes`` call with ``keep`` = d
     under the stop rules of ``fit_mle``; a duplicated column is fitted once,
     so its copies get bit-equal statistics. Under Bernoulli logit and
-    cloglog, when the columns fill more than one block, a column proven to
-    end below the cut (the d-th largest statistic) is retired and gets
+    cloglog, a column of a later block that is proven to end below the cut
+    (the d-th largest statistic), once one is known, is retired and gets
     statistic NaN (see the module docstring); ``keep`` is that of fitting
     every column in full, and ``retired`` counts the NaN statistics.
     Features that fail the rank test or end without a finite log-likelihood
@@ -272,9 +272,9 @@ def forward_select(
     that a weak-duality bound shows cannot win is retired early, most of
     them before their first iteration (see the module docstring), so the
     pick is that of fitting every candidate in full; the winner's fit may
-    differ from that full call's in its last bits. That lane of the call is the step's
-    reported fit, flags included, and its beta starts the next step; the
-    step also records its call's lanes, lane-iterations and retired lanes.
+    differ from that full call's in its last bits. That lane of the call is
+    the step's reported fit, flags included, and its beta starts the next
+    step; each step records its call's lanes, lane-iterations and retired lanes.
 
     Stops at ``max_steps``, when the model reaches n - 2 covariates, when no
     candidate is left, when no candidate yields a usable fit (finite

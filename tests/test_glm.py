@@ -478,10 +478,11 @@ def test_an_indefinite_hessian_steps_by_fisher_scoring():
     A = np.ones((n, 1))
     eta = (beta[0] + beta[1] * x)[None, :]
     _ll, state = lf.log_lik(eta, data.y, keep_state=True)
-    for d, _dx, _gain, ok, fell_back, rd, _bound in (
-            glm._first_direction(lf, data.y, A, x[None, :], eta, state),
-            glm._lane_direction(lf, data.y, A, A * A, np.triu_indices(1), x[None, :], eta,
-                                state)):
+    first = glm._first_direction(lf, data.y, A, x[None, :], eta,
+                                 *glm._newton_weights(lf, data.y, eta, state))
+    later = glm._lane_direction(lf, data.y, A, A * A, np.triu_indices(1), x[None, :], eta, state)
+    # (d, step mask, fallback mask, rank mask): only the first runs the rank test
+    for d, ok, fell_back, rd in (first[:1] + first[2:5], later[:1] + later[3:5] + ([False],)):
         assert ok[0] and fell_back[0] and not rd[0]
         assert np.abs(parts.h1 @ d[:, 0] - g).max() <= 1e-12 * np.abs(g).max()
 
@@ -558,7 +559,7 @@ def test_standard_cauchy_columns_from_a_nonzero_start_raise_nothing():
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         eta = lf.clip_eta(start[0] + start[1] * x)
         _ll, state = lf.log_lik(eta, y, keep_state=True)
-        d, _dx, _gain, ok, fell_back, _rd, _bound = glm._lane_direction(
+        d, _dx, _gain, ok, fell_back, _bound = glm._lane_direction(
             lf, y, A, A * A, np.triu_indices(1), x, eta, state)
     assert fell_back.any() and np.isfinite(d[:, ok]).all()
     # and a one-lane call, which may start its own coefficient anywhere,
@@ -640,11 +641,17 @@ def _lane_block(link):
 
 
 def _run_block(args, pick_only=False, cut=None):
-    """The block's fits, written into a table of its own lanes."""
+    """The block's fits, written into a table of its own lanes, from their
+    first iteration at the shared start."""
     y, A, Z, iu, x, lf, start = args
     fits = glm.LaneFits.at_start(start, x.shape[0])
-    glm._newton_block(y, A, Z, iu, x, lf, start, fits, np.arange(x.shape[0]), pick_only,
-                      cut=cut)
+    eta = _shared_start(y, A, lf, start)[0]
+    ll, state = lf.log_lik(eta, y, keep_state=True)
+    r, w1, w = glm._newton_weights(lf, y, eta, state)
+    d, gain, ok, _fell_back, _rd, firm, grad, q, bound = glm._first_direction(
+        lf, y, A, x, eta, r, w1, w, glm._box(start) if pick_only else None)
+    glm._newton_block(y, A, Z, iu, x, lf, start, fits, np.arange(x.shape[0]), (eta, ll, r, w),
+                      (d, gain, ok, firm, grad, q, bound), pick_only, cut=cut)
     return fits
 
 
@@ -751,11 +758,11 @@ def test_the_shared_start_pass_holds_at_most_12_lane_arrays(link):
     # freed as they are spent
     y, A, _Z, _iu, x, lf, start = _lane_block(link)
     eta, state = _shared_start(y, A, lf, start)
-    args = (lf, y, A, x, eta, state, glm._box(start))
+    args = (lf, y, A, x, eta, *glm._newton_weights(lf, y, eta, state), glm._box(start))
     glm._first_direction(*args)  # warm-up
     tracemalloc.start()
     try:
-        bound = glm._first_direction(*args)[6]
+        bound = glm._first_direction(*args)[8]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -803,11 +810,46 @@ def _dual_instance(link, seed, include_intercept=None):
 
 def _lanes_per_block(mp, call, lanes):
     """Patch ``LANE_BLOCK_CELLS`` so that ``call``'s blocks hold ``lanes``
-    lanes (None leaves it as it is): with more than one block, a pick-only
-    call bounds its lanes at their shared start."""
+    lanes (None leaves it as it is): with more than one block, the lanes
+    that a pick-only call bounds at their shared start enter the blocks
+    best first, and many are retired before any block."""
     if lanes is not None:
         y, A = call[:2]
         mp.setattr(glm, "LANE_BLOCK_CELLS", lanes * max(y.size, (A.shape[1] + 1) ** 2))
+
+
+@pytest.mark.parametrize("lanes", [None, 2])
+@pytest.mark.parametrize("link", ["logit", "cloglog", "probit"])
+def test_every_call_forms_iteration_1_once_per_distinct_lane(link, lanes):
+    # one pass at the shared start forms each distinct lane's first
+    # iteration, and the blocks start from it: full, pick-only, keep and
+    # one-lane calls, in one block or in blocks of two lanes
+    lf = parse_link_family(link)
+    rng = np.random.default_rng(5)
+    n = 40
+    X = rng.standard_normal((n, 9))
+    X[:, 7] = X[:, 2]  # a copy, fitted once
+    data = Dataset((rng.random(n) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(float), X)
+    step = step_call(lf, data, [0], range(1, 9), fit_mle(lf, data, ModelIndex((0,))).beta)
+    first_direction = glm._first_direction
+    formed = []
+
+    def spy(lf, y, A, x, *args):
+        formed.append(x.shape[0])
+        return first_direction(lf, y, A, x, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glm, "_first_direction", spy)
+        _lanes_per_block(mp, step, lanes)
+        for call, kwargs, distinct in ((step, {}, 7), (step, {"pick_only": True}, 7),
+                                       (screen_call(lf, data), {"keep": 3}, 8)):
+            formed.clear()
+            glm._newton_lanes(*call, **kwargs)
+            assert sum(formed) == distinct, kwargs
+        for model in (ModelIndex(()), ModelIndex((0, 2))):  # the lane's own start g(ybar), 0
+            formed.clear()
+            fit_mle(lf, data, model)
+            assert formed == [1], model
 
 
 @settings(max_examples=60, deadline=None)
@@ -861,7 +903,7 @@ def test_no_retired_lane_reaches_the_pick(link, seed, lanes):
 
 def test_lanes_retired_at_their_shared_start_report_it():
     # no iteration: the start's beta and log-likelihood, retired, passed the
-    # rank test (a lane that fails it enters a block, which flags it)
+    # rank test (a lane that fails it has no bound, so it enters a block)
     at_start = 0
     for link in DUAL_LINKS:
         for seed in range(10):
@@ -906,8 +948,8 @@ def _check_first_direction(y, A, X, cols, lf, start):
     rank-deficient ones."""
     x = X.T[np.asarray(cols)]
     eta, state = _shared_start(y, A, lf, start)
-    d, _dx, _gain, ok, fell_back, rank_deficient, _bound = glm._first_direction(
-        lf, y, A, x, eta, state)
+    d, _gain, ok, fell_back, rank_deficient, *_rest = glm._first_direction(
+        lf, y, A, x, eta, *glm._newton_weights(lf, y, eta, state))
     counts = {"newton": 0, "fisher": 0, "deficient": 0}
     for j, col in enumerate(x):
         data = Dataset(y, np.column_stack([A, col]))

@@ -27,6 +27,14 @@ RUNS = {
          "--max-steps", "12"],
         ("path.tsv", "chosen.tsv"),
     ),
+    # probit has no dual bound, so neither its screen nor its steps retire a
+    # lane: this run pins the unbounded path
+    "select-probit": (
+        ["select", "--link", "probit", "--gamma", "gamma1", "--gamma", "gamma3",
+         "--gamma", "paper-final", "--screen-threshold", "200", "--screen-keep", "100",
+         "--max-steps", "12"],
+        ("path.tsv", "chosen.tsv"),
+    ),
     "fit": (
         ["fit", "--link", "cloglog", "--features", "10,20,30,7", "--gamma", "gamma3"],
         ("fit.tsv",),

@@ -289,6 +289,15 @@ class TestScreenRetiresBelowItsCut:
             assert got.retired == np.isnan(got.statistics).sum()
             assert (got.retired > 0) == (link == "logit")
 
+    def test_a_screen_without_an_intercept_retires_lanes_at_its_second_bound(self):
+        # without an intercept the bound at iteration 1 leaves about 750
+        # columns of each screen that the bound at iteration 2 retires
+        # (BOUND_ITERS = 2)
+        lf = parse_link_family("cloglog")
+        for seed in range(3):
+            fits = _newton_lanes(*screen_call(lf, _golub_shaped(seed), False), keep=400)
+            assert (fits.retired & (fits.iterations == 2)).any(), seed
+
     @pytest.mark.parametrize("link", DUAL_LINKS)
     def test_a_bound_within_the_margin_retires_nothing(self, monkeypatch, link):
         # every bound is replaced by the lane's own full-fit log-likelihood
@@ -346,11 +355,18 @@ def test_the_cut_bound_covers_both_half_boxes(link, include_intercept):
     slopes = np.abs(_newton_lanes(*call).beta[-1])
     eta = lf.clip_eta((A @ start[:-1])[None, :])
     start_ll, state = lf.log_lik(eta, y, keep_state=True)
+    # the first iteration's rows, and the bound a block forms from them
+    x = X.T.copy()
+    r, w1, w = glm._newton_weights(lf, y, eta, state)
+    d, _gain, _ok, _fell_back, _rd, firm, grad, q, _bound = glm._first_direction(
+        lf, y, A, x, eta, r, w1, w)
+    dx = d[:-1].T @ A.T + d[-1][:, None] * x
     checked = 0
     for c in (0.05, 0.2, 0.5):
         beta = np.repeat(start[:, None], data.p, axis=1)
-        bound = glm._first_direction(lf, y, A, X.T.copy(), eta, state, glm._box(start),
-                                     (c, beta, np.full(data.p, start_ll)))[6]
+        bound = glm._cut_bound(lf, y, A, x, glm._box(start), eta, r, w, dx, grad, d, q.T,
+                               (c, beta, np.full(data.p, start_ll)))
+        bound = np.where(firm & np.isfinite(bound), bound, np.inf)
         for j in np.flatnonzero(np.isfinite(bound) & (slopes < c)):
             top = max(_profile_log_lik(lf, data, X[:, j], s, include_intercept) for s in (c, -c))
             assert bound[j] >= top - 1e-9 * (1 + abs(top)), (c, j)
@@ -508,6 +524,25 @@ def _path_work(data, include_intercept):
     path = forward_select(parse_link_family("cloglog"), data, range(data.p), [0.0], 6,
                           include_intercept)
     return [(s.lanes, s.lane_iterations, s.retired) for s in path.steps]
+
+
+@pytest.mark.parametrize("link", DUAL_LINKS)
+def test_a_one_block_step_retires_lanes_at_their_start(link):
+    # 400 candidates fill less than one block of 910 lanes, and are still
+    # bounded at their shared start and fitted best first: the best that the
+    # first block (an eighth of a block) reaches retires others before their
+    # first iteration, and the pick is that of the full call
+    lf = parse_link_family(link)
+    for seed in range(3):
+        data = _golub_shaped(seed, p=400)
+        call = step_call(lf, data, [], range(data.p), fit_mle(lf, data, ModelIndex(())).beta)
+        y, A, _X, _cols, _lf, start = call
+        got = _newton_lanes(*call, pick_only=True)
+        zero = got.retired & (got.iterations == 0)
+        assert zero.any(), seed
+        assert np.all(got.log_lik[zero] == glm._loglik_from_eta(y, A @ start[:-1], lf))
+        full = _newton_lanes(*call)
+        assert np.argmax(usable_log_liks(got)) == np.argmax(usable_log_liks(full)), seed
 
 
 def test_step_work_counts_repeat_in_pool_workers():
