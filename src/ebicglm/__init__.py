@@ -1,5 +1,6 @@
 """EBIC-guided variable selection for GLMs with non-canonical links."""
 
+import importlib
 import os
 
 # One BLAS thread per process, so that ``--threads`` (worker processes) is the
@@ -57,16 +58,6 @@ from .errors import (
     RankDeficient,
     UnsupportedPair,
 )
-from .experiments import (
-    CvLinkReport,
-    ExperimentSummary,
-    FinalReport,
-    PdrFdr,
-    cv_select_link,
-    pdr_fdr,
-    real_data_workflow,
-    run_simulation_batch,
-)
 from .glm import (
     Dataset,
     DiagnosticReport,
@@ -109,14 +100,44 @@ from .select import (
     screen_mme,
     select_pipeline,
 )
-from .simgen import (
-    SimDesign,
-    SimReplicate,
-    TrueModel,
-    cloglog_response,
-    design_for,
-    divergent_pattern,
-    generate_replicate,
-)
 
 __version__ = "0.1.0"
+
+# The replicate batch, CV link choice and simulation designs load on first
+# use (PEP 562), so that fit, select and diagnose runs load neither the pool
+# (multiprocessing, concurrent.futures) nor numpy.random; see README,
+# "Start-up".
+_LAZY = {
+    "experiments": (
+        "CvLinkReport",
+        "ExperimentSummary",
+        "FinalReport",
+        "PdrFdr",
+        "cv_select_link",
+        "pdr_fdr",
+        "real_data_workflow",
+        "run_simulation_batch",
+    ),
+    "simgen": (
+        "SimDesign",
+        "SimReplicate",
+        "TrueModel",
+        "cloglog_response",
+        "design_for",
+        "divergent_pattern",
+        "generate_replicate",
+    ),
+}
+_LAZY_FROM = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_FROM:
+        return getattr(importlib.import_module(f".{_LAZY_FROM[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_LAZY, *_LAZY_FROM])

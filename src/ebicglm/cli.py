@@ -22,11 +22,10 @@ import numpy as np
 from . import _BLAS_THREADS, __version__
 from .ebic import ebic_score, resolve_gamma
 from .errors import DataError, EbicGlmError, InvalidArgs
-from .glm import Dataset, ModelIndex, c6_diagnostics, fit_mle
+from .glm import Dataset, ModelIndex, _tsv, c6_diagnostics, fit_mle
 from .links import parse_link_family
 from .select import SelectConfig, select_pipeline
-from .simgen import design_for, generate_replicate
-from .experiments import _tsv, cv_select_link, run_simulation_batch
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the contract wants 1
@@ -252,6 +251,11 @@ def _cmd_select(args) -> tuple:
 
 
 def _cmd_simulate(args) -> tuple:
+    # the pool and the generators load with the two commands that use them
+    # (README, "Start-up")
+    from .experiments import run_simulation_batch
+    from .simgen import design_for, generate_replicate
+
     design = design_for(args.setting, args.n, rho=args.rho)
     config = None
     if args.gamma:
@@ -284,6 +288,8 @@ def _cmd_simulate(args) -> tuple:
 
 
 def _cmd_cv_links(args) -> tuple:
+    from .experiments import cv_select_link
+
     report = cv_select_link(
         Dataset.from_csv(args.input),
         [s.strip() for s in args.links.split(",") if s.strip()],

@@ -16,9 +16,11 @@ import numpy as np
 
 from .ebic import resolve_gamma
 from .errors import DataError, EbicGlmError, FoldTooSmall, InvalidArgs
-from .glm import Dataset, _loglik_from_eta
+from .glm import Dataset, _loglik_from_eta, _tsv
 from .links import Bernoulli, Cloglog, compose_link_family, parse_link_family
 from .select import SelectConfig, _check_max_steps, select_pipeline
+# at module level, so that simgen and numpy.random load before a pool forks
+# and its workers inherit them (README, "Start-up")
 from .simgen import SimDesign, TrueModel, _rng_for, generate_replicate
 
 
@@ -56,21 +58,6 @@ class SummaryCell:
     sd_fdr: float
     n_reps: int
     n_failed: int
-
-
-def _fmt(x) -> str:
-    """One TSV cell: NA for a statistic that does not apply (None or a
-    non-finite float), six decimals for any other float, else ``str``."""
-    if x is None:
-        return "NA"
-    if isinstance(x, float):
-        return "NA" if not np.isfinite(x) else f"{x:.6f}"
-    return str(x)
-
-
-def _tsv(rows) -> str:
-    """The package's one TSV writer: a line per row, every cell through ``_fmt``."""
-    return "".join("\t".join(_fmt(x) for x in row) + "\n" for row in rows)
 
 
 @dataclass

@@ -185,6 +185,21 @@ def _bad_row(path, names):
     return None
 
 
+def _fmt(x) -> str:
+    """One TSV cell: NA for a statistic that does not apply (None or a
+    non-finite float), six decimals for any other float, else ``str``."""
+    if x is None:
+        return "NA"
+    if isinstance(x, float):
+        return "NA" if not np.isfinite(x) else f"{x:.6f}"
+    return str(x)
+
+
+def _tsv(rows) -> str:
+    """The package's one TSV writer: a line per row, every cell through ``_fmt``."""
+    return "".join("\t".join(_fmt(x) for x in row) + "\n" for row in rows)
+
+
 @dataclass(frozen=True)
 class ModelIndex:
     """A candidate model: sorted duplicate-free covariate column indices."""
@@ -253,6 +268,10 @@ class LaneFits:
         slope = self.beta[-1]
         usable = ~self.rank_deficient & np.isfinite(self.log_lik) & np.isfinite(slope)
         return np.where(self.retired, np.nan, np.where(usable, np.abs(slope), -np.inf))
+
+    def take(self, lanes) -> "LaneFits":
+        """The lanes ``lanes`` (positions, in that order) as a table."""
+        return LaneFits(**{f.name: getattr(self, f.name)[..., lanes] for f in fields(LaneFits)})
 
     def fit(self, j: int) -> FitResult:
         """Lane j as a ``FitResult``; raises RankDeficient where it failed
@@ -820,6 +839,8 @@ def _first_copies(X, cols):
     sum of their 64-bit words, so only the columns whose sum recurs are
     compared in full: one sort of their bytes, each column one opaque
     record. Nothing n x C is copied unless that many columns share sums."""
+    if cols.size < 2:
+        return np.arange(cols.size)
     sums = X.view(np.uint64).sum(axis=0)[cols]
     _, group, count = np.unique(sums, return_inverse=True, return_counts=True)
     first = np.arange(cols.size)
@@ -970,7 +991,7 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
             best = max(best, np.fmax.reduce(out.log_lik[block]))
             if bounded and keep is not None:
                 cut = _cut(out.statistics(), copies, keep)
-    return LaneFits(**{f.name: getattr(out, f.name)[..., lane_of] for f in fields(LaneFits)})
+    return out.take(lane_of)
 
 
 def _cut(stats, copies, keep):

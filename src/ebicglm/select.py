@@ -10,7 +10,9 @@ a few Newton iterations over a C x n block of candidates, each with its own
 k x k Hessian, rather than C separate fits, and a lane that stalls holds up
 only itself. The step's reported fit is its winner's lane of that same call,
 so every fit the path reports comes from the one kernel. Ties go to the
-lower feature index.
+lower feature index. A screened path's first step would refit the screen's
+kept models from the screen's own start, so it takes its pick and fit from
+the screen's call instead (see ``select_pipeline``).
 
 A step keeps only its winner, so its call is pick-only: under Bernoulli
 logit and cloglog, whose per-observation log-likelihoods l_i are concave,
@@ -68,13 +70,13 @@ path stops, since no later step could change any gamma's model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ebic import ebic_penalties, ebic_score, resolve_gamma
 from .errors import EmptyCandidates, InvalidArgs, PathEmpty
-from .glm import Dataset, FitResult, ModelIndex, _initial_beta, _newton_lanes, fit_mle
+from .glm import Dataset, FitResult, LaneFits, ModelIndex, _initial_beta, _newton_lanes, fit_mle
 from .links import LinkFamily
 
 
@@ -91,6 +93,9 @@ class ScreenResult:
     lanes: int
     lane_iterations: int
     retired: int
+    #: the kept columns' lanes of the screen's call, in index order, which
+    #: a screened path takes its first step from (see ``select_pipeline``)
+    _kept_fits: LaneFits | None = field(default=None, repr=False, compare=False)
 
 
 def screen_mme(
@@ -126,13 +131,15 @@ def screen_mme(
     # failures (-inf), each group's ties by lower index
     group = np.where(np.isnan(stats), 1, np.where(stats == -np.inf, 2, 0))
     ranked = np.lexsort((np.arange(p), np.where(group, 0.0, -stats), group))
+    keep = ranked[: min(d, p)].copy()
     return ScreenResult(
         ranked_features=ranked,
         statistics=stats,
-        keep=ranked[: min(d, p)].copy(),
+        keep=keep,
         lanes=p,
         lane_iterations=int(fits.iterations.sum()),
         retired=int(fits.retired.sum()),
+        _kept_fits=fits.take(np.sort(keep)),
     )
 
 
@@ -141,7 +148,9 @@ class SelectionStep:
     """A step of the path, with its kernel call's work: its candidate lanes,
     their Newton iterations summed, and the lanes it retired. A lane retired
     at its start runs no iteration, so a step whose lanes were bounded there
-    can count fewer lane-iterations than lanes."""
+    can count fewer lane-iterations than lanes. A screened path's first
+    step, read off the screen's fits (see ``select_pipeline``), makes no
+    kernel call and records 0 of each; ``ScreenResult`` counts that work."""
 
     feature: int
     fit: FitResult
@@ -223,18 +232,23 @@ def _ebic_floors(sat: float, n: int, p: int, gammas: tuple, last: int) -> np.nda
     return -2.0 * sat + np.minimum.accumulate(pen[:, ::-1], axis=1)[:, ::-1]
 
 
-def _forward_step(lf, data, current, cur_beta, remaining, gammas, include_intercept):
+def _forward_step(lf, data, current, cur_beta, remaining, gammas, include_intercept,
+                  fitted=None):
     """One greedy step from the model ``current`` (selection order) fitted at
     ``cur_beta``: the step, and its beta in selection order to start the
-    next one; None when no candidate gives a usable fit."""
+    next one; None when no candidate gives a usable fit. ``fitted``, the
+    lanes of ``remaining`` already fitted from that start, stands in for
+    the step's kernel call."""
     n, p = data.n, data.p
     off = 1 if include_intercept else 0
-    shared = np.empty((n, len(current) + off))
-    if include_intercept:
-        shared[:, 0] = 1.0
-    shared[:, off:] = data.X[:, current]
-    fits = _newton_lanes(data.y, shared, data.X, remaining, lf, np.append(cur_beta, 0.0),
-                         pick_only=True)
+    fits = fitted
+    if fits is None:
+        shared = np.empty((n, len(current) + off))
+        if include_intercept:
+            shared[:, 0] = 1.0
+        shared[:, off:] = data.X[:, current]
+        fits = _newton_lanes(data.y, shared, data.X, remaining, lf, np.append(cur_beta, 0.0),
+                             pick_only=True)
     score = np.where(fits.rank_deficient | ~np.isfinite(fits.log_lik), -np.inf,
                      fits.log_lik)
     if score.max() == -np.inf:
@@ -249,9 +263,10 @@ def _forward_step(lf, data, current, cur_beta, remaining, gammas, include_interc
     model = ModelIndex(tuple(cols), include_intercept=include_intercept)
     step_fit = replace(best_fit, beta=beta_sorted)
     scores = tuple(ebic_score(step_fit, model, n, p, g) for g in gammas)
-    step = SelectionStep(feature=best_feature, fit=step_fit, scores=scores,
-                         lanes=len(remaining), lane_iterations=int(fits.iterations.sum()),
-                         retired=int(fits.retired.sum()))
+    lanes, lane_iterations, retired = ((0, 0, 0) if fitted is not None else (
+        len(remaining), int(fits.iterations.sum()), int(fits.retired.sum())))
+    step = SelectionStep(feature=best_feature, fit=step_fit, scores=scores, lanes=lanes,
+                         lane_iterations=lane_iterations, retired=retired)
     return step, best_fit.beta
 
 
@@ -262,6 +277,8 @@ def forward_select(
     gammas,
     max_steps: int,
     include_intercept: bool = True,
+    *,
+    _screened: LaneFits | None = None,
 ) -> SelectionPath:
     """Grow the greedy path, fitting every remaining candidate at each step.
 
@@ -286,6 +303,10 @@ def forward_select(
     Quasi-separated fits are usable; they carry the best log-likelihood
     reached under the coefficient cap. EBIC ties go to the lower feature
     index.
+
+    ``_screened``, private to ``select_pipeline``, holds its screen's fits
+    of the candidates in index order: step 1 reads its pick from them where
+    they started at the null fit's beta, in place of its own call.
     """
     cand = sorted(set(int(c) for c in candidates))
     if not cand:
@@ -305,6 +326,10 @@ def forward_select(
     floors = _ebic_floors(lf.family.saturated_log_lik(data.y), n, p, gammas, last)
     best = np.array([s.ebic for s in null_scores])  # running minimum per gamma
 
+    # the screen's fits start at _initial_beta's g(ybar), as the null fit
+    # does, and that converges there at its first iteration unless ybar was
+    # clamped into the mean domain; then step 1 is fitted from the null fit
+    fitted = _screened if null_fit.iterations <= 1 else None
     steps: list[SelectionStep] = []
     current: list[int] = []  # selection order
     cur_beta = null_fit.beta
@@ -321,7 +346,8 @@ def forward_select(
             stop_reason = "ebic-decided"
             break
         grown = _forward_step(lf, data, current, cur_beta, remaining, gammas,
-                              include_intercept)
+                              include_intercept, fitted)
+        fitted = None
         if grown is None:
             if not steps:
                 raise PathEmpty("no candidate produced a usable fit at step 1")
@@ -381,7 +407,15 @@ def select_pipeline(
     config: SelectConfig | None = None,
 ) -> SelectionReport:
     """Screen when p exceeds the threshold, then run forward selection. An
-    empty ``gammas`` or a ``max_steps`` below 1 is refused before any fit."""
+    empty ``gammas`` or a ``max_steps`` below 1 is refused before any fit.
+
+    A screened path takes its first step from the screen's fits of its kept
+    columns, which are the models [1, x_j] (or [x_j]) that step fits, under
+    the same stop rules and from the same start, and picks among them as a
+    forward step does; its fit can differ from a step call's in its last
+    bits. Where the screen's start g(ybar) had ybar clamped into the mean
+    domain, the null fit moves off it, and step 1 makes its own call.
+    """
     config = config or SelectConfig()
     gammas = _gamma_values(resolve_gamma(g, data.n, data.p) for g in config.gammas)
     max_steps = 50 if config.max_steps is None else config.max_steps
@@ -391,7 +425,8 @@ def select_pipeline(
     if data.p > config.screen_threshold:
         screen = screen_mme(lf, data, config.screen_keep, config.include_intercept)
         candidates = screen.keep
-    path = forward_select(lf, data, candidates, gammas, max_steps, config.include_intercept)
+    path = forward_select(lf, data, candidates, gammas, max_steps, config.include_intercept,
+                          _screened=None if screen is None else screen._kept_fits)
     final = tuple(path.model_for(g) for g in gammas)
 
     return SelectionReport(

@@ -26,7 +26,7 @@ from ebicglm import (
     run_simulation_batch,
 )
 from ebicglm import cli as cli_module
-from ebicglm import experiments
+from ebicglm import experiments, simgen
 from ebicglm.cli import main
 from ebicglm.errors import EbicGlmError, InvalidDesign
 
@@ -618,11 +618,11 @@ class TestFlagRanges:
 
     def test_inconsistent_design_is_usage_error(self, cli_inputs, monkeypatch, capsys):
         # no flag value breaks the block layout, so the design builder is
-        # made to raise it
+        # made to raise it; simulate imports it from simgen as it runs
         def inconsistent(*args, **kwargs):
             raise InvalidDesign("block layout needs q < pn/3")
 
-        monkeypatch.setattr(cli_module, "design_for", inconsistent)
+        monkeypatch.setattr(simgen, "design_for", inconsistent)
         _root, base = cli_inputs
         assert main(base["simulate"]) == 1
         assert "usage error: block layout" in capsys.readouterr().err

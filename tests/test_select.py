@@ -894,6 +894,95 @@ class TestSelectPipeline:
             assert len(report2.path.features) == steps
 
 
+# ---------------------------------------------------------------------------
+# a screened path's first step, read off the screen's fits
+# ---------------------------------------------------------------------------
+
+def _pick_only_calls(monkeypatch):
+    """The list that a spy on the selection's kernel fills with the result
+    of every pick-only call made after this."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        fits = _newton_lanes(*args, **kwargs)
+        if kwargs.get("pick_only"):
+            calls.append(fits)
+        return fits
+
+    monkeypatch.setattr(select_mod, "_newton_lanes", spy)
+    return calls
+
+
+def test_a_screened_path_fits_no_first_step_of_its_own(monkeypatch):
+    # the screen has fitted step 1's models, so each later step makes the
+    # path's only pick-only calls; step 1 records none of their work
+    calls = _pick_only_calls(monkeypatch)
+    data = _golub_shaped(0)
+    for include_intercept in (True, False):
+        calls.clear()
+        cfg = SelectConfig(gammas=(0.0,), max_steps=4, include_intercept=include_intercept)
+        steps = select_pipeline(LF, data, cfg).path.steps
+        assert len(steps) >= 2 and len(calls) == len(steps) - 1
+        assert (steps[0].lanes, steps[0].lane_iterations, steps[0].retired) == (0, 0, 0)
+        assert [s.lanes for s in steps[1:]] == [400 - k for k in range(1, len(steps))]
+        assert [s.lane_iterations for s in steps[1:]] == [f.iterations.sum() for f in calls]
+
+
+SCREENED = {**{f"golub{seed}": (lambda seed=seed: _golub_shaped(seed)) for seed in range(3)},
+            "s1-n500": lambda: generate_replicate(design_for("S1", 500), 1).dataset}
+
+
+@pytest.mark.parametrize("include_intercept", [True, False])
+@pytest.mark.parametrize("link", ["logit", "cloglog", "probit"])
+@pytest.mark.parametrize("name", sorted(SCREENED))
+def test_step_one_from_the_screen_is_the_pick_of_its_own_call(link, name, include_intercept):
+    # the pick-only call over the kept columns from the null fit that step 1
+    # no longer makes: the same pick, and a fit that agrees to its last bits
+    # unless it reached the beta cap (probit bounds no lane, so its call
+    # fits every lane in full)
+    lf, data = parse_link_family(link), SCREENED[name]()
+    assert data.p > SelectConfig().screen_threshold
+    cfg = SelectConfig(gammas=(0.0,), max_steps=1, include_intercept=include_intercept)
+    report = select_pipeline(lf, data, cfg)
+    [step] = report.path.steps
+    kept = np.sort(report.screen.keep)
+    call = step_call(lf, data, [], kept, report.path.null_fit.beta, include_intercept)
+    own = _newton_lanes(*call, pick_only=True)
+    pick = int(np.argmax(usable_log_liks(own)))
+    assert step.feature == kept[pick]
+    if not (step.fit.quasi_separated or own.quasi_separated[pick]):
+        assert abs(step.fit.log_lik - own.log_lik[pick]) <= 1e-9 * (1 + abs(own.log_lik[pick]))
+
+
+@pytest.mark.parametrize("link", DUAL_LINKS)
+def test_a_clamped_mean_leaves_step_one_to_its_own_call(monkeypatch, link):
+    # one event in 1100 rows: ybar = 1/1100 lies below the 1e-3 that the
+    # screen's start clamps it to, and the null fit moves off that start, so
+    # the screen's fits did not start where step 1 does. Step 1 then makes
+    # its own call, and the path is the one grown on the kept columns alone;
+    # five events leave ybar unclamped, and step 1 comes from the screen
+    calls = _pick_only_calls(monkeypatch)
+    lf = parse_link_family(link)
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((1100, 30))
+    cfg = SelectConfig(gammas=(0.0,), max_steps=1, screen_threshold=20, screen_keep=10)
+    for events, calls_per_path in ((1, 1), (5, 0)):
+        y = np.zeros(1100)
+        y[rng.choice(1100, events, replace=False)] = 1.0
+        calls.clear()
+        report = select_pipeline(lf, Dataset(y, X), cfg)
+        path = report.path
+        assert len(path.steps) == 1 and len(calls) == calls_per_path
+        assert (path.null_fit.iterations > 1) == (events == 1)
+        if events == 1:
+            alone = forward_select(lf, Dataset(y, X), report.screen.keep, (0.0,), 1)
+            assert path.features == alone.features
+            for got, ref in zip(path.steps, alone.steps):
+                assert got.fit.log_lik == ref.fit.log_lik
+                assert np.array_equal(got.fit.beta, ref.fit.beta)
+                assert (got.lanes, got.lane_iterations) == (ref.lanes, ref.lane_iterations)
+
+
 def test_sure_screening_keeps_true_support():
     """Setting-1 scale: the top-400 marginal screen retains the full true
     support in nearly every replicate."""

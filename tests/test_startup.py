@@ -59,6 +59,45 @@ def test_cli_runs_load_no_scipy(tmp_path, link):
     assert out.splitlines()[-1] == "[]"
 
 
+# what a fit, select or diagnose run has no use for: the worker pool, the
+# simulation's generators and the modules that hold them
+_UNUSED_BY_ONE_PROCESS_RUNS = ("multiprocessing", "concurrent.futures", "numpy.random",
+                               "ebicglm.experiments", "ebicglm.simgen")
+# the names that ebicglm.experiments and ebicglm.simgen give the package
+_LAZY_NAMES = ("experiments", "simgen", "CvLinkReport", "ExperimentSummary", "FinalReport",
+               "PdrFdr", "cv_select_link", "pdr_fdr", "real_data_workflow",
+               "run_simulation_batch", "SimDesign", "SimReplicate", "TrueModel",
+               "cloglog_response", "design_for", "divergent_pattern", "generate_replicate")
+
+
+def test_one_process_runs_load_no_pool_and_no_generator(tmp_path):
+    # the package resolves the batch, CV and simulation names on first use,
+    # so select, fit and diagnose load none of what only they need; once
+    # asked for, every one of those names resolves
+    out = _run(f"""
+        import sys
+        import numpy as np
+        import ebicglm.cli
+
+        X = np.linspace(-1.0, 1.0, 240).reshape(60, 4) ** [1, 2, 3, 4]
+        y = (np.arange(60) % 3 == 0).astype(float)
+        rows = [",".join(repr(float(v)) for v in (y[i], *X[i])) for i in range(60)]
+        with open("toy.csv", "w") as fh:
+            fh.write("y,a,b,c,d\\n" + "\\n".join(rows) + "\\n")
+        with open("beta.txt", "w") as fh:
+            fh.write("0.5\\n-0.5\\n0.0\\n0.0\\n")
+        common = ["--input", "toy.csv", "--link", "logit"]
+        assert ebicglm.cli.main(["select", *common, "--out", "sel"]) == 0
+        assert ebicglm.cli.main(["fit", *common, "--features", "1,3"]) == 0
+        assert ebicglm.cli.main(["diagnose", *common, "--beta", "beta.txt"]) == 0
+        print([m for m in {_UNUSED_BY_ONE_PROCESS_RUNS!r} if m in sys.modules])
+        from ebicglm import experiments, run_simulation_batch
+        assert run_simulation_batch is experiments.run_simulation_batch
+        print([name for name in {_LAZY_NAMES!r} if not hasattr(ebicglm, name)])
+    """, tmp_path)
+    assert out.splitlines()[-2:] == ["[]", "[]"]
+
+
 @pytest.mark.parametrize("link,family", ALL_PAIRS)
 def test_only_building_probit_loads_scipy(tmp_path, link, family):
     # a probit link loads SciPy as it is built; no other pair loads it, to
