@@ -141,13 +141,12 @@ def _check_ranges(args) -> None:
 _PATH_KEYS = ("input", "beta")
 
 
-def _manifest(args, stop_reason: str | None) -> str:
-    """The run's manifest.json: its ``params`` replay it through
-    ``--config``; a path's ``stop_reason`` and the BLAS thread variables as
-    ``import ebicglm`` left them sit beside ``params``, so replay ignores
-    them."""
-    params = {dest: getattr(args, dest)
-              for dest in _param_actions(_build_parser().commands[args.command])}
+def _manifest(args, command_parser: argparse.ArgumentParser, stop_reason: str | None) -> str:
+    """The run's manifest.json: its ``params``, the command parser's
+    parameters, replay it through ``--config``; a path's ``stop_reason`` and
+    the BLAS thread variables as ``import ebicglm`` left them sit beside
+    ``params``, so replay ignores them."""
+    params = {dest: getattr(args, dest) for dest in _param_actions(command_parser)}
     for dest in _PATH_KEYS:
         if params.get(dest) is not None:
             params[dest] = os.path.abspath(params[dest])
@@ -393,13 +392,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _merge_config_file(args, parser.commands[args.command])
+        command_parser = parser.commands[args.command]
+        _merge_config_file(args, command_parser)
         _check_ranges(args)
         files, table, stop_reason = args.func(args)
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            files["manifest.json"] = _manifest(args, stop_reason)
+            files["manifest.json"] = _manifest(args, command_parser, stop_reason)
             for name, content in files.items():
                 (out / name).write_text(content, encoding="utf-8")
         sys.stdout.write(table)

@@ -9,6 +9,7 @@ every column but the last. The screen fits the one-covariate models
 a few Newton iterations over a C x n block of candidates, each with its own
 k x k Hessian, rather than C separate fits, and a lane that stalls holds up
 only itself. The step's reported fit is its winner's lane of that same call,
+its own coefficient moved to its index position, and starts the next step,
 so every fit the path reports comes from the one kernel. Ties go to the
 lower feature index. A screened path's first step would refit the screen's
 kept models from the screen's own start, so it takes its pick and fit from
@@ -76,7 +77,8 @@ import numpy as np
 
 from .ebic import ebic_penalties, ebic_score, resolve_gamma
 from .errors import EmptyCandidates, InvalidArgs, PathEmpty
-from .glm import Dataset, FitResult, LaneFits, ModelIndex, _initial_beta, _newton_lanes, fit_mle
+from .glm import (Dataset, FitResult, LaneFits, ModelIndex, _design, _initial_beta,
+                  _newton_lanes, fit_mle)
 from .links import LinkFamily
 
 
@@ -122,10 +124,10 @@ def screen_mme(
     if d < 1:
         raise InvalidArgs(f"screen size d must be >= 1, got {d}")
     lf.family.validate_y(data.y)
-    n, p = data.n, data.p
-    m = 1 if include_intercept else 0  # the shared block A is [1] or empty
-    start = _initial_beta(lf, data.y, m + 1, include_intercept)
-    fits = _newton_lanes(data.y, np.ones((n, m)), data.X, np.arange(p), lf, start, keep=d)
+    p = data.p
+    A = _design(data, ModelIndex((), include_intercept))  # [1] or empty
+    start = _initial_beta(lf, data.y, A.shape[1] + 1, include_intercept)
+    fits = _newton_lanes(data.y, A, data.X, np.arange(p), lf, start, keep=d)
     stats = fits.statistics()
     # exact statistics largest first, then the retired (NaN), then the
     # failures (-inf), each group's ties by lower index
@@ -232,42 +234,32 @@ def _ebic_floors(sat: float, n: int, p: int, gammas: tuple, last: int) -> np.nda
     return -2.0 * sat + np.minimum.accumulate(pen[:, ::-1], axis=1)[:, ::-1]
 
 
-def _forward_step(lf, data, current, cur_beta, remaining, gammas, include_intercept,
-                  fitted=None):
-    """One greedy step from the model ``current`` (selection order) fitted at
-    ``cur_beta``: the step, and its beta in selection order to start the
-    next one; None when no candidate gives a usable fit. ``fitted``, the
-    lanes of ``remaining`` already fitted from that start, stands in for
-    the step's kernel call."""
+def _forward_step(lf, data, model, fit, remaining, gammas, fitted=None):
+    """One greedy step from ``model`` fitted at ``fit``, or None when no
+    candidate gives a usable fit. The step's fit is in index order, as every
+    ``FitResult`` is, and starts the next step. ``fitted``, the lanes of
+    ``remaining`` already fitted from that start, stands in for the step's
+    kernel call."""
     n, p = data.n, data.p
-    off = 1 if include_intercept else 0
     fits = fitted
     if fits is None:
-        shared = np.empty((n, len(current) + off))
-        if include_intercept:
-            shared[:, 0] = 1.0
-        shared[:, off:] = data.X[:, current]
-        fits = _newton_lanes(data.y, shared, data.X, remaining, lf, np.append(cur_beta, 0.0),
-                             pick_only=True)
+        fits = _newton_lanes(data.y, _design(data, model), data.X, remaining, lf,
+                             np.append(fit.beta, 0.0), pick_only=True)
     score = np.where(fits.rank_deficient | ~np.isfinite(fits.log_lik), -np.inf,
                      fits.log_lik)
     if score.max() == -np.inf:
         return None
     best = int(np.argmax(score))
-    best_feature, best_fit = remaining[best], fits.fit(best)
-    cols = current + [best_feature]
-    order = np.argsort(cols, kind="stable")
-    beta_sorted = np.empty_like(best_fit.beta)
-    beta_sorted[:off] = best_fit.beta[:off]
-    beta_sorted[off:] = best_fit.beta[off:][order]
-    model = ModelIndex(tuple(cols), include_intercept=include_intercept)
-    step_fit = replace(best_fit, beta=beta_sorted)
-    scores = tuple(ebic_score(step_fit, model, n, p, g) for g in gammas)
+    feature, lane = remaining[best], fits.fit(best)
+    grown = ModelIndex(model.indices + (feature,), model.include_intercept)
+    # the lane's beta is the model's, then the candidate's own coefficient
+    pos = int(model.include_intercept) + grown.indices.index(feature)
+    step_fit = replace(lane, beta=np.insert(lane.beta[:-1], pos, lane.beta[-1]))
+    scores = tuple(ebic_score(step_fit, grown, n, p, g) for g in gammas)
     lanes, lane_iterations, retired = ((0, 0, 0) if fitted is not None else (
         len(remaining), int(fits.iterations.sum()), int(fits.retired.sum())))
-    step = SelectionStep(feature=best_feature, fit=step_fit, scores=scores, lanes=lanes,
+    return SelectionStep(feature=feature, fit=step_fit, scores=scores, lanes=lanes,
                          lane_iterations=lane_iterations, retired=retired)
-    return step, best_fit.beta
 
 
 def forward_select(
@@ -289,9 +281,10 @@ def forward_select(
     that a weak-duality bound shows cannot win is retired early, most of
     them before their first iteration (see the module docstring), so the
     pick is that of fitting every candidate in full; the winner's fit may
-    differ from that full call's in its last bits. That lane of the call is
-    the step's reported fit, flags included, and its beta starts the next
-    step; each step records its call's lanes, lane-iterations and retired lanes.
+    differ from that full call's in its last bits. That lane of the call,
+    its beta in index order, is the step's reported fit, flags included, and
+    the next step starts from it; each step records its call's lanes,
+    lane-iterations and retired lanes.
 
     Stops at ``max_steps``, when the model reaches n - 2 covariates, when no
     candidate is left, when no candidate yields a usable fit (finite
@@ -331,8 +324,7 @@ def forward_select(
     # clamped into the mean domain; then step 1 is fitted from the null fit
     fitted = _screened if null_fit.iterations <= 1 else None
     steps: list[SelectionStep] = []
-    current: list[int] = []  # selection order
-    cur_beta = null_fit.beta
+    model, fit = null_model, null_fit
     remaining = list(cand)
     stop_reason = "max-steps"
     while len(steps) < max_steps:
@@ -345,17 +337,16 @@ def forward_select(
         if np.all(floors[:, len(steps)] - best > 1e-9 * (1.0 + np.abs(best))):
             stop_reason = "ebic-decided"
             break
-        grown = _forward_step(lf, data, current, cur_beta, remaining, gammas,
-                              include_intercept, fitted)
+        step = _forward_step(lf, data, model, fit, remaining, gammas, fitted)
         fitted = None
-        if grown is None:
+        if step is None:
             if not steps:
                 raise PathEmpty("no candidate produced a usable fit at step 1")
             stop_reason = "no-usable-fit"
             break
-        step, cur_beta = grown
         steps.append(step)
-        current.append(step.feature)
+        model = ModelIndex(model.indices + (step.feature,), include_intercept)
+        fit = step.fit
         remaining.remove(step.feature)
         best = np.minimum(best, [sc.ebic for sc in step.scores])
 

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 
 from ebicglm import Dataset, ModelIndex, ebic_score, fit_mle, parse_link_family
-from ebicglm.glm import LaneFits, _initial_beta, _newton_lanes
+from ebicglm.glm import LaneFits, _design, _initial_beta, _newton_lanes
 from ebicglm.select import ScreenResult, SelectionPath, _forward_step
 
 # (link, family, eta-safe box for random instances)
@@ -190,9 +190,9 @@ def check_batching(y, A, X, cols, lf, start, clamped_log_lik=True, pick_only=Fal
 def screen_call(lf, data, include_intercept=True):
     """``screen_mme``'s kernel call, as the arguments (y, A, X, cols, lf,
     start) of ``_newton_lanes``."""
-    m = 1 if include_intercept else 0
-    start = _initial_beta(lf, data.y, m + 1, include_intercept)
-    return data.y, np.ones((data.n, m)), data.X, np.arange(data.p), lf, start
+    A = _design(data, ModelIndex((), include_intercept))
+    start = _initial_beta(lf, data.y, A.shape[1] + 1, include_intercept)
+    return data.y, A, data.X, np.arange(data.p), lf, start
 
 
 def screen_ranking(fits, d):
@@ -214,14 +214,10 @@ def screen_mme_reference(lf, data, d, include_intercept=True):
     return screen_ranking(one_lane_fits(*screen_call(lf, data, include_intercept)), d)
 
 
-def step_call(lf, data, current, remaining, init, include_intercept=True):
-    """The kernel call of a forward step from the model ``current``
-    (selection order) fitted at ``init``, as the arguments (y, A, X, cols,
-    lf, start) of ``_newton_lanes``."""
-    off = 1 if include_intercept else 0
-    A = np.ones((data.n, len(current) + off))
-    A[:, off:] = data.X[:, list(current)]
-    return data.y, A, data.X, list(remaining), lf, np.append(init, 0.0)
+def step_call(lf, data, model, remaining, init):
+    """The kernel call of a forward step from ``model`` fitted at ``init``,
+    as the arguments (y, A, X, cols, lf, start) of ``_newton_lanes``."""
+    return data.y, _design(data, model), data.X, list(remaining), lf, np.append(init, 0.0)
 
 
 def usable_log_liks(fits):
@@ -230,14 +226,14 @@ def usable_log_liks(fits):
     return np.where(fits.rank_deficient | ~np.isfinite(fits.log_lik), -np.inf, fits.log_lik)
 
 
-def forward_step_reference(lf, data, current, remaining, init, include_intercept=True):
+def forward_step_reference(lf, data, model, remaining, init):
     """One forward step as one one-lane kernel call per remaining
     candidate: the reference for the candidate-batched step in
     ``forward_select``. Returns the winner (the lowest index among equal
     log-likelihoods, rank-deficient and non-finite fits skipped) and its
     fit, or (-1, None), plus every candidate's log-likelihood (-inf where
     skipped)."""
-    fits = one_lane_fits(*step_call(lf, data, current, remaining, init, include_intercept))
+    fits = one_lane_fits(*step_call(lf, data, model, remaining, init))
     lls = usable_log_liks(fits)
     if lls.max() == -np.inf:
         return -1, None, lls
@@ -255,7 +251,7 @@ def unstopped_forward_path(lf, data, candidates, gammas, max_steps, include_inte
     null_model = ModelIndex((), include_intercept=include_intercept)
     null_fit = fit_mle(lf, data, null_model)
     null_scores = tuple(ebic_score(null_fit, null_model, data.n, data.p, g) for g in gammas)
-    steps, current, beta = [], [], null_fit.beta
+    steps, model, fit = [], null_model, null_fit
     remaining = sorted(int(c) for c in candidates)
     stop_reason = "max-steps"
     while len(steps) < max_steps:
@@ -265,13 +261,13 @@ def unstopped_forward_path(lf, data, candidates, gammas, max_steps, include_inte
         if not remaining:
             stop_reason = "no-candidates"
             break
-        grown = _forward_step(lf, data, current, beta, remaining, gammas, include_intercept)
-        if grown is None:
+        step = _forward_step(lf, data, model, fit, remaining, gammas)
+        if step is None:
             stop_reason = "no-usable-fit"
             break
-        step, beta = grown
         steps.append(step)
-        current.append(step.feature)
+        model = ModelIndex(model.indices + (step.feature,), include_intercept)
+        fit = step.fit
         remaining.remove(step.feature)
     prefixes = tuple(
         int(np.argmin([null.ebic] + [s.scores[i].ebic for s in steps]))

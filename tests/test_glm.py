@@ -803,9 +803,9 @@ def _dual_instance(link, seed, include_intercept=None):
     current = sorted(int(j) for j in rng.choice([0, 1, 6, 7], rng.integers(0, 3), replace=False))
     drawn = bool(rng.integers(2))
     include_intercept = drawn if include_intercept is None else include_intercept
-    init = fit_mle(lf, data, ModelIndex(current, include_intercept)).beta
+    model = ModelIndex(current, include_intercept)
     remaining = [j for j in range(8) if j not in current]
-    return step_call(lf, data, current, remaining, init, include_intercept)
+    return step_call(lf, data, model, remaining, fit_mle(lf, data, model).beta)
 
 
 def _lanes_per_block(mp, call, lanes):
@@ -830,7 +830,8 @@ def test_every_call_forms_iteration_1_once_per_distinct_lane(link, lanes):
     X = rng.standard_normal((n, 9))
     X[:, 7] = X[:, 2]  # a copy, fitted once
     data = Dataset((rng.random(n) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(float), X)
-    step = step_call(lf, data, [0], range(1, 9), fit_mle(lf, data, ModelIndex((0,))).beta)
+    model = ModelIndex((0,))
+    step = step_call(lf, data, model, range(1, 9), fit_mle(lf, data, model).beta)
     first_direction = glm._first_direction
     formed = []
 

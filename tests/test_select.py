@@ -415,41 +415,37 @@ def _check_path_by_lanes(lf, data, path, include_intercept, max_steps):
     reason it gives: where the one-lane fits leave nothing usable, where
     their next step cannot lower any gamma's EBIC minimum, or at a size
     cap."""
-    off = 1 if include_intercept else 0
-    init = path.null_fit.beta
-    current, remaining = [], list(range(data.p))
+    model, fit = ModelIndex((), include_intercept), path.null_fit
+    remaining = list(range(data.p))
     for step in path.steps:
-        fits, one_lane = check_batching(
-            *step_call(lf, data, current, remaining, init, include_intercept),
-            pick_only=True)
+        fits, one_lane = check_batching(*step_call(lf, data, model, remaining, fit.beta),
+                                        pick_only=True)
         lls = usable_log_liks(one_lane)
         pick = remaining.index(step.feature)
         assert lls[pick] >= lls.max() - 1e-9 * (1 + abs(lls.max()))
-        current.append(step.feature)
+        model = ModelIndex(model.indices + (step.feature,), include_intercept)
         remaining.remove(step.feature)
-        # the step's beta back in selection order: the lane's layout and the
-        # next step's start
-        init = step.fit.beta.copy()
-        init[off:][np.argsort(current, kind="stable")] = step.fit.beta[off:]
+        # the lane's own coefficient comes last; the step reports it at its
+        # index position, and that fit starts the next step
         lane = fits.fit(pick)
-        assert np.array_equal(lane.beta, init)
+        pos = int(include_intercept) + model.indices.index(step.feature)
+        assert np.array_equal(np.insert(lane.beta[:-1], pos, lane.beta[-1]), step.fit.beta)
         assert replace(lane, beta=None) == replace(step.fit, beta=None)
+        fit = step.fit
     reason = path.stop_reason
     if reason in ("no-usable-fit", "ebic-decided"):
-        feature, fit, _lls = forward_step_reference(
-            lf, data, current, remaining, init, include_intercept
-        )
+        feature, next_fit, _lls = forward_step_reference(lf, data, model, remaining, fit.beta)
         if reason == "no-usable-fit":
-            assert fit is None
-        elif fit is not None:
-            model = ModelIndex(tuple(current) + (feature,), include_intercept)
+            assert next_fit is None
+        elif next_fit is not None:
+            grown = ModelIndex(model.indices + (feature,), include_intercept)
             for g in path.gammas:
-                ebic = ebic_score(fit, model, data.n, data.p, g).ebic
+                ebic = ebic_score(next_fit, grown, data.n, data.p, g).ebic
                 assert ebic > path.ebic_sequence(g).min()
     elif len(path.steps) == max_steps:
         assert reason == "max-steps"
     else:
-        assert reason == ("size-limit" if len(current) >= data.n - 2 else "no-candidates")
+        assert reason == ("size-limit" if model.size >= data.n - 2 else "no-candidates")
 
 
 class TestForwardStepMatchesPerCandidateFits:
@@ -475,18 +471,20 @@ class TestForwardStepMatchesPerCandidateFits:
         # the copies of the signal: one fit, bit-equal results, the lowest
         # index wins, and a selected copy makes the others rank deficient
         null_beta = path.null_fit.beta
-        copies = _newton_lanes(*step_call(lf, data, [], COPIES, null_beta, include_intercept))
+        copies = _newton_lanes(*step_call(lf, data, ModelIndex((), include_intercept), COPIES,
+                                          null_beta))
         assert np.all(copies.log_lik == copies.log_lik[0])
         assert np.all(copies.beta == copies.beta[:, :1])
         assert not set(COPIES[1:]) & set(path.features)
-        collinear = _newton_lanes(*step_call(lf, data, [SIGNAL], COPIES[1:],
-                                             np.append(null_beta, 0.0), include_intercept))
+        signal = ModelIndex((SIGNAL,), include_intercept)
+        collinear = _newton_lanes(*step_call(lf, data, signal, COPIES[1:],
+                                             np.append(null_beta, 0.0)))
         assert collinear.rank_deficient.all()
         # and so they are in a pick-only call over every other column, whose
         # lanes fill several blocks and are bounded at their shared start
         others = [j for j in range(data.p) if j != SIGNAL]
-        every = _newton_lanes(*step_call(lf, data, [SIGNAL], others, np.append(null_beta, 0.0),
-                                         include_intercept), pick_only=True)
+        every = _newton_lanes(*step_call(lf, data, signal, others, np.append(null_beta, 0.0)),
+                              pick_only=True)
         assert every.rank_deficient[[others.index(j) for j in COPIES[1:]]].all()
 
     @pytest.mark.parametrize("include_intercept", [True, False])
@@ -498,9 +496,9 @@ class TestForwardStepMatchesPerCandidateFits:
                            ("arcsin", "eta_clamped")):
             lf = parse_link_family(link)
             data = _step_data("bernoulli")
-            signal_fit = fit_mle(lf, data, ModelIndex((SIGNAL,), include_intercept))
-            fit = _newton_lanes(*step_call(lf, data, [SIGNAL], [STEP_SEPARATING],
-                                           signal_fit.beta, include_intercept)).fit(0)
+            signal = ModelIndex((SIGNAL,), include_intercept)
+            fit = _newton_lanes(*step_call(lf, data, signal, [STEP_SEPARATING],
+                                           fit_mle(lf, data, signal).beta)).fit(0)
             assert getattr(fit, flag), link
 
     @pytest.mark.parametrize("link", ["logit", "cloglog", "identity"])
@@ -535,7 +533,8 @@ def test_a_one_block_step_retires_lanes_at_their_start(link):
     lf = parse_link_family(link)
     for seed in range(3):
         data = _golub_shaped(seed, p=400)
-        call = step_call(lf, data, [], range(data.p), fit_mle(lf, data, ModelIndex(())).beta)
+        null = ModelIndex(())
+        call = step_call(lf, data, null, range(data.p), fit_mle(lf, data, null).beta)
         y, A, _X, _cols, _lf, start = call
         got = _newton_lanes(*call, pick_only=True)
         zero = got.retired & (got.iterations == 0)
@@ -928,6 +927,31 @@ def test_a_screened_path_fits_no_first_step_of_its_own(monkeypatch):
         assert [s.lane_iterations for s in steps[1:]] == [f.iterations.sum() for f in calls]
 
 
+def test_each_step_starts_from_the_last_reported_fit(monkeypatch):
+    # the golden replicate's picks arrive out of index order, so a step's
+    # shared block and start kept in selection order would differ from
+    # those of its model in index order from step 3 on
+    data = generate_replicate(design_for("S1", 100), 7).dataset
+    calls = []
+
+    def spy(y, A, X, cols, lf, start, *args, **kwargs):
+        calls.append((A.copy(), start.copy()))
+        return _newton_lanes(y, A, X, cols, lf, start, *args, **kwargs)
+
+    monkeypatch.setattr(select_mod, "_newton_lanes", spy)
+    cfg = SelectConfig(screen_threshold=200, screen_keep=100)
+    steps = select_pipeline(parse_link_family("cloglog"), data, cfg).path.steps
+    assert [s.feature for s in steps[:4]] == [59, 39, 19, 9]
+    # the screen's call, from the null model, then one call per later step
+    assert len(calls) == len(steps)
+    model = ModelIndex(())
+    assert np.array_equal(calls[0][0], glm._design(data, model))
+    for previous, (A, start) in zip(steps, calls[1:]):
+        model = ModelIndex(model.indices + (previous.feature,))
+        assert np.array_equal(A, glm._design(data, model))
+        assert np.array_equal(start, np.append(previous.fit.beta, 0.0))
+
+
 SCREENED = {**{f"golub{seed}": (lambda seed=seed: _golub_shaped(seed)) for seed in range(3)},
             "s1-n500": lambda: generate_replicate(design_for("S1", 500), 1).dataset}
 
@@ -946,7 +970,8 @@ def test_step_one_from_the_screen_is_the_pick_of_its_own_call(link, name, includ
     report = select_pipeline(lf, data, cfg)
     [step] = report.path.steps
     kept = np.sort(report.screen.keep)
-    call = step_call(lf, data, [], kept, report.path.null_fit.beta, include_intercept)
+    call = step_call(lf, data, ModelIndex((), include_intercept), kept,
+                     report.path.null_fit.beta)
     own = _newton_lanes(*call, pick_only=True)
     pick = int(np.argmax(usable_log_liks(own)))
     assert step.feature == kept[pick]
