@@ -50,7 +50,10 @@ its call fixes a cut once the d-th is known: its lanes are fitted best
 first by their first Newton step, and a later lane is retired once a bound
 on every iterate whose own coefficient is at least the cut in size lies
 below a log-likelihood the lane has reached (``_cut_bound``): a weak-duality
-bound on the side its step takes it to, the tangent plane on the other.
+bound on the side its step takes it to, the tangent plane on the other. As
+in a pick-only call, the first bounds come from one pass at the shared
+start, made over every later lane once the cut is fixed, and a lane beaten
+there never enters a block.
 """
 
 from __future__ import annotations
@@ -239,8 +242,9 @@ class LaneFits:
 
     Every field named as in ``FitResult`` means what it means there, for
     each lane; ``rank_deficient`` marks the lanes that failed the rank test,
-    and ``retired`` the lanes that a pick-only call stopped where they stood
-    once a bound showed they could not be picked (see ``_newton_lanes``).
+    and ``retired`` the lanes that a pick-only call, or one with ``keep``,
+    stopped where they stood once a bound showed they could not be picked or
+    kept (see ``_newton_lanes``).
     """
 
     beta: np.ndarray  # k x C, laid out as [A, x_j]
@@ -367,13 +371,15 @@ def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> Hes
 #: candidate designs one block fits together. The block size trades the
 #: per-call overhead of numpy, about 0.2 ms per Newton iteration of a block
 #: whatever its width, against peak memory. A block frees each C x n array
-#: once it is spent, and a call's one pass of the first iteration takes its
-#: lanes in chunks of a block's width. On the tests' block (1024 lanes x
-#: n = 64 from a shared start, its pass included, by ``tracemalloc``) the
-#: peak holds 8.5 of them under logit and 11.6 under cloglog, 7.2 and 7.5
-#: where a pick-only call bounds its lanes, and 10.8 and 9.3 where a
-#: screen's cut bounds them (the cut at the 30th percentile of the block's
-#: statistics); the tests hold each at 12 or fewer, 5-6 MB at 2^16. The
+#: once it is spent, and a call's passes at the shared start (the first
+#: iteration, and a screen's cut bounds) take its lanes in chunks of a
+#: block's width. On the tests' block (1024 lanes x n = 64 from a shared
+#: start, its passes included, by ``tracemalloc``) the peak holds 8.5 of
+#: them under logit and 11.6 under cloglog, 7.2 and 7.5 where a pick-only
+#: call bounds its lanes, and 10.8 and 9.3 where a screen's cut bounds them
+#: (the cut at the 30th percentile of the block's statistics), whose start
+#: pass alone holds 7.1 and 4.8 besides its input; the tests hold each at
+#: 12 or fewer, 5-6 MB at 2^16. The
 #: peak depends on the data as well: with a
 #: shared A = [1, z] (z standard normal, at start coefficient 1.0 or 2.0),
 #: a pick-only cloglog block peaked at 12.06 arrays, and a pick-only logit
@@ -625,6 +631,25 @@ def _cut_bound(lf, y, A, x, caps, eta, r, w, dx, grad, d, q, cut):
                       _tangent_bound(caps, grad, beta, ll, -s))
 
 
+def _start_cut_bound(lf, y, A, x, start, shared, first, c):
+    """Each lane's ``_cut_bound`` against the cut c at the call's shared
+    start, for lanes (the rows of x, C x n) that have not iterated: its
+    iteration-1 bound in a call with ``keep``. ``shared`` = (the clipped
+    eta as 1 x n, its log-likelihood, the score residual and Gram weights
+    there) and
+    ``first`` = (d, gain, retirable mask, gradients, q as m x C) are the
+    call's, from ``_first_direction``. A lane that the bound may not retire
+    gets inf: one not retirable there, or one whose first step already
+    meets the stop rule, which a block takes rather than retires."""
+    eta, ll, r, w = shared
+    d, gain, firm, grad, q = first
+    dx = d[:-1].T @ A.T + d[-1][:, None] * x
+    bound = _cut_bound(lf, y, A, x, _box(start), eta, r, w, dx, grad, d, q.T,
+                       (c, np.repeat(start[:, None], x.shape[0], axis=1), np.full(x.shape[0], ll)))
+    retirable = firm & ~(gain <= DEC_TOL * (1 + abs(ll)))
+    return np.where(retirable & np.isfinite(bound), bound, np.inf)
+
+
 def _beaten(bound, best):
     """The lanes whose bound lies below best by more than the margin
     1e-7 (1 + |best|): they cannot reach or tie it."""
@@ -757,28 +782,25 @@ def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, shared, first, pick_onl
     contiguous row. Each C x n array is freed once it is spent, by the
     return of the helper that made it or by ``del``, so the block's peak
     holds few of them (see ``LANE_BLOCK_CELLS``). The lanes start at the
-    call's ``shared`` (eta as 1 x n, its log-likelihood, and the score
-    residual and Gram weights there), and iteration 1 takes the block's rows
-    of the call's first pass, ``first`` = (d, gain, step mask, retirable
-    mask, gradients, q, bound) of ``_first_direction`` (gradients and q only
-    with ``keep``); each later one comes from ``_lane_direction``. ``best``
-    is the largest log-likelihood the call's earlier blocks reached;
-    ``cut``, in a call with ``keep``, is the cut they fixed. A bounded lane
-    that is beaten already (by the best, or with a cut by its own
-    log-likelihood) leaves before its step search."""
+    call's ``shared`` (eta as 1 x n and its log-likelihood), and iteration
+    1 takes the block's rows of the call's passes at that start, ``first`` =
+    (d, gain, step mask, bound): the step from ``_first_direction``, and
+    the bound from it too in a pick-only call, from ``_start_cut_bound``
+    in a call with ``keep`` once its cut is fixed (None before); each later
+    iteration comes from ``_lane_direction``, which forms the bound of
+    iteration 2. ``best`` is the largest log-likelihood the call's earlier
+    blocks reached; ``cut``, in a call with ``keep``, is the cut they fixed.
+    A bounded lane that is beaten already (by the best, or with a cut by its
+    own log-likelihood) leaves before its step search."""
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
     bounding = (pick_only or cut is not None) and lf.flat_eta is not None
     beta = np.repeat(start[:, None], lanes.size, axis=1)
     caps = _box(start)
-    eta, ll, r, w = shared
+    eta, ll = shared
     ll = np.full(lanes.size, ll)
-    d, gain, ok, firm, grad, q, bound = first
+    d, gain, ok, bound = first
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dx = d[:-1].T @ A.T + d[-1][:, None] * x
-        if cut is not None:
-            bound = _cut_bound(lf, y, A, x, caps, lf.clip_eta(eta), r, w, dx, grad, d, q.T,
-                               (cut, beta, ll))
-            bound = np.where(firm & np.isfinite(bound), bound, np.inf)
         for it in range(1, MAX_ITER + 1):
             if it > 1:
                 eta_c = lf.clip_eta(eta)
@@ -901,16 +923,22 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
     descending order of the |own coefficient| of the first pass's step. Once
     d finite statistics are known, each column counted once per copy, the
     d-th largest is the cut c; it only rises as later blocks are fitted.
-    Each later block bounds its lanes at its first ``BOUND_ITERS``
-    iterations over every iterate of the box with |own coefficient| >= c
-    (``_cut_bound``), and a lane whose bound lies below its own
-    log-likelihood by 1e-7 (1 + |ll|), before or after that iteration's step
-    search, leaves flagged ``retired``: it ascends, so it ends with |own
-    coefficient| < c, outside the d kept. A retired lane reports where it
-    stood. The d kept are those of the call without ``keep``; the other
-    lanes are fitted under the same rules, but their last bits can move with
-    the lanes beside them. Pairs without a ``flat_eta`` are fitted in full
-    in index order, as without ``keep``.
+    Each later lane is bounded at its first ``BOUND_ITERS`` iterations over
+    every iterate of the box with |own coefficient| >= c (``_cut_bound``),
+    and a lane whose bound lies below its own log-likelihood by 1e-7
+    (1 + |ll|), before or after that iteration's step search, leaves
+    flagged ``retired``: it ascends, so it ends with |own coefficient| < c,
+    outside the d kept. Its iteration-1 bound comes from a second pass at
+    the shared start, made once the block that fixes c is fitted, over
+    every lane not yet fitted in chunks of a block's lanes in index order
+    (``_start_cut_bound``): a lane beaten there retires without entering a
+    block (``iterations`` 0, at its start), and only the others enter the
+    blocks they would have filled. A lane whose block comes up after c has
+    risen is bounded again at the start against the new c. A retired lane
+    reports where it stood. The d kept are those of the call without
+    ``keep``; the other lanes are fitted under the same rules, but their
+    last bits can move with the lanes beside them. Pairs without a
+    ``flat_eta`` are fitted in full in index order, as without ``keep``.
 
     Each distinct column (by byte equality) is fitted once, so duplicated
     columns get bit-equal results (BLAS rounds by lane position), and the
@@ -920,8 +948,9 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
     distinct lane's first iteration (with its rank test, and a pick-only
     call's first bound) is formed once, in one pass at the shared start over
     chunks of a block's lanes (``_first_direction``) that keeps no C x n
-    array, and each block starts from its lanes' rows of it. A block gathers
-    its columns as the rows of a C x n array and holds every per-lane array
+    array, and each block starts from its lanes' rows of it (and, with
+    ``keep``, of the cut's start pass). A block gathers its columns as the
+    rows of a C x n array and holds every per-lane array
     over the observations the same way, one lane per row, and frees each
     once it is spent: on the tests' block its peak holds about 8.5 such
     arrays under logit and 11.6 under cloglog (7.2 to 10.8 when it bounds
@@ -974,23 +1003,49 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
     key = bound if bound is not None else np.abs(d[-1]) if bounded else np.zeros(distinct.size)
     order = np.argsort(-key, kind="stable")
     copies = np.bincount(lane_of, minlength=distinct.size)
-    best, cut, s = -np.inf, None, 0
+
+    def bound_at_cut(lanes):
+        """Set the ``bound`` of ``lanes`` to their ``_start_cut_bound``
+        against the current cut, a block's width of them at a time."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for a in range(0, lanes.size, width):
+                part = lanes[a:a + width]
+                bound[part] = _start_cut_bound(
+                    lf, y, A, X.T[cols[distinct[part]]], start, (eta_c, start_ll, r, w),
+                    (d[:, part], gain[part], firm[part], grad[:, part], q[:, part]), cut)
+
+    def unbeaten(lanes, reached):
+        """The lanes whose bound the log-likelihood ``reached`` does not
+        beat; the others retire at their start."""
+        beaten = _beaten(bound[lanes], reached)
+        out.log_lik[lanes[beaten]] = start_ll
+        out.retired[lanes[beaten]] = True
+        return lanes[~beaten]
+
+    best, cut, passed, s = -np.inf, None, None, 0
     size = max(1, width // 8) if bound is not None else width
     while s < order.size:
         block, s, size = order[s:s + size], s + size, width
+        if passed is not None:  # the pass's survivors, bound again at a risen cut
+            block = block[~out.retired[block]]
+            if cut > passed:
+                bound_at_cut(block)
         if bound is not None:  # lanes beaten at their start retire there
-            beaten = _beaten(bound[block], best)
-            out.log_lik[block[beaten]] = start_ll
-            out.retired[block[beaten]] = True
-            block = block[~beaten]
+            block = unbeaten(block, best if keep is None else start_ll)
         if block.size:
-            rows = tuple(None if a is None else a[..., block]
-                         for a in (d, gain, ok, firm, grad, q, bound))
+            rows = tuple(None if a is None else a[..., block] for a in (d, gain, ok, bound))
             _newton_block(y, A, Z, iu, X.T[cols[distinct[block]]], lf, start, out, block,
-                          (eta, start_ll, r, w), rows, pick_only, best, cut)
+                          (eta, start_ll), rows, pick_only, best, cut)
             best = max(best, np.fmax.reduce(out.log_lik[block]))
             if bounded and keep is not None:
                 cut = _cut(out.statistics(), copies, keep)
+                if passed is None and cut is not None:
+                    # the cut is fixed: every later lane is bounded at its
+                    # start, in index order, and only the survivors enter
+                    # their blocks
+                    passed, bound = cut, np.full(distinct.size, np.inf)
+                    bound_at_cut(np.sort(order[s:]))
+                    unbeaten(order[s:], start_ll)
     return out.take(lane_of)
 
 

@@ -46,12 +46,17 @@ largest is the cut c, and it only rises. A later column retires, with
 statistic NaN, once a bound on the log-likelihood of every coefficient
 vector in its box with |slope| >= c lies below the log-likelihood the
 column has reached, less the same margin: since its fit only climbs, it
-ends with |slope| < c. The half-box on the side its Newton step heads for
-is bounded by weak duality, at the residual linearized where the lane's
-quadratic model peaks with the slope held at c (or -c), its intercept
-refitted where the clip into phi's domain moved it; the other half-box is
-bounded by the tangent plane at the column's current fit, since the
-log-likelihood is concave. A retired column's log-likelihood with the
+ends with |slope| < c. As a step's candidates are, every later column is
+bounded first at the shared start, in one sweep once the cut is fixed,
+and one beaten there retires before its first iteration; only the others
+are fitted, in the blocks they would have filled, each bounded at the
+start again if the cut has risen by the time its block comes up. The
+half-box on the side its Newton step heads for is bounded by weak
+duality, at the residual linearized where the lane's quadratic model
+peaks with the slope held at c (or -c), its intercept refitted where the
+clip into phi's domain moved it; the other half-box is bounded by the
+tangent plane at the column's current fit, since the log-likelihood is
+concave. A retired column's log-likelihood with the
 slope held at c is thus below its own by the margin, about 10^5 times what
 the stop rule (``glm.DEC_TOL``) leaves unresolved, so it never ties the
 cut. Statistics are exact only to that stop rule, so where the d-th and
@@ -87,7 +92,8 @@ class ScreenResult:
     """Features ranked by |marginal slope|, largest first, ties by lower
     index, with the screen's kernel call's work as ``SelectionStep`` records
     it: its lanes, their Newton iterations summed, and the lanes it retired
-    (whose statistics are NaN, see ``screen_mme``)."""
+    (whose statistics are NaN, see ``screen_mme``). A column retired at its
+    start counts 0 lane-iterations."""
 
     ranked_features: np.ndarray
     statistics: np.ndarray
@@ -114,7 +120,9 @@ def screen_mme(
     cloglog, a column of a later block that is proven to end below the cut
     (the d-th largest statistic), once one is known, is retired and gets
     statistic NaN (see the module docstring); ``keep`` is that of fitting
-    every column in full, and ``retired`` counts the NaN statistics.
+    every column in full, and ``retired`` counts the NaN statistics. Most
+    are retired at the shared start, before their first iteration, and
+    count 0 lane-iterations.
     Features that fail the rank test or end without a finite log-likelihood
     and slope get statistic -inf; no feature aborts the screen. The ranking
     puts every exact statistic first, largest first, then the retired

@@ -640,18 +640,31 @@ def _lane_block(link):
     return y, A, A * A, np.triu_indices(1), x, lf, start
 
 
-def _run_block(args, pick_only=False, cut=None):
-    """The block's fits, written into a table of its own lanes, from their
-    first iteration at the shared start."""
-    y, A, Z, iu, x, lf, start = args
-    fits = glm.LaneFits.at_start(start, x.shape[0])
+def _start_passes(args, pick_only=False, cut=None):
+    """What the block's call forms at its shared start: the start (eta and
+    its log-likelihood), the block's rows of the first pass, and the
+    arguments of its ``_start_cut_bound`` against ``cut``."""
+    y, A, _Z, _iu, x, lf, start = args
     eta = _shared_start(y, A, lf, start)[0]
     ll, state = lf.log_lik(eta, y, keep_state=True)
     r, w1, w = glm._newton_weights(lf, y, eta, state)
     d, gain, ok, _fell_back, _rd, firm, grad, q, bound = glm._first_direction(
         lf, y, A, x, eta, r, w1, w, glm._box(start) if pick_only else None)
-    glm._newton_block(y, A, Z, iu, x, lf, start, fits, np.arange(x.shape[0]), (eta, ll, r, w),
-                      (d, gain, ok, firm, grad, q, bound), pick_only, cut=cut)
+    cut_args = (lf, y, A, x, start, (eta, ll, r, w), (d, gain, firm, grad, q), cut)
+    return (eta, ll), (d, gain, ok, bound), cut_args
+
+
+def _run_block(args, pick_only=False, cut=None):
+    """The block's fits, written into a table of its own lanes, from their
+    first iteration at the shared start: with a cut, every lane carries its
+    start bound against it, as if none were beaten there."""
+    y, A, Z, iu, x, lf, start = args
+    fits = glm.LaneFits.at_start(start, x.shape[0])
+    shared, (d, gain, ok, bound), cut_args = _start_passes(args, pick_only, cut)
+    if cut is not None:
+        bound = glm._start_cut_bound(*cut_args)
+    glm._newton_block(y, A, Z, iu, x, lf, start, fits, np.arange(x.shape[0]), shared,
+                      (d, gain, ok, bound), pick_only, cut=cut)
     return fits
 
 
@@ -711,10 +724,11 @@ def test_a_pick_only_block_holds_at_most_12_lane_arrays(link):
 @pytest.mark.parametrize("link", ["logit", "cloglog"])
 def test_a_retiring_screen_block_holds_at_most_12_lane_arrays(link):
     # a block of a screen with a cut bounds |own coefficient| >= c at its
-    # first two iterations: the near half-box's dual point, its shift and
-    # its bound add C x n arrays. With c at the 30th percentile of the
-    # block's statistics, 167 (logit) and 215 (cloglog) of 1024 lanes retire, so most
-    # lanes carry the bound's arrays through both iterations
+    # first two iterations, the first bound handed in from the call's start
+    # pass: the near half-box's dual point, its shift and its bound add
+    # C x n arrays. With c at the 30th percentile of the block's statistics,
+    # 167 (logit) and 215 (cloglog) of 1024 lanes retire, so most lanes carry
+    # the bound's arrays through both iterations
     args = _lane_block(link)
     x = args[4]
     stats = _run_block(args).statistics()
@@ -763,6 +777,27 @@ def test_the_shared_start_pass_holds_at_most_12_lane_arrays(link):
     tracemalloc.start()
     try:
         bound = glm._first_direction(*args)[8]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * x.nbytes, peak / x.nbytes
+    assert np.isfinite(bound).sum() > x.shape[0] // 2
+
+
+@pytest.mark.parametrize("link", ["logit", "cloglog"])
+def test_the_cut_start_pass_holds_at_most_12_lane_arrays(link):
+    # the cut bounds of a call with keep from its shared start, one full
+    # block of lanes at a time, with the cut at the 30th percentile of the
+    # block's statistics: the full step's product, the near half-box's dual
+    # point, its shift and its bound are freed as they are spent
+    args = _lane_block(link)
+    x = args[4]
+    stats = _run_block(args).statistics()
+    cut_args = _start_passes(args, cut=np.quantile(stats[np.isfinite(stats)], 0.3))[2]
+    glm._start_cut_bound(*cut_args)  # warm-up
+    tracemalloc.start()
+    try:
+        bound = glm._start_cut_bound(*cut_args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -298,6 +298,49 @@ class TestScreenRetiresBelowItsCut:
             fits = _newton_lanes(*screen_call(lf, _golub_shaped(seed), False), keep=400)
             assert (fits.retired & (fits.iterations == 2)).any(), seed
 
+    @pytest.mark.parametrize("include_intercept", [True, False])
+    @pytest.mark.parametrize("link", DUAL_LINKS)
+    def test_a_lane_beaten_at_its_start_enters_no_block(self, monkeypatch, link,
+                                                         include_intercept):
+        # 72 x 3000 fills four blocks of 910 lanes: once the first fixes the
+        # cut, every later lane is bounded at the shared start, and one
+        # beaten there retires without an iteration; the blocks fitted
+        # before the cut retire nothing
+        lf = parse_link_family(link)
+        tables, blocks = [], []
+
+        def call_spy(*args, **kwargs):
+            tables.append(_newton_lanes(*args, **kwargs))
+            return tables[-1]
+
+        newton_block = glm._newton_block
+
+        def block_spy(y, A, Z, iu, x, lf, start, out, lanes, shared, first, pick_only=False,
+                      best=-np.inf, cut=None):
+            blocks.append((lanes.copy(), shared[1], cut))
+            return newton_block(y, A, Z, iu, x, lf, start, out, lanes, shared, first,
+                                pick_only, best, cut)
+
+        monkeypatch.setattr(select_mod, "_newton_lanes", call_spy)
+        monkeypatch.setattr(glm, "_newton_block", block_spy)
+        for seed in range(3):
+            blocks.clear()
+            data = _golub_shaped(seed)
+            got = screen_mme(lf, data, 400, include_intercept)
+            fits, start_ll = tables[-1], blocks[0][1]
+            before = np.concatenate([lanes for lanes, _ll, cut in blocks if cut is None])
+            after = np.concatenate([lanes for lanes, _ll, cut in blocks if cut is not None])
+            assert 0 < before.size < data.p and after.size, seed
+            assert not fits.retired[before].any(), seed
+            at_start = fits.retired & (fits.log_lik == start_ll)
+            assert at_start.sum() > data.p // 4, seed
+            assert np.all(fits.iterations[at_start] == 0), seed
+            assert not at_start[after].any(), seed  # no lane beaten at its start entered a block
+            assert (got.lanes, got.lane_iterations, got.retired) == (
+                data.p, fits.iterations.sum(), fits.retired.sum())
+            full = screen_ranking(_newton_lanes(*screen_call(lf, data, include_intercept)), 400)
+            assert np.array_equal(got.keep, full.keep), seed
+
     @pytest.mark.parametrize("link", DUAL_LINKS)
     def test_a_bound_within_the_margin_retires_nothing(self, monkeypatch, link):
         # every bound is replaced by the lane's own full-fit log-likelihood
