@@ -47,13 +47,14 @@ retired at their start by the best log-likelihood that the first few reach.
 
 The screen keeps only its d lanes with the largest |own coefficient|, so
 its call fixes a cut once the d-th is known: its lanes are fitted best
-first by their first Newton step, and a later lane is retired once a bound
-on every iterate whose own coefficient is at least the cut in size lies
-below a log-likelihood the lane has reached (``_cut_bound``): a weak-duality
-bound on the side its step takes it to, the tangent plane on the other. As
-in a pick-only call, the first bounds come from one pass at the shared
-start, made over every later lane once the cut is fixed, and a lane beaten
-there never enters a block.
+first by their first Newton step, and each later lane is bounded once, at
+the shared start, on every iterate whose own coefficient is at least the
+cut in size (``_start_cut_bound``): a weak-duality bound on the side its
+first step takes it to, the tangent plane at the start on the other. That
+pass runs over every later lane once the cut is fixed; a lane whose bound
+lies below the start log-likelihood never enters a block, and one whose
+bound lies below the log-likelihood its first step reaches is retired
+there.
 """
 
 from __future__ import annotations
@@ -74,8 +75,11 @@ DEC_TOL = 4096 * np.finfo(float).eps
 MAX_ITER = 100
 BETA_CAP = 30.0
 MAX_HALVINGS = 30
-#: the iterations at which a pick-only call, or a call with ``keep``, bounds
-#: its lanes; bounding the third as well retires few more lanes
+#: the iterations at which a pick-only call bounds its lanes; bounding the
+#: third as well retires few more lanes. A call with ``keep`` bounds its
+#: lanes at iteration 1 alone: a second cut bound retired no lane of the
+#: package's workflows, since its tangent half pays ``BETA_CAP`` times the
+#: shared coefficients' gradient, 0 at the start but not after one step
 BOUND_ITERS = 2
 
 
@@ -376,14 +380,14 @@ def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> Hes
 #: block's width. On the tests' block (1024 lanes x n = 64 from a shared
 #: start, its passes included, by ``tracemalloc``) the peak holds 8.5 of
 #: them under logit and 11.6 under cloglog, 7.2 and 7.5 where a pick-only
-#: call bounds its lanes, and 10.8 and 9.3 where a screen's cut bounds them
-#: (the cut at the 30th percentile of the block's statistics), whose start
-#: pass alone holds 7.1 and 4.8 besides its input; the tests hold each at
-#: 12 or fewer, 5-6 MB at 2^16. The
-#: peak depends on the data as well: with a
-#: shared A = [1, z] (z standard normal, at start coefficient 1.0 or 2.0),
-#: a pick-only cloglog block peaked at 12.06 arrays, and a pick-only logit
-#: block of cubed Cauchy columns at coefficient 2.0 at 12.5. Against 2^14, 2^16
+#: call bounds its lanes, and 7.3 and 9.4 where a screen's cut bound from the
+#: start retires them at iteration 1 (the cut at the 30th percentile of the
+#: block's statistics), whose start pass alone holds 7.1 and 4.8 besides its
+#: input; the tests hold each at 12 or fewer, 5-6 MB at 2^16. The peak
+#: depends on the data as well: with a shared A = [1, z] (z standard normal,
+#: at start coefficient 1.0 or 2.0), a pick-only cloglog block peaked at
+#: 12.06 arrays, and a pick-only logit block of cubed Cauchy columns at
+#: coefficient 2.0 at 12.5. Against 2^14, 2^16
 #: cut the block-iterations of the benchmark's Golub-shaped workflow 3x
 #: (3588 -> 1179) and raised its peak RSS by 2 MB (104 -> 107 MB), and that
 #: of the Setting-1 batch by 3.5 MB (77 -> 81 MB). ``import ebicglm`` frees
@@ -474,7 +478,7 @@ def _newton_weights(lf, y, eta, state):
     return r, w1, w1 if hpp is None else w1 - resid * hpp
 
 
-def _lane_direction(lf, y, A, Z, iu, x, eta, state, caps=None, cut=None):
+def _lane_direction(lf, y, A, Z, iu, x, eta, state, caps=None):
     """Each lane's ascent direction after the first iteration, at an
     in-domain eta (C x n, one row per lane) whose link ``state`` came from
     ``log_lik``: the Newton step on H1 - H0, else Fisher scoring on H1, else
@@ -483,23 +487,18 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, caps=None, cut=None):
     of each lane's step, mask of lanes with a step to try, mask of those
     whose step came from a Fisher fallback, and, given the coefficient box
     ``caps``, each lane's ``_dual_bound`` from the weights the step was
-    solved with, else None; given also ``cut``, the bound is
-    ``_cut_bound``'s instead). Lanes whose gradient is non-finite get no
+    solved with, else None). Lanes whose gradient is non-finite get no
     step. The other C x n intermediates die on return."""
-    m = A.shape[1]
-    k = m + 1
+    k = A.shape[1] + 1
     lanes = x.shape[0]
     r, w1, w = _newton_weights(lf, y, eta, state)
     grad = _lane_gradient(A, x, r)
     go = np.flatnonzero(np.isfinite(grad).all(axis=0))
     d = np.zeros((k, lanes))
     ok = np.zeros(lanes, dtype=bool)
-    q = np.zeros((lanes, m))  # each lane's (A'WA)^-1 A'W x_j, for the cut's bound
     if go.size:
-        h = _lane_gram(A, Z, iu, _rows(x, go), _rows(w, go))
-        d[:, go], ok[go] = _lane_chol_solve(h, grad[:, go])
-        if cut is not None and m:
-            q[go] = _per_lane(np.linalg.solve, h[:, :m, :m], h[:, :m, m:])[0][:, :, 0]
+        d[:, go], ok[go] = _lane_chol_solve(_lane_gram(A, Z, iu, _rows(x, go), _rows(w, go)),
+                                            grad[:, go])
     direct = ok.copy()
     bad = go[~ok[go]]
     if bad.size and w is not w1:
@@ -513,10 +512,7 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, caps=None, cut=None):
         d[:, bad], ok[bad] = _lane_chol_solve(h1, grad[:, bad])
     del w1  # spent: the bound needs room for its own C x n arrays
     dx = d[:-1].T @ A.T + d[-1][:, None] * x
-    bound = None
-    if caps is not None:
-        bound = (_dual_bound(lf, y, A, x, caps, eta, r, w, dx) if cut is None
-                 else _cut_bound(lf, y, A, x, caps, eta, r, w, dx, grad, d, q, cut))
+    bound = None if caps is None else _dual_bound(lf, y, A, x, caps, eta, r, w, dx)
     return d, dx, (grad * d).sum(axis=0) / 2, ok, ok & ~direct, bound
 
 
@@ -606,46 +602,32 @@ def _refit_shared(lf, y, A, w, u):
     u += w * (t @ A.T)
 
 
-def _tangent_bound(caps, grad, beta, ll, s):
-    """Each lane's bound on the log-likelihood of the half-box of
-    ``_dual_bound`` beyond s, from the tangent plane at its beta (k x C),
-    where it has log-likelihood ll and gradient grad: the log-likelihood is
-    concave, so it is at most ll + grad'(b - beta) at any b. This is the
-    dual bound at u = r, whose phi is r'eta - ll."""
-    return (ll + caps[:-1] @ np.abs(grad[:-1]) - (grad * beta).sum(axis=0)
-            + _beyond(s, caps[-1], grad[-1]))
-
-
-def _cut_bound(lf, y, A, x, caps, eta, r, w, dx, grad, d, q, cut):
-    """Each lane's bound on the log-likelihood of every iterate in its box
-    whose own coefficient beta_k is at least c in size, for ``cut`` =
-    (c, beta as k x C, log-likelihood): a lane bounded below a
-    log-likelihood it has reached ends with |beta_k| < c. It is the larger
-    of two bounds: on the side where the full step d takes beta_k, the dual
-    bound of that half-box (``_dual_bound``); on the other, behind the
-    ascent, the tangent plane (``_tangent_bound``)."""
-    c, beta, ll = cut
-    new = beta[-1] + d[-1]
-    s = np.where(new < 0.0, -c, c)
-    return np.maximum(_dual_bound(lf, y, A, x, caps, eta, r, w, dx, (s, new, q)),
-                      _tangent_bound(caps, grad, beta, ll, -s))
-
-
 def _start_cut_bound(lf, y, A, x, start, shared, first, c):
-    """Each lane's ``_cut_bound`` against the cut c at the call's shared
-    start, for lanes (the rows of x, C x n) that have not iterated: its
-    iteration-1 bound in a call with ``keep``. ``shared`` = (the clipped
-    eta as 1 x n, its log-likelihood, the score residual and Gram weights
-    there) and
-    ``first`` = (d, gain, retirable mask, gradients, q as m x C) are the
-    call's, from ``_first_direction``. A lane that the bound may not retire
-    gets inf: one not retirable there, or one whose first step already
-    meets the stop rule, which a block takes rather than retires."""
+    """Each lane's bound on the log-likelihood of every iterate in its box
+    whose own coefficient beta_k (the last) is at least the cut c in size,
+    for lanes (the rows of x, C x n) that stand at the call's shared
+    ``start``: a lane bounded below a log-likelihood it has reached ends
+    with |beta_k| < c. It is the larger of two bounds:
+    on the side where the lane's first step d takes beta_k, the dual bound
+    of that half-box (``_dual_bound``); on the other, behind the ascent, the
+    tangent plane at the start, where the log-likelihood ll and gradient
+    grad give at most ll + grad'(b - start) at any b, the log-likelihood
+    being concave (the dual bound at u = r, whose phi is r'eta - ll).
+    ``shared`` = (the clipped eta as 1 x n, its log-likelihood, the score
+    residual and Gram weights there) and ``first`` = (d, gain, retirable
+    mask, gradients, q as m x C) are the call's, from ``_first_direction``.
+    A lane that the bound may not retire gets inf: one not retirable there,
+    or one whose first step already meets the stop rule, which a block takes
+    rather than retires."""
     eta, ll, r, w = shared
     d, gain, firm, grad, q = first
+    caps = _box(start)
+    new = start[-1] + d[-1]
+    s = np.where(new < 0.0, -c, c)
     dx = d[:-1].T @ A.T + d[-1][:, None] * x
-    bound = _cut_bound(lf, y, A, x, _box(start), eta, r, w, dx, grad, d, q.T,
-                       (c, np.repeat(start[:, None], x.shape[0], axis=1), np.full(x.shape[0], ll)))
+    tangent = (ll + caps[:-1] @ np.abs(grad[:-1]) - (grad * start[:, None]).sum(axis=0)
+               + _beyond(-s, caps[-1], grad[-1]))
+    bound = np.maximum(_dual_bound(lf, y, A, x, caps, eta, r, w, dx, (s, new, q.T)), tangent)
     retirable = firm & ~(gain <= DEC_TOL * (1 + abs(ll)))
     return np.where(retirable & np.isfinite(bound), bound, np.inf)
 
@@ -774,7 +756,7 @@ def _box(start):
 
 
 def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, shared, first, pick_only=False,
-                  best=-np.inf, cut=None):
+                  best=-np.inf):
     """``_newton_lanes`` for one block: the designs [A, x_j] for the rows
     x_j of x (C x n), whose results go in place into the lanes ``lanes`` of
     the call's table ``out``. Every per-lane array over the n observations
@@ -787,13 +769,15 @@ def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, shared, first, pick_onl
     (d, gain, step mask, bound): the step from ``_first_direction``, and
     the bound from it too in a pick-only call, from ``_start_cut_bound``
     in a call with ``keep`` once its cut is fixed (None before); each later
-    iteration comes from ``_lane_direction``, which forms the bound of
-    iteration 2. ``best`` is the largest log-likelihood the call's earlier
-    blocks reached; ``cut``, in a call with ``keep``, is the cut they fixed.
-    A bounded lane that is beaten already (by the best, or with a cut by its
-    own log-likelihood) leaves before its step search."""
+    iteration comes from ``_lane_direction``, which in a pick-only call
+    forms the bound of iteration 2 as well. ``best`` is the largest
+    log-likelihood the call's earlier blocks reached. A lane that is bounded
+    leaves, flagged ``retired``, once its bound is beaten: in a pick-only
+    call by the best, in a call with ``keep`` by its own log-likelihood (the
+    cut bound covers iteration 1 alone); one beaten already leaves before
+    its step search."""
     bounded_eta = lf.eta_domain != (-np.inf, np.inf)
-    bounding = (pick_only or cut is not None) and lf.flat_eta is not None
+    bounding = pick_only and lf.flat_eta is not None
     beta = np.repeat(start[:, None], lanes.size, axis=1)
     caps = _box(start)
     eta, ll = shared
@@ -807,9 +791,8 @@ def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, shared, first, pick_onl
                 if bounded_eta:
                     out.eta_clamped[lanes] |= (eta_c != eta).any(axis=1)
                 box = caps if bounding and it <= BOUND_ITERS else None
-                own = None if box is None or cut is None else (cut, beta, ll)
                 d, dx, gain, ok, fell_back, bound = _lane_direction(
-                    lf, y, A, Z, iu, x, eta_c, state, box, own)
+                    lf, y, A, Z, iu, x, eta_c, state, box)
                 del eta_c, state  # spent
                 out.used_fisher_fallback[lanes] |= fell_back
             conv = ok & (gain <= DEC_TOL * (1 + np.abs(ll)))
@@ -817,7 +800,7 @@ def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, shared, first, pick_onl
             out.iterations[lanes] = it
             if bound is not None:
                 # a lane already beaten leaves before its step search
-                early = ok & ~conv & _beaten(bound, best if cut is None else ll)
+                early = ok & ~conv & _beaten(bound, best if pick_only else ll)
                 ok = ok & ~early
 
             # the eta and link state of a lane's accepted trial carry over
@@ -838,11 +821,11 @@ def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, shared, first, pick_onl
             ll = np.where(take, ll_t, ll)
             if bound is not None:
                 # every lane ascends, so some lane ends at or above best,
-                # and a lane bounded below it cannot be picked; with a cut,
+                # and a lane bounded below it cannot be picked; with keep,
                 # a lane ends at or above its own log-likelihood, so one
                 # bounded below that cannot reach the cut
                 best = max(best, np.fmax.reduce(ll))
-                retire = move & _beaten(bound, best if cut is None else ll)
+                retire = move & _beaten(bound, best if pick_only else ll)
                 out.retired[lanes] = early | retire
                 move &= ~retire
             out.beta[:, lanes] = beta  # where each lane stands, left or not
@@ -923,22 +906,22 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
     descending order of the |own coefficient| of the first pass's step. Once
     d finite statistics are known, each column counted once per copy, the
     d-th largest is the cut c; it only rises as later blocks are fitted.
-    Each later lane is bounded at its first ``BOUND_ITERS`` iterations over
-    every iterate of the box with |own coefficient| >= c (``_cut_bound``),
-    and a lane whose bound lies below its own log-likelihood by 1e-7
-    (1 + |ll|), before or after that iteration's step search, leaves
-    flagged ``retired``: it ascends, so it ends with |own coefficient| < c,
-    outside the d kept. Its iteration-1 bound comes from a second pass at
-    the shared start, made once the block that fixes c is fitted, over
-    every lane not yet fitted in chunks of a block's lanes in index order
-    (``_start_cut_bound``): a lane beaten there retires without entering a
-    block (``iterations`` 0, at its start), and only the others enter the
-    blocks they would have filled. A lane whose block comes up after c has
-    risen is bounded again at the start against the new c. A retired lane
-    reports where it stood. The d kept are those of the call without
-    ``keep``; the other lanes are fitted under the same rules, but their
-    last bits can move with the lanes beside them. Pairs without a
-    ``flat_eta`` are fitted in full in index order, as without ``keep``.
+    Each later lane is bounded once, at the shared start, over every
+    iterate of the box with |own coefficient| >= c (``_start_cut_bound``),
+    in a second pass at that start, made once the block that fixes c is
+    fitted, over every lane not yet fitted in chunks of a block's lanes in
+    index order. A lane whose bound lies below its own log-likelihood by
+    1e-7 (1 + |ll|) leaves flagged ``retired``: it ascends, so it ends with
+    |own coefficient| < c, outside the d kept. A lane beaten at its start
+    retires without entering a block (``iterations`` 0, at its start), and
+    only the others enter the blocks they would have filled, where the same
+    bound retires a lane beaten by the log-likelihood of its first step. A
+    lane whose block comes up after c has risen is bounded again at the
+    start against the new c. A retired lane reports where it stood. The d
+    kept are those of the call without ``keep``; the other lanes are fitted
+    under the same rules, but their last bits can move with the lanes beside
+    them. Pairs without a ``flat_eta`` are fitted in full in index order, as
+    without ``keep``.
 
     Each distinct column (by byte equality) is fitted once, so duplicated
     columns get bit-equal results (BLAS rounds by lane position), and the
@@ -953,7 +936,7 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
     rows of a C x n array and holds every per-lane array
     over the observations the same way, one lane per row, and frees each
     once it is spent: on the tests' block its peak holds about 8.5 such
-    arrays under logit and 11.6 under cloglog (7.2 to 10.8 when it bounds
+    arrays under logit and 11.6 under cloglog (7.2 to 9.4 when it bounds
     its lanes), besides its input, and other data can take it past 12 (see
     ``LANE_BLOCK_CELLS``). Every block writes its lanes in place into the
     call's one ``LaneFits`` table over the distinct lanes.
@@ -1035,7 +1018,7 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
         if block.size:
             rows = tuple(None if a is None else a[..., block] for a in (d, gain, ok, bound))
             _newton_block(y, A, Z, iu, X.T[cols[distinct[block]]], lf, start, out, block,
-                          (eta, start_ll), rows, pick_only, best, cut)
+                          (eta, start_ll), rows, pick_only, best)
             best = max(best, np.fmax.reduce(out.log_lik[block]))
             if bounded and keep is not None:
                 cut = _cut(out.statistics(), copies, keep)

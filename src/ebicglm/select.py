@@ -46,17 +46,21 @@ largest is the cut c, and it only rises. A later column retires, with
 statistic NaN, once a bound on the log-likelihood of every coefficient
 vector in its box with |slope| >= c lies below the log-likelihood the
 column has reached, less the same margin: since its fit only climbs, it
-ends with |slope| < c. As a step's candidates are, every later column is
-bounded first at the shared start, in one sweep once the cut is fixed,
-and one beaten there retires before its first iteration; only the others
-are fitted, in the blocks they would have filled, each bounded at the
-start again if the cut has risen by the time its block comes up. The
-half-box on the side its Newton step heads for is bounded by weak
-duality, at the residual linearized where the lane's quadratic model
-peaks with the slope held at c (or -c), its intercept refitted where the
-clip into phi's domain moved it; the other half-box is bounded by the
-tangent plane at the column's current fit, since the log-likelihood is
-concave. A retired column's log-likelihood with the
+ends with |slope| < c. Every later column is bounded once, at the shared
+start, in one sweep once the cut is fixed, as a step's candidates are
+first bounded: one beaten there retires before its first iteration, and
+one beaten by the log-likelihood its first step reaches retires there;
+only the others are fitted on, in the blocks they would have filled, each
+bounded at the start again if the cut has risen by the time its block
+comes up. The half-box on the side its first Newton step heads for is
+bounded by weak duality, at the residual linearized where the lane's
+quadratic model peaks with the slope held at c (or -c), its intercept
+refitted where the clip into phi's domain moved it; the other half-box is
+bounded by the tangent plane at the shared start, since the
+log-likelihood is concave. That tangent pays the cap times the
+intercept's gradient, which is 0 only at the start, so a bound after the
+first step would retire no column of the package's workflows, and none is
+formed. A retired column's log-likelihood with the
 slope held at c is thus below its own by the margin, about 10^5 times what
 the stop rule (``glm.DEC_TOL``) leaves unresolved, so it never ties the
 cut. Statistics are exact only to that stop rule, so where the d-th and

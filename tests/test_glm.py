@@ -664,7 +664,7 @@ def _run_block(args, pick_only=False, cut=None):
     if cut is not None:
         bound = glm._start_cut_bound(*cut_args)
     glm._newton_block(y, A, Z, iu, x, lf, start, fits, np.arange(x.shape[0]), shared,
-                      (d, gain, ok, bound), pick_only, cut=cut)
+                      (d, gain, ok, bound), pick_only)
     return fits
 
 
@@ -724,18 +724,16 @@ def test_a_pick_only_block_holds_at_most_12_lane_arrays(link):
 @pytest.mark.parametrize("link", ["logit", "cloglog"])
 def test_a_retiring_screen_block_holds_at_most_12_lane_arrays(link):
     # a block of a screen with a cut bounds |own coefficient| >= c at its
-    # first two iterations, the first bound handed in from the call's start
-    # pass: the near half-box's dual point, its shift and its bound add
-    # C x n arrays. With c at the 30th percentile of the block's statistics,
-    # 167 (logit) and 215 (cloglog) of 1024 lanes retire, so most lanes carry
-    # the bound's arrays through both iterations
+    # first iteration alone, by the bound handed in from the call's start
+    # pass. With c at the 30th percentile of the block's statistics, 148
+    # (logit) and 200 (cloglog) of 1024 lanes retire, all at iteration 1
     args = _lane_block(link)
     x = args[4]
     stats = _run_block(args).statistics()
     fits, peak = _block_peak(args, cut=np.quantile(stats[np.isfinite(stats)], 0.3))
     assert peak <= 12 * x.nbytes, peak / x.nbytes
     assert fits.retired.sum() > x.shape[0] // 8
-    assert set(fits.iterations[fits.retired]) == {1, 2}
+    assert set(fits.iterations[fits.retired]) == {1}
 
 
 @pytest.mark.parametrize("pick_only", [False, True])

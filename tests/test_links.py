@@ -504,3 +504,66 @@ def test_saturated_log_lik_values():
     assert Bernoulli().saturated_log_lik(np.array([0.0, 1.0])) == 0.0
     assert parse_family("poisson").saturated_log_lik(y) == pytest.approx(3 * math.log(3) - 4)
     assert Gamma().saturated_log_lik(np.array([1.0, math.e])) == pytest.approx(-3.0)
+
+
+# ---------------------------------------------------------------------------
+# the conjugate floors behind the fitter's weak-duality bounds
+# ---------------------------------------------------------------------------
+
+DUAL_PAIRS = [pair for pair in ALL_PAIRS if parse_link_family(*pair).flat_eta is not None]
+
+
+def _inside_phi(link, u, y, margin=0.0):
+    """Where u lies in the domain on which phi_i(u) is finite, at least
+    ``margin`` inside its finite ends: y - 1 < u < y under logit; under
+    cloglog u < 0 for y = 0 and 0 <= u <= 1 for y = 1."""
+    if link == "logit":
+        return (u > y - 1.0 + margin) & (u < y - margin)
+    return np.where(y == 1.0, (u >= 0.0) & (u <= 1.0), u < -margin)
+
+
+_DUAL_CELLS = st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=st.sampled_from(DUAL_PAIRS), data=st.data())
+def test_dual_clip_moves_u_into_phis_domain_and_leaves_the_rest(pair, data):
+    lf = parse_link_family(*pair)
+    rows, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
+    y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    u = np.array(data.draw(st.lists(_DUAL_CELLS, min_size=rows * n, max_size=rows * n)))
+    u = u.reshape(rows, n)
+    clipped = u.copy()
+    lf.dual_clip(clipped, y)
+    nan = np.isnan(u)
+    assert np.array_equal(np.isnan(clipped), nan)
+    assert _inside_phi(pair[0], clipped, y)[~nan].all()
+    # 1e-12 clear of the ends, u is in the domain already and stays as it is
+    kept = _inside_phi(pair[0], u, y, 1e-12)
+    assert np.array_equal(clipped[kept], u[kept])
+    # the floor is finite on the domain, where u log(-u) does not overflow
+    with np.errstate(all="ignore"):
+        floor = lf.dual_floor(clipped.copy(), y)
+    assert np.isfinite(floor[(np.abs(u) <= 1e300).all(axis=1)]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=st.sampled_from(DUAL_PAIRS), data=st.data())
+def test_dual_floor_lies_below_every_eta_clear_of_the_flat_ends(pair, data):
+    # phi_i(u) = inf_eta [u eta - l_i(eta)], so for any eta the floor of
+    # sum_i phi_i(u_i) is at most sum_i [u_i eta_i - l_i(eta_i)]. Beyond a
+    # flat end the mu floor or theta clip flattens the kernel's l_i, so
+    # each eta stays more than 1 inside it
+    lf = parse_link_family(*pair)
+    hi, lo = lf.flat_eta
+    n = data.draw(st.integers(1, 8))
+    y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    eta = np.array([data.draw(st.floats(lo + 1.0 + 1e-9, 40.0) if one else
+                              st.floats(-40.0, hi - 1.0 - 1e-9)) for one in y == 1.0])
+    u = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))[None, :]
+    with np.errstate(all="ignore"):
+        floor = lf.dual_floor(u, y)[0]  # u is clipped into phi's domain in place
+        ll = lf.log_lik(lf.clip_eta(eta), y)
+    value = float((u[0] * eta).sum()) - ll
+    assert floor <= value + 1e-12 * (1.0 + float(np.abs(u[0] * eta).sum()) + abs(ll))

@@ -268,7 +268,10 @@ class TestScreenRetiresBelowItsCut:
             got = screen_mme(lf, data, 400, include_intercept)
             full = screen_ranking(_newton_lanes(*screen_call(lf, data, include_intercept)), 400)
             assert np.array_equal(got.keep, full.keep), seed
-            assert (got.retired > data.p // 2) == (lf.flat_eta is not None)
+            # without an intercept the start bounds retire fewer: 1,113 of
+            # 3,000 under cloglog at seed 0
+            floor = data.p // 2 if include_intercept else 0
+            assert (got.retired > floor) == (lf.flat_eta is not None)
             if lf.flat_eta is None:  # no bound, so the full call's blocks and bits
                 assert np.array_equal(got.statistics, full.statistics)
 
@@ -289,14 +292,31 @@ class TestScreenRetiresBelowItsCut:
             assert got.retired == np.isnan(got.statistics).sum()
             assert (got.retired > 0) == (link == "logit")
 
-    def test_a_screen_without_an_intercept_retires_lanes_at_its_second_bound(self):
-        # without an intercept the bound at iteration 1 leaves about 750
-        # columns of each screen that the bound at iteration 2 retires
-        # (BOUND_ITERS = 2)
-        lf = parse_link_family("cloglog")
+    @pytest.mark.parametrize("include_intercept", [True, False])
+    @pytest.mark.parametrize("link", DUAL_LINKS)
+    def test_a_screen_bounds_its_lanes_only_at_their_start(self, monkeypatch, link,
+                                                            include_intercept):
+        # a screen's cut bound covers iteration 1 alone, from the shared
+        # start, so no later iteration of its blocks is given a box; a
+        # pick-only forward step still bounds its lanes at iteration 2
+        # (BOUND_ITERS = 2), each such iteration's direction given the box
+        lf = parse_link_family(link)
+        boxed = []
+        lane_direction = glm._lane_direction
+
+        def spy(lf, y, A, Z, iu, x, eta, state, caps=None):
+            boxed.append(caps is not None)
+            return lane_direction(lf, y, A, Z, iu, x, eta, state, caps)
+
+        monkeypatch.setattr(glm, "_lane_direction", spy)
         for seed in range(3):
-            fits = _newton_lanes(*screen_call(lf, _golub_shaped(seed), False), keep=400)
-            assert (fits.retired & (fits.iterations == 2)).any(), seed
+            boxed.clear()
+            data = _golub_shaped(seed)
+            assert screen_mme(lf, data, 400, include_intercept).retired, seed
+            assert boxed and not any(boxed), seed
+        boxed.clear()
+        path = forward_select(lf, data, np.arange(data.p), (0.5,), 1, include_intercept)
+        assert path.steps[0].retired and any(boxed)
 
     @pytest.mark.parametrize("include_intercept", [True, False])
     @pytest.mark.parametrize("link", DUAL_LINKS)
@@ -305,7 +325,8 @@ class TestScreenRetiresBelowItsCut:
         # 72 x 3000 fills four blocks of 910 lanes: once the first fixes the
         # cut, every later lane is bounded at the shared start, and one
         # beaten there retires without an iteration; the blocks fitted
-        # before the cut retire nothing
+        # before the cut (whose first iteration carries no bound) retire
+        # nothing
         lf = parse_link_family(link)
         tables, blocks = [], []
 
@@ -316,10 +337,10 @@ class TestScreenRetiresBelowItsCut:
         newton_block = glm._newton_block
 
         def block_spy(y, A, Z, iu, x, lf, start, out, lanes, shared, first, pick_only=False,
-                      best=-np.inf, cut=None):
-            blocks.append((lanes.copy(), shared[1], cut))
+                      best=-np.inf):
+            blocks.append((lanes.copy(), shared[1], first[3] is None))
             return newton_block(y, A, Z, iu, x, lf, start, out, lanes, shared, first,
-                                pick_only, best, cut)
+                                pick_only, best)
 
         monkeypatch.setattr(select_mod, "_newton_lanes", call_spy)
         monkeypatch.setattr(glm, "_newton_block", block_spy)
@@ -328,8 +349,8 @@ class TestScreenRetiresBelowItsCut:
             data = _golub_shaped(seed)
             got = screen_mme(lf, data, 400, include_intercept)
             fits, start_ll = tables[-1], blocks[0][1]
-            before = np.concatenate([lanes for lanes, _ll, cut in blocks if cut is None])
-            after = np.concatenate([lanes for lanes, _ll, cut in blocks if cut is not None])
+            before = np.concatenate([lanes for lanes, _ll, uncut in blocks if uncut])
+            after = np.concatenate([lanes for lanes, _ll, uncut in blocks if not uncut])
             assert 0 < before.size < data.p and after.size, seed
             assert not fits.retired[before].any(), seed
             at_start = fits.retired & (fits.log_lik == start_ll)
@@ -346,7 +367,7 @@ class TestScreenRetiresBelowItsCut:
         # every bound is replaced by the lane's own full-fit log-likelihood
         # less a share of the margin: a lane reaches no more than that, so
         # at half the margin none may retire, and at twice the margin the
-        # lanes that come near their end at iterations 1 and 2 do
+        # lanes that come near their end at iteration 1 do
         lf = parse_link_family(link)
         data = _golub_shaped(5, n=40, p=288)
         call = screen_call(lf, data)
@@ -354,14 +375,14 @@ class TestScreenRetiresBelowItsCut:
         lane_of = {data.X[:, j].tobytes(): j for j in range(data.p)}
 
         def at(share):
-            def bound(lf, y, A, x, caps, eta, r, w, dx, grad, d, q, cut):
+            def bound(lf, y, A, x, start, shared, first, c):
                 ll = final[[lane_of[row.tobytes()] for row in x]]
                 return ll - share * MARGIN * (1.0 + np.abs(ll))
             return bound
 
         monkeypatch.setattr(glm, "LANE_BLOCK_CELLS", 40 * 16)
         for share, retires in ((0.5, False), (2.0, True)):
-            monkeypatch.setattr(glm, "_cut_bound", at(share))
+            monkeypatch.setattr(glm, "_start_cut_bound", at(share))
             assert _newton_lanes(*call, keep=40).retired.any() == retires, share
 
 
@@ -398,18 +419,15 @@ def test_the_cut_bound_covers_both_half_boxes(link, include_intercept):
     slopes = np.abs(_newton_lanes(*call).beta[-1])
     eta = lf.clip_eta((A @ start[:-1])[None, :])
     start_ll, state = lf.log_lik(eta, y, keep_state=True)
-    # the first iteration's rows, and the bound a block forms from them
+    # the first iteration's rows, and the start bound a block takes from them
     x = X.T.copy()
     r, w1, w = glm._newton_weights(lf, y, eta, state)
-    d, _gain, _ok, _fell_back, _rd, firm, grad, q, _bound = glm._first_direction(
+    d, gain, _ok, _fell_back, _rd, firm, grad, q, _bound = glm._first_direction(
         lf, y, A, x, eta, r, w1, w)
-    dx = d[:-1].T @ A.T + d[-1][:, None] * x
     checked = 0
     for c in (0.05, 0.2, 0.5):
-        beta = np.repeat(start[:, None], data.p, axis=1)
-        bound = glm._cut_bound(lf, y, A, x, glm._box(start), eta, r, w, dx, grad, d, q.T,
-                               (c, beta, np.full(data.p, start_ll)))
-        bound = np.where(firm & np.isfinite(bound), bound, np.inf)
+        bound = glm._start_cut_bound(lf, y, A, x, start, (eta, start_ll, r, w),
+                                     (d, gain, firm, grad, q), c)
         for j in np.flatnonzero(np.isfinite(bound) & (slopes < c)):
             top = max(_profile_log_lik(lf, data, X[:, j], s, include_intercept) for s in (c, -c))
             assert bound[j] >= top - 1e-9 * (1 + abs(top)), (c, j)
