@@ -65,7 +65,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DataError, InvalidArgs, RankDeficient
-from .links import LinkFamily
+from .links import LinkFamily, _row_dot
 
 #: the Newton stop rules shared by every fit (see the module docstring).
 #: DEC_TOL = 2^12 eps stays above what rounding lets a log-likelihood sum
@@ -379,10 +379,10 @@ def hessian_parts(lf: LinkFamily, data: Dataset, model: ModelIndex, beta) -> Hes
 #: iteration, and a screen's cut bounds) take its lanes in chunks of a
 #: block's width. On the tests' block (1024 lanes x n = 64 from a shared
 #: start, its passes included, by ``tracemalloc``) the peak holds 8.5 of
-#: them under logit and 11.6 under cloglog, 7.2 and 7.5 where a pick-only
+#: them under logit and 11.6 under cloglog, 6.4 and 7.5 where a pick-only
 #: call bounds its lanes, and 7.3 and 9.4 where a screen's cut bound from the
 #: start retires them at iteration 1 (the cut at the 30th percentile of the
-#: block's statistics), whose start pass alone holds 7.1 and 4.8 besides its
+#: block's statistics), whose start pass alone holds 3.3 and 3.8 besides its
 #: input; the tests hold each at 12 or fewer, 5-6 MB at 2^16. The peak
 #: depends on the data as well: with a shared A = [1, z] (z standard normal,
 #: at start coefficient 1.0 or 2.0), a pick-only cloglog block peaked at
@@ -516,7 +516,7 @@ def _lane_direction(lf, y, A, Z, iu, x, eta, state, caps=None):
     return d, dx, (grad * d).sum(axis=0) / 2, ok, ok & ~direct, bound
 
 
-def _dual_bound(lf, y, A, x, caps, eta, r, w, dx, half=None):
+def _dual_bound(lf, y, A, x, caps, eta, r, w, dx):
     """Each lane's weak-duality bound on the log-likelihood of every iterate
     whose coefficients lie in the box |beta_j| <= caps[j], from the lanes at
     eta, with score residual r and Gram weights w of H1 - H0 there (see
@@ -536,42 +536,59 @@ def _dual_bound(lf, y, A, x, caps, eta, r, w, dx, half=None):
     observation on a flat end is not covered; covering it over the whole
     coefficient box leaves a bound too loose to retire any lane.
 
-    ``half`` = (s, new, q) bounds instead the iterates of the half-box
-    whose own coefficient beta_k (the last) lies at or beyond s (per lane,
-    of either sign), for lanes whose beta_k reaches new after the full step
-    and the C x m q = (A'WA)^-1 A'W x_j. There u'X beta is at most
-    sum_{j<k} caps[j] |(X'u)_j| plus the largest beta_k (X'u)_k between s
-    and the cap on its side. The dual point is the residual linearized at
-    the maximum of the lane's quadratic model with beta_k held at s,
-    u = r - w (dx + (s - new) z) with z = x_j - A q, so that A'W z = 0 and
-    A'u = 0 before the clip; ``_refit_shared`` then keeps A'u near 0 after
-    it."""
-    if half is None:
-        u = w * dx
-    else:
-        s, new, q = half
-        u = q @ A.T  # all 0 without shared columns
-        np.subtract(x, u, out=u)
-        u *= (s - new)[:, None]
-        u += dx
-        u *= w
+    The bound is a floating-point sum of n + k terms, each rounded by a
+    few eps of its size: two orders of its arithmetic (product sums or row
+    sums, log(1 - v) or log1p(-v)) give bounds within 1.5e-13 (1 + |bound|)
+    of each other on screens with Cauchy columns and 4e-15 on Golub-shaped
+    ones, a millionth of the 1e-7 (1 + |best|) margin of ``_beaten``."""
+    u = w * dx
     np.subtract(r, u, out=u)
-    if half is not None:
-        _refit_shared(lf, y, A, w, u)
     phi = lf.dual_floor(u, y)  # clips u first: X'u is that of the clipped u
-    g = _lane_gradient(A, x, u)
+    g_a, g_x = A.T @ u.T, _row_dot(x, u)
     del u
-    if half is None:
-        bound = caps @ np.abs(g) - phi
-    else:
-        bound = caps[:-1] @ np.abs(g[:-1]) + _beyond(s, caps[-1], g[-1]) - phi
+    bound = caps[:-1] @ np.abs(g_a) + caps[-1] * np.abs(g_x) - phi
+    bound[_near_flat(lf, y, eta, dx)] = np.inf
+    return bound
+
+
+def _flat_margins(lf, y):
+    """Each observation's sign and edge: an eta with eta * sign > edge lies
+    within 1 of its flat end (``lf.flat_eta``)."""
     hi, lo = lf.flat_eta
     one = y == 1.0
-    # each observation's signed distance past its flat end's margin
-    sign, edge = np.where(one, -1.0, 1.0), np.where(one, -lo - 1.0, hi - 1.0)
-    near = (eta * sign > edge).any(axis=1) | ((eta + dx) * sign > edge).any(axis=1)
-    bound[near] = np.inf
-    return bound
+    return np.where(one, -1.0, 1.0), np.where(one, -lo - 1.0, hi - 1.0)
+
+
+def _near_flat(lf, y, eta, dx):
+    """The lanes with an observation within 1 of its flat end at eta or
+    after the full step eta + dx (C x n, eta 1 x n or C x n)."""
+    sign, edge = _flat_margins(lf, y)
+    return (eta * sign > edge).any(axis=1) | ((eta + dx) * sign > edge).any(axis=1)
+
+
+def _near_flat_at_start(lf, y, A, x, eta, d, xmax):
+    """``_near_flat`` for lanes [A, x_j] (the rows of x, C x n, with A = []
+    or [1]) that share eta (1 x n) and whose full steps d (k x C) change it
+    by dx = A d_a + d_k x_j, formed only for the lanes whose reach could
+    cross a margin. No observation of a class moves further than the
+    lane's reach |d_a| + |d_k| max|x_j| (``xmax``) from the class's extreme
+    eta, and rounding is monotone, so a computed eta + dx never passes the
+    computed extreme plus reach; a NaN reach is tested in full."""
+    sign, edge = _flat_margins(lf, y)
+    top = eta[0] * sign
+    if (top > edge).any():
+        return np.ones(x.shape[0], dtype=bool)
+    reach = np.abs(d[-1]) * xmax
+    if A.shape[1]:
+        reach = np.abs(d[0]) + reach
+    test = np.zeros(x.shape[0], dtype=bool)
+    for cls in (y == 1.0, y != 1.0):
+        if cls.any():
+            test |= ~(top[cls].max() + reach <= edge[cls][0])
+    near = np.zeros(x.shape[0], dtype=bool)
+    if test.any():
+        near[test] = _near_flat(lf, y, eta, d[:-1, test].T @ A.T + d[-1, test][:, None] * x[test])
+    return near
 
 
 def _beyond(s, cap, g):
@@ -580,61 +597,80 @@ def _beyond(s, cap, g):
     return np.maximum(s * g, np.copysign(cap, s) * g)
 
 
-def _refit_shared(lf, y, A, w, u):
-    """Shift the dual point u (C x n) in place by w A t, as a change t of
-    the shared coefficients shifts a linearized residual, t being the Newton
-    step that brings A'u back to 0 once u is clipped into phi's domain
-    (``lf.dual_clip``): the clip moves A'u off 0, and the bound pays
-    caps[a] |(A'u)_a| for that."""
-    if not A.shape[1]:
-        return
-    clipped = u.copy()
-    lf.dual_clip(clipped, y)
-    free = np.where(clipped == u, w, 0.0)  # the weights the clip left in play
-    rhs = -(clipped @ A)
-    del clipped
-    m = A.shape[1]
-    iu = np.triu_indices(m)
-    gram = np.empty((u.shape[0], m, m))
-    gram[:, iu[0], iu[1]] = gram[:, iu[1], iu[0]] = free @ (A[:, iu[0]] * A[:, iu[1]])
-    del free
-    t = _per_lane(np.linalg.solve, gram, rhs[:, :, None])[0][:, :, 0]
-    u += w * (t @ A.T)
-
-
 def _start_cut_bound(lf, y, A, x, start, shared, first, c):
     """Each lane's bound on the log-likelihood of every iterate in its box
     whose own coefficient beta_k (the last) is at least the cut c in size,
     for lanes (the rows of x, C x n) that stand at the call's shared
-    ``start``: a lane bounded below a log-likelihood it has reached ends
-    with |beta_k| < c. It is the larger of two bounds:
-    on the side where the lane's first step d takes beta_k, the dual bound
-    of that half-box (``_dual_bound``); on the other, behind the ascent, the
-    tangent plane at the start, where the log-likelihood ll and gradient
-    grad give at most ll + grad'(b - start) at any b, the log-likelihood
-    being concave (the dual bound at u = r, whose phi is r'eta - ll).
+    ``start`` and share A = [1] or [] (the screen's): a lane bounded below
+    a log-likelihood it has reached ends with |beta_k| < c. It is the
+    larger of two bounds.
+
+    On the side where the lane's first step d takes beta_k to new, the
+    dual bound of that half-box with beta_k at or beyond s = +-c: u'X beta
+    is at most caps[a] |(A'u)_a| plus the largest beta_k (X'u)_k between s
+    and the cap on its side (see ``_dual_bound``). Its dual point is the
+    residual linearized at the maximum of the lane's quadratic model with
+    beta_k held at s, u = r - w (dx + (s - new) z) with z = x_j - A q and
+    q = (A'WA)^-1 A'W x_j, so that A'W z = 0 and A'u = 0 before the clip.
+    Since dx = A d_a + d_k x_j, that is u = r - w ((s - start_k) x_j +
+    A alpha) with alpha = d_a - (s - new) q. The clip into phi's domain
+    moves A'u off 0, and the bound pays caps[a] |(A'u)_a| for that, so
+    the intercept is refitted: u shifts by w t, t = -sum clip(u) / the sum
+    of w over the cells the clip left in play, the Newton step that brings
+    A'u back to 0 (t = 0 where that sum is 0). A lane with an observation
+    within 1 of a flat end gets no dual bound (``_near_flat_at_start``).
+
+    On the other side, behind the ascent, the tangent plane at the start,
+    where the log-likelihood ll and gradient grad give at most
+    ll + grad'(b - start) at any b, the log-likelihood being concave (the
+    dual bound at u = r, whose phi is r'eta - ll).
+
     ``shared`` = (the clipped eta as 1 x n, its log-likelihood, the score
     residual and Gram weights there) and ``first`` = (d, gain, retirable
-    mask, gradients, q as m x C) are the call's, from ``_first_direction``.
+    mask, gradients, q as m x C) are the call's, from ``_first_direction``,
+    followed by each lane's max|x_j|.
     A lane that the bound may not retire gets inf: one not retirable there,
     or one whose first step already meets the stop rule, which a block takes
     rather than retires."""
     eta, ll, r, w = shared
-    d, gain, firm, grad, q = first
+    d, gain, firm, grad, q, xmax = first
+    intercept = A.shape[1] == 1
+    assert intercept and (A == 1.0).all() or not A.shape[1], "shared columns other than [1]"
     caps = _box(start)
     new = start[-1] + d[-1]
     s = np.where(new < 0.0, -c, c)
-    dx = d[:-1].T @ A.T + d[-1][:, None] * x
+    u = x * (s - start[-1])[:, None]
+    if intercept:
+        u += (d[0] - (s - new) * q[0])[:, None]
+    u *= w
+    np.subtract(r, u, out=u)
+    ones = np.ones(x.shape[1])
+    if intercept:
+        clipped = u.copy()
+        lf.dual_clip(clipped, y)
+        free = np.where(clipped == u, w, 0.0) @ ones
+        t = np.divide(clipped @ ones, free, out=np.zeros_like(free), where=free != 0.0)
+        del clipped
+        u -= t[:, None] * w
+    phi = lf.dual_floor(u, y)  # clips u first: X'u is that of the clipped u
+    g_x = _row_dot(x, u)
+    dual = _beyond(s, caps[-1], g_x) - phi
+    if intercept:
+        dual += caps[0] * np.abs(u @ ones)
+    del u
+    dual[_near_flat_at_start(lf, y, A, x, eta, d, xmax)] = np.inf
     tangent = (ll + caps[:-1] @ np.abs(grad[:-1]) - (grad * start[:, None]).sum(axis=0)
                + _beyond(-s, caps[-1], grad[-1]))
-    bound = np.maximum(_dual_bound(lf, y, A, x, caps, eta, r, w, dx, (s, new, q.T)), tangent)
+    bound = np.maximum(dual, tangent)
     retirable = firm & ~(gain <= DEC_TOL * (1 + abs(ll)))
     return np.where(retirable & np.isfinite(bound), bound, np.inf)
 
 
 def _beaten(bound, best):
     """The lanes whose bound lies below best by more than the margin
-    1e-7 (1 + |best|): they cannot reach or tie it."""
+    1e-7 (1 + |best|): they cannot reach or tie it. The margin covers the
+    rounding of a bound many times over: its arithmetic moves it by at most
+    about 1.5e-13 (1 + |bound|) (see ``_dual_bound``)."""
     return bound < best - 1e-7 * (1.0 + abs(best))
 
 
@@ -798,8 +834,11 @@ def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, shared, first, pick_onl
             conv = ok & (gain <= DEC_TOL * (1 + np.abs(ll)))
             out.converged[lanes] = conv
             out.iterations[lanes] = it
-            if bound is not None:
-                # a lane already beaten leaves before its step search
+            early = False
+            if bound is not None and it > 1:
+                # a lane already beaten leaves before its step search; at
+                # iteration 1 the call's own test, against the same best or
+                # start log-likelihood, kept every such lane out of the block
                 early = ok & ~conv & _beaten(bound, best if pick_only else ll)
                 ok = ok & ~early
 
@@ -936,7 +975,7 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
     rows of a C x n array and holds every per-lane array
     over the observations the same way, one lane per row, and frees each
     once it is spent: on the tests' block its peak holds about 8.5 such
-    arrays under logit and 11.6 under cloglog (7.2 to 9.4 when it bounds
+    arrays under logit and 11.6 under cloglog (6.4 to 9.4 when it bounds
     its lanes), besides its input, and other data can take it past 12 (see
     ``LANE_BLOCK_CELLS``). Every block writes its lanes in place into the
     call's one ``LaneFits`` table over the distinct lanes.
@@ -995,7 +1034,8 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
                 part = lanes[a:a + width]
                 bound[part] = _start_cut_bound(
                     lf, y, A, X.T[cols[distinct[part]]], start, (eta_c, start_ll, r, w),
-                    (d[:, part], gain[part], firm[part], grad[:, part], q[:, part]), cut)
+                    (d[:, part], gain[part], firm[part], grad[:, part], q[:, part], xmax[part]),
+                    cut)
 
     def unbeaten(lanes, reached):
         """The lanes whose bound the log-likelihood ``reached`` does not
@@ -1027,6 +1067,8 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
                     # start, in index order, and only the survivors enter
                     # their blocks
                     passed, bound = cut, np.full(distinct.size, np.inf)
+                    # each lane's max|x_j|, for its flat-end test
+                    xmax = np.maximum(X.max(axis=0), -X.min(axis=0))[cols[distinct]]
                     bound_at_cut(np.sort(order[s:]))
                     unbeaten(order[s:], start_ll)
     return out.take(lane_of)

@@ -458,9 +458,17 @@ class _BernoulliLogitLF(_CanonicalLF):
         np.minimum(u, y - _EPS, out=u)
 
     def dual_floor(self, u, y):
+        # log of the complement 1 - v costs less than log1p(-v), which
+        # numpy may run through scalar libm; it rounds by at most eps per
+        # cell, far inside the bound's margin
         self.dual_clip(u, y)
         v = y - u
-        return -(v * np.log(v) + (1.0 - v) * np.log1p(-v)).sum(axis=-1)
+        log = np.log(v)
+        floor = _row_dot(v, log)
+        np.subtract(1.0, v, out=v)
+        np.log(v, out=log)
+        floor += _row_dot(v, log)
+        return -floor
 
 
 class _BinaryCdfLF(LinkFamily):
@@ -553,7 +561,10 @@ class _BernoulliCloglogLF(LinkFamily):
         self.dual_clip(u, y)
         one = y == 1.0
         u0, u1 = u[:, ~one], u[:, one]
-        return (u0 * (np.log(-u0) - 1.0)).sum(axis=-1) + _cloglog_chords(u1).sum(axis=-1)
+        log = np.negative(u0)
+        np.log(log, out=log)
+        log -= 1.0
+        return _row_dot(u0, log) + _cloglog_chords(u1) @ np.ones(u1.shape[1])
 
     def _log_lik(self, y, state):
         # y log mu + (1 - y) log(1 - mu) with log(1 - mu) = -u exactly
@@ -562,6 +573,12 @@ class _BernoulliCloglogLF(LinkFamily):
         log_1m = np.maximum(-u, _LOG_MU_FLOOR)
         return ((y * log_mu).sum(axis=-1) - (y * log_1m).sum(axis=-1)
                 + log_1m.sum(axis=-1))
+
+
+def _row_dot(a, b):
+    """sum_j a_ij b_ij for each row i of two C x n arrays, by numpy's
+    product-sum loop: no C x n temporary, and faster than a row sum."""
+    return np.einsum("ij,ij->i", a, b)
 
 
 #: the cloglog chord table's nodes are u = 1 / (1 + e^-t) for t = -30,
@@ -602,12 +619,19 @@ def _cloglog_chords(u):
     _nodes, icpt, slope = _cloglog_chord_table()
     with np.errstate(divide="ignore", invalid="ignore"):
         # 1 - u is exact for u >= 1/2
-        at = (np.log(u / (1.0 - u)) + _CHORD_T) * _CHORD_PER_UNIT + 1.0
-        # u = 0 and u = 1 give -inf and inf; fmin and fmax send a NaN to
-        # chord 0, where its value stays NaN
+        odds = u / (1.0 - u)
+        # odds below the smallest normal (u = 0 and subnormal u) fall to
+        # chord 0 either way, and a log of an exact 0 leaves numpy's SIMD
+        # path; np.maximum keeps a NaN
+        np.maximum(odds, _TINY, out=odds)
+        at = np.log(odds, out=odds)
+        at += _CHORD_T
+        at *= _CHORD_PER_UNIT
+        at += 1.0
+        # u = 1 gives inf; fmin and fmax send a NaN to chord 0, where its
+        # value stays NaN
         c = np.fmin(np.fmax(at, 0.0), slope.size - 1).astype(np.intp)
-    chord = np.stack([icpt, slope], axis=1).take(c, axis=0)
-    return chord[..., 0] + chord[..., 1] * u
+    return icpt.take(c) + slope.take(c) * u
 
 
 class _BernoulliIdentityLF(LinkFamily):

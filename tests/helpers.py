@@ -5,7 +5,9 @@ from dataclasses import fields
 import numpy as np
 
 from ebicglm import Dataset, ModelIndex, ebic_score, fit_mle, parse_link_family
-from ebicglm.glm import LaneFits, _design, _initial_beta, _newton_lanes
+from ebicglm.glm import (DEC_TOL, LaneFits, _beyond, _box, _design, _initial_beta,
+                         _lane_gradient, _near_flat, _newton_lanes, _per_lane)
+from ebicglm.links import _cloglog_chords
 from ebicglm.select import ScreenResult, SelectionPath, _forward_step
 
 # (link, family, eta-safe box for random instances)
@@ -275,3 +277,69 @@ def unstopped_forward_path(lf, data, candidates, gammas, max_steps, include_inte
     )
     return SelectionPath(steps, null_fit, null_scores, prefixes, gammas, stop_reason,
                          include_intercept)
+
+
+# ---------------------------------------------------------------------------
+# the screen's cut bound in its first, plainer arithmetic: the reference for
+# glm._start_cut_bound
+# ---------------------------------------------------------------------------
+
+def dual_floor_reference(lf, u, y):
+    """``lf.dual_floor`` by row sums, with log1p under logit: clips the
+    C x n u in place and returns each row's floor."""
+    lf.dual_clip(u, y)
+    if lf.link.name == "logit":
+        v = y - u
+        return -(v * np.log(v) + (1.0 - v) * np.log1p(-v)).sum(axis=-1)
+    one = y == 1.0
+    u0, u1 = u[:, ~one], u[:, one]
+    return (u0 * (np.log(-u0) - 1.0)).sum(axis=-1) + _cloglog_chords(u1).sum(axis=-1)
+
+
+def refit_shared_reference(lf, y, A, w, u):
+    """Shift u (C x n) in place by w A t, t solving each lane's m x m
+    system (A'W_free A) t = -A' clip(u), W_free the weights of the cells
+    the clip left in play (t = 0 where LAPACK refuses the system)."""
+    if not A.shape[1]:
+        return
+    clipped = u.copy()
+    lf.dual_clip(clipped, y)
+    free = np.where(clipped == u, w, 0.0)
+    rhs = -(clipped @ A)
+    m = A.shape[1]
+    iu = np.triu_indices(m)
+    gram = np.empty((u.shape[0], m, m))
+    gram[:, iu[0], iu[1]] = gram[:, iu[1], iu[0]] = free @ (A[:, iu[0]] * A[:, iu[1]])
+    t = _per_lane(np.linalg.solve, gram, rhs[:, :, None])[0][:, :, 0]
+    u += w * (t @ A.T)
+
+
+def start_cut_bound_reference(lf, y, A, x, start, shared, first, c):
+    """``glm._start_cut_bound`` on the same arguments, by its first
+    arithmetic: the full step's dx, the half-box's dual point as dx plus
+    the term (s - new)(x_j - A q), the shared columns refitted by a solve
+    per lane, the floors by row sums, and the flat-end test (``_near_flat``)
+    on every lane.
+    The last entry of ``first`` (each lane's max|x_j|) is not read."""
+    eta, ll, r, w = shared
+    d, gain, firm, grad, q = first[:5]
+    caps = _box(start)
+    new = start[-1] + d[-1]
+    s = np.where(new < 0.0, -c, c)
+    dx = d[:-1].T @ A.T + d[-1][:, None] * x
+    tangent = (ll + caps[:-1] @ np.abs(grad[:-1]) - (grad * start[:, None]).sum(axis=0)
+               + _beyond(-s, caps[-1], grad[-1]))
+    u = q.T @ A.T
+    np.subtract(x, u, out=u)
+    u *= (s - new)[:, None]
+    u += dx
+    u *= w
+    np.subtract(r, u, out=u)
+    refit_shared_reference(lf, y, A, w, u)
+    phi = dual_floor_reference(lf, u, y)
+    g = _lane_gradient(A, x, u)
+    dual = caps[:-1] @ np.abs(g[:-1]) + _beyond(s, caps[-1], g[-1]) - phi
+    dual[_near_flat(lf, y, eta, dx)] = np.inf
+    bound = np.maximum(dual, tangent)
+    retirable = firm & ~(gain <= DEC_TOL * (1 + abs(ll)))
+    return np.where(retirable & np.isfinite(bound), bound, np.inf)

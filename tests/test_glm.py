@@ -650,7 +650,8 @@ def _start_passes(args, pick_only=False, cut=None):
     r, w1, w = glm._newton_weights(lf, y, eta, state)
     d, gain, ok, _fell_back, _rd, firm, grad, q, bound = glm._first_direction(
         lf, y, A, x, eta, r, w1, w, glm._box(start) if pick_only else None)
-    cut_args = (lf, y, A, x, start, (eta, ll, r, w), (d, gain, firm, grad, q), cut)
+    cut_args = (lf, y, A, x, start, (eta, ll, r, w),
+                (d, gain, firm, grad, q, np.abs(x).max(axis=1)), cut)
     return (eta, ll), (d, gain, ok, bound), cut_args
 
 
@@ -1061,6 +1062,35 @@ def test_the_cloglog_chord_table_lies_below_phi():
     assert np.all(low <= phi + 8 * np.finfo(float).eps * size)
     # and close enough to phi to be of use
     assert np.max(phi - low) <= 1e-4
+
+
+def _chords_by_formula(u):
+    """The chord table's lower bound at each u, its chord found by the
+    index (log(u / (1 - u)) + 30) 32 + 1 through fmax and fmin, truncated,
+    and read off as icpt + slope u."""
+    _nodes, icpt, slope = links._cloglog_chord_table()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at = (np.log(u / (1.0 - u)) + 30.0) * 32.0 + 1.0
+        c = np.fmin(np.fmax(at, 0.0), slope.size - 1).astype(np.intp)
+    return icpt[c] + slope[c] * u
+
+
+def test_the_cloglog_chords_are_the_formulas_bits():
+    # the chords floor the odds at the smallest normal before their log, so
+    # that a log of an exact 0 stays off the slow path: every odds below it
+    # falls to chord 0 either way, and a NaN stays NaN
+    nodes = links._cloglog_chord_table()[0]
+    tiny = np.finfo(float).tiny
+    ends = np.array([0.0, -0.0, 1.0, np.nan, 5e-324, 1e-310, tiny / 2, tiny,
+                     np.nextafter(tiny, 1.0), 1.0 - 2.0 ** -53, 0.5, 1.0 - 2.0 ** -52])
+    rng = np.random.default_rng(11)
+    block = rng.random((385, 279))
+    block[rng.random(block.shape) < 0.19] = 0.0  # 19% exact zeros, as in a screen
+    for u in (ends, nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 1.0), block):
+        got, ref = links._cloglog_chords(u), _chords_by_formula(u)
+        nan = np.isnan(ref)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
 
 
 def test_model_too_large_rejected():

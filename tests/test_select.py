@@ -1,5 +1,6 @@
 """Screening and forward selection against one-lane and brute-force references."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from helpers import (
     screen_call,
     screen_mme_reference,
     screen_ranking,
+    start_cut_bound_reference,
     step_call,
     unstopped_forward_path,
     usable_log_liks,
@@ -399,6 +401,21 @@ def _profile_log_lik(lf, data, x, slope, include_intercept):
     return -best.fun
 
 
+def _cut_pass(lf, data, include_intercept, c):
+    """The arguments of a screen's ``_start_cut_bound`` against the cut c
+    for every column of ``data``, all bounded at once from the shared start
+    as the call's start pass bounds them."""
+    y, A, X, _cols, _lf, start = screen_call(lf, data, include_intercept)
+    eta = lf.clip_eta((A @ start[:-1])[None, :])
+    start_ll, state = lf.log_lik(eta, y, keep_state=True)
+    x = X.T.copy()
+    r, w1, w = glm._newton_weights(lf, y, eta, state)
+    d, gain, _ok, _fell_back, _rd, firm, grad, q, _bound = glm._first_direction(
+        lf, y, A, x, eta, r, w1, w)
+    return (lf, y, A, x, start, (eta, start_ll, r, w),
+            (d, gain, firm, grad, q, np.abs(x).max(axis=1)), c)
+
+
 @pytest.mark.parametrize("include_intercept", [True, False])
 @pytest.mark.parametrize("link", DUAL_LINKS)
 def test_the_cut_bound_covers_both_half_boxes(link, include_intercept):
@@ -414,25 +431,119 @@ def test_the_cut_bound_covers_both_half_boxes(link, include_intercept):
     X = np.column_stack([rng.standard_normal((n, 20)), rng.lognormal(0.0, 0.8, (n, 20)),
                          -rng.exponential(1.0, (n, 20)), rng.standard_normal((n, 20)) ** 3])
     data = Dataset(y, X)
-    call = screen_call(lf, data, include_intercept)
-    _y, A, _X, _cols, _lf, start = call
-    slopes = np.abs(_newton_lanes(*call).beta[-1])
-    eta = lf.clip_eta((A @ start[:-1])[None, :])
-    start_ll, state = lf.log_lik(eta, y, keep_state=True)
-    # the first iteration's rows, and the start bound a block takes from them
-    x = X.T.copy()
-    r, w1, w = glm._newton_weights(lf, y, eta, state)
-    d, gain, _ok, _fell_back, _rd, firm, grad, q, _bound = glm._first_direction(
-        lf, y, A, x, eta, r, w1, w)
+    slopes = np.abs(_newton_lanes(*screen_call(lf, data, include_intercept)).beta[-1])
     checked = 0
     for c in (0.05, 0.2, 0.5):
-        bound = glm._start_cut_bound(lf, y, A, x, start, (eta, start_ll, r, w),
-                                     (d, gain, firm, grad, q), c)
+        bound = glm._start_cut_bound(*_cut_pass(lf, data, include_intercept, c))
         for j in np.flatnonzero(np.isfinite(bound) & (slopes < c)):
             top = max(_profile_log_lik(lf, data, X[:, j], s, include_intercept) for s in (c, -c))
             assert bound[j] >= top - 1e-9 * (1 + abs(top)), (c, j)
             checked += 1
     assert checked > 100
+
+
+def _wild_screen(seed, n=60, p=300):
+    """Binary data whose columns are normal, scaled by up to 30, log-normal
+    or Cauchy, and a few split by y, with a zero column and one equal
+    to the intercept: some lanes meet the stop rule or fail the rank test
+    at once."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n) < 0.35).astype(float)
+    X = rng.standard_normal((n, p)) * rng.uniform(0.1, 30.0, p)
+    X[:, 1::4] = rng.lognormal(0.0, 1.0, (n, len(range(1, p, 4))))
+    X[:, 2::4] = rng.standard_cauchy((n, len(range(2, p, 4))))
+    X[:, 3:40:4] = (2.0 * y - 1.0)[:, None] * rng.uniform(0.5, 5.0, 10)
+    X[:, 0], X[:, 4] = 0.0, 1.0
+    return Dataset(y, X)
+
+
+def _rare_screen(seed, n=200, p=200):
+    """Binary data with two cases among n rows, and columns near 0 but at
+    one case and one or two controls, larger at the controls: a lane's
+    first step from the intercept's start takes its controls far up, many
+    of them within 1 of the flat end, under logit and under cloglog."""
+    rng = np.random.default_rng(seed)
+    y = np.zeros(n)
+    cases = rng.choice(n, 2, replace=False)
+    y[cases] = 1.0
+    X = 0.01 * rng.standard_normal((n, p))
+    controls = np.flatnonzero(y == 0.0)
+    for j in range(p):
+        sign = rng.choice([-1.0, 1.0])
+        X[rng.choice(cases), j] = sign
+        X[rng.choice(controls, rng.integers(1, 3), replace=False), j] = sign * rng.uniform(1, 4)
+    return Dataset(y, X)
+
+
+@pytest.mark.parametrize("link", DUAL_LINKS)
+def test_the_cut_pass_matches_its_first_arithmetic(link):
+    # the half-box's dual point formed at once, the intercept refitted in
+    # closed form, the floors by product sums and the flat-end test behind
+    # its prefilter: the same bound as the first arithmetic's within
+    # rounding, and inf on the same lanes
+    lf = parse_link_family(link)
+    screens = ([_golub_shaped(seed, p=1200) for seed in range(2)]
+               + [_wild_screen(seed) for seed in range(2)]
+               + [_rare_screen(seed) for seed in range(2)])
+    counts = Counter()
+    for include_intercept in (True, False):
+        for data in screens:
+            for c in (0.05, 0.3, 1.0, 4.0):
+                args = _cut_pass(lf, data, include_intercept, c)
+                with np.errstate(all="ignore"):
+                    got = glm._start_cut_bound(*args)
+                    ref = start_cut_bound_reference(*args)
+                inf = np.isinf(ref)
+                assert np.array_equal(np.isinf(got), inf), (include_intercept, c)
+                got, ref = got[~inf], ref[~inf]
+                assert np.all(np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))), (
+                    include_intercept, c)
+                _lf, y, A, x, _start, (eta, *_), (d, _gain, firm, *_), _c = args
+                near = glm._near_flat(lf, y, eta, d[:-1].T @ A.T + d[-1][:, None] * x)
+                counts.update({("bounded", include_intercept): (~inf).sum(),
+                               ("near", include_intercept): (firm & near).sum(),
+                               ("unfit", include_intercept): (~firm).sum()})
+    # bounded lanes and lanes refused a bound with and without an intercept;
+    # from the start g(ybar), lanes near a flat end too
+    assert min(counts[kind, icpt] for kind in ("bounded", "unfit") for icpt in (True, False)) > 0
+    assert counts["bounded", True] > 1000 and counts["near", True] > 50, counts
+
+
+_FLAT_CELLS = st.one_of(st.floats(-40.0, 40.0), st.sampled_from([0.0, -0.0, 5e-324]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(link=st.sampled_from(DUAL_LINKS), intercept=st.booleans(), data=st.data())
+def test_the_flat_end_prefilter_skips_no_near_lane(link, intercept, data):
+    # a lane the prefilter does not test is one whose reach from its
+    # class's extreme eta cannot cross the margin: the mask equals the full
+    # test's on every lane. Lane 0's step takes the cell of its largest
+    # |x_j| to within a few ulps of its margin, on either side, moving every
+    # term toward it, so that its reach is tight; the other lanes' cells
+    # may be NaN or infinite
+    lf = parse_link_family(link)
+    n, lanes = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    k = int(intercept) + 1
+    y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    cells = [_FLAT_CELLS] * n + [st.one_of(_FLAT_CELLS, st.floats())] * (n * (lanes - 1))
+    x = np.array(data.draw(st.tuples(*cells))).reshape(lanes, n)
+    d = np.array(data.draw(st.lists(st.floats(-30.0, 30.0), min_size=k * lanes,
+                                    max_size=k * lanes))).reshape(k, lanes)
+    A = np.ones((n, k - 1))
+    sign, edge = glm._flat_margins(lf, y)
+    eta = sign * (edge - np.array(data.draw(st.lists(st.floats(0.0, 30.0), min_size=n,
+                                                     max_size=n))))
+    i = np.argmax(np.abs(x[0]))
+    d[:, 0] = np.abs(d[:, 0]) * sign[i]
+    d[-1, 0] *= np.sign(x[0, i]) or 1.0
+    step = (d[:-1, :1].T @ A[i:i + 1].T + d[-1, 0] * x[0, i])[0, 0]
+    base = sign[i] * edge[i] - step
+    eta[i] = base + data.draw(st.integers(-4, 4)) * np.spacing(base)
+    with np.errstate(all="ignore"):
+        xmax = np.maximum(x.max(axis=1), -x.min(axis=1))
+        got = glm._near_flat_at_start(lf, y, A, x, eta[None, :], d, xmax)
+        full = glm._near_flat(lf, y, eta[None, :], d[:-1].T @ A.T + d[-1][:, None] * x)
+    assert np.array_equal(got, full)
 
 
 # ---------------------------------------------------------------------------
