@@ -837,9 +837,10 @@ def _newton_block(y, A, Z, iu, x, lf, start, out, lanes, shared, first, pick_onl
             early = False
             if bound is not None and it > 1:
                 # a lane already beaten leaves before its step search; at
-                # iteration 1 the call's own test, against the same best or
-                # start log-likelihood, kept every such lane out of the block
-                early = ok & ~conv & _beaten(bound, best if pick_only else ll)
+                # iteration 1 the call's own test kept every such lane out of
+                # the block. Only a pick-only call has a bound here: with keep,
+                # no later iteration is given a box
+                early = ok & ~conv & _beaten(bound, best)
                 ok = ok & ~early
 
             # the eta and link state of a lane's accepted trial carry over
@@ -931,36 +932,35 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
     no retired lane can reach or tie the pick; a retired lane reports where
     it stood. Iteration 1's bounds come from the first pass, and the blocks
     take the lanes best first: in descending order of that bound, the first
-    block an eighth of the others. A lane whose bound is beaten by the best
-    reached so far is retired without entering a block (``iterations`` 0, at
-    its start), and so is every lane after it. The bound covers the pairs
-    with a ``flat_eta`` (Bernoulli logit and cloglog); under any other pair
-    a pick-only call fits every lane in full, in index order. The pick is
-    that of the full call, but its fit's last bits can differ: lanes leave
-    the blocks sooner, and BLAS rounds by lane count and position.
+    block an eighth of the others, so the lanes beaten at their start (see
+    below) are the last of that order. The bound covers the pairs with a
+    ``flat_eta`` (Bernoulli logit and cloglog); under any other pair a
+    pick-only call fits every lane in full, in index order. The pick is that
+    of the full call, but its fit's last bits can differ: lanes leave the
+    blocks sooner, and BLAS rounds by lane count and position.
 
     A call with ``keep`` = d serves a caller that keeps the d lanes with the
     largest |own coefficient| (``LaneFits.statistics``: the screen). Under a
     pair with a ``flat_eta``, the blocks take the lanes best first, in
     descending order of the |own coefficient| of the first pass's step. Once
     d finite statistics are known, each column counted once per copy, the
-    d-th largest is the cut c; it only rises as later blocks are fitted.
-    Each later lane is bounded once, at the shared start, over every
-    iterate of the box with |own coefficient| >= c (``_start_cut_bound``),
-    in a second pass at that start, made once the block that fixes c is
-    fitted, over every lane not yet fitted in chunks of a block's lanes in
-    index order. A lane whose bound lies below its own log-likelihood by
-    1e-7 (1 + |ll|) leaves flagged ``retired``: it ascends, so it ends with
-    |own coefficient| < c, outside the d kept. A lane beaten at its start
-    retires without entering a block (``iterations`` 0, at its start), and
-    only the others enter the blocks they would have filled, where the same
-    bound retires a lane beaten by the log-likelihood of its first step. A
-    lane whose block comes up after c has risen is bounded again at the
-    start against the new c. A retired lane reports where it stood. The d
-    kept are those of the call without ``keep``; the other lanes are fitted
-    under the same rules, but their last bits can move with the lanes beside
-    them. Pairs without a ``flat_eta`` are fitted in full in index order, as
-    without ``keep``.
+    d-th largest is the cut c; later blocks can only raise it. Once the block
+    that fixes c is fitted, every lane not yet fitted is bounded once, at the
+    shared start, over every iterate of the box with |own coefficient| >= c
+    (``_start_cut_bound``), in a pass over chunks of a block's lanes in index
+    order. A lane whose bound lies below its own log-likelihood by 1e-7
+    (1 + |ll|) leaves flagged ``retired``: it ascends, so it ends with
+    |own coefficient| < c, outside the d kept. A retired lane reports where
+    it stood. The d kept are those of the call without ``keep``; the other
+    lanes are fitted under the same rules, but their last bits can move with
+    the lanes beside them. Pairs without a ``flat_eta`` are fitted in full in
+    index order, as without ``keep``.
+
+    Both kinds of bounded call retire lanes at their start by one rule:
+    after each block, every later lane whose bound is beaten by the best (by
+    its start log-likelihood, with ``keep``) retires without entering a
+    block (``iterations`` 0, at its start), and the others fill the next
+    blocks in full.
 
     Each distinct column (by byte equality) is fitted once, so duplicated
     columns get bit-equal results (BLAS rounds by lane position), and the
@@ -1023,54 +1023,38 @@ def _newton_lanes(y, A, X, cols, lf, start, pick_only=False, keep=None):
     # with keep), others in index order; a pick-only call's first block is an
     # eighth of the others, so that its best retires most lanes at the start
     key = bound if bound is not None else np.abs(d[-1]) if bounded else np.zeros(distinct.size)
-    order = np.argsort(-key, kind="stable")
+    rest = np.argsort(-key, kind="stable")  # the lanes not yet fitted or retired
     copies = np.bincount(lane_of, minlength=distinct.size)
-
-    def bound_at_cut(lanes):
-        """Set the ``bound`` of ``lanes`` to their ``_start_cut_bound``
-        against the current cut, a block's width of them at a time."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for a in range(0, lanes.size, width):
-                part = lanes[a:a + width]
-                bound[part] = _start_cut_bound(
-                    lf, y, A, X.T[cols[distinct[part]]], start, (eta_c, start_ll, r, w),
-                    (d[:, part], gain[part], firm[part], grad[:, part], q[:, part], xmax[part]),
-                    cut)
-
-    def unbeaten(lanes, reached):
-        """The lanes whose bound the log-likelihood ``reached`` does not
-        beat; the others retire at their start."""
-        beaten = _beaten(bound[lanes], reached)
-        out.log_lik[lanes[beaten]] = start_ll
-        out.retired[lanes[beaten]] = True
-        return lanes[~beaten]
-
-    best, cut, passed, s = -np.inf, None, None, 0
+    best = -np.inf
     size = max(1, width // 8) if bound is not None else width
-    while s < order.size:
-        block, s, size = order[s:s + size], s + size, width
-        if passed is not None:  # the pass's survivors, bound again at a risen cut
-            block = block[~out.retired[block]]
-            if cut > passed:
-                bound_at_cut(block)
-        if bound is not None:  # lanes beaten at their start retire there
-            block = unbeaten(block, best if keep is None else start_ll)
-        if block.size:
-            rows = tuple(None if a is None else a[..., block] for a in (d, gain, ok, bound))
-            _newton_block(y, A, Z, iu, X.T[cols[distinct[block]]], lf, start, out, block,
-                          (eta, start_ll), rows, pick_only, best)
-            best = max(best, np.fmax.reduce(out.log_lik[block]))
-            if bounded and keep is not None:
-                cut = _cut(out.statistics(), copies, keep)
-                if passed is None and cut is not None:
-                    # the cut is fixed: every later lane is bounded at its
-                    # start, in index order, and only the survivors enter
-                    # their blocks
-                    passed, bound = cut, np.full(distinct.size, np.inf)
-                    # each lane's max|x_j|, for its flat-end test
-                    xmax = np.maximum(X.max(axis=0), -X.min(axis=0))[cols[distinct]]
-                    bound_at_cut(np.sort(order[s:]))
-                    unbeaten(order[s:], start_ll)
+    while rest.size:
+        block, rest, size = rest[:size], rest[size:], width
+        rows = tuple(None if a is None else a[..., block] for a in (d, gain, ok, bound))
+        _newton_block(y, A, Z, iu, X.T[cols[distinct[block]]], lf, start, out, block,
+                      (eta, start_ll), rows, pick_only, best)
+        best = max(best, np.fmax.reduce(out.log_lik[block]))
+        cut = _cut(out.statistics(), copies, keep) if bounded and bound is None else None
+        if cut is not None:
+            # the cut of a call with keep is fixed: every later lane is
+            # bounded once, at its start, in index order
+            bound = np.full(distinct.size, np.inf)
+            # each lane's max|x_j|, for its flat-end test
+            xmax = np.maximum(X.max(axis=0), -X.min(axis=0))[cols[distinct]]
+            later = np.sort(rest)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for a in range(0, later.size, width):
+                    part = later[a:a + width]
+                    bound[part] = _start_cut_bound(
+                        lf, y, A, X.T[cols[distinct[part]]], start, (eta_c, start_ll, r, w),
+                        (d[:, part], gain[part], firm[part], grad[:, part], q[:, part],
+                         xmax[part]), cut)
+        if bound is not None:
+            # every later lane that is beaten at its start retires there, and
+            # the others fill the next blocks
+            beaten = _beaten(bound[rest], best if keep is None else start_ll)
+            out.log_lik[rest[beaten]] = start_ll
+            out.retired[rest[beaten]] = True
+            rest = rest[~beaten]
     return out.take(lane_of)
 
 

@@ -49,13 +49,12 @@ column has reached, less the same margin: since its fit only climbs, it
 ends with |slope| < c. Every later column is bounded once, at the shared
 start, in one sweep once the cut is fixed, as a step's candidates are
 first bounded: one beaten there retires before its first iteration, and
-one beaten by the log-likelihood its first step reaches retires there;
-only the others are fitted on, in the blocks they would have filled, each
-bounded at the start again if the cut has risen by the time its block
-comes up. The half-box on the side its first Newton step heads for is
-bounded by weak duality, at the residual linearized where the lane's
-quadratic model peaks with the slope held at c (or -c), its intercept
-refitted where the clip into phi's domain moved it; the other half-box is
+the others fill the next blocks, where one beaten by the log-likelihood its
+first step reaches retires there. The half-box on the side its first Newton
+step heads for is bounded by weak duality, at the residual linearized where
+the lane's quadratic model peaks with the slope held at c (or -c), its
+intercept refitted where the clip into phi's domain moved it; the other
+half-box is
 bounded by the tangent plane at the shared start, since the
 log-likelihood is concave. That tangent pays the cap times the
 intercept's gradient, which is 0 only at the start, so a bound after the

@@ -938,16 +938,29 @@ def test_no_retired_lane_reaches_the_pick(link, seed, lanes):
 
 def test_lanes_retired_at_their_shared_start_report_it():
     # no iteration: the start's beta and log-likelihood, retired, passed the
-    # rank test (a lane that fails it has no bound, so it enters a block)
+    # rank test (a lane that fails it has no bound, so it enters a block).
+    # They are the last of the lanes in descending order of their first
+    # bound, so retiring them takes no lane out of the middle of a block
     at_start = 0
+    first_direction = glm._first_direction
+    passes = []
+
+    def spy(*args):
+        passes.append(first_direction(*args))
+        return passes[-1]
+
     for link in DUAL_LINKS:
         for seed in range(10):
             call = _dual_instance(link, seed)
             y, A, X, cols, lf, start = call
+            passes.clear()
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(glm, "_first_direction", spy)
                 _lanes_per_block(mp, call, 2)
                 fits = glm._newton_lanes(*call, pick_only=True)
             zero = fits.iterations == 0
+            order = np.argsort(-np.concatenate([bound for *_, bound in passes]), kind="stable")
+            assert np.array_equal(zero[order], np.sort(zero[order]))
             at_start += zero.sum()
             assert fits.retired[zero].all() and not fits.converged[zero].any()
             assert not (fits.rank_deficient | fits.used_fisher_fallback)[zero].any()

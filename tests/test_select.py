@@ -359,10 +359,36 @@ class TestScreenRetiresBelowItsCut:
             assert at_start.sum() > data.p // 4, seed
             assert np.all(fits.iterations[at_start] == 0), seed
             assert not at_start[after].any(), seed  # no lane beaten at its start entered a block
+            # the survivors of the cut's pass fill full blocks, but the last
+            sizes = [lanes.size for lanes, _ll, uncut in blocks if not uncut]
+            assert all(size == blocks[0][0].size for size in sizes[:-1]), (seed, sizes)
             assert (got.lanes, got.lane_iterations, got.retired) == (
                 data.p, fits.iterations.sum(), fits.retired.sum())
             full = screen_ranking(_newton_lanes(*screen_call(lf, data, include_intercept)), 400)
             assert np.array_equal(got.keep, full.keep), seed
+
+    @pytest.mark.parametrize("include_intercept", [True, False])
+    @pytest.mark.parametrize("link", DUAL_LINKS)
+    def test_each_lane_is_bounded_at_most_once(self, monkeypatch, link, include_intercept):
+        # the cut's start pass bounds every later lane once, and a cut that
+        # rises as later blocks are fitted bounds none of them again: on the
+        # screens above, in blocks of 910 lanes and in blocks of 16
+        lf = parse_link_family(link)
+        bounded = Counter()
+        start_cut_bound = glm._start_cut_bound
+
+        def spy(lf, y, A, x, *args):
+            bounded.update(row.tobytes() for row in x)
+            return start_cut_bound(lf, y, A, x, *args)
+
+        monkeypatch.setattr(glm, "_start_cut_bound", spy)
+        for shape, cells, keep in (((72, 3000), LANE_BLOCK_CELLS, 400), ((40, 288), 40 * 16, 40)):
+            monkeypatch.setattr(glm, "LANE_BLOCK_CELLS", cells)
+            for seed in range(3):
+                bounded.clear()
+                data = _golub_shaped(seed, *shape)
+                _newton_lanes(*screen_call(lf, data, include_intercept), keep=keep)
+                assert max(bounded.values(), default=0) == 1, (shape, seed)
 
     @pytest.mark.parametrize("link", DUAL_LINKS)
     def test_a_bound_within_the_margin_retires_nothing(self, monkeypatch, link):
